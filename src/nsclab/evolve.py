@@ -1,11 +1,19 @@
-"""Time propagation: exact per-mode linear flow, whole-space radial
-semigroup evaluation, and a pseudo-spectral IMEX stepper for the nonlinear
-relaxing system on the torus.
+"""Time propagation: exact linear flow on the torus and on the whole-space
+radial grid, and a pseudo-spectral IMEX stepper for the nonlinear relaxing
+system on the torus.
 
-The linear propagator is exp(tM) computed by scaling-and-squaring with a
-diagonal Pade kernel, batched over modes.  The stiff heat-flux damping
-alpha/eps^2 lives inside the exponential, so nothing here restricts dt by
-eps; the explicit part of the IMEX step only sees the quadratic sources.
+The generator splits into a real longitudinal block (model.reduced_blocks)
+that depends on |xi| only, transverse viscous scalars exp(-(mu/nu)|xi|^2 t)
+for the velocity and transverse damping scalars exp(-(alpha/eps^2) t) for
+the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
+of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
+exponential per eigenvalue; radii whose eigenbasis is ill-conditioned keep
+the scaling-and-squaring Pade expm.  The radial flow uses one kernel over
+its quadrature nodes; the torus builds one kernel per (spec, grid) at the
+distinct lattice |k|^2 and embeds it mode by mode.  The stiff heat-flux
+damping alpha/eps^2 lives inside the exponential, so nothing here restricts
+dt by eps; the explicit part of the IMEX step only sees the quadratic
+sources.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, SymbolMatrix, SystemKind, reduced_symbol, symbol
+from .model import ModelSpec, SymbolMatrix, SystemKind, reduced_blocks
+from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
 from .spectral import (
     Grid,
     SpectralField,
@@ -32,6 +41,8 @@ __all__ = [
     "propagate_mode",
     "Propagator",
     "mode_matrices",
+    "PropagatorKernel",
+    "torus_propagator",
     "evolve_linear",
     "LinearPropagator",
     "linear_trajectory",
@@ -188,6 +199,98 @@ def mode_matrices(spec: ModelSpec, grid: Grid) -> np.ndarray:
     return m
 
 
+# Generators whose eigenvector matrix is worse conditioned than this keep the
+# Pade expm: there the eigenvalues coalesce (the regime transition) and
+# V diag(e^(t lambda)) V^-1 would lose about log10(cond) digits.
+_COND_MAX = 1e6
+
+
+class PropagatorKernel:
+    """exp(t M) for a stack of real generators from one eigendecomposition.
+
+    The generators do not depend on t, so M = V diag(lambda) V^-1 is
+    computed once and exp(t M) = V diag(e^(t lambda)) V^-1 at every t (the
+    eigenvector method of Moler & Van Loan 2003).  Generators with
+    cond(V) > _COND_MAX are kept aside and take expm at every t.
+    """
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = np.asarray(mats, dtype=float)
+        lam, vecs = np.linalg.eig(self.mats)
+        self.fallback = np.flatnonzero(~(np.linalg.cond(vecs) <= _COND_MAX))
+        lam[self.fallback] = 0.0
+        vecs[self.fallback] = np.eye(self.mats.shape[-1])
+        self.lam = lam
+        self.vecs = vecs
+        self.vinv = np.linalg.inv(vecs)
+
+    def matrices(self, t: float) -> np.ndarray:
+        """exp(t M) per generator, real, shape (N, m, m)."""
+        out = ((self.vecs * np.exp(t * self.lam)[:, None, :]) @ self.vinv).real
+        if self.fallback.size:
+            out[self.fallback] = expm(t * self.mats[self.fallback]).real
+        return out
+
+    def apply(self, t: float, u: np.ndarray) -> np.ndarray:
+        """exp(t M) u per generator, for u of shape (N, m): V (e^(t lambda) V^-1 u)."""
+        coeffs = np.einsum("nij,nj->ni", self.vinv, u)
+        out = np.einsum("nij,nj->ni", self.vecs, np.exp(t * self.lam) * coeffs)
+        if self.fallback.size:
+            fb = self.fallback
+            out[fb] = np.einsum("nij,nj->ni", expm(t * self.mats[fb]), u[fb])
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def _torus_kernel(spec: ModelSpec, grid: Grid):
+    """Longitudinal kernel at the distinct lattice |k|^2 of a grid, the
+    index of each mode's radius (C order) and the unit wavevectors k/|k|,
+    with e_1 at k = 0."""
+    if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
+        raise ValueError("grid evolution supports the full NSC/NSF systems only")
+    if spec.d != grid.d:
+        raise ValueError(f"spec dimension {spec.d} does not match grid dimension {grid.d}")
+    modes = np.meshgrid(*([grid.modes_1d()] * grid.d), indexing="ij")
+    msq, radius = np.unique(sum(m.ravel() ** 2 for m in modes), return_inverse=True)
+    r = np.sqrt(msq) * (2.0 * np.pi / grid.L)
+    kernel = PropagatorKernel(reduced_blocks(spec, r))
+    rk = r[radius]
+    khat = np.stack([x.ravel() for x in grid.wavevectors()], axis=1)
+    khat[rk > 0] /= rk[rk > 0, None]
+    khat[rk == 0] = np.eye(grid.d)[0]
+    return kernel, r, radius, khat
+
+
+def torus_propagator(spec: ModelSpec, grid: Grid, t: float) -> np.ndarray:
+    """exp(t M(k)) at every lattice mode, shape (n^d, nc, nc); the same
+    matrices as expm(t * mode_matrices(spec, grid)).
+
+    Each mode embeds the longitudinal block B = exp(t M_red(|k|)) through the
+    rows L = (a, i k.v, theta, i k.q) (k unit) as L^H B L, and adds the
+    transverse parts e^(-(mu/nu)|k|^2 t) P on v and e^(-(alpha/eps^2) t) P on
+    q, P = I - k k^T.  Every state component feeds exactly one longitudinal
+    unknown, so entry (i, j) is the single product conj(L_i) B L_j: real
+    times 1 or +-i.  B is real, hence E(-k) = conj E(k) exactly.
+    """
+    kernel, r, radius, khat = _torus_kernel(spec, grid)
+    d = grid.d
+    nsc = spec.kind is SystemKind.NSC
+    # longitudinal unknown and vector flag of each state component
+    unknown = np.array([0] + [1] * d + [2] + ([3] * d if nsc else []))
+    vector = np.array([0] + [1] * d + [0] + ([1] * d if nsc else []))
+    weight = np.ones((khat.shape[0], unknown.size))
+    weight[:, vector == 1] = np.tile(khat, 2 if nsc else 1)
+    # conj(L_i) L_j / (|L_i| |L_j|): 1, i or -i by the vector flags of i and j
+    phase = np.array([1.0, 1j, -1j])[vector[None, :] - vector[:, None]]
+    b = kernel.matrices(t)[radius]
+    e = phase * (b[:, unknown[:, None], unknown[None, :]] * weight[:, :, None] * weight[:, None, :])
+    proj = np.eye(d) - khat[:, :, None] * khat[:, None, :]
+    e[:, 1 : 1 + d, 1 : 1 + d] += np.exp(-spec.mu_over_nu * r**2 * t)[radius, None, None] * proj
+    if nsc:
+        e[:, 2 + d :, 2 + d :] += math.exp(-spec.damping_rate * t) * proj
+    return e
+
+
 def _apply_batched(e: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """Apply per-mode matrices e (N, nc, nc) to stacked coeffs (nc, *shape)."""
     nc = stacked.shape[0]
@@ -202,9 +305,7 @@ def evolve_linear(state: State, spec: ModelSpec, t: float) -> State:
     expected_flux = spec.kind is SystemKind.NSC
     if state.has_flux != expected_flux:
         raise ValueError("state components do not match the system kind")
-    mats = mode_matrices(spec, grid)
-    e = expm(t * mats)
-    new = _apply_batched(e, state.stacked())
+    new = _apply_batched(torus_propagator(spec, grid, t), state.stacked())
     return State.from_stacked(grid, new, state.time + t, state.has_flux)
 
 
@@ -215,7 +316,7 @@ class LinearPropagator:
         self.spec = spec
         self.grid = grid
         self.dt = dt
-        self.e = expm(dt * mode_matrices(spec, grid))
+        self.e = torus_propagator(spec, grid, dt)
 
     def step(self, state: State) -> State:
         new = _apply_batched(self.e, state.stacked())
@@ -291,8 +392,8 @@ class RadialFlow:
         self.d = spec.d
         self.r = np.logspace(math.log10(r_min), math.log10(r_max), nodes)
         self.log_weights = self._trapezoid_weights(np.log(self.r))
-        self.mats = np.stack([reduced_symbol(spec, r).entries for r in self.r])
-        self.ncomp = self.mats.shape[-1]
+        self.kernel = PropagatorKernel(reduced_blocks(spec, self.r))
+        self.ncomp = self.kernel.mats.shape[-1]
         u0 = np.asarray(profile.amplitude(self.r), dtype=complex)
         if u0.shape[1] > self.ncomp:
             u0 = u0[:, : self.ncomp]
@@ -308,8 +409,7 @@ class RadialFlow:
 
     def at(self, t: float) -> np.ndarray:
         """Reduced coefficients at time t, shape (nodes, ncomp)."""
-        e = expm(t * self.mats)
-        return np.einsum("nij,nj->ni", e, self.u0)
+        return self.kernel.apply(t, self.u0)
 
     def component(self, u: np.ndarray, name: str) -> np.ndarray:
         """Derived or primitive per-node scalar amplitude |component(r)|."""
@@ -368,6 +468,16 @@ class RadialFlow:
             raise ValueError(f"p must be >= 2, got {p}")
         return self.besov_proxy(u, comps, sigma, p)
 
+    def checked_lp_norm(self, u: np.ndarray, comps, sigma: float, p: float, t: float) -> float:
+        """lp_norm of u = at(t), raising FloatingPointError when the
+        quadrature under- or overflows instead of returning 0 or inf."""
+        val = self.lp_norm(u, comps, sigma, p)
+        if not np.isfinite(val) or (val == 0.0 and self.lp_norm(self.u0, comps, sigma, p) > 0.0):
+            raise FloatingPointError(
+                f"radial quadrature underflow/overflow at t = {t}: norm = {val}"
+            )
+        return val
+
 
 def radial_semigroup_norms(
     spec: ModelSpec,
@@ -390,16 +500,7 @@ def radial_semigroup_norms(
     if spec.d != d:
         raise ValueError(f"spec dimension {spec.d} != requested {d}")
     flow = RadialFlow(spec, prof, r_min=r_min, r_max=r_max, nodes=nodes)
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        u = flow.at(float(t))
-        val = flow.lp_norm(u, comps, sigma, p)
-        if not np.isfinite(val) or (val == 0.0 and flow.lp_norm(flow.u0, comps, sigma, p) > 0.0):
-            raise FloatingPointError(
-                f"radial quadrature underflow/overflow at t = {t}: norm = {val}"
-            )
-        out[i] = val
-    return out
+    return np.array([flow.checked_lp_norm(flow.at(float(t)), comps, sigma, p, t) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +613,7 @@ def _stack_sources(grid: Grid, sources) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _step_propagators(spec: ModelSpec, grid: Grid, dt: float):
-    mats = mode_matrices(spec, grid)
-    return expm(dt * mats), expm((dt / 2.0) * mats)
+    return torus_propagator(spec, grid, dt), torus_propagator(spec, grid, dt / 2.0)
 
 
 def imex_step(

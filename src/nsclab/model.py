@@ -35,6 +35,7 @@ __all__ = [
     "build_spec",
     "symbol",
     "reduced_symbol",
+    "reduced_blocks",
     "solenoidal_eigenvalues",
     "eigenvalues",
     "kalman_rank",
@@ -100,9 +101,10 @@ class ModelSpec:
 
     visc_mu and visc_lam are the Lame weights of the normalized viscous
     operator A = (mu Lap + (lam+mu) grad div)/nu with nu = lam + 2 mu; the
-    longitudinal weight is then identically 1 and the transverse weight is
-    mu/nu.  Dissipation parameters (alpha, kappa, visc_mu) may be set to
-    zero to study degenerate stability; build_spec never produces those.
+    longitudinal weight is then 1 (0 for an inviscid spec, nu = 0) and the
+    transverse weight is mu/nu.  Dissipation parameters (alpha, kappa,
+    visc_mu) may be set to zero to study degenerate stability; build_spec
+    never produces those.
     """
 
     kind: SystemKind
@@ -294,6 +296,36 @@ def symbol(spec: ModelSpec, xi) -> SymbolMatrix:
     raise ValueError(f"unsupported kind {kind}")
 
 
+def reduced_blocks(spec: ModelSpec, r) -> np.ndarray:
+    """Real longitudinal blocks at an array of radii, shape (len(r), m, m).
+
+    m = 4, unknowns (a, omega, theta, sigma), for NSC and m = 3, unknowns
+    (a, omega, theta), for NSF.  The longitudinal viscous weight is 1 when
+    nu > 0 and 0 for an inviscid spec, matching symbol().  This is the one
+    source of reduced_symbol and of the radial and torus propagators.
+    """
+    r = np.asarray(r, dtype=float).ravel()
+    kind = spec.kind
+    if kind not in (SystemKind.NSC, SystemKind.NSF):
+        raise ValueError(f"reduced blocks are defined for the full NSC/NSF systems, not {kind.value}")
+    g, b = spec.gamma, spec.beta
+    size = 4 if kind is SystemKind.NSC else 3
+    m = np.zeros((r.size, size, size))
+    m[:, 0, 1] = -r
+    m[:, 1, 0] = r
+    m[:, 1, 1] = -(r**2) * (1.0 if spec.nu > 0 else 0.0)
+    m[:, 1, 2] = g * r
+    m[:, 2, 1] = -g * r
+    if kind is SystemKind.NSC:
+        e2 = spec.eps**2
+        m[:, 2, 3] = -b * r
+        m[:, 3, 2] = spec.kappa * r / e2
+        m[:, 3, 3] = -spec.alpha / e2
+    else:
+        m[:, 2, 2] = -(spec.beta * spec.kappa / spec.alpha) * r**2
+    return m
+
+
 def reduced_symbol(spec: ModelSpec, r: float) -> SymbolMatrix:
     """Compressible (longitudinal) block at |xi| = r.
 
@@ -307,31 +339,9 @@ def reduced_symbol(spec: ModelSpec, r: float) -> SymbolMatrix:
     kind = spec.kind
     if kind in _TOYS:
         return symbol(spec, r)
-    g, b = spec.gamma, spec.beta
-    if kind is SystemKind.NSC:
-        e2 = spec.eps**2
-        m = np.array(
-            [
-                [0.0, -r, 0.0, 0.0],
-                [r, -(r**2), g * r, 0.0],
-                [0.0, -g * r, 0.0, -b * r],
-                [0.0, 0.0, spec.kappa * r / e2, -spec.alpha / e2],
-            ],
-            dtype=complex,
-        )
-        labels = ("a", "omega", "theta", "sigma")
-        return SymbolMatrix((r,), 4, m, kind, labels)
-    if kind is SystemKind.NSF:
-        m = np.array(
-            [
-                [0.0, -r, 0.0],
-                [r, -(r**2), g * r],
-                [0.0, -g * r, -(spec.beta * spec.kappa / spec.alpha) * r**2],
-            ],
-            dtype=complex,
-        )
-        return SymbolMatrix((r,), 3, m, kind, ("a", "omega", "theta"))
-    raise ValueError(f"unsupported kind {kind}")
+    m = reduced_blocks(spec, [r])[0].astype(complex)
+    labels = ("a", "omega", "theta", "sigma")[: m.shape[0]]
+    return SymbolMatrix((r,), m.shape[0], m, kind, labels)
 
 
 def solenoidal_eigenvalues(spec: ModelSpec, r: float) -> list:

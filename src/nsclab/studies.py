@@ -21,7 +21,6 @@ from .evolve import (
     RadialDataProfile,
     RadialFlow,
     mode_matrices,
-    radial_semigroup_norms,
 )
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
 from .spectral import Grid, SpectralField, State, apply_multiplier, random_field
@@ -148,29 +147,32 @@ def decay_fit(
         raise ValueError(f"decay fits need at least 20 samples, got {len(t_grid)}")
     theory = theory_decay_exponent(d, p, sigma, sigma1)
 
-    norms_av = radial_semigroup_norms(
-        spec, prof, d, p, sigma, t_grid, comps=("a", "v"), r_max=r_max, nodes=nodes
-    )
+    if spec.d != d:
+        raise ValueError(f"spec dimension {spec.d} != requested {d}")
+    with_tq = sigma <= d / p - 2.0 or spec.kind is SystemKind.NSC
+    eps = spec.eps
+    flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
+    vals_av, vals_tq = [], []
+    for t in t_grid:
+        u = flow.at(float(t))
+        vals_av.append(flow.checked_lp_norm(u, ("a", "v"), sigma, p, t))
+        if not with_tq:
+            continue
+        if spec.kind is SystemKind.NSC:
+            nt = flow.lp_norm(u, ("theta",), sigma, p)
+            nq = flow.lp_norm(u, ("q",), sigma, p)
+            vals_tq.append(math.sqrt(nt**2 + (eps * nq) ** 2))
+        else:
+            vals_tq.append(flow.lp_norm(u, ("theta",), sigma, p))
+    norms_av = np.asarray(vals_av)
     slope, _, r2 = fit_loglog(1.0 + t_grid, norms_av)
     window = (float(t_grid[0]), float(t_grid[-1]))
     fit_av = FitResult(slope, theory, r2, window, len(t_grid), label="(a,v)", range_note=note)
 
     fit_tq = None
     norms_tq = None
-    if sigma <= d / p - 2.0 or spec.kind is SystemKind.NSC:
-        flow_comps = ("theta", "q") if spec.kind is SystemKind.NSC else ("theta",)
-        eps = spec.eps
-        flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
-        vals = []
-        for t in t_grid:
-            u = flow.at(float(t))
-            if spec.kind is SystemKind.NSC:
-                nt = flow.lp_norm(u, ("theta",), sigma, p)
-                nq = flow.lp_norm(u, ("q",), sigma, p)
-                vals.append(math.sqrt(nt**2 + (eps * nq) ** 2))
-            else:
-                vals.append(flow.lp_norm(u, ("theta",), sigma, p))
-        norms_tq = np.asarray(vals)
+    if with_tq:
+        norms_tq = np.asarray(vals_tq)
         slope2, _, r2b = fit_loglog(1.0 + t_grid, norms_tq)
         note2 = note
         if sigma > d / p - 2.0:
