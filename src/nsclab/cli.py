@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -25,6 +24,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 import yaml
 
 from . import besov, diagnostics, evolve, model, spectral, studies
@@ -118,15 +118,6 @@ def write_manifest(out_dir: Path, config: dict, artifacts) -> None:
         "artifacts": {name: sha256_file(out_dir / name) for name in sorted(artifacts)},
     }
     write_json(out_dir / "manifest.json", manifest)
-
-
-def parallel_map(fn, items, threads: int):
-    """Order-preserving map over independent work items."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +265,7 @@ def _random_state(cfg, spec, grid, rng, amplitude, decay, flux_init):
 # Study runners.  Each returns a list of artifact filenames.
 
 
-def run_spectrum(cfg, out_dir, rng, threads):
+def run_spectrum(cfg, out_dir, rng):
     spec = build_model(cfg)
     p = cfg["study"]["spectrum"]
     rs = np.logspace(math.log10(float(p["r_min"])), math.log10(float(p["r_max"])), int(p["count"]))
@@ -293,7 +284,7 @@ def run_spectrum(cfg, out_dir, rng, threads):
             m = model.symbol(spec, float(r))
         return model.eigenvalues(m)
 
-    eigs = parallel_map(one, rs, threads)
+    eigs = [one(r) for r in rs]
     n = len(eigs[0])
     header = ["xi_abs"] + [f"re_lambda_{i+1}" for i in range(n)] + [f"im_lambda_{i+1}" for i in range(n)]
     rows = [[r] + list(e.real) + list(e.imag) for r, e in zip(rs, eigs)]
@@ -309,7 +300,7 @@ def run_spectrum(cfg, out_dir, rng, threads):
     return ["spectrum.csv", "spectrum.dat", "report.json"]
 
 
-def run_sk_check(cfg, out_dir, rng, threads):
+def run_sk_check(cfg, out_dir, rng):
     spec = build_model(cfg)
     p = cfg["study"]["sk-check"]
     dirs = []
@@ -334,7 +325,7 @@ def run_sk_check(cfg, out_dir, rng, threads):
     return ["sk_check.csv", "report.json"]
 
 
-def run_evolve(cfg, out_dir, rng, threads):
+def run_evolve(cfg, out_dir, rng):
     spec = build_model(cfg)
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps) if spec.kind is model.SystemKind.NSC else None
@@ -449,7 +440,7 @@ def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
     return ["band_diagnostics.csv"]
 
 
-def run_decay_fit(cfg, out_dir, rng, threads):
+def run_decay_fit(cfg, out_dir, rng):
     spec = build_model(cfg)
     p = cfg["study"]["decay-fit"]
     r = cfg["radial"]
@@ -477,7 +468,7 @@ def run_decay_fit(cfg, out_dir, rng, threads):
     return ["decay.csv", "decay.dat", "report.json"]
 
 
-def run_relax_sweep(cfg, out_dir, rng, threads):
+def run_relax_sweep(cfg, out_dir, rng):
     spec = build_model(cfg)
     grid = build_grid(cfg, spec)
     p = cfg["study"]["relax-sweep"]
@@ -506,7 +497,7 @@ def run_relax_sweep(cfg, out_dir, rng, threads):
     return ["relax.csv", "relax.dat", "report.json"]
 
 
-def run_initial_layer(cfg, out_dir, rng, threads):
+def run_initial_layer(cfg, out_dir, rng):
     spec = build_model(cfg)
     grid = build_grid(cfg, spec)
     p = cfg["study"]["initial-layer"]
@@ -536,7 +527,7 @@ def run_initial_layer(cfg, out_dir, rng, threads):
     return ["report.json", "layer.csv", "layer.dat"]
 
 
-def run_lyapunov(cfg, out_dir, rng, threads):
+def run_lyapunov(cfg, out_dir, rng):
     spec = build_model(cfg)
     p = cfg["study"]["lyapunov"]
     r = cfg["radial"]
@@ -562,7 +553,7 @@ def run_lyapunov(cfg, out_dir, rng, threads):
     return ["lyapunov.csv", "lyapunov.dat", "report.json"]
 
 
-def run_bernstein(cfg, out_dir, rng, threads):
+def run_bernstein(cfg, out_dir, rng):
     spec = build_model(cfg)
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps)
@@ -626,7 +617,10 @@ def run(config: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(config["seed"]))
     try:
-        artifacts = _RUNNERS[study](config, out_dir, rng, threads)
+        # pocketfft splits a batched transform into independent 1-D ones, so
+        # the worker count changes no output bit
+        with scipy.fft.set_workers(threads):
+            artifacts = _RUNNERS[study](config, out_dir, rng)
     except (ValueError, ConfigError, besov.ThresholdOrderError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -649,7 +643,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument(
+        "--threads", type=int, default=None,
+        help="FFT worker threads, 0 for one per CPU; outputs do not depend on it",
+    )
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)
 

@@ -14,6 +14,13 @@ distinct lattice |k|^2 and embeds it mode by mode.  The stiff heat-flux
 damping alpha/eps^2 lives inside the exponential, so nothing here restricts
 dt by eps; the explicit part of the IMEX step only sees the quadratic
 sources.
+
+The fields are real, so the nonlinear part works on the rfft half lattice
+(last axis 0..n/2).  One source evaluation is two batched transforms: an
+inverse real FFT of every field and derivative the products need, and a
+forward real FFT of the stacked products, dealiased by the 2/3 rule.  The
+IMEX step applies the half-lattice rows of the step propagators and
+rebuilds the full lattice once per step by conjugate mirroring.
 """
 
 from __future__ import annotations
@@ -23,18 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfftn, rfftn
 
 from .model import ModelSpec, SymbolMatrix, SystemKind, reduced_blocks
 from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
-from .spectral import (
-    Grid,
-    SpectralField,
-    State,
-    apply_multiplier,
-    dealias_23,
-    to_physical,
-    to_spectral,
-)
+from .spectral import Grid, SpectralField, State, to_physical
+from .spectral import to_spectral  # noqa: F401  (perfbench/tracer.py wraps evolve.to_spectral)
 
 __all__ = [
     "expm",
@@ -515,61 +516,100 @@ def _check_density(a_phys: np.ndarray) -> np.ndarray:
     return a_phys.real
 
 
-def source_terms(state: State, spec: ModelSpec):
-    """Quadratic-and-higher source fields (F, G, H[, I]) of the nonlinear
-    system, for the ideal-gas closure (pressure factor pi(rho) = rho, unit
-    heat capacity).
+@functools.lru_cache(maxsize=16)
+def _half_lattice(grid: Grid):
+    """Multipliers on the rfft half lattice of a grid (last axis 0..n/2):
+    i xi_j w per axis (w = 0 on the Nyquist plane), -|xi|^2 w, the modes the
+    2/3 rule drops, and for each full-lattice mode (C order) the flat
+    half-lattice index of m, or of -m when its last index exceeds n/2."""
+    h = grid.n // 2 + 1
+    half = (Ellipsis, slice(0, h))
+    xi = grid.wavevectors()
+    w = np.where(grid.nyquist_mask(), 0.0, 1.0)
+    ikw = np.stack([(1j * x * w)[half] for x in xi])
+    lapw = (-sum(x**2 for x in xi) * w)[half]
+    drop = ~grid.dealias_mask()[half]
+    index = np.zeros(grid.shape, dtype=np.intp)
+    index[half] = np.arange(math.prod(drop.shape)).reshape(drop.shape)
+    index[..., h:] = index[grid.mirror_indices()][..., h:]
+    tables = ikw, lapw, drop, index.ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    All products are formed pointwise in physical space, transformed back
-    and dealiased by the 2/3 rule.  The closure functions this produces:
-    J(a) = a/(1+a) on the viscous and flux-divergence couplings,
-    -J(a) on grad a, log(1+a) under theta grad(.), and a plain theta div v
-    with the temperature-coupling weight.
+
+def _half_coeffs(grid: Grid, fields) -> np.ndarray:
+    """Half-lattice coefficients of same-grid fields, stacked."""
+    return np.stack([f.coeffs[..., : grid.n // 2 + 1] for f in fields])
+
+
+def _full_lattice(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full-lattice coefficients of real fields from their half lattice:
+    c(m) = conj c(-m) wherever the last index of m exceeds n/2."""
+    index = _half_lattice(grid)[3]
+    lead = half.shape[: -grid.d]
+    out = half.reshape(*lead, -1)[..., index].reshape(*lead, *grid.shape)
+    upper = out[..., grid.n // 2 + 1 :]
+    np.conjugate(upper, out=upper)
+    return out
+
+
+def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray:
+    """Dealiased sources (F, G, H[, I]) on the half lattice, stacked in state
+    component order, from half-lattice state coefficients u (a, v, theta[, q]).
+
+    Every field and derivative the products need (36 at d = 3 for NSC) goes
+    to physical space in one batched irfftn, and the products come back in
+    one batched rfftn; norm="forward" keeps the Fourier-series convention.
     """
-    grid = state.grid
+    ikw, lapw, drop, _ = _half_lattice(grid)
     d = grid.d
-    if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
-        raise ValueError("sources are defined for the full NSC/NSF systems")
-    if spec.kind is SystemKind.NSC and not state.has_flux:
-        raise ValueError("relaxing system needs heat-flux components")
-
-    a_p = _check_density(to_physical(state.a))
-    v_p = [to_physical(f).real for f in state.v]
-    th_p = to_physical(state.theta).real
-    one_plus = 1.0 + a_p
-    jfun = a_p / one_plus
-
-    grad_a = [to_physical(g).real for g in apply_multiplier(state.a, "grad")]
-    grad_th = [to_physical(g).real for g in apply_multiplier(state.theta, "grad")]
-    grad_v = [[to_physical(apply_multiplier(state.v[i], "grad_j", j=j)).real for j in range(d)] for i in range(d)]
-    div_v = sum(grad_v[i][i] for i in range(d))
+    nsc = spec.kind is SystemKind.NSC
+    hshape = u.shape[1:]
+    v, th = u[1 : 1 + d], u[1 + d]
 
     nu = spec.nu
-    # normalized Lame operator applied to v, physical samples
-    av_spec = []
-    lap_v = [apply_multiplier(state.v[i], "laplacian") for i in range(d)]
-    div_v_field = apply_multiplier(state.v, "div")
-    grad_div_v = apply_multiplier(div_v_field, "grad")
-    for i in range(d):
-        coeff = (
-            spec.visc_mu * lap_v[i].coeffs + (spec.visc_lam + spec.visc_mu) * grad_div_v[i].coeffs
-        ) / nu if nu > 0 else np.zeros(grid.shape, dtype=complex)
-        av_spec.append(SpectralField(grid, coeff))
-    av_p = [to_physical(f).real for f in av_spec]
+    # normalized Lame operator applied to v
+    if nu > 0:
+        div_v = sum(ikw[j] * v[j] for j in range(d))
+        av = (spec.visc_mu * (lapw * v) + (spec.visc_lam + spec.visc_mu) * (ikw * div_v)) / nu
+    else:
+        av = np.zeros_like(v)
+    spectra = [
+        u if nsc else u[: 2 + d],
+        ikw * u[0],
+        ikw * th,
+        (ikw[None, :] * v[:, None]).reshape(d * d, *hshape),  # [i*d + j]: d v_i / dx_j
+        av,
+    ]
+    if nsc:
+        q = u[2 + d :]
+        spectra += [
+            sum(ikw[j] * q[j] for j in range(d))[None],
+            (ikw[None, :] * q[:, None]).reshape(d * d, *hshape),
+        ]
+    else:
+        spectra.append((lapw * th)[None])
+    phys = irfftn(
+        np.concatenate(spectra), s=grid.shape, axes=tuple(range(-d, 0)), norm="forward"
+    )
 
-    def spectralize(phys: np.ndarray) -> SpectralField:
-        return dealias_23(to_spectral(grid, phys))
+    pieces = np.split(phys, np.cumsum([len(x) for x in spectra])[:-1])
+    fields_p, grad_a, grad_th, grad_v, av_p = pieces[:5]
+    a_p = _check_density(fields_p[0])
+    v_p, th_p = fields_p[1 : 1 + d], fields_p[1 + d]
+    grad_v = grad_v.reshape(d, d, *grid.shape)
+    one_plus = 1.0 + a_p
+    jfun = a_p / one_plus
+    div_v = sum(grad_v[i][i] for i in range(d))
 
-    # F = -div(a v)
-    f_field = apply_multiplier(tuple(spectralize(a_p * v_p[i]) for i in range(d)), "div")
-    f_field = SpectralField(grid, -f_field.coeffs)
+    # F = -div(a v): the products a v_i here, the divergence after dealiasing
+    prods = [a_p * v_p[i] for i in range(d)]
 
     # G = -(v.grad)v - J(a) A v + J(a) grad a - theta grad(a)/(1+a)
-    g_fields = []
     for i in range(d):
         adv = sum(v_p[j] * grad_v[i][j] for j in range(d))
-        phys = -adv - jfun * av_p[i] + jfun * grad_a[i] - th_p * grad_a[i] / one_plus
-        g_fields.append(spectralize(phys))
+        prods.append(-adv - jfun * av_p[i] + jfun * grad_a[i] - th_p * grad_a[i] / one_plus)
 
     # viscous heating N(grad v, grad v) = (2 mu |Dv|^2 + lam (div v)^2)/nu
     dv2 = sum(
@@ -578,42 +618,69 @@ def source_terms(state: State, spec: ModelSpec):
     nheat = (2.0 * spec.visc_mu * dv2 + spec.visc_lam * div_v**2) / nu if nu > 0 else 0.0
 
     adv_th = sum(v_p[j] * grad_th[j] for j in range(d))
-    if spec.kind is SystemKind.NSC:
-        div_q = to_physical(apply_multiplier(state.q, "div")).real
-        flux_term = spec.beta * jfun * div_q
+    if nsc:
+        flux_term = spec.beta * jfun * pieces[5][0]  # div q
     else:
-        lap_th = to_physical(apply_multiplier(state.theta, "laplacian")).real
-        flux_term = -(spec.beta * spec.kappa / spec.alpha) * jfun * lap_th
-    h_phys = -adv_th + flux_term + nheat / one_plus - spec.gamma * th_p * div_v
-    h_field = spectralize(h_phys)
+        flux_term = -(spec.beta * spec.kappa / spec.alpha) * jfun * pieces[5][0]  # Lap theta
+    prods.append(-adv_th + flux_term + nheat / one_plus - spec.gamma * th_p * div_v)
 
+    if nsc:
+        q_p = fields_p[2 + d :]
+        grad_q = pieces[6].reshape(d, d, *grid.shape)
+        for i in range(d):
+            adv_q = sum(v_p[j] * grad_q[i][j] for j in range(d))
+            stretch = sum(q_p[j] * grad_v[i][j] for j in range(d))
+            prods.append(-adv_q + stretch - q_p[i] * div_v)
+
+    prods = np.stack(prods)
+    if not np.all(np.isfinite(prods)):
+        raise NumericalBlowupError("non-finite nonlinear source")
+    out = rfftn(prods, axes=tuple(range(-d, 0)), norm="forward")
+    out[:, drop] = 0.0
+    # F = -div of the dealiased a v, stored over the last a v_i slot
+    out[d - 1] = -sum(ikw[i] * out[i] for i in range(d))
+    return out[d - 1 :]
+
+
+def source_terms(state: State, spec: ModelSpec):
+    """Quadratic-and-higher source fields (F, G, H[, I]) of the nonlinear
+    system, for the ideal-gas closure (pressure factor pi(rho) = rho, unit
+    heat capacity).
+
+    The fields are real, so only the rfft half lattice of the state is read.
+    All products are formed pointwise in physical space, between one batched
+    inverse real FFT of every field and derivative they need and one batched
+    forward real FFT of the products, and dealiased by the 2/3 rule; the
+    full lattice is rebuilt by conjugate mirroring.  The closure functions
+    this produces: J(a) = a/(1+a) on the viscous and flux-divergence
+    couplings, -J(a) on grad a, log(1+a) under theta grad(.), and a plain
+    theta div v with the temperature-coupling weight.
+    """
+    if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
+        raise ValueError("sources are defined for the full NSC/NSF systems")
+    if spec.kind is SystemKind.NSC and not state.has_flux:
+        raise ValueError("relaxing system needs heat-flux components")
+    grid = state.grid
+    d = grid.d
+    full = _full_lattice(grid, _nonlinear_sources(_half_coeffs(grid, state.fields()), spec, grid))
+    fields = [SpectralField(grid, c) for c in full]
+    f_field, g_fields, h_field = fields[0], tuple(fields[1 : 1 + d]), fields[1 + d]
     if spec.kind is SystemKind.NSF:
-        return f_field, tuple(g_fields), h_field
-
-    q_p = [to_physical(f).real for f in state.q]
-    grad_q = [[to_physical(apply_multiplier(state.q[i], "grad_j", j=j)).real for j in range(d)] for i in range(d)]
-    i_fields = []
-    for i in range(d):
-        adv_q = sum(v_p[j] * grad_q[i][j] for j in range(d))
-        stretch = sum(q_p[j] * grad_v[i][j] for j in range(d))
-        phys = -adv_q + stretch - q_p[i] * div_v
-        i_fields.append(spectralize(phys))
-    return f_field, tuple(g_fields), h_field, tuple(i_fields)
-
-
-def _stack_sources(grid: Grid, sources) -> np.ndarray:
-    flat = []
-    for item in sources:
-        if isinstance(item, tuple):
-            flat.extend(item)
-        else:
-            flat.append(item)
-    return np.stack([f.coeffs for f in flat])
+        return f_field, g_fields, h_field
+    return f_field, g_fields, h_field, tuple(fields[2 + d :])
 
 
 @functools.lru_cache(maxsize=16)
 def _step_propagators(spec: ModelSpec, grid: Grid, dt: float):
-    return torus_propagator(spec, grid, dt), torus_propagator(spec, grid, dt / 2.0)
+    """exp(dt M) and exp(dt M / 2) at the half-lattice modes, C order."""
+    nc = spec.n_components
+    h = grid.n // 2 + 1
+
+    def half_rows(t):
+        e = torus_propagator(spec, grid, t).reshape(*grid.shape, nc, nc)
+        return np.ascontiguousarray(e[..., :h, :, :]).reshape(-1, nc, nc)
+
+    return half_rows(dt), half_rows(dt / 2.0)
 
 
 def imex_step(
@@ -630,6 +697,9 @@ def imex_step(
     frame; second order in dt.  `forcing(t)` may supply an extra stacked
     spectral source (manufactured solutions, external drive).  `th` is an
     optional Thresholds carrying the regime-validity check for spec.eps.
+
+    The step runs on the rfft half lattice, so the fields must be real
+    (Hermitian coefficients); the result is rebuilt by conjugate mirroring.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -637,22 +707,26 @@ def imex_step(
         raise ValueError("thresholds were built for a different relaxation time")
     grid = state.grid
     e_full, e_half = _step_propagators(spec, grid, dt)
+    if state.has_flux != (spec.kind is SystemKind.NSC):
+        raise ValueError("state components do not match the system kind")
 
-    u0 = state.stacked()
-    if not np.all(np.isfinite(u0)):
+    if not all(np.all(np.isfinite(f.coeffs)) for f in state.fields()):
         raise NumericalBlowupError(f"non-finite coefficients entering step at t = {state.time}")
-    n0 = _stack_sources(grid, source_terms(state, spec))
+    h = grid.n // 2 + 1
+    u0 = _half_coeffs(grid, state.fields())
+    n0 = _nonlinear_sources(u0, spec, grid)
     if forcing is not None:
-        n0 = n0 + forcing(state.time)
+        n0 = n0 + forcing(state.time)[..., :h]
     u_mid = _apply_batched(e_half, u0 + (dt / 2.0) * n0)
-    mid_state = State.from_stacked(grid, u_mid, state.time + dt / 2.0, state.has_flux)
-    n_mid = _stack_sources(grid, source_terms(mid_state, spec))
+    if not np.all(np.isfinite(u_mid)):
+        raise NumericalBlowupError(f"non-finite midpoint coefficients in step at t = {state.time}")
+    n_mid = _nonlinear_sources(u_mid, spec, grid)
     if forcing is not None:
-        n_mid = n_mid + forcing(state.time + dt / 2.0)
+        n_mid = n_mid + forcing(state.time + dt / 2.0)[..., :h]
     u_next = _apply_batched(e_full, u0) + dt * _apply_batched(e_half, n_mid)
     if not np.all(np.isfinite(u_next)):
         raise NumericalBlowupError(f"non-finite coefficients after step at t = {state.time}")
-    return State.from_stacked(grid, u_next, state.time + dt, state.has_flux)
+    return State.from_stacked(grid, _full_lattice(grid, u_next), state.time + dt, state.has_flux)
 
 
 def default_dt(state: State, spec: ModelSpec) -> float:

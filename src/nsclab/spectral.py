@@ -92,6 +92,10 @@ class Grid:
         """True where any mode index equals -n/2 (the Nyquist plane)."""
         return _cached_nyquist(self)
 
+    def dealias_mask(self) -> np.ndarray:
+        """True where every |m_i| <= n/3: the modes the 2/3 rule keeps."""
+        return _cached_dealias(self)
+
     def mirror_indices(self) -> tuple:
         """Index arrays mapping each lattice point m to -m (mod n)."""
         idx = (-np.arange(self.n)) % self.n
@@ -125,6 +129,12 @@ def _cached_nyquist(grid: Grid) -> np.ndarray:
         shape[axis] = grid.n
         mask |= ny.reshape(shape)
     return _freeze(mask)
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_dealias(grid: Grid) -> np.ndarray:
+    keep1d = np.abs(grid.modes_1d()) <= grid.n / 3.0
+    return _freeze(np.logical_and.reduce(np.meshgrid(*([keep1d] * grid.d), indexing="ij")))
 
 
 @dataclass
@@ -246,15 +256,7 @@ def apply_multiplier(f, m: str, *, j: int | None = None, sigma: float | None = N
 
 def dealias_23(f: SpectralField) -> SpectralField:
     """Zero every coefficient with any |m_i| > n/3 (2/3 rule); idempotent."""
-    grid = f.grid
-    m = grid.modes_1d()
-    keep1d = np.abs(m) <= grid.n / 3.0
-    keep = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis] = grid.n
-        keep &= keep1d.reshape(shape)
-    return SpectralField(grid, np.where(keep, f.coeffs, 0.0))
+    return SpectralField(f.grid, np.where(f.grid.dealias_mask(), f.coeffs, 0.0))
 
 
 def field_lp_norm(f: SpectralField, p: float) -> float:

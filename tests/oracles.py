@@ -3,11 +3,17 @@
 These deliberately avoid the code paths they check: the ODE oracle
 integrates dU/dt = M U with an adaptive stiff integrator instead of a
 matrix exponential, roots of 2x2 symbols come from the quadratic formula,
-and products of modes are checked by direct convolution.
+and products of modes are checked by direct convolution.  The nonlinear
+sources are re-derived field by field, one complex FFT per field and
+derivative, where nsclab.evolve batches real FFTs on the half lattice.
 """
 
 import numpy as np
 from scipy.integrate import ode, solve_ivp
+
+from nsclab.evolve import _check_density
+from nsclab.model import SystemKind
+from nsclab.spectral import SpectralField, apply_multiplier, dealias_23, to_physical, to_spectral
 
 
 def ode_propagate(mat, u0, t, rtol=1e-11, atol=1e-14):
@@ -89,3 +95,89 @@ def charpoly_det(mat, lam):
     """det(lam I - M) evaluated directly (for cubic cross-checks)."""
     mat = np.asarray(mat, dtype=complex)
     return complex(np.linalg.det(lam * np.eye(mat.shape[0]) - mat))
+
+
+def source_terms_reference(state, spec):
+    """Quadratic-and-higher source fields (F, G, H[, I]) of the nonlinear
+    system, for the ideal-gas closure (pressure factor pi(rho) = rho, unit
+    heat capacity).
+
+    All products are formed pointwise in physical space, transformed back
+    and dealiased by the 2/3 rule.  The closure functions this produces:
+    J(a) = a/(1+a) on the viscous and flux-divergence couplings,
+    -J(a) on grad a, log(1+a) under theta grad(.), and a plain theta div v
+    with the temperature-coupling weight.
+    """
+    grid = state.grid
+    d = grid.d
+    if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
+        raise ValueError("sources are defined for the full NSC/NSF systems")
+    if spec.kind is SystemKind.NSC and not state.has_flux:
+        raise ValueError("relaxing system needs heat-flux components")
+
+    a_p = _check_density(to_physical(state.a))
+    v_p = [to_physical(f).real for f in state.v]
+    th_p = to_physical(state.theta).real
+    one_plus = 1.0 + a_p
+    jfun = a_p / one_plus
+
+    grad_a = [to_physical(g).real for g in apply_multiplier(state.a, "grad")]
+    grad_th = [to_physical(g).real for g in apply_multiplier(state.theta, "grad")]
+    grad_v = [[to_physical(apply_multiplier(state.v[i], "grad_j", j=j)).real for j in range(d)] for i in range(d)]
+    div_v = sum(grad_v[i][i] for i in range(d))
+
+    nu = spec.nu
+    # normalized Lame operator applied to v, physical samples
+    av_spec = []
+    lap_v = [apply_multiplier(state.v[i], "laplacian") for i in range(d)]
+    div_v_field = apply_multiplier(state.v, "div")
+    grad_div_v = apply_multiplier(div_v_field, "grad")
+    for i in range(d):
+        coeff = (
+            spec.visc_mu * lap_v[i].coeffs + (spec.visc_lam + spec.visc_mu) * grad_div_v[i].coeffs
+        ) / nu if nu > 0 else np.zeros(grid.shape, dtype=complex)
+        av_spec.append(SpectralField(grid, coeff))
+    av_p = [to_physical(f).real for f in av_spec]
+
+    def spectralize(phys: np.ndarray) -> SpectralField:
+        return dealias_23(to_spectral(grid, phys))
+
+    # F = -div(a v)
+    f_field = apply_multiplier(tuple(spectralize(a_p * v_p[i]) for i in range(d)), "div")
+    f_field = SpectralField(grid, -f_field.coeffs)
+
+    # G = -(v.grad)v - J(a) A v + J(a) grad a - theta grad(a)/(1+a)
+    g_fields = []
+    for i in range(d):
+        adv = sum(v_p[j] * grad_v[i][j] for j in range(d))
+        phys = -adv - jfun * av_p[i] + jfun * grad_a[i] - th_p * grad_a[i] / one_plus
+        g_fields.append(spectralize(phys))
+
+    # viscous heating N(grad v, grad v) = (2 mu |Dv|^2 + lam (div v)^2)/nu
+    dv2 = sum(
+        (0.5 * (grad_v[i][j] + grad_v[j][i])) ** 2 for i in range(d) for j in range(d)
+    )
+    nheat = (2.0 * spec.visc_mu * dv2 + spec.visc_lam * div_v**2) / nu if nu > 0 else 0.0
+
+    adv_th = sum(v_p[j] * grad_th[j] for j in range(d))
+    if spec.kind is SystemKind.NSC:
+        div_q = to_physical(apply_multiplier(state.q, "div")).real
+        flux_term = spec.beta * jfun * div_q
+    else:
+        lap_th = to_physical(apply_multiplier(state.theta, "laplacian")).real
+        flux_term = -(spec.beta * spec.kappa / spec.alpha) * jfun * lap_th
+    h_phys = -adv_th + flux_term + nheat / one_plus - spec.gamma * th_p * div_v
+    h_field = spectralize(h_phys)
+
+    if spec.kind is SystemKind.NSF:
+        return f_field, tuple(g_fields), h_field
+
+    q_p = [to_physical(f).real for f in state.q]
+    grad_q = [[to_physical(apply_multiplier(state.q[i], "grad_j", j=j)).real for j in range(d)] for i in range(d)]
+    i_fields = []
+    for i in range(d):
+        adv_q = sum(v_p[j] * grad_q[i][j] for j in range(d))
+        stretch = sum(q_p[j] * grad_v[i][j] for j in range(d))
+        phys = -adv_q + stretch - q_p[i] * div_v
+        i_fields.append(spectralize(phys))
+    return f_field, tuple(g_fields), h_field, tuple(i_fields)

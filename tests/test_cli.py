@@ -245,6 +245,28 @@ def test_thread_count_does_not_change_output(tmp_path):
         outs.append(digest(out / "spectrum.csv"))
     assert outs[0] == outs[1]
 
+    # the FFT workers of the batched nonlinear sources change no output bit
+    cfg = write_cfg(
+        tmp_path / "e.yaml",
+        {
+            "model": {"kind": "nsc", "d": 3, "eps": 0.05},
+            "grid": {"n": 16},
+            "thresholds": {"K": 4, "k": 1.0},
+            "seed": 7,
+            "output": {"stride": 2},
+            "study": {
+                "evolve": {"T": 0.06, "dt": 0.01, "nonlinear": True, "flux_init": "random", "snapshots": True, "amplitude": 0.05}
+            },
+        },
+    )
+    runs = []
+    for name, threads in (("e1", "1"), ("e2", "2")):
+        out = tmp_path / name
+        assert main(["evolve", "--config", str(cfg), "--out", str(out), "--threads", threads]) == EXIT_OK
+        runs.append({p.name: digest(p) for p in out.iterdir() if p.suffix == ".fld" or p.name == "norms.csv"})
+    assert len(runs[0]) == 5  # norms.csv and snapshots at steps 0, 2, 4, 6
+    assert runs[0] == runs[1]
+
 
 def test_defaults_without_config_file():
     cfg = load_config(None, "spectrum", seed=9)

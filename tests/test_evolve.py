@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsclab.besov import make_thresholds
 from nsclab.evolve import (
@@ -33,7 +35,7 @@ from nsclab.spectral import (
     zero_state,
 )
 
-from oracles import ode_propagate, ode_propagate_explicit
+from oracles import ode_propagate, ode_propagate_explicit, source_terms_reference
 
 
 def rand_state(grid, rng, amp=1e-2, decay=3.0):
@@ -295,6 +297,41 @@ def test_sources_density_bound(grid2d, nsc2):
     assert len(err.value.location) == 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    d=hst.integers(1, 3),
+    n=hst.sampled_from([8, 16]),
+    kind=hst.sampled_from(["nsc", "nsf"]),
+    inviscid=hst.booleans(),
+    seed=hst.integers(0, 2**32 - 1),
+    a_max=hst.floats(0.0, 0.9),
+    log_amps=hst.lists(hst.floats(-3.0, 1.0), min_size=3, max_size=3),
+)
+def test_sources_match_per_field_reference(d, n, kind, inviscid, seed, a_max, log_amps):
+    grid = Grid(d=d, n=n)
+    visc = {"visc_mu": 0.0, "visc_lam": 0.0} if inviscid else {"visc_mu": 0.5, "visc_lam": 0.2}
+    spec = ModelSpec(kind=kind, d=d, eps=0.3 if kind == "nsc" else 0.0, **visc)
+    rng = np.random.default_rng(seed)
+    amp_v, amp_th, amp_q = (10.0**x for x in log_amps)
+    a = random_field(grid, rng, 1.0, 2.0)
+    peak = float(np.max(np.abs(to_physical(a).real)))
+    a = SpectralField(grid, a.coeffs * (a_max / peak if peak > 0 else 0.0))
+    st = State(
+        a=a,
+        v=tuple(random_field(grid, rng, amp_v, 2.0) for _ in range(d)),
+        theta=random_field(grid, rng, amp_th, 2.0, zero_mean=False),
+        q=tuple(random_field(grid, rng, amp_q, 2.0) for _ in range(d)) if kind == "nsc" else None,
+    )
+
+    def flat(sources):
+        return np.stack([f.coeffs for item in sources for f in (item if isinstance(item, tuple) else (item,))])
+
+    ref = flat(source_terms_reference(st, spec))
+    got = flat(source_terms(st, spec))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # ----------------------------------------------------------------- IMEX step
 
 
@@ -346,12 +383,18 @@ def test_imex_mass_conservation(grid1d, rng):
         assert abs(cur.a.coeffs[0] - prev_mean) <= 1e-10
 
 
-def test_imex_preserves_hermitian(grid1d, rng):
-    spec = ModelSpec(kind="nsc", d=1, eps=0.5)
-    cur = rand_state(grid1d, rng, amp=2e-2)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_imex_preserves_hermitian(d, rng):
+    grid = Grid(d=d, n={1: 64, 2: 32, 3: 16}[d])
+    spec = ModelSpec(kind="nsc", d=d, eps=0.5)
+    cur = rand_state(grid, rng, amp=2e-2)
     for _ in range(10):
         cur = imex_step(cur, spec, 5e-3)
     assert cur.is_hermitian(1e-12)
+    # modes past n/2 on the last axis are the conjugate mirror, bit for bit
+    upper = (Ellipsis, slice(grid.n // 2 + 1, None))
+    for f in cur.fields():
+        assert np.array_equal(f.coeffs[upper], np.conj(f.coeffs[grid.mirror_indices()])[upper])
 
 
 def test_imex_rejects_density_violation(grid1d, rng):
@@ -368,6 +411,30 @@ def test_imex_aborts_on_nonfinite(grid1d, rng):
     st.theta.coeffs[3] = np.inf
     with pytest.raises(NumericalBlowupError):
         imex_step(st, spec, 1e-3)
+
+
+def test_imex_overflowing_source_is_numerical_failure(rng):
+    grid = Grid(d=3, n=8)
+    spec = ModelSpec(kind="nsc", d=3, eps=0.5)
+    st = zero_state(grid)
+    st = State(a=st.a, v=tuple(random_field(grid, rng, amplitude=1e200) for _ in range(3)), theta=st.theta, q=st.q)
+    with pytest.raises(NumericalBlowupError, match="source"):
+        imex_step(st, spec, 1e-3)
+
+
+def test_imex_nonfinite_midpoint_is_numerical_failure(grid1d, rng):
+    spec = ModelSpec(kind="nsc", d=1, eps=0.5)
+    st = rand_state(grid1d, rng, amp=1e-2)
+    shape = (4,) + grid1d.shape
+    with pytest.raises(NumericalBlowupError, match="midpoint"):
+        imex_step(st, spec, 1e-3, forcing=lambda t: np.full(shape, np.inf if t == st.time else 0.0))
+
+
+def test_imex_kind_state_mismatch(grid2d, nsc2):
+    with pytest.raises(ValueError):
+        imex_step(zero_state(grid2d, with_flux=False), nsc2, 1e-3)
+    with pytest.raises(ValueError):
+        imex_step(zero_state(grid2d), nsc2.to_nsf(), 1e-3)
 
 
 def test_imex_threshold_mismatch(grid1d, rng):
