@@ -19,12 +19,10 @@ from .evolve import (
     DensityPositivityError,
     LinearPropagator,
     NumericalBlowupError,
-    Propagator,
     RadialDataProfile,
     RadialFlow,
-    evolve_linear,
-    expm,
     imex_step,
+    linear_trajectory,
     propagate_mode,
     radial_semigroup_norms,
     sharp_low_profile,

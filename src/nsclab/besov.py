@@ -85,11 +85,11 @@ class Thresholds:
                 "large for this regime split"
             )
 
-    @property
+    @functools.cached_property
     def J0(self) -> int:
         return floor_log2(self.K)
 
-    @property
+    @functools.cached_property
     def Jeps(self) -> int:
         return -floor_log2(self.eps) + floor_log2(self.k)
 

@@ -8,12 +8,13 @@ for the velocity and transverse damping scalars exp(-(alpha/eps^2) t) for
 the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
 of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
 exponential per eigenvalue; radii whose eigenbasis is ill-conditioned keep
-the scaling-and-squaring Pade expm.  The radial flow uses one kernel over
-its quadrature nodes; the torus builds one kernel per (spec, grid) at the
-distinct lattice |k|^2 and embeds it mode by mode.  The stiff heat-flux
-damping alpha/eps^2 lives inside the exponential, so nothing here restricts
-dt by eps; the explicit part of the IMEX step only sees the quadratic
-sources.
+scipy.linalg.expm (scaling and squaring, Higham 2005).  The radial flow
+uses one kernel over its quadrature nodes; the torus builds one kernel per
+(spec, grid) at the distinct lattice |k|^2 and embeds it mode by mode, and
+LinearPropagator (stepped by linear_trajectory) applies it.  The stiff
+heat-flux damping alpha/eps^2 lives inside the exponential, so nothing here
+restricts dt by eps; the explicit part of the IMEX step only sees the
+quadratic sources.
 
 The fields are real, so the nonlinear part works on the rfft half lattice
 (last axis 0..n/2).  One source evaluation is two batched transforms: an
@@ -31,20 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfftn, rfftn
+from scipy.linalg import expm
 
-from .model import ModelSpec, SymbolMatrix, SystemKind, reduced_blocks
+from .model import ModelSpec, SymbolMatrix, SystemKind, _generators, reduced_blocks
 from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
 from .spectral import Grid, SpectralField, State, to_physical
 from .spectral import to_spectral  # noqa: F401  (perfbench/tracer.py wraps evolve.to_spectral)
 
 __all__ = [
-    "expm",
     "propagate_mode",
-    "Propagator",
     "mode_matrices",
     "PropagatorKernel",
     "torus_propagator",
-    "evolve_linear",
     "LinearPropagator",
     "linear_trajectory",
     "RadialDataProfile",
@@ -57,28 +56,6 @@ __all__ = [
     "DensityPositivityError",
     "NumericalBlowupError",
 ]
-
-# Pade-13 coefficients and the corresponding scaling threshold (1-norm).
-_PADE13_B = np.array(
-    [
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
-    ]
-)
-_THETA13 = 5.371920351148152
-
 
 class DensityPositivityError(RuntimeError):
     """Density perturbation reached |a| >= 1 somewhere: 1 + a <= 0."""
@@ -95,50 +72,6 @@ class NumericalBlowupError(RuntimeError):
     """Non-finite values appeared during time stepping."""
 
 
-def _pade13(a: np.ndarray) -> np.ndarray:
-    b = _PADE13_B
-    n = a.shape[-1]
-    ident = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    return np.linalg.solve(v - u, v + u)
-
-
-def expm(a: np.ndarray, max_chunk: int = 65536) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a degree-13 diagonal
-    Pade kernel.  Accepts batched input of shape (..., n, n); the squaring
-    count is chosen per matrix from its 1-norm.
-    """
-    a = np.asarray(a)
-    if a.ndim == 2:
-        return expm(a[None])[0]
-    lead = a.shape[:-2]
-    n = a.shape[-1]
-    flat = a.reshape(-1, n, n).astype(np.complex128, copy=False)
-    out = np.empty_like(flat)
-    for start in range(0, flat.shape[0], max_chunk):
-        block = flat[start : start + max_chunk]
-        norms = np.abs(block).sum(axis=-2).max(axis=-1)
-        with np.errstate(divide="ignore"):
-            s = np.ceil(np.log2(norms / _THETA13))
-        s = np.where(np.isfinite(s), np.maximum(s, 0), 0).astype(int)
-        res = np.empty_like(block)
-        zero = norms == 0.0
-        if np.any(zero):
-            res[zero] = np.eye(n, dtype=block.dtype)
-        for sval in np.unique(s[~zero]) if np.any(~zero) else []:
-            sel = (s == sval) & ~zero
-            r = _pade13(block[sel] / 2.0**sval)
-            for _ in range(sval):
-                r = r @ r
-            res[sel] = r
-        out[start : start + max_chunk] = res
-    return out.reshape(*lead, n, n)
-
-
 def propagate_mode(m: SymbolMatrix, u0, t: float) -> np.ndarray:
     """exp(t M) u0 for a single mode; exact solution of the linear system."""
     if t < 0:
@@ -149,59 +82,21 @@ def propagate_mode(m: SymbolMatrix, u0, t: float) -> np.ndarray:
     return expm(t * entries) @ np.asarray(u0, dtype=complex)
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """exp(t M) for one mode, with the generating data kept around."""
-
-    m: SymbolMatrix
-    t: float
-    matrix_exponential: np.ndarray
-
-    @classmethod
-    def at(cls, m: SymbolMatrix, t: float) -> "Propagator":
-        return cls(m=m, t=t, matrix_exponential=expm(t * np.asarray(m.entries)))
-
-    def __call__(self, u0) -> np.ndarray:
-        return self.matrix_exponential @ np.asarray(u0, dtype=complex)
-
-
-def mode_matrices(spec: ModelSpec, grid: Grid) -> np.ndarray:
-    """Generator matrices at every lattice wavevector, shape (n^d, nc, nc)."""
+def _check_grid(spec: ModelSpec, grid: Grid) -> None:
     if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
         raise ValueError("grid evolution supports the full NSC/NSF systems only")
     if spec.d != grid.d:
         raise ValueError(f"spec dimension {spec.d} does not match grid dimension {grid.d}")
-    d = grid.d
-    xi = [x.ravel() for x in grid.wavevectors()]
-    nmodes = xi[0].size
-    nc = spec.n_components
-    m = np.zeros((nmodes, nc, nc), dtype=np.complex128)
-    r2 = sum(x**2 for x in xi)
-    nu = spec.nu
-    ia, it = 0, 1 + d
-    for i in range(d):
-        m[:, ia, 1 + i] = -1j * xi[i]
-        m[:, 1 + i, ia] = -1j * xi[i]
-        m[:, 1 + i, it] = -1j * spec.gamma * xi[i]
-        m[:, it, 1 + i] = -1j * spec.gamma * xi[i]
-        for jdx in range(d):
-            visc = -(spec.visc_lam + spec.visc_mu) * xi[i] * xi[jdx]
-            if i == jdx:
-                visc -= spec.visc_mu * r2
-            m[:, 1 + i, 1 + jdx] = visc / nu if nu > 0 else 0.0
-    if spec.kind is SystemKind.NSC:
-        e2 = spec.eps**2
-        for i in range(d):
-            m[:, it, 2 + d + i] = -1j * spec.beta * xi[i]
-            m[:, 2 + d + i, it] = -1j * spec.kappa * xi[i] / e2
-            m[:, 2 + d + i, 2 + d + i] = -spec.alpha / e2
-    else:
-        m[:, it, it] = -(spec.beta * spec.kappa / spec.alpha) * r2
-    return m
+
+
+def mode_matrices(spec: ModelSpec, grid: Grid) -> np.ndarray:
+    """Generator matrices at every lattice wavevector, shape (n^d, nc, nc)."""
+    _check_grid(spec, grid)
+    return _generators(spec, np.stack([x.ravel() for x in grid.wavevectors()], axis=1))
 
 
 # Generators whose eigenvector matrix is worse conditioned than this keep the
-# Pade expm: there the eigenvalues coalesce (the regime transition) and
+# scipy expm: there the eigenvalues coalesce (the regime transition) and
 # V diag(e^(t lambda)) V^-1 would lose about log10(cond) digits.
 _COND_MAX = 1e6
 
@@ -247,10 +142,7 @@ def _torus_kernel(spec: ModelSpec, grid: Grid):
     """Longitudinal kernel at the distinct lattice |k|^2 of a grid, the
     index of each mode's radius (C order) and the unit wavevectors k/|k|,
     with e_1 at k = 0."""
-    if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
-        raise ValueError("grid evolution supports the full NSC/NSF systems only")
-    if spec.d != grid.d:
-        raise ValueError(f"spec dimension {spec.d} does not match grid dimension {grid.d}")
+    _check_grid(spec, grid)
     modes = np.meshgrid(*([grid.modes_1d()] * grid.d), indexing="ij")
     msq, radius = np.unique(sum(m.ravel() ** 2 for m in modes), return_inverse=True)
     r = np.sqrt(msq) * (2.0 * np.pi / grid.L)
@@ -300,14 +192,9 @@ def _apply_batched(e: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     return out.T.reshape(stacked.shape)
 
 
-def evolve_linear(state: State, spec: ModelSpec, t: float) -> State:
-    """Exact zero-source linear evolution by per-mode propagation."""
-    grid = state.grid
-    expected_flux = spec.kind is SystemKind.NSC
-    if state.has_flux != expected_flux:
+def _check_kind(state: State, spec: ModelSpec) -> None:
+    if state.has_flux != (spec.kind is SystemKind.NSC):
         raise ValueError("state components do not match the system kind")
-    new = _apply_batched(torus_propagator(spec, grid, t), state.stacked())
-    return State.from_stacked(grid, new, state.time + t, state.has_flux)
 
 
 class LinearPropagator:
@@ -320,6 +207,7 @@ class LinearPropagator:
         self.e = torus_propagator(spec, grid, dt)
 
     def step(self, state: State) -> State:
+        _check_kind(state, self.spec)
         new = _apply_batched(self.e, state.stacked())
         return State.from_stacked(self.grid, new, state.time + self.dt, state.has_flux)
 
@@ -707,8 +595,7 @@ def imex_step(
         raise ValueError("thresholds were built for a different relaxation time")
     grid = state.grid
     e_full, e_half = _step_propagators(spec, grid, dt)
-    if state.has_flux != (spec.kind is SystemKind.NSC):
-        raise ValueError("state components do not match the system kind")
+    _check_kind(state, spec)
 
     if not all(np.all(np.isfinite(f.coeffs)) for f in state.fields()):
         raise NumericalBlowupError(f"non-finite coefficients entering step at t = {state.time}")

@@ -237,63 +237,53 @@ def _as_xi(spec: ModelSpec, xi) -> np.ndarray:
     return arr
 
 
+def _generators(spec: ModelSpec, xi: np.ndarray) -> np.ndarray:
+    """Generators M(xi), shape (N, nc, nc), at a stack of N wavevectors xi
+    of shape (N, d); the toys take their scalar reduction, shape (N, 1).
+    This is the one assembly of the full generator: symbol,
+    evolve.mode_matrices and the transport of kalman_rank all read it."""
+    kind = spec.kind
+    m = np.zeros((xi.shape[0], spec.n_components, spec.n_components), dtype=complex)
+    if kind in _TOYS:
+        x = xi[:, 0]
+        m[:, 0, 1] = -1j * x
+        if kind is SystemKind.TOY_DIFFUSIVE:
+            m[:, 1, 0] = -1j * x
+            m[:, 1, 1] = -(x**2)
+        else:
+            e2 = spec.eps**2
+            m[:, 1, 0] = -1j * (spec.kappa / e2) * x
+            m[:, 1, 1] = -spec.alpha / e2
+        return m
+
+    d = spec.d
+    ia, iv, it, iq = 0, slice(1, 1 + d), 1 + d, slice(2 + d, 2 + 2 * d)
+    r2 = np.sum(xi**2, axis=1)
+    m[:, ia, iv] = -1j * xi
+    m[:, iv, ia] = -1j * xi
+    m[:, iv, it] = -1j * spec.gamma * xi
+    m[:, it, iv] = -1j * spec.gamma * xi
+    # A = (mu Lap + (lam+mu) grad div)/nu in Fourier variables
+    if spec.nu > 0:
+        lap = spec.visc_mu * r2[:, None, None] * np.eye(d)
+        m[:, iv, iv] = -(lap + (spec.visc_lam + spec.visc_mu) * (xi[:, :, None] * xi[:, None, :])) / spec.nu
+    if kind is SystemKind.NSC:
+        e2 = spec.eps**2
+        m[:, it, iq] = -1j * spec.beta * xi
+        m[:, iq, it] = -1j * (spec.kappa / e2) * xi
+        m[:, iq, iq] = -(spec.alpha / e2) * np.eye(d)
+    else:
+        m[:, it, it] = -(spec.beta * spec.kappa / spec.alpha) * r2
+    return m
+
+
 def symbol(spec: ModelSpec, xi) -> SymbolMatrix:
     """Generator M(xi) of the zero-source linearized system."""
     xi = _as_xi(spec, xi)
     if not np.all(np.isfinite(xi)):
         raise ValueError("wavevector must be finite")
-    d = spec.d
-    kind = spec.kind
-
-    if kind is SystemKind.TOY_DIFFUSIVE:
-        x = xi[0]
-        m = np.array([[0.0, -1j * x], [-1j * x, -(x**2)]], dtype=complex)
-        return SymbolMatrix((float(x),), 2, m, kind, tuple(spec.component_labels()))
-    if kind in (SystemKind.TOY_DAMPED, SystemKind.CATTANEO_WAVE):
-        x = xi[0]
-        e2 = spec.eps**2
-        m = np.array(
-            [[0.0, -1j * x], [-1j * spec.kappa * x / e2, -spec.alpha / e2]],
-            dtype=complex,
-        )
-        return SymbolMatrix((float(x),), 2, m, kind, tuple(spec.component_labels()))
-
-    r2 = float(np.dot(xi, xi))
-    nu = spec.nu
-    # A = (mu Lap + (lam+mu) grad div)/nu in Fourier variables
-    if nu > 0:
-        visc = -(spec.visc_mu * r2 * np.eye(d) + (spec.visc_lam + spec.visc_mu) * np.outer(xi, xi)) / nu
-    else:
-        visc = np.zeros((d, d))
-
-    if kind is SystemKind.NSC:
-        n = 2 * d + 2
-        m = np.zeros((n, n), dtype=complex)
-        ia, iv, it, iq = 0, slice(1, 1 + d), 1 + d, slice(2 + d, 2 + 2 * d)
-        m[ia, iv] = -1j * xi
-        m[iv, ia] = -1j * xi
-        m[iv, it] = -1j * spec.gamma * xi
-        m[iv, iv] = visc
-        m[it, iv] = -1j * spec.gamma * xi
-        m[it, iq] = -1j * spec.beta * xi
-        e2 = spec.eps**2
-        m[iq, it] = -1j * spec.kappa * xi / e2
-        m[iq, iq] = -(spec.alpha / e2) * np.eye(d)
-        return SymbolMatrix(tuple(map(float, xi)), n, m, kind, tuple(spec.component_labels()))
-
-    if kind is SystemKind.NSF:
-        n = d + 2
-        m = np.zeros((n, n), dtype=complex)
-        ia, iv, it = 0, slice(1, 1 + d), 1 + d
-        m[ia, iv] = -1j * xi
-        m[iv, ia] = -1j * xi
-        m[iv, it] = -1j * spec.gamma * xi
-        m[iv, iv] = visc
-        m[it, iv] = -1j * spec.gamma * xi
-        m[it, it] = -(spec.beta * spec.kappa / spec.alpha) * r2
-        return SymbolMatrix(tuple(map(float, xi)), n, m, kind, tuple(spec.component_labels()))
-
-    raise ValueError(f"unsupported kind {kind}")
+    m = _generators(spec, xi[None, :])[0]
+    return SymbolMatrix(tuple(map(float, xi)), m.shape[0], m, spec.kind, tuple(spec.component_labels()))
 
 
 def reduced_blocks(spec: ModelSpec, r) -> np.ndarray:
@@ -447,34 +437,12 @@ def spectral_distance(eigs_a, eigs_b) -> float:
 
 
 def _first_order_transport(spec: ModelSpec, omega: np.ndarray) -> np.ndarray:
-    """Real matrix A(omega) of U_t + A d_r U + B U = (second-order terms)."""
-    d = spec.d
-    kind = spec.kind
-    if kind is SystemKind.TOY_DIFFUSIVE:
-        return np.array([[0.0, 1.0], [1.0, 0.0]])
-    if kind in (SystemKind.TOY_DAMPED, SystemKind.CATTANEO_WAVE):
-        return np.array([[0.0, 1.0], [spec.kappa / spec.eps**2, 0.0]])
-    if kind is SystemKind.NSC:
-        n = 2 * d + 2
-        a = np.zeros((n, n))
-        ia, iv, it, iq = 0, slice(1, 1 + d), 1 + d, slice(2 + d, 2 + 2 * d)
-        a[ia, iv] = omega
-        a[iv, ia] = omega
-        a[iv, it] = spec.gamma * omega
-        a[it, iv] = spec.gamma * omega
-        a[it, iq] = spec.beta * omega
-        a[iq, it] = (spec.kappa / spec.eps**2) * omega
-        return a
-    if kind is SystemKind.NSF:
-        n = d + 2
-        a = np.zeros((n, n))
-        ia, iv, it = 0, slice(1, 1 + d), 1 + d
-        a[ia, iv] = omega
-        a[iv, ia] = omega
-        a[iv, it] = spec.gamma * omega
-        a[it, iv] = spec.gamma * omega
-        return a
-    raise ValueError(f"unsupported kind {kind}")
+    """Real matrix A(omega) of U_t + A d_r U + B U = (second-order terms).
+
+    M(xi) = -i A(xi) + (terms even in xi), so A(omega) is the odd part
+    i (M(omega) - M(-omega)) / 2.
+    """
+    return (0.5j * (symbol(spec, omega).entries - symbol(spec, -omega).entries)).real
 
 
 def _dissipated_rows(spec: ModelSpec) -> np.ndarray:

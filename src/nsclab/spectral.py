@@ -18,6 +18,7 @@ Conventions baked in here and relied on everywhere else:
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 
@@ -403,11 +404,16 @@ def load_fields(path):
     """Read back (fields, time) from the flat binary container."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: header needs {_HEADER.size} bytes, found {len(header)}")
         magic, version, d, n, L, ncomp, time = _HEADER.unpack(header)
         if magic != _MAGIC or version != 1:
             raise ValueError(f"not a field container: {path}")
-        grid = Grid(d=d, n=n, L=L)
         count = n**d
+        found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found != 8 * ncomp * count:
+            raise ValueError(f"{path}: payload of {ncomp} fields needs {8 * ncomp * count} bytes, found {found}")
+        grid = Grid(d=d, n=n, L=L)
         fields = []
         for _ in range(ncomp):
             block = np.frombuffer(fh.read(8 * count), dtype="<c8").astype(np.complex128)

@@ -20,6 +20,7 @@ from .evolve import (
     LinearPropagator,
     RadialDataProfile,
     RadialFlow,
+    linear_trajectory,
     mode_matrices,
 )
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
@@ -225,17 +226,11 @@ def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) ->
     zeroed; what remains is the slow spectral subspace (Fourier-law manifold
     up to O(eps^2)).  Result is re-hermitized.
     """
-    mats = mode_matrices(spec, state.grid)
-    u = state.stacked().reshape(len(state.fields()), -1).T.copy()
-    cut = -cut_fraction * spec.alpha / spec.eps**2
-    for n in range(u.shape[0]):
-        if np.abs(u[n]).max() == 0.0:
-            continue
-        lam, vecs = np.linalg.eig(mats[n])
-        coef = np.linalg.solve(vecs, u[n])
-        coef[lam.real < cut] = 0.0
-        u[n] = vecs @ coef
-    arr = u.T.reshape(-1, *state.grid.shape)
+    lam, vecs = np.linalg.eig(mode_matrices(spec, state.grid))
+    u = state.stacked().reshape(len(state.fields()), -1).T
+    coef = np.linalg.solve(vecs, u[..., None])[..., 0]
+    coef[lam.real < -cut_fraction * spec.alpha / spec.eps**2] = 0.0
+    arr = (vecs @ coef[..., None])[..., 0].T.reshape(-1, *state.grid.shape)
     st = State.from_stacked(state.grid, arr, state.time, state.has_flux)
     return State(
         a=st.a.hermitized(),
@@ -266,16 +261,12 @@ def graded_times(eps: float, alpha: float, T: float, layer_steps: int = 80, mid_
 def sampled_linear_trajectory(state0: State, spec: ModelSpec, segments) -> list:
     """Exact linear flow sampled along piecewise-uniform time segments."""
     out = [state0]
-    cur = state0
     for seg in segments:
         if len(seg) < 2:
             continue
-        dt = float(seg[1] - seg[0])
-        prop = LinearPropagator(spec, state0.grid, dt)
-        take = seg[1:] if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else seg
-        for _ in take:
-            cur = prop.step(cur)
-            out.append(cur)
+        cur = out[-1]
+        steps = len(seg) - 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else len(seg)
+        out += linear_trajectory(cur, spec, float(seg[1] - seg[0]), steps)[1:]
     return out
 
 

@@ -6,6 +6,8 @@ matrix exponential, roots of 2x2 symbols come from the quadratic formula,
 and products of modes are checked by direct convolution.  The nonlinear
 sources are re-derived field by field, one complex FFT per field and
 derivative, where nsclab.evolve batches real FFTs on the half lattice.
+The transport matrix of the rank test is assembled entry by entry, where
+nsclab.model derives it from the symbol.
 """
 
 import numpy as np
@@ -181,3 +183,35 @@ def source_terms_reference(state, spec):
         phys = -adv_q + stretch - q_p[i] * div_v
         i_fields.append(spectralize(phys))
     return f_field, tuple(g_fields), h_field, tuple(i_fields)
+
+
+def first_order_transport_reference(spec, omega):
+    """Transport matrix A(omega) assembled entry by entry, as the model
+    module did before A was derived from the odd part of the symbol."""
+    d = spec.d
+    kind = spec.kind
+    if kind is SystemKind.TOY_DIFFUSIVE:
+        return np.array([[0.0, 1.0], [1.0, 0.0]])
+    if kind in (SystemKind.TOY_DAMPED, SystemKind.CATTANEO_WAVE):
+        return np.array([[0.0, 1.0], [spec.kappa / spec.eps**2, 0.0]])
+    if kind is SystemKind.NSC:
+        n = 2 * d + 2
+        a = np.zeros((n, n))
+        ia, iv, it, iq = 0, slice(1, 1 + d), 1 + d, slice(2 + d, 2 + 2 * d)
+        a[ia, iv] = omega
+        a[iv, ia] = omega
+        a[iv, it] = spec.gamma * omega
+        a[it, iv] = spec.gamma * omega
+        a[it, iq] = spec.beta * omega
+        a[iq, it] = (spec.kappa / spec.eps**2) * omega
+        return a
+    if kind is SystemKind.NSF:
+        n = d + 2
+        a = np.zeros((n, n))
+        ia, iv, it = 0, slice(1, 1 + d), 1 + d
+        a[ia, iv] = omega
+        a[iv, ia] = omega
+        a[iv, it] = spec.gamma * omega
+        a[it, iv] = spec.gamma * omega
+        return a
+    raise ValueError(f"unsupported kind {kind}")

@@ -11,10 +11,8 @@ from nsclab.evolve import (
     DensityPositivityError,
     LinearPropagator,
     NumericalBlowupError,
-    Propagator,
     RadialFlow,
     default_dt,
-    evolve_linear,
     expm,
     imex_step,
     linear_trajectory,
@@ -118,14 +116,6 @@ def test_semigroup_property(nsc3, rng):
         assert np.max(np.abs(p1 @ p1 - p2)) <= 1e-10 * max(1.0, np.max(np.abs(p2)))
 
 
-def test_propagator_dataclass(nsc3):
-    m = reduced_symbol(nsc3, 1.0)
-    p = Propagator.at(m, 0.0)
-    assert np.allclose(p.matrix_exponential, np.eye(4))
-    u = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    assert np.allclose(p(u), u)
-
-
 def test_propagate_rejects_bad_input(nsc3):
     m = reduced_symbol(nsc3, 1.0)
     with pytest.raises(ValueError):
@@ -136,7 +126,7 @@ def test_propagate_rejects_bad_input(nsc3):
 
 
 def test_evolve_zero_state(nsc2, grid2d):
-    out = evolve_linear(zero_state(grid2d), nsc2, 1.0)
+    out = LinearPropagator(nsc2, grid2d, 1.0).step(zero_state(grid2d))
     assert all(np.all(f.coeffs == 0.0) for f in out.fields())
 
 
@@ -145,7 +135,7 @@ def test_evolve_single_pair_matches_mode_solution(nsc2, grid2d):
     st.a.coeffs[1, 2] = 0.3 + 0.1j
     st = State(a=st.a.hermitized(), v=st.v, theta=st.theta, q=st.q)
     u0 = np.array([f.coeffs[1, 2] for f in st.fields()])
-    out = evolve_linear(st, nsc2, 0.7)
+    out = LinearPropagator(nsc2, grid2d, 0.7).step(st)
     xv = grid2d.wavevectors()
     xi = np.array([xv[0][1, 2], xv[1][1, 2]])
     ref = propagate_mode(symbol(nsc2, xi), u0, 0.7)
@@ -156,7 +146,7 @@ def test_evolve_single_pair_matches_mode_solution(nsc2, grid2d):
 
 def test_evolve_preserves_hermitian_exactly(nsc2, grid2d, rng):
     st = rand_state(grid2d, rng)
-    out = evolve_linear(st, nsc2, 0.5)
+    out = LinearPropagator(nsc2, grid2d, 0.5).step(st)
     assert out.is_hermitian(0.0)
 
 
@@ -165,8 +155,8 @@ def test_nsf_limit_small_eps(grid2d, rng):
     st = rand_state(grid2d, rng, amp=0.1)
     st = State(a=st.a, v=st.v, theta=st.theta, q=(zero_field(grid2d), zero_field(grid2d)))
     nsf_state = State(a=st.a.copy(), v=tuple(f.copy() for f in st.v), theta=st.theta.copy(), q=None)
-    o1 = evolve_linear(st, spec, 1.0)
-    o2 = evolve_linear(nsf_state, spec.to_nsf(), 1.0)
+    o1 = LinearPropagator(spec, grid2d, 1.0).step(st)
+    o2 = LinearPropagator(spec.to_nsf(), grid2d, 1.0).step(nsf_state)
     dist = math.sqrt(
         sum(
             SpectralField(grid2d, x.coeffs - y.coeffs).l2_norm() ** 2
@@ -178,8 +168,10 @@ def test_nsf_limit_small_eps(grid2d, rng):
 
 def test_evolve_kind_state_mismatch(grid2d, nsc2):
     st = zero_state(grid2d, with_flux=False)
-    with pytest.raises(ValueError):
-        evolve_linear(st, nsc2, 1.0)
+    with pytest.raises(ValueError, match="state components do not match the system kind"):
+        LinearPropagator(nsc2, grid2d, 1.0).step(st)
+    with pytest.raises(ValueError, match="state components do not match the system kind"):
+        LinearPropagator(nsc2.to_nsf(), grid2d, 1.0).step(zero_state(grid2d))
     with pytest.raises(ValueError):
         mode_matrices(ModelSpec(kind="nsc", d=3, eps=0.1), grid2d)
 
@@ -341,7 +333,7 @@ def test_imex_matches_linear_flow_for_tiny_data(grid1d, rng):
     cur = st
     for _ in range(100):
         cur = imex_step(cur, spec, 5e-3)
-    lin = evolve_linear(st, spec, 0.5)
+    lin = LinearPropagator(spec, grid1d, 0.5).step(st)
     err = max(np.max(np.abs(a.coeffs - b.coeffs)) for a, b in zip(cur.fields(), lin.fields()))
     assert err <= 1e-12 * 1e-14 / 1e-14  # absolute error vs 1e-14 amplitudes
     assert err <= 1e-12

@@ -44,7 +44,7 @@ def make_spec(kind, d, eps, nu_zero=False):
 def mp_expm(m, t, dps=40):
     with mpmath.workdps(dps):
         e = mpmath.expm(mpmath.matrix(m.tolist()) * t)
-        return np.array([[float(e[i, j]) for j in range(e.cols)] for i in range(e.rows)])
+        return np.array([[complex(e[i, j]) for j in range(e.cols)] for i in range(e.rows)])
 
 
 # ------------------------------------------------------------------ kernel
@@ -81,6 +81,13 @@ def test_kernel_pinned_multiprecision_case():
     ref = mp_expm(m[0], t, dps=60) @ u0
     got = PropagatorKernel(m).apply(t, u0[None, :])[0]
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(u0)
+
+
+def test_expm_stiff_mode_multiprecision():
+    # an 8x8 NSC lattice mode at eps = 1e-3: |dt M| ~ 4e4, so scaling and
+    # squaring needs many squarings; a plain Pade-13 kernel lost 1.3e-10 here
+    m = symbol(ModelSpec(kind="nsc", d=3, eps=1e-3), [2.0, 4.0, 0.0]).entries
+    assert np.abs(expm(0.037 * m) - mp_expm(m, 0.037, dps=50)).max() <= 1e-11
 
 
 def test_kernel_apply_matches_matrices(rng):

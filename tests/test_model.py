@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from nsclab.evolve import mode_matrices
 from nsclab.model import (
     ModelSpec,
     PhysParams,
@@ -13,8 +18,10 @@ from nsclab.model import (
     spectral_distance,
     symbol,
 )
+from nsclab.model import _first_order_transport
+from nsclab.spectral import Grid
 
-from oracles import companion_roots, toy_damped_roots, toy_diffusive_roots
+from oracles import companion_roots, first_order_transport_reference, toy_damped_roots, toy_diffusive_roots
 
 
 def test_build_spec_unit_example():
@@ -267,3 +274,75 @@ def test_modelspec_validation():
 def test_symbol_dimension_mismatch(nsc3):
     with pytest.raises(ValueError):
         symbol(nsc3, np.array([1.0, 2.0]))
+
+
+# ------------------------------------------- one generator assembly (hypothesis)
+
+coefficient = hst.floats(0.1, 10.0)
+
+
+@hst.composite
+def full_specs(draw):
+    """NSC/NSF specs over d = 1, 2, 3 with random coefficients, nu = 0 included."""
+    kind = draw(hst.sampled_from(["nsc", "nsf"]))
+    visc = {"visc_mu": 0.0, "visc_lam": 0.0} if draw(hst.booleans()) else {
+        "visc_mu": draw(coefficient), "visc_lam": draw(hst.floats(0.0, 5.0))
+    }
+    return ModelSpec(
+        kind=kind,
+        d=draw(hst.sampled_from([1, 2, 3])),
+        alpha=draw(coefficient),
+        beta=draw(coefficient),
+        gamma=draw(coefficient),
+        kappa=draw(coefficient),
+        eps=10 ** draw(hst.floats(-3.0, 0.0)) if kind == "nsc" else 0.0,
+        **visc,
+    )
+
+
+directions = hst.lists(hst.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+def unit_direction(w, d):
+    """w[:d] normalized, or e_1 when it is too short to have a direction."""
+    w = np.asarray(w[:d], dtype=float)
+    norm = np.linalg.norm(w)
+    return w / norm if norm > 1e-2 else np.eye(d)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(full_specs(), hst.floats(0.5, 20.0))
+def test_mode_matrices_equal_symbol_bitwise(spec, L):
+    grid = Grid(d=spec.d, n=8, L=L)
+    mats = mode_matrices(spec, grid)
+    xi = np.stack([x.ravel() for x in grid.wavevectors()], axis=1)
+    for x, m in zip(xi, mats):
+        assert np.array_equal(symbol(spec, x).entries, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(full_specs(), directions)
+def test_transport_matches_explicit_assembly(spec, w):
+    omega = unit_direction(w, spec.d)
+    got = _first_order_transport(spec, omega)
+    assert got.dtype == float
+    np.testing.assert_array_max_ulp(got, first_order_transport_reference(spec, omega), maxulp=1)
+
+
+@pytest.mark.parametrize("kind", ["toy-diffusive", "toy-damped", "cattaneo-wave"])
+def test_toy_transport_matches_explicit_assembly(kind):
+    spec = ModelSpec(kind=kind, d=1, eps=0.3, kappa=0.7)
+    omega = np.array([1.0])
+    np.testing.assert_array_max_ulp(
+        _first_order_transport(spec, omega), first_order_transport_reference(spec, omega), maxulp=1
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(full_specs(), directions, hst.integers(0, 2**32 - 1), hst.booleans())
+def test_kalman_rank_is_rotation_invariant(spec, w, seed, no_heat_coupling):
+    if no_heat_coupling and spec.kind is SystemKind.NSC:
+        spec = replace(spec, kappa=0.0)
+    omega = unit_direction(w, spec.d)
+    rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((spec.d, spec.d)))
+    assert kalman_rank(spec, rot @ omega).rank == kalman_rank(spec, omega).rank

@@ -9,8 +9,10 @@ from nsclab.spectral import (
     apply_multiplier,
     dealias_23,
     field_lp_norm,
+    load_fields,
     load_state,
     random_field,
+    save_fields,
     save_state,
     to_physical,
     to_spectral,
@@ -185,6 +187,26 @@ def test_state_round_trip_container(tmp_path, rng, grid2d):
     for f1, f2 in zip(st.fields(), back.fields()):
         # complex64 storage: single-precision round trip
         assert np.max(np.abs(f1.coeffs - f2.coeffs)) <= 1e-6 * max(1.0, np.max(np.abs(f1.coeffs)))
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda raw: raw[:20], "header needs 36 bytes, found 20"),
+        (lambda raw: raw[:-3], "payload of 2 fields needs 2048 bytes, found 2045"),
+        (lambda raw: raw + b"\0" * 8, "payload of 2 fields needs 2048 bytes, found 2056"),
+    ],
+    ids=["short-header", "truncated-payload", "trailing-bytes"],
+)
+def test_load_fields_checks_byte_counts(tmp_path, rng, cut, message):
+    grid = Grid(d=1, n=128)
+    path = tmp_path / "fields.fld"
+    save_fields(path, [random_field(grid, rng), random_field(grid, rng)], time=0.5)
+    fields, time = load_fields(path)
+    assert len(fields) == 2 and time == 0.5
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        load_fields(path)
 
 
 def test_state_stacking(grid2d, rng):
