@@ -5,6 +5,14 @@ exact partition of unity over the nonzero modes, so band reconstruction and
 regime additivity are testable to roundoff.  Smooth cutoffs would only move
 constants, and every consumer here is constant-tolerant.
 
+Band membership is decided in one place, `band_labels`.  Each grid caches
+one label array (C order, zero mode unlabelled) and the radial flow labels
+its nodes the same way; every band sum is one `np.bincount` of a per-mode
+density.  For p = 2 all band norms of a state come from one pass over
+sum |c|^2 (Parseval), band inner products from one pass over Re(conj f g).
+For p != 2 each band (`labels == j`) takes one batched inverse FFT of the
+stacked components.
+
 Regimes are split by a pair of dyadic indices (J0, Jeps).  Internally the
 regimes are disjoint (low: j <= J0, medium: J0 < j < Jeps, high: j >= Jeps);
 the overlapping convention that repeats the endpoint bands in adjacent
@@ -20,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, to_physical
+from .spectral import Grid, SpectralField, _freeze
 
 __all__ = [
     "Thresholds",
@@ -28,9 +36,13 @@ __all__ = [
     "BandProfile",
     "make_thresholds",
     "floor_log2",
+    "dyadic_range",
     "grid_band_range",
+    "band_labels",
+    "band_sums",
     "band_project",
     "band_lp_norm",
+    "band_inner",
     "regime_band_indices",
     "besov_seminorm",
     "bernstein_check",
@@ -98,51 +110,82 @@ def make_thresholds(K: int, k: float, eps: float) -> Thresholds:
     return Thresholds(K=int(K), k=k, eps=eps)
 
 
+def dyadic_range(k_min: float, k_max: float) -> range:
+    """Bands from the one holding k_min to the one holding k_max; frexp gives
+    floor(log2 k) exactly, where a rounded log2 can reach the next integer."""
+    return range(math.frexp(k_min)[1] - 1, math.frexp(k_max)[1])
+
+
+@functools.lru_cache(maxsize=32)
 def grid_band_range(grid: Grid) -> range:
     """Dyadic indices j whose annulus intersects the grid's nonzero modes."""
-    xi_min = 2.0 * np.pi / grid.L
-    xi_max = xi_min * (grid.n // 2) * np.sqrt(grid.d)
-    jmin = math.floor(math.log2(xi_min))
-    jmax = math.floor(math.log2(xi_max))
-    return range(jmin, jmax + 1)
+    return dyadic_range(2.0 * np.pi / grid.L, float(np.max(grid.wavenumber_magnitude())))
 
 
-@functools.lru_cache(maxsize=512)
-def _band_mask(grid: Grid, j: int) -> np.ndarray:
-    k = grid.wavenumber_magnitude()
-    mask = (k >= 2.0**j) & (k < 2.0 ** (j + 1))
-    mask.flags.writeable = False
-    return mask
+def band_labels(k: np.ndarray, bands: range) -> np.ndarray:
+    """Label i >= 1 where 2^j <= k < 2^(j+1) for j = bands[i - 1]; 0 below
+    the range (the zero mode), len(bands) + 1 above it."""
+    return np.searchsorted(np.ldexp(1.0, np.arange(bands.start, bands.stop + 1)), k, side="right")
+
+
+def band_sums(labels: np.ndarray, density: np.ndarray, nbands: int) -> np.ndarray:
+    """Sum of `density` over each of the labels 1..nbands, in one pass."""
+    return np.bincount(labels.ravel(), weights=density.ravel(), minlength=nbands + 2)[1 : nbands + 1]
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_labels(grid: Grid) -> np.ndarray:
+    return _freeze(band_labels(grid.wavenumber_magnitude(), grid_band_range(grid)))
+
+
+def _band_parseval(grid: Grid, density: np.ndarray) -> dict:
+    """{j: L^d sum of density over band j}: the band parts of a Parseval sum."""
+    bands = grid_band_range(grid)
+    return dict(zip(bands, grid.L**grid.d * band_sums(_grid_labels(grid), density, len(bands))))
+
+
+def _band_keep(grid: Grid, j: int):
+    bands = grid_band_range(grid)
+    return _grid_labels(grid) == j - bands.start + 1 if j in bands else False
 
 
 def band_project(f: SpectralField, j: int) -> SpectralField:
     """Retain exactly the coefficients with 2^j <= |xi| < 2^(j+1)."""
-    return SpectralField(f.grid, np.where(_band_mask(f.grid, j), f.coeffs, 0.0))
+    return SpectralField(f.grid, np.where(_band_keep(f.grid, j), f.coeffs, 0.0))
 
 
-def _stack_lp_norm(fields, j: int | None, p: float) -> float:
-    """L^p norm of the pointwise euclidean magnitude of several components."""
+def _as_fields(f) -> list:
+    return list(f) if isinstance(f, (tuple, list)) else [f]
+
+
+def _band_norms(fields, js, p: float) -> list:
+    """L^p norms of the pointwise euclidean magnitude of several components,
+    restricted to each band j in js (0 off the grid's bands)."""
     grid = fields[0].grid
     if p == 2:
-        if j is None:
-            total = sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields)
-        else:
-            mask = _band_mask(grid, j)
-            total = sum(np.sum(np.abs(f.coeffs[mask]) ** 2) for f in fields)
-        return float(np.sqrt(grid.L**grid.d * total))
-    if j is not None:
-        fields = [band_project(f, j) for f in fields]
-    mags = np.sqrt(sum(np.abs(to_physical(f)) ** 2 for f in fields))
+        sums = _band_parseval(grid, sum(np.abs(f.coeffs) ** 2 for f in fields))
+        return [math.sqrt(sums.get(j, 0.0)) for j in js]
+    stack = np.stack([f.coeffs for f in fields])
+    axes = tuple(range(1, grid.d + 1))
     cell = (grid.L / grid.n) ** grid.d
-    if np.isinf(p):
-        return float(np.max(mags))
-    return float((np.sum(mags**p) * cell) ** (1.0 / p))
+    out = []
+    for j in js:
+        phys = np.fft.ifftn(np.where(_band_keep(grid, j), stack, 0.0), axes=axes) * grid.n**grid.d
+        mags = np.sqrt(np.sum(np.abs(phys) ** 2, axis=0))
+        out.append(float(np.max(mags) if np.isinf(p) else (np.sum(mags**p) * cell) ** (1.0 / p)))
+    return out
 
 
 def band_lp_norm(f, j: int, p: float = 2) -> float:
     """Physical L^p norm of the band-j projection (f may be a tuple)."""
-    fields = list(f) if isinstance(f, (tuple, list)) else [f]
-    return _stack_lp_norm(fields, j, p)
+    return _band_norms(_as_fields(f), [j], p)[0]
+
+
+def band_inner(f, g, j: int) -> float:
+    """Band-j part of the real L2 inner product sum_i int f_i g_i (Parseval)."""
+    fs = _as_fields(f)
+    density = sum(np.real(np.conj(x.coeffs) * y.coeffs) for x, y in zip(fs, _as_fields(g)))
+    return float(_band_parseval(fs[0].grid, density).get(j, 0.0))
 
 
 def regime_band_indices(regime: str, th: Thresholds, bands) -> list:
@@ -192,11 +235,10 @@ def besov_seminorm(
     f may be a single field or a tuple of components (combined pointwise).
     The band range is limited to the grid's populated annuli.
     """
-    fields = list(f) if isinstance(f, (tuple, list)) else [f]
-    bands = grid_band_range(fields[0].grid)
+    fields = _as_fields(f)
     pick = _overlap_band_indices if overlap else regime_band_indices
-    js = pick(regime, th, bands)
-    return float(sum(2.0 ** (j * s) * _stack_lp_norm(fields, j, p) for j in js))
+    js = pick(regime, th, grid_band_range(fields[0].grid))
+    return float(sum(2.0 ** (j * s) * norm for j, norm in zip(js, _band_norms(fields, js, p))))
 
 
 @dataclass(frozen=True)
@@ -217,15 +259,11 @@ class BandProfile:
 
 def band_profile(fields: dict, p: float = 2, s: float = 0.0) -> BandProfile:
     """Band decomposition of named fields: norms per (band, component)."""
-    first = next(iter(fields.values()))
-    grid = first[0].grid if isinstance(first, (tuple, list)) else first.grid
+    bands = grid_band_range(_as_fields(next(iter(fields.values())))[0].grid)
+    norms = {name: _band_norms(_as_fields(f), bands, p) for name, f in fields.items()}
     entries = {}
-    for j in grid_band_range(grid):
-        row = {}
-        for name, f in fields.items():
-            val = band_lp_norm(f, j, p)
-            if val > 0.0:
-                row[name] = 2.0 ** (j * s) * val
+    for i, j in enumerate(bands):
+        row = {name: 2.0 ** (j * s) * vals[i] for name, vals in norms.items() if vals[i] > 0.0}
         if row:
             entries[j] = row
     return BandProfile(p=p, s=s, entries=entries)
@@ -260,8 +298,8 @@ def bernstein_check(
     """
     if not s_prime > 0:
         raise ValueError(f"s_prime must be positive, got {s_prime}")
-    grid = f_band.grid
-    occupied = [j for j in grid_band_range(grid) if band_lp_norm(f_band, j, p) > 0.0]
+    bands = grid_band_range(f_band.grid)
+    occupied = [bands[i - 1] for i in np.unique(_grid_labels(f_band.grid)[f_band.coeffs != 0]) if i > 0]
     if len(occupied) != 1:
         raise ValueError(f"field must occupy exactly one band, found {occupied}")
     (j,) = occupied

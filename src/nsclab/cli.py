@@ -417,11 +417,7 @@ def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
         ("high", [j for j in bands if j >= th.Jeps], 0.25),
     ):
         for j in js:
-            if regime == "low":
-                rate = 2.0 ** (2 * (j + 1)) + (1.0 + spec.gamma) * 2.0 ** (j + 1)
-            else:
-                rate = spec.alpha / spec.eps**2
-            dt = 5e-3 / rate
+            dt = 5e-3 / diagnostics._regime_rate(spec, j, regime)
             traj = evolve.linear_trajectory(state0, spec, dt, steps)
             times = np.array([s.time for s in traj])
             vals = [diagnostics.lyapunov_value(s, j, regime, spec, eta) for s in traj]

@@ -10,12 +10,13 @@ equivalence bracket [1 - 2 eta, 1 + 2 eta] valid on every band.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import Thresholds, band_project, besov_seminorm
+from .besov import Thresholds, band_inner, band_lp_norm, band_project, besov_seminorm
 from .model import ModelSpec, SystemKind
 from .spectral import SpectralField, State, apply_multiplier, to_physical
 
@@ -39,11 +40,19 @@ __all__ = [
 @dataclass
 class EffectiveState:
     """Damped mode Q = alpha q + kappa grad theta and effective velocity
-    w = v + (-Lap)^-1 grad a (zero mode of w equals the zero mode of v)."""
+    w = v + (-Lap)^-1 grad a (zero mode of w equals the zero mode of v).
+    w is built from `base` on first access; most readers need only Q."""
 
     Q: tuple
-    w: tuple
     base: State
+
+    @functools.cached_property
+    def w(self) -> tuple:
+        grad_a = apply_multiplier(self.base.a, "grad")
+        return tuple(
+            SpectralField(self.base.grid, v.coeffs + apply_multiplier(g, "inv_neg_laplacian").coeffs)
+            for v, g in zip(self.base.v, grad_a)
+        )
 
 
 def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
@@ -54,12 +63,7 @@ def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
         SpectralField(state.grid, spec.alpha * q.coeffs + spec.kappa * g.coeffs)
         for q, g in zip(state.q, grad_theta)
     )
-    grad_a = apply_multiplier(state.a, "grad")
-    w = tuple(
-        SpectralField(state.grid, v.coeffs + apply_multiplier(g, "inv_neg_laplacian").coeffs)
-        for v, g in zip(state.v, grad_a)
-    )
-    return EffectiveState(Q=Q, w=w, base=state)
+    return EffectiveState(Q=Q, base=state)
 
 
 def curl_linf(fields) -> float:
@@ -84,23 +88,13 @@ class LyapunovValue:
     parts: tuple  # (norm_part, cross_part, weight_part)
 
 
-def _inner(f: SpectralField, g: SpectralField) -> float:
-    """Real L2 inner product int f g dx via Parseval."""
-    grid = f.grid
-    return float(np.real(grid.L**grid.d * np.sum(np.conj(f.coeffs) * g.coeffs)))
-
-
 def lyapunov_low(state: State, j: int, eta: float = 0.25) -> LyapunovValue:
     """Band energy |(a_j, v_j, theta_j)|^2 plus the band-weighted cross term
     eta 2^(-j) int v_j . grad a_j; within [1-2 eta, 1+2 eta] of the norm part."""
     if not 0 < eta <= 0.25:
         raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
-    a_j = band_project(state.a, j)
-    v_j = [band_project(f, j) for f in state.v]
-    th_j = band_project(state.theta, j)
-    norm_part = a_j.l2_norm() ** 2 + sum(f.l2_norm() ** 2 for f in v_j) + th_j.l2_norm() ** 2
-    grad_a = apply_multiplier(a_j, "grad")
-    cross = eta * 2.0 ** (-j) * sum(_inner(v, g) for v, g in zip(v_j, grad_a))
+    norm_part = band_lp_norm((state.a, *state.v, state.theta), j) ** 2
+    cross = eta * 2.0 ** (-j) * band_inner(state.v, apply_multiplier(state.a, "grad"), j)
     return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross, 0.0))
 
 
@@ -118,9 +112,9 @@ def lyapunov_high(
     if not state.has_flux:
         raise ValueError("high-band functional needs the heat-flux components")
     eps = spec.eps
-    th_j = band_project(state.theta, j)
-    q_j = [band_project(f, j) for f in state.q]
-    theta_part = th_j.l2_norm() ** 2
+    theta_part = band_lp_norm(state.theta, j) ** 2
+    flux_part = band_lp_norm(state.q, j) ** 2 * eps**2
+    weight_part = 0.0
     if density_weight:
         a_phys = to_physical(state.a).real
         if np.max(np.abs(a_phys)) >= 1.0:
@@ -128,14 +122,10 @@ def lyapunov_high(
         jw = a_phys / (1.0 + a_phys)
         grid = state.grid
         cell = (grid.L / grid.n) ** grid.d
-        q_sq = sum(np.abs(to_physical(f)) ** 2 for f in q_j)
-        flux_part = float(np.sum((1.0 + jw) * q_sq) * cell) * eps**2
+        q_sq = sum(np.abs(to_physical(band_project(f, j))) ** 2 for f in state.q)
         weight_part = float(np.sum(jw * q_sq) * cell) * eps**2
-    else:
-        flux_part = sum(f.l2_norm() ** 2 for f in q_j) * eps**2
-        weight_part = 0.0
-    grad_th = apply_multiplier(th_j, "grad")
-    cross = eta * 2.0 ** (-2 * j) * sum(_inner(q, g) for q, g in zip(q_j, grad_th))
+        flux_part += weight_part  # int (1 + J)|q_j|^2 = |q_j|^2 + int J |q_j|^2 (discrete Parseval)
+    cross = eta * 2.0 ** (-2 * j) * band_inner(state.q, apply_multiplier(state.theta, "grad"), j)
     value = theta_part + flux_part + cross
     return LyapunovValue(j=j, value=value, parts=(theta_part + flux_part - weight_part, cross, weight_part))
 
@@ -151,18 +141,11 @@ def lyapunov_value(state: State, j: int, regime: str, spec: ModelSpec, eta: floa
 def dissipation_quantity(state: State, j: int, regime: str, spec: ModelSpec) -> float:
     """The regime's dissipation functional entering d/dt L_j + c D_j <= 0."""
     if regime == "low":
-        a_j = band_project(state.a, j)
-        v_sq = sum(band_project(f, j).l2_norm() ** 2 for f in state.v)
-        th_j = band_project(state.theta, j)
-        return 2.0 ** (2 * j) * (a_j.l2_norm() ** 2 + v_sq + th_j.l2_norm() ** 2)
+        return 2.0 ** (2 * j) * band_lp_norm((state.a, *state.v, state.theta), j) ** 2
     if regime == "high":
-        th_j = band_project(state.theta, j)
-        q_sq = sum(band_project(f, j).l2_norm() ** 2 for f in state.q)
-        return (th_j.l2_norm() ** 2 + spec.eps**2 * q_sq) / spec.eps**2
+        return (band_lp_norm(state.theta, j) ** 2 + spec.eps**2 * band_lp_norm(state.q, j) ** 2) / spec.eps**2
     if regime == "damped":
-        es = effective_unknowns(state, spec)
-        qnorm = math.sqrt(sum(band_project(f, j).l2_norm() ** 2 for f in es.Q))
-        return qnorm / spec.eps
+        return band_lp_norm(effective_unknowns(state, spec).Q, j) / spec.eps
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -171,18 +154,6 @@ def _regime_rate(spec: ModelSpec, j: int, regime: str) -> float:
         top = 2.0 ** (j + 1)
         return top**2 + (1.0 + spec.gamma) * top
     return spec.alpha / spec.eps**2
-
-
-def _lyap_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
-    times = np.array([s.time for s in traj])
-    if regime == "damped":
-        vals = np.array(
-            [spec.eps * math.sqrt(sum(band_project(f, j).l2_norm() ** 2 for f in effective_unknowns(s, spec).Q)) for s in traj]
-        )
-    else:
-        vals = np.array([lyapunov_value(s, j, regime, spec, eta) for s in traj])
-    diss = np.array([dissipation_quantity(s, j, regime, spec) for s in traj])
-    return times, vals, diss
 
 
 def _validate_stride(times: np.ndarray, spec: ModelSpec, j: int, regime: str) -> float:
@@ -199,14 +170,22 @@ def _validate_stride(times: np.ndarray, spec: ModelSpec, j: int, regime: str) ->
     return dt
 
 
-def calibrate_dissipation(trajs, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1) -> float:
-    """Largest c with d/dt L_j + c D_j <= 0 across the training trajectories."""
+def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
+    """Interior times, centred differences d/dt L_j and D_j at those times."""
+    times = np.array([s.time for s in traj])
+    if regime == "damped":
+        lyap = np.array([spec.eps * band_lp_norm(effective_unknowns(s, spec).Q, j) for s in traj])
+    else:
+        lyap = np.array([lyapunov_value(s, j, regime, spec, eta) for s in traj])
+    diss = np.array([dissipation_quantity(s, j, regime, spec) for s in traj])
+    dt = _validate_stride(times, spec, j, regime)
+    return times[1:-1], (lyap[2:] - lyap[:-2]) / (2.0 * dt), diss[1:-1]
+
+
+def _calibrate(series) -> float:
+    """Largest c with dl + c dmid <= 0 over the (dl, dmid) pairs of series."""
     best = np.inf
-    for traj in trajs:
-        times, lyap, diss = _lyap_series(traj, j, regime, spec, eta)
-        dt = _validate_stride(times, spec, j, regime)
-        dl = (lyap[2:] - lyap[:-2]) / (2.0 * dt)
-        dmid = diss[1:-1]
+    for dl, dmid in series:
         ok = dmid > 0
         if np.any(ok):
             best = min(best, float(np.min(-dl[ok] / dmid[ok])))
@@ -215,28 +194,29 @@ def calibrate_dissipation(trajs, j: int, regime: str, spec: ModelSpec, th: Thres
     return max(best, 0.0)
 
 
+def calibrate_dissipation(trajs, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1) -> float:
+    """Largest c with d/dt L_j + c D_j <= 0 across the training trajectories."""
+    return _calibrate(_centered_series(traj, j, regime, spec, eta)[1:] for traj in trajs)
+
+
 def dissipation_residual(traj, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1, c: float | None = None):
     """Per-time residual d/dt L_j + c D_j at interior snapshots.
 
     c defaults to the trajectory's own calibration.  Returns (times, residual,
     violations) where violations counts residuals above discretization slack.
     """
-    times, lyap, diss = _lyap_series(traj, j, regime, spec, eta)
-    dt = _validate_stride(times, spec, j, regime)
+    times, dl, dmid = _centered_series(traj, j, regime, spec, eta)
     if c is None:
-        c = calibrate_dissipation([traj], j, regime, spec, th, eta)
-    dl = (lyap[2:] - lyap[:-2]) / (2.0 * dt)
-    residual = dl + c * diss[1:-1]
+        c = _calibrate([(dl, dmid)])
+    residual = dl + c * dmid
     violations = int(np.sum(residual > 1e-8))
-    return times[1:-1], residual, violations
+    return times, residual, violations
 
 
 def damped_mode_rate(traj, j: int, spec: ModelSpec):
     """Exponential decay rate of |Q_j| fitted on log-linear least squares."""
     times = np.array([s.time for s in traj])
-    vals = np.array(
-        [math.sqrt(sum(band_project(f, j).l2_norm() ** 2 for f in effective_unknowns(s, spec).Q)) for s in traj]
-    )
+    vals = np.array([band_lp_norm(effective_unknowns(s, spec).Q, j) for s in traj])
     if np.any(vals <= 0):
         raise ValueError("damped-mode norm vanished; nothing to fit")
     logs = np.log(vals)

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.fft import irfftn, rfftn
 from scipy.linalg import expm
 
+from .besov import band_labels, band_sums, dyadic_range
 from .model import ModelSpec, SymbolMatrix, SystemKind, _generators, reduced_blocks
 from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
 from .spectral import Grid, SpectralField, State, to_physical
@@ -261,7 +262,9 @@ class RadialFlow:
     """Longitudinal linear flow on a log-radial quadrature grid.
 
     Evaluates u(t, r) = exp(t M_red(r)) u0(r) and turns it into Plancherel
-    L2 norms, dyadic band norms and Besov-type proxies for p > 2.
+    L2 norms, dyadic band norms and Besov-type proxies for p > 2.  The nodes
+    are labelled with their dyadic band once (besov.band_labels, the torus
+    rule), so all band norms of a sample come from one band sum.
     """
 
     REDUCED_LABELS = ("a", "omega", "theta", "sigma")
@@ -281,6 +284,8 @@ class RadialFlow:
         self.d = spec.d
         self.r = np.logspace(math.log10(r_min), math.log10(r_max), nodes)
         self.log_weights = self._trapezoid_weights(np.log(self.r))
+        self.bands = dyadic_range(self.r[0], self.r[-1])
+        self.labels = band_labels(self.r, self.bands)
         self.kernel = PropagatorKernel(reduced_blocks(spec, self.r))
         self.ncomp = self.kernel.mats.shape[-1]
         u0 = np.asarray(profile.amplitude(self.r), dtype=complex)
@@ -317,38 +322,32 @@ class RadialFlow:
             return np.abs(self.spec.alpha * u[:, 3] - self.spec.kappa * self.r * th)
         raise ValueError(f"unknown component {name!r}")
 
-    def _radial_integral(self, values_sq: np.ndarray, weight: np.ndarray) -> float:
-        integrand = values_sq * weight * self.r  # extra r: d(log r) quadrature
-        return float(np.sum(integrand * self.log_weights))
-
     def l2_norm(self, u: np.ndarray, comps, sigma: float = 0.0) -> float:
         """Plancherel L2 norm of Lambda^sigma applied to the named components."""
         area = _SPHERE_AREA[self.d]
         vals = sum(self.component(u, c) ** 2 for c in comps)
         w = self.r ** (2.0 * sigma + self.d - 1.0)
-        integral = self._radial_integral(vals, w)
+        integral = float(np.sum(vals * w * self.r * self.log_weights))  # extra r: d(log r) quadrature
         return math.sqrt(area * integral / (2.0 * np.pi) ** self.d)
+
+    def band_l2_norms(self, u: np.ndarray, comps) -> np.ndarray:
+        """L2 norms of the named components on every band of band_range()."""
+        vals = sum(self.component(u, c) ** 2 for c in comps)
+        weight = self.r ** (self.d - 1.0) * self.r * self.log_weights
+        integrals = band_sums(self.labels, vals * weight, len(self.bands))
+        return np.sqrt(_SPHERE_AREA[self.d] * integrals / (2.0 * np.pi) ** self.d)
 
     def band_l2_norm(self, u: np.ndarray, comps, j: int) -> float:
-        area = _SPHERE_AREA[self.d]
-        vals = sum(self.component(u, c) ** 2 for c in comps)
-        mask = (self.r >= 2.0**j) & (self.r < 2.0 ** (j + 1))
-        w = np.where(mask, self.r ** (self.d - 1.0), 0.0)
-        integral = self._radial_integral(vals, w)
-        return math.sqrt(area * integral / (2.0 * np.pi) ** self.d)
+        return float(self.band_l2_norms(u, comps)[j - self.bands.start]) if j in self.bands else 0.0
 
     def band_range(self) -> range:
-        return range(
-            math.floor(math.log2(self.r[0])), math.floor(math.log2(self.r[-1])) + 1
-        )
+        return self.bands
 
     def besov_proxy(self, u: np.ndarray, comps, s: float, p: float) -> float:
         """sum_j 2^(j(s + d/2 - d/p)) |u_j|_L2: the band-summed L^p proxy."""
         shift = self.d / 2.0 - self.d / p
-        return sum(
-            2.0 ** (j * (s + shift)) * self.band_l2_norm(u, comps, j)
-            for j in self.band_range()
-        )
+        norms = self.band_l2_norms(u, comps)
+        return float(sum(2.0 ** (j * (s + shift)) * norm for j, norm in zip(self.bands, norms)))
 
     def lp_norm(self, u: np.ndarray, comps, sigma: float, p: float) -> float:
         if p == 2:

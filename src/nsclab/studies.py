@@ -306,8 +306,7 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
     tf = np.array([s.time for s in nsf_traj])
     if len(nsc_traj) != len(nsf_traj) or not np.allclose(times, tf, rtol=1e-10, atol=1e-12):
         raise ValueError("paired trajectories must share their snapshot times")
-    lo_inf, lo_one, q_one = [], [], []
-    ha_inf, ha_one, hvt_inf, hvt_one = [], [], [], []
+    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = [], [], [], [], [], []
     for sn, sf in zip(nsc_traj, nsf_traj):
         grid = sn.grid
         pairs = list(zip([sn.a, *sn.v, sn.theta], [sf.a, *sf.v, sf.theta]))
@@ -317,9 +316,7 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
         lo_inf.append(besov_seminorm((ta, *tv, tth), d / 2 - 2, 2, "low", th, overlap=True))
         lo_one.append(besov_seminorm((ta, *tv, tth), d / 2, 2, "low", th, overlap=True))
         q_one.append(besov_seminorm(q_mode, d / p - 1, p, "all", th))
-        ha = besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True)
-        ha_inf.append(ha)
-        ha_one.append(ha)
+        ha.append(besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True))
         hvt_inf.append(besov_seminorm((*tv, tth), d / p - 2, p, "medhigh", th, overlap=True))
         hvt_one.append(besov_seminorm((*tv, tth), d / p, p, "medhigh", th, overlap=True))
 
@@ -328,8 +325,8 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
         "low_Linf": float(np.max(lo_inf)),
         "low_L1": tz(lo_one),
         "damped_mode_L1": tz(q_one),
-        "high_a_Linf": float(np.max(ha_inf)),
-        "high_a_L1": tz(ha_one),
+        "high_a_Linf": float(np.max(ha)),
+        "high_a_L1": tz(ha),
         "high_vtheta_Linf": float(np.max(hvt_inf)),
         "high_vtheta_L1": tz(hvt_one),
     }
@@ -545,32 +542,21 @@ def layer_scaling(spec: ModelSpec, ill_prepared_state: State, factor: float = 2.
 def lyapunov_l1(flow: RadialFlow, th: Thresholds, p: float, t: float) -> float:
     """The terminal decay functional: epsilon-weighted regime semi-norms of
     (a, v, theta, q, w, Q) combined across low/medium/high bands."""
-    spec = flow.spec
-    d = spec.d
-    eps = spec.eps
+    d, eps = flow.spec.d, flow.spec.eps
+    j = np.array(flow.band_range())
     u = flow.at(t)
-    bands = flow.band_range()
-    val = 0.0
-    for j in (j for j in bands if j <= th.J0):
-        stack = math.sqrt(
-            flow.band_l2_norm(u, ("a",), j) ** 2
-            + flow.band_l2_norm(u, ("v",), j) ** 2
-            + flow.band_l2_norm(u, ("theta",), j) ** 2
-            + eps**2 * flow.band_l2_norm(u, ("q",), j) ** 2
-        )
-        val += 2.0 ** (j * (d / 2 - 1)) * stack
+    a, v, theta, q, w, Q = (flow.band_l2_norms(u, (c,)) for c in ("a", "v", "theta", "q", "w", "Q"))
     shift = d / 2.0 - d / p
-    for j in (j for j in bands if th.J0 <= j <= th.Jeps):
-        val += 2.0 ** (j * (d / p + shift)) * flow.band_l2_norm(u, ("a",), j)
-        val += 2.0 ** (j * (d / p - 1 + shift)) * flow.band_l2_norm(u, ("w",), j)
-        val += eps * 2.0 ** (j * (d / p - 2 + shift)) * flow.band_l2_norm(u, ("Q",), j)
-        val += 2.0 ** (j * (d / p - 2 + shift)) * flow.band_l2_norm(u, ("theta",), j)
-    for j in (j for j in bands if j >= th.Jeps - 1):
-        val += eps * 2.0 ** (j * (d / 2 + 1)) * flow.band_l2_norm(u, ("a",), j)
-        val += eps * 2.0 ** (j * (d / 2)) * flow.band_l2_norm(u, ("w",), j)
-        val += eps**2 * 2.0 ** (j * (d / 2 + 1)) * flow.band_l2_norm(u, ("theta",), j)
-        val += eps**3 * 2.0 ** (j * (d / 2 + 1)) * flow.band_l2_norm(u, ("q",), j)
-    return val
+    low = 2.0 ** (j * (d / 2 - 1)) * np.sqrt(a**2 + v**2 + theta**2 + eps**2 * q**2)
+    med = (
+        2.0 ** (j * (d / p + shift)) * a
+        + 2.0 ** (j * (d / p - 1 + shift)) * w
+        + 2.0 ** (j * (d / p - 2 + shift)) * (eps * Q + theta)
+    )
+    high = eps * 2.0 ** (j * (d / 2 + 1)) * (a + eps * theta + eps**2 * q) + eps * 2.0 ** (j * (d / 2)) * w
+    return float(
+        np.sum(low[j <= th.J0]) + np.sum(med[(th.J0 <= j) & (j <= th.Jeps)]) + np.sum(high[j >= th.Jeps - 1])
+    )
 
 
 @dataclass

@@ -7,14 +7,21 @@ and products of modes are checked by direct convolution.  The nonlinear
 sources are re-derived field by field, one complex FFT per field and
 derivative, where nsclab.evolve batches real FFTs on the half lattice.
 The transport matrix of the rank test is assembled entry by entry, where
-nsclab.model derives it from the symbol.
+nsclab.model derives it from the symbol.  Dyadic band norms are taken with
+a fresh boolean mask per band and a masked sum or one inverse FFT per
+field, where nsclab.besov labels every mode once and sums bands by
+bincount; the radial flow's band norms likewise mask the nodes per band.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import ode, solve_ivp
 
 from nsclab.evolve import _check_density
 from nsclab.model import SystemKind
+from nsclab.besov import _overlap_band_indices, grid_band_range, regime_band_indices
+from nsclab.evolve import _SPHERE_AREA
 from nsclab.spectral import SpectralField, apply_multiplier, dealias_23, to_physical, to_spectral
 
 
@@ -215,3 +222,139 @@ def first_order_transport_reference(spec, omega):
         a[it, iv] = spec.gamma * omega
         return a
     raise ValueError(f"unsupported kind {kind}")
+
+
+# Dyadic band norms, as nsclab.besov, RadialFlow and studies.lyapunov_l1
+# computed them with one mask per band and per call.
+
+
+def band_mask_reference(grid, j):
+    k = grid.wavenumber_magnitude()
+    return (k >= 2.0**j) & (k < 2.0 ** (j + 1))
+
+
+def band_project_reference(f, j):
+    return SpectralField(f.grid, np.where(band_mask_reference(f.grid, j), f.coeffs, 0.0))
+
+
+def stack_lp_norm_reference(fields, j, p):
+    """L^p norm of the pointwise euclidean magnitude of several components."""
+    grid = fields[0].grid
+    if p == 2:
+        if j is None:
+            total = sum(np.sum(np.abs(f.coeffs) ** 2) for f in fields)
+        else:
+            mask = band_mask_reference(grid, j)
+            total = sum(np.sum(np.abs(f.coeffs[mask]) ** 2) for f in fields)
+        return float(np.sqrt(grid.L**grid.d * total))
+    if j is not None:
+        fields = [band_project_reference(f, j) for f in fields]
+    mags = np.sqrt(sum(np.abs(to_physical(f)) ** 2 for f in fields))
+    cell = (grid.L / grid.n) ** grid.d
+    if np.isinf(p):
+        return float(np.max(mags))
+    return float((np.sum(mags**p) * cell) ** (1.0 / p))
+
+
+def besov_seminorm_reference(f, s, p, regime, th, overlap=False):
+    fields = list(f) if isinstance(f, (tuple, list)) else [f]
+    bands = grid_band_range(fields[0].grid)
+    pick = _overlap_band_indices if overlap else regime_band_indices
+    js = pick(regime, th, bands)
+    return float(sum(2.0 ** (j * s) * stack_lp_norm_reference(fields, j, p) for j in js))
+
+
+def radial_band_l2_norm_reference(flow, u, comps, j):
+    area = _SPHERE_AREA[flow.d]
+    vals = sum(flow.component(u, c) ** 2 for c in comps)
+    mask = (flow.r >= 2.0**j) & (flow.r < 2.0 ** (j + 1))
+    w = np.where(mask, flow.r ** (flow.d - 1.0), 0.0)
+    integrand = vals * w * flow.r  # extra r: d(log r) quadrature
+    integral = float(np.sum(integrand * flow.log_weights))
+    return math.sqrt(area * integral / (2.0 * np.pi) ** flow.d)
+
+
+def radial_besov_proxy_reference(flow, u, comps, s, p):
+    shift = flow.d / 2.0 - flow.d / p
+    return sum(
+        2.0 ** (j * (s + shift)) * radial_band_l2_norm_reference(flow, u, comps, j)
+        for j in flow.band_range()
+    )
+
+
+def lyapunov_l1_reference(flow, th, p, t):
+    spec = flow.spec
+    d = spec.d
+    eps = spec.eps
+    u = flow.at(t)
+    bands = flow.band_range()
+    norm = lambda comps, j: radial_band_l2_norm_reference(flow, u, comps, j)
+    val = 0.0
+    for j in (j for j in bands if j <= th.J0):
+        stack = math.sqrt(
+            norm(("a",), j) ** 2
+            + norm(("v",), j) ** 2
+            + norm(("theta",), j) ** 2
+            + eps**2 * norm(("q",), j) ** 2
+        )
+        val += 2.0 ** (j * (d / 2 - 1)) * stack
+    shift = d / 2.0 - d / p
+    for j in (j for j in bands if th.J0 <= j <= th.Jeps):
+        val += 2.0 ** (j * (d / p + shift)) * norm(("a",), j)
+        val += 2.0 ** (j * (d / p - 1 + shift)) * norm(("w",), j)
+        val += eps * 2.0 ** (j * (d / p - 2 + shift)) * norm(("Q",), j)
+        val += 2.0 ** (j * (d / p - 2 + shift)) * norm(("theta",), j)
+    for j in (j for j in bands if j >= th.Jeps - 1):
+        val += eps * 2.0 ** (j * (d / 2 + 1)) * norm(("a",), j)
+        val += eps * 2.0 ** (j * (d / 2)) * norm(("w",), j)
+        val += eps**2 * 2.0 ** (j * (d / 2 + 1)) * norm(("theta",), j)
+        val += eps**3 * 2.0 ** (j * (d / 2 + 1)) * norm(("q",), j)
+    return val
+
+
+def _inner_reference(f, g):
+    grid = f.grid
+    return float(np.real(grid.L**grid.d * np.sum(np.conj(f.coeffs) * g.coeffs)))
+
+
+def lyapunov_low_reference(state, j, eta):
+    """(value, norm part, cross part) from band projections."""
+    a_j = band_project_reference(state.a, j)
+    v_j = [band_project_reference(f, j) for f in state.v]
+    th_j = band_project_reference(state.theta, j)
+    norm_part = a_j.l2_norm() ** 2 + sum(f.l2_norm() ** 2 for f in v_j) + th_j.l2_norm() ** 2
+    grad_a = apply_multiplier(a_j, "grad")
+    cross = eta * 2.0 ** (-j) * sum(_inner_reference(v, g) for v, g in zip(v_j, grad_a))
+    return norm_part + cross, norm_part, cross
+
+
+def lyapunov_high_reference(state, j, eta, spec, density_weight):
+    """(value, parts) from band projections, as lyapunov_high."""
+    eps = spec.eps
+    th_j = band_project_reference(state.theta, j)
+    q_j = [band_project_reference(f, j) for f in state.q]
+    theta_part = th_j.l2_norm() ** 2
+    if density_weight:
+        a_phys = to_physical(state.a).real
+        jw = a_phys / (1.0 + a_phys)
+        grid = state.grid
+        cell = (grid.L / grid.n) ** grid.d
+        q_sq = sum(np.abs(to_physical(f)) ** 2 for f in q_j)
+        flux_part = float(np.sum((1.0 + jw) * q_sq) * cell) * eps**2
+        weight_part = float(np.sum(jw * q_sq) * cell) * eps**2
+    else:
+        flux_part = sum(f.l2_norm() ** 2 for f in q_j) * eps**2
+        weight_part = 0.0
+    grad_th = apply_multiplier(th_j, "grad")
+    cross = eta * 2.0 ** (-2 * j) * sum(_inner_reference(q, g) for q, g in zip(q_j, grad_th))
+    return theta_part + flux_part + cross, (theta_part + flux_part - weight_part, cross, weight_part)
+
+
+def dissipation_quantity_reference(state, j, regime, spec, q_mode=None):
+    """Low/high dissipation from band projections; "damped" reads q_mode."""
+    sq = lambda fields: sum(band_project_reference(f, j).l2_norm() ** 2 for f in fields)
+    if regime == "low":
+        return 2.0 ** (2 * j) * sq([state.a, *state.v, state.theta])
+    if regime == "high":
+        return (sq([state.theta]) + spec.eps**2 * sq(state.q)) / spec.eps**2
+    return math.sqrt(sq(q_mode)) / spec.eps

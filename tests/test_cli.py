@@ -273,3 +273,28 @@ def test_defaults_without_config_file():
     assert cfg["seed"] == 9
     assert cfg["model"]["kind"] == "nsc"
     assert "spectrum" in cfg["study"]
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    # perfbench/tracer.py wraps nsclab names at run time; a refactor that
+    # removes one breaks the traced benchmark, so install it here.
+    import nsclab
+    import nsclab.cli
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracer
+
+    owners = [nsclab.besov, nsclab.cli, nsclab.diagnostics, nsclab.evolve, nsclab.spectral, nsclab.studies]
+    owners += [nsclab.evolve.LinearPropagator, nsclab.evolve.RadialFlow, nsclab.spectral.SpectralField]
+    before = [dict(vars(o)) for o in owners]
+    runners = dict(nsclab.cli._RUNNERS)
+    seminorm = nsclab.studies.besov_seminorm
+    t = tracer.Tracer(0)
+    try:
+        tracer.install(t, nsclab)
+        assert nsclab.studies.besov_seminorm is not seminorm
+        assert nsclab.cli._RUNNERS != runners
+    finally:
+        t.uninstall()
+    assert [dict(vars(o)) for o in owners] == before
+    assert nsclab.cli._RUNNERS == runners

@@ -194,6 +194,25 @@ def test_dissipation_residual_nonpositive_after_calibration(rng):
     assert np.max(res) <= 1e-8
 
 
+def test_dissipation_residual_calibrates_from_one_series(rng, monkeypatch):
+    import nsclab.diagnostics as diagnostics
+
+    grid = Grid(d=2, n=16)
+    spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
+    th = make_thresholds(8, 1, spec.eps)
+    j = 1
+    dt = 0.01 / (2.0 ** (2 * (j + 1)) + 2 * 2.0 ** (j + 1))
+    traj = linear_trajectory(slow_projection(band_state(grid, rng, j, amp=1e-3), spec), spec, dt, 12)
+    c = calibrate_dissipation([traj], j, "low", spec, th)
+    calls = []
+    counted = diagnostics.lyapunov_value
+    monkeypatch.setattr(diagnostics, "lyapunov_value", lambda *a, **k: calls.append(1) or counted(*a, **k))
+    times, res, violations = dissipation_residual(traj, j, "low", spec, th)
+    assert len(calls) == len(traj)
+    times_c, res_c, violations_c = dissipation_residual(traj, j, "low", spec, th, c=c)
+    assert np.array_equal(times, times_c) and np.array_equal(res, res_c) and violations == violations_c
+
+
 def test_dissipation_residual_zero_state(grid2d, nsc2):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     th = make_thresholds(8, 1, spec.eps)
