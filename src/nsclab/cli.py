@@ -419,13 +419,12 @@ def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
         for j in js:
             dt = 5e-3 / diagnostics._regime_rate(spec, j, regime)
             traj = evolve.linear_trajectory(state0, spec, dt, steps)
-            times = np.array([s.time for s in traj])
-            vals = [diagnostics.lyapunov_value(s, j, regime, spec, eta) for s in traj]
-            diss = [diagnostics.dissipation_quantity(s, j, regime, spec) for s in traj]
-            if not any(v > 0 for v in vals):
+            times, vals, diss, dl = diagnostics._centered_series(traj, j, regime, spec, eta)
+            if not np.any(vals > 0):
                 continue
-            t_in, res, _ = diagnostics.dissipation_residual(traj, j, regime, spec, th, eta=eta)
-            res_map = dict(zip(np.round(t_in, 14), res))
+            # the residual of dissipation_residual, from the same series
+            res = dl + diagnostics._calibrate([(dl, diss[1:-1])]) * diss[1:-1]
+            res_map = dict(zip(np.round(times[1:-1], 14), res))
             for t, lv, dv in zip(times, vals, diss):
                 rows.append([t, j, regime, lv, dv, res_map.get(round(float(t), 14), float("nan"))])
     write_csv(

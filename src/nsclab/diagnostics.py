@@ -171,7 +171,8 @@ def _validate_stride(times: np.ndarray, spec: ModelSpec, j: int, regime: str) ->
 
 
 def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
-    """Interior times, centred differences d/dt L_j and D_j at those times."""
+    """Snapshot times, L_j and D_j at every snapshot, and the centred
+    differences d/dt L_j at the interior snapshots."""
     times = np.array([s.time for s in traj])
     if regime == "damped":
         lyap = np.array([spec.eps * band_lp_norm(effective_unknowns(s, spec).Q, j) for s in traj])
@@ -179,7 +180,7 @@ def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
         lyap = np.array([lyapunov_value(s, j, regime, spec, eta) for s in traj])
     diss = np.array([dissipation_quantity(s, j, regime, spec) for s in traj])
     dt = _validate_stride(times, spec, j, regime)
-    return times[1:-1], (lyap[2:] - lyap[:-2]) / (2.0 * dt), diss[1:-1]
+    return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)
 
 
 def _calibrate(series) -> float:
@@ -196,7 +197,8 @@ def _calibrate(series) -> float:
 
 def calibrate_dissipation(trajs, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1) -> float:
     """Largest c with d/dt L_j + c D_j <= 0 across the training trajectories."""
-    return _calibrate(_centered_series(traj, j, regime, spec, eta)[1:] for traj in trajs)
+    series = (_centered_series(traj, j, regime, spec, eta) for traj in trajs)
+    return _calibrate((dl, diss[1:-1]) for _, _, diss, dl in series)
 
 
 def dissipation_residual(traj, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1, c: float | None = None):
@@ -205,12 +207,13 @@ def dissipation_residual(traj, j: int, regime: str, spec: ModelSpec, th: Thresho
     c defaults to the trajectory's own calibration.  Returns (times, residual,
     violations) where violations counts residuals above discretization slack.
     """
-    times, dl, dmid = _centered_series(traj, j, regime, spec, eta)
+    times, _, diss, dl = _centered_series(traj, j, regime, spec, eta)
+    dmid = diss[1:-1]
     if c is None:
         c = _calibrate([(dl, dmid)])
     residual = dl + c * dmid
     violations = int(np.sum(residual > 1e-8))
-    return times, residual, violations
+    return times[1:-1], residual, violations
 
 
 def damped_mode_rate(traj, j: int, spec: ModelSpec):

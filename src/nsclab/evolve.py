@@ -10,18 +10,21 @@ of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
 exponential per eigenvalue; radii whose eigenbasis is ill-conditioned keep
 scipy.linalg.expm (scaling and squaring, Higham 2005).  The radial flow
 uses one kernel over its quadrature nodes; the torus builds one kernel per
-(spec, grid) at the distinct lattice |k|^2 and embeds it mode by mode, and
-LinearPropagator (stepped by linear_trajectory) applies it.  The stiff
-heat-flux damping alpha/eps^2 lives inside the exponential, so nothing here
-restricts dt by eps; the explicit part of the IMEX step only sees the
-quadratic sources.
+(spec, grid) at the distinct lattice |k|^2 and never forms a per-mode
+matrix: a step gathers the real block of each mode's radius, applies it to
+the longitudinal coordinates (a, i k.v, theta, i k.q) and scales the
+transverse parts of v and q by their scalars.  LinearPropagator (stepped by
+linear_trajectory) and the IMEX step share that apply.  The stiff heat-flux
+damping alpha/eps^2 lives inside the exponential, so nothing here restricts
+dt by eps; the explicit part of the IMEX step only sees the quadratic
+sources.
 
 The fields are real, so the nonlinear part works on the rfft half lattice
 (last axis 0..n/2).  One source evaluation is two batched transforms: an
 inverse real FFT of every field and derivative the products need, and a
 forward real FFT of the stacked products, dealiased by the 2/3 rule.  The
-IMEX step applies the half-lattice rows of the step propagators and
-rebuilds the full lattice once per step by conjugate mirroring.
+IMEX step applies the linear step on the half lattice and rebuilds the full
+lattice once per step by conjugate mirroring.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
     "propagate_mode",
     "mode_matrices",
     "PropagatorKernel",
-    "torus_propagator",
     "LinearPropagator",
     "linear_trajectory",
     "RadialDataProfile",
@@ -141,56 +143,72 @@ class PropagatorKernel:
 @functools.lru_cache(maxsize=16)
 def _torus_kernel(spec: ModelSpec, grid: Grid):
     """Longitudinal kernel at the distinct lattice |k|^2 of a grid, the
-    index of each mode's radius (C order) and the unit wavevectors k/|k|,
-    with e_1 at k = 0."""
+    index of each mode's radius (C order) and the unit wavevectors k/|k|
+    as (d, n^d), with e_1 at k = 0."""
     _check_grid(spec, grid)
     modes = np.meshgrid(*([grid.modes_1d()] * grid.d), indexing="ij")
     msq, radius = np.unique(sum(m.ravel() ** 2 for m in modes), return_inverse=True)
     r = np.sqrt(msq) * (2.0 * np.pi / grid.L)
     kernel = PropagatorKernel(reduced_blocks(spec, r))
     rk = r[radius]
-    khat = np.stack([x.ravel() for x in grid.wavevectors()], axis=1)
-    khat[rk > 0] /= rk[rk > 0, None]
-    khat[rk == 0] = np.eye(grid.d)[0]
+    khat = np.stack([x.ravel() for x in grid.wavevectors()])
+    khat[:, rk > 0] /= rk[rk > 0]
+    khat[:, rk == 0] = np.eye(grid.d)[:, :1]
     return kernel, r, radius, khat
 
 
-def torus_propagator(spec: ModelSpec, grid: Grid, t: float) -> np.ndarray:
-    """exp(t M(k)) at every lattice mode, shape (n^d, nc, nc); the same
-    matrices as expm(t * mode_matrices(spec, grid)).
+def _mode_blocks(blocks: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Real per-radius blocks B (R, m, m) acting on l = (a, i k.v, theta,
+    i k.q) (k unit), as the per-mode blocks D^H B D (m, m, N) that act on
+    (a, k.v, theta, k.q), D = diag(1, i, 1[, i]).  Each entry is purely real
+    or purely imaginary, so the map at -k stays the exact conjugate."""
+    phase = np.array([1.0, 1j, 1.0, 1j])[: blocks.shape[-1]]
+    return np.ascontiguousarray((phase.conj()[:, None] * blocks * phase)[radius].transpose(1, 2, 0))
 
-    Each mode embeds the longitudinal block B = exp(t M_red(|k|)) through the
-    rows L = (a, i k.v, theta, i k.q) (k unit) as L^H B L, and adds the
-    transverse parts e^(-(mu/nu)|k|^2 t) P on v and e^(-(alpha/eps^2) t) P on
-    q, P = I - k k^T.  Every state component feeds exactly one longitudinal
-    unknown, so entry (i, j) is the single product conj(L_i) B L_j: real
-    times 1 or +-i.  B is real, hence E(-k) = conj E(k) exactly.
+
+def _apply_modes(blocks: np.ndarray, tv: np.ndarray, tq: float, khat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Apply a per-mode map in longitudinal-transverse form to stacked
+    coefficients u of shape (nc, *shape), N modes in C order.
+
+    The longitudinal coordinates (a, k.v, theta[, k.q]) (k unit) go through
+    the blocks of _mode_blocks, and the transverse parts v - k (k.v) and
+    q - k (k.q) are scaled by tv (per mode) and tq.  Every state component
+    feeds exactly one longitudinal unknown, so this is the map
+    L^H B L + transverse projectors without forming it per mode.
     """
+    m, d = blocks.shape[0], khat.shape[0]
+    flat = u.reshape(u.shape[0], -1)
+    vectors = [(1, tv)] + ([(2 + d, tq)] if m == 4 else [])  # first component, transverse factor
+    dots = [sum(khat[j] * flat[s + j] for j in range(d)) for s, _ in vectors]  # k.v[, k.q]
+    ell = [flat[0], dots[0], flat[1 + d]] + dots[1:]
+    new = blocks[:, 0] * ell[0]
+    for j in range(1, m):
+        new += blocks[:, j] * ell[j]
+    out = np.empty_like(flat)
+    out[0], out[1 + d] = new[0], new[2]
+    for (s, scale), dot, j in zip(vectors, dots, (1, 3)):
+        out[s : s + d] = scale * flat[s : s + d] + khat * (new[j] - scale * dot)
+    return out.reshape(u.shape)
+
+
+# Four entries hold an IMEX step's exp(dt M) and exp(dt M / 2), or the three
+# segment steps a relaxation sweep reuses between its NSC runs; an entry
+# costs up to 16 complex numbers per mode.
+@functools.lru_cache(maxsize=4)
+def _torus_step(spec: ModelSpec, grid: Grid, t: float, half: bool):
+    """exp(t M(k)) in the form _apply_modes takes, on the full lattice or on
+    its rfft half (last axis 0..n/2): the longitudinal blocks
+    B = exp(t M_red(|k|)) through _mode_blocks, the transverse viscous
+    factor e^(-(mu/nu)|k|^2 t) per mode, the flux factor e^(-(alpha/eps^2) t)
+    and the unit wavevectors.  B is real and k -> -k flips k only, so the
+    map at -k is exactly the conjugate of the map at k."""
     kernel, r, radius, khat = _torus_kernel(spec, grid)
-    d = grid.d
-    nsc = spec.kind is SystemKind.NSC
-    # longitudinal unknown and vector flag of each state component
-    unknown = np.array([0] + [1] * d + [2] + ([3] * d if nsc else []))
-    vector = np.array([0] + [1] * d + [0] + ([1] * d if nsc else []))
-    weight = np.ones((khat.shape[0], unknown.size))
-    weight[:, vector == 1] = np.tile(khat, 2 if nsc else 1)
-    # conj(L_i) L_j / (|L_i| |L_j|): 1, i or -i by the vector flags of i and j
-    phase = np.array([1.0, 1j, -1j])[vector[None, :] - vector[:, None]]
-    b = kernel.matrices(t)[radius]
-    e = phase * (b[:, unknown[:, None], unknown[None, :]] * weight[:, :, None] * weight[:, None, :])
-    proj = np.eye(d) - khat[:, :, None] * khat[:, None, :]
-    e[:, 1 : 1 + d, 1 : 1 + d] += np.exp(-spec.mu_over_nu * r**2 * t)[radius, None, None] * proj
-    if nsc:
-        e[:, 2 + d :, 2 + d :] += math.exp(-spec.damping_rate * t) * proj
-    return e
-
-
-def _apply_batched(e: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """Apply per-mode matrices e (N, nc, nc) to stacked coeffs (nc, *shape)."""
-    nc = stacked.shape[0]
-    flat = stacked.reshape(nc, -1).T  # (N, nc)
-    out = np.einsum("nij,nj->ni", e, flat)
-    return out.T.reshape(stacked.shape)
+    if half:
+        sel = np.arange(radius.size).reshape(grid.shape)[..., : grid.n // 2 + 1].ravel()
+        radius, khat = radius[sel], khat[:, sel]
+    tv = np.exp(-spec.mu_over_nu * r**2 * t)[radius]
+    tq = math.exp(-spec.damping_rate * t) if spec.kind is SystemKind.NSC else 0.0
+    return _mode_blocks(kernel.matrices(t), radius), tv, tq, khat
 
 
 def _check_kind(state: State, spec: ModelSpec) -> None:
@@ -199,17 +217,17 @@ def _check_kind(state: State, spec: ModelSpec) -> None:
 
 
 class LinearPropagator:
-    """Precomputed exp(dt M) over all modes, for repeated uniform stepping."""
+    """exp(dt M) over all modes, for repeated uniform stepping."""
 
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float):
         self.spec = spec
         self.grid = grid
         self.dt = dt
-        self.e = torus_propagator(spec, grid, dt)
+        self.factors = _torus_step(spec, grid, dt, False)
 
     def step(self, state: State) -> State:
         _check_kind(state, self.spec)
-        new = _apply_batched(self.e, state.stacked())
+        new = _apply_modes(*self.factors, state.stacked())
         return State.from_stacked(self.grid, new, state.time + self.dt, state.has_flux)
 
 
@@ -336,9 +354,6 @@ class RadialFlow:
         weight = self.r ** (self.d - 1.0) * self.r * self.log_weights
         integrals = band_sums(self.labels, vals * weight, len(self.bands))
         return np.sqrt(_SPHERE_AREA[self.d] * integrals / (2.0 * np.pi) ** self.d)
-
-    def band_l2_norm(self, u: np.ndarray, comps, j: int) -> float:
-        return float(self.band_l2_norms(u, comps)[j - self.bands.start]) if j in self.bands else 0.0
 
     def band_range(self) -> range:
         return self.bands
@@ -557,19 +572,6 @@ def source_terms(state: State, spec: ModelSpec):
     return f_field, g_fields, h_field, tuple(fields[2 + d :])
 
 
-@functools.lru_cache(maxsize=16)
-def _step_propagators(spec: ModelSpec, grid: Grid, dt: float):
-    """exp(dt M) and exp(dt M / 2) at the half-lattice modes, C order."""
-    nc = spec.n_components
-    h = grid.n // 2 + 1
-
-    def half_rows(t):
-        e = torus_propagator(spec, grid, t).reshape(*grid.shape, nc, nc)
-        return np.ascontiguousarray(e[..., :h, :, :]).reshape(-1, nc, nc)
-
-    return half_rows(dt), half_rows(dt / 2.0)
-
-
 def imex_step(
     state: State,
     spec: ModelSpec,
@@ -593,7 +595,7 @@ def imex_step(
     if th is not None and spec.kind is SystemKind.NSC and abs(th.eps - spec.eps) > 1e-12 * max(1.0, spec.eps):
         raise ValueError("thresholds were built for a different relaxation time")
     grid = state.grid
-    e_full, e_half = _step_propagators(spec, grid, dt)
+    e_full, e_half = _torus_step(spec, grid, dt, True), _torus_step(spec, grid, dt / 2.0, True)
     _check_kind(state, spec)
 
     if not all(np.all(np.isfinite(f.coeffs)) for f in state.fields()):
@@ -603,13 +605,13 @@ def imex_step(
     n0 = _nonlinear_sources(u0, spec, grid)
     if forcing is not None:
         n0 = n0 + forcing(state.time)[..., :h]
-    u_mid = _apply_batched(e_half, u0 + (dt / 2.0) * n0)
+    u_mid = _apply_modes(*e_half, u0 + (dt / 2.0) * n0)
     if not np.all(np.isfinite(u_mid)):
         raise NumericalBlowupError(f"non-finite midpoint coefficients in step at t = {state.time}")
     n_mid = _nonlinear_sources(u_mid, spec, grid)
     if forcing is not None:
         n_mid = n_mid + forcing(state.time + dt / 2.0)[..., :h]
-    u_next = _apply_batched(e_full, u0) + dt * _apply_batched(e_half, n_mid)
+    u_next = _apply_modes(*e_full, u0) + dt * _apply_modes(*e_half, n_mid)
     if not np.all(np.isfinite(u_next)):
         raise NumericalBlowupError(f"non-finite coefficients after step at t = {state.time}")
     return State.from_stacked(grid, _full_lattice(grid, u_next), state.time + dt, state.has_flux)

@@ -22,7 +22,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 __all__ = [
@@ -348,76 +347,18 @@ def solenoidal_eigenvalues(spec: ModelSpec, r: float) -> list:
     return out
 
 
-def _charpoly_coeffs(m: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial coefficients by the Faddeev-LeVerrier recursion."""
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    mk = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        mk = m @ mk
-        ck = -np.trace(mk) / k
-        coeffs[k] = ck
-        mk += ck * np.eye(n)
-    return coeffs
-
-
-def _polish_roots(a: np.ndarray, roots: np.ndarray, sweeps: int = 4) -> np.ndarray:
-    """Refine characteristic-polynomial roots by Rayleigh-quotient iteration.
-
-    Polynomial coefficients cannot resolve eigenvalues many orders of
-    magnitude below the matrix norm, so the polish works on the matrix.
-    """
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    out = roots.astype(complex)
-    for i, lam0 in enumerate(out):
-        lam = lam0
-        x = np.ones(n, dtype=complex) / np.sqrt(n)
-        for _ in range(sweeps):
-            try:
-                y = np.linalg.solve(a - lam * eye, x)
-            except np.linalg.LinAlgError:
-                break  # exactly singular: lam is already an eigenvalue
-            norm = np.linalg.norm(y)
-            if not np.isfinite(norm) or norm == 0.0:
-                break
-            x = y / norm
-            lam_new = complex(np.vdot(x, a @ x))
-            if not np.isfinite(lam_new):
-                break
-            if abs(lam_new - lam0) > 0.5 * (1.0 + abs(lam0)):
-                break  # wandered to a different cluster member; keep the root
-            lam = lam_new
-        out[i] = lam
-    return out
-
-
 def _sort_eigs(vals: np.ndarray) -> np.ndarray:
     order = np.lexsort((-vals.imag, -vals.real))
     return vals[order]
 
 
 def eigenvalues(m: SymbolMatrix) -> np.ndarray:
-    """Generator eigenvalues, sorted by real part descending.
-
-    n <= 4 uses the characteristic polynomial plus a Newton polishing pass;
-    larger matrices use the dense eigensolver.
-    """
+    """Generator eigenvalues from the dense eigensolver (LAPACK geev, with
+    balancing), sorted by real part descending."""
     a = np.asarray(m.entries, dtype=complex)
     n = a.shape[0]
     if n > 64:
         raise ValueError(f"symbol size {n} exceeds the supported maximum 64")
-    if n <= 4:
-        scale = np.max(np.abs(a))
-        if scale == 0.0:
-            return np.zeros(n, dtype=complex)
-        scaled = a / scale
-        balanced, _ = scipy.linalg.matrix_balance(scaled)
-        coeffs = _charpoly_coeffs(balanced)
-        roots = np.roots(coeffs)
-        roots = _polish_roots(scaled, roots) * scale
-        return _sort_eigs(roots)
     return _sort_eigs(np.linalg.eigvals(a))
 
 

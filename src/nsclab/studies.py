@@ -20,9 +20,12 @@ from .evolve import (
     LinearPropagator,
     RadialDataProfile,
     RadialFlow,
+    _apply_modes,
+    _mode_blocks,
+    _torus_kernel,
     linear_trajectory,
-    mode_matrices,
 )
+from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
 from .spectral import Grid, SpectralField, State, apply_multiplier, random_field
 
@@ -224,13 +227,19 @@ def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) ->
 
     Eigendirections with Re(lambda) < -cut_fraction * alpha/eps^2 are
     zeroed; what remains is the slow spectral subspace (Fourier-law manifold
-    up to O(eps^2)).  Result is re-hermitized.
+    up to O(eps^2)).  The longitudinal part projects with one spectral
+    projector V diag(Re lambda >= -cut) V^-1 per lattice radius; the
+    transverse velocity (rate (mu/nu)|k|^2) is kept where it is slow and the
+    transverse flux (rate alpha/eps^2) only if the cut lies beyond it.
+    Result is re-hermitized.
     """
-    lam, vecs = np.linalg.eig(mode_matrices(spec, state.grid))
-    u = state.stacked().reshape(len(state.fields()), -1).T
-    coef = np.linalg.solve(vecs, u[..., None])[..., 0]
-    coef[lam.real < -cut_fraction * spec.alpha / spec.eps**2] = 0.0
-    arr = (vecs @ coef[..., None])[..., 0].T.reshape(-1, *state.grid.shape)
+    kernel, r, radius, khat = _torus_kernel(spec, state.grid)
+    cut = cut_fraction * spec.alpha / spec.eps**2
+    lam, vecs = np.linalg.eig(kernel.mats)
+    proj = ((vecs * (lam.real >= -cut)[:, None, :]) @ np.linalg.inv(vecs)).real
+    keep_v = (spec.mu_over_nu * r**2 <= cut).astype(float)[radius]
+    keep_q = float(spec.damping_rate <= cut) if spec.kind is SystemKind.NSC else 0.0
+    arr = _apply_modes(_mode_blocks(proj, radius), keep_v, keep_q, khat, state.stacked())
     st = State.from_stacked(state.grid, arr, state.time, state.has_flux)
     return State(
         a=st.a.hermitized(),

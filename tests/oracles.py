@@ -11,6 +11,10 @@ nsclab.model derives it from the symbol.  Dyadic band norms are taken with
 a fresh boolean mask per band and a masked sum or one inverse FFT per
 field, where nsclab.besov labels every mode once and sums bands by
 bincount; the radial flow's band norms likewise mask the nodes per band.
+The torus propagator is embedded as one dense complex matrix per mode and
+the slow projection eigendecomposes every full per-mode generator, where
+nsclab.evolve keeps one real longitudinal block per radius plus transverse
+scalars.
 """
 
 import math
@@ -18,11 +22,11 @@ import math
 import numpy as np
 from scipy.integrate import ode, solve_ivp
 
-from nsclab.evolve import _check_density
+from nsclab.evolve import _check_density, _torus_kernel, mode_matrices
 from nsclab.model import SystemKind
 from nsclab.besov import _overlap_band_indices, grid_band_range, regime_band_indices
 from nsclab.evolve import _SPHERE_AREA
-from nsclab.spectral import SpectralField, apply_multiplier, dealias_23, to_physical, to_spectral
+from nsclab.spectral import SpectralField, State, apply_multiplier, dealias_23, to_physical, to_spectral
 
 
 def ode_propagate(mat, u0, t, rtol=1e-11, atol=1e-14):
@@ -358,3 +362,60 @@ def dissipation_quantity_reference(state, j, regime, spec, q_mode=None):
     if regime == "high":
         return (sq([state.theta]) + spec.eps**2 * sq(state.q)) / spec.eps**2
     return math.sqrt(sq(q_mode)) / spec.eps
+
+
+def torus_propagator(spec, grid, t):
+    """exp(t M(k)) at every lattice mode, shape (n^d, nc, nc); the same
+    matrices as expm(t * mode_matrices(spec, grid)).
+
+    Each mode embeds the longitudinal block B = exp(t M_red(|k|)) through the
+    rows L = (a, i k.v, theta, i k.q) (k unit) as L^H B L, and adds the
+    transverse parts e^(-(mu/nu)|k|^2 t) P on v and e^(-(alpha/eps^2) t) P on
+    q, P = I - k k^T.  Every state component feeds exactly one longitudinal
+    unknown, so entry (i, j) is the single product conj(L_i) B L_j: real
+    times 1 or +-i.  B is real, hence E(-k) = conj E(k) exactly.
+    """
+    kernel, r, radius, khat = _torus_kernel(spec, grid)
+    khat = khat.T  # the kernel stores the unit wavevectors as (d, n^d)
+    d = grid.d
+    nsc = spec.kind is SystemKind.NSC
+    # longitudinal unknown and vector flag of each state component
+    unknown = np.array([0] + [1] * d + [2] + ([3] * d if nsc else []))
+    vector = np.array([0] + [1] * d + [0] + ([1] * d if nsc else []))
+    weight = np.ones((khat.shape[0], unknown.size))
+    weight[:, vector == 1] = np.tile(khat, 2 if nsc else 1)
+    # conj(L_i) L_j / (|L_i| |L_j|): 1, i or -i by the vector flags of i and j
+    phase = np.array([1.0, 1j, -1j])[vector[None, :] - vector[:, None]]
+    b = kernel.matrices(t)[radius]
+    e = phase * (b[:, unknown[:, None], unknown[None, :]] * weight[:, :, None] * weight[:, None, :])
+    proj = np.eye(d) - khat[:, :, None] * khat[:, None, :]
+    e[:, 1 : 1 + d, 1 : 1 + d] += np.exp(-spec.mu_over_nu * r**2 * t)[radius, None, None] * proj
+    if nsc:
+        e[:, 2 + d :, 2 + d :] += math.exp(-spec.damping_rate * t) * proj
+    return e
+
+
+def apply_batched(e, stacked):
+    """Apply per-mode matrices e (N, nc, nc) to stacked coeffs (nc, *shape)."""
+    nc = stacked.shape[0]
+    flat = stacked.reshape(nc, -1).T  # (N, nc)
+    out = np.einsum("nij,nj->ni", e, flat)
+    return out.T.reshape(stacked.shape)
+
+
+def slow_projection_reference(state, spec, cut_fraction=0.4):
+    """Remove the fast relaxation eigendirections mode by mode, from one
+    eigendecomposition of every full per-mode generator."""
+    lam, vecs = np.linalg.eig(mode_matrices(spec, state.grid))
+    u = state.stacked().reshape(len(state.fields()), -1).T
+    coef = np.linalg.solve(vecs, u[..., None])[..., 0]
+    coef[lam.real < -cut_fraction * spec.alpha / spec.eps**2] = 0.0
+    arr = (vecs @ coef[..., None])[..., 0].T.reshape(-1, *state.grid.shape)
+    st = State.from_stacked(state.grid, arr, state.time, state.has_flux)
+    return State(
+        a=st.a.hermitized(),
+        v=tuple(f.hermitized() for f in st.v),
+        theta=st.theta.hermitized(),
+        q=tuple(f.hermitized() for f in st.q) if st.q is not None else None,
+        time=st.time,
+    )

@@ -196,6 +196,30 @@ def test_lyapunov_study(tmp_path):
     assert lines[0] == "t,l1,envelope" and len(lines) == 21
 
 
+def test_band_diagnostics_evaluate_each_series_once(tmp_path, monkeypatch):
+    import nsclab.diagnostics as diagnostics
+
+    cfg = write_cfg(
+        tmp_path / "c.yaml",
+        {
+            "model": {"kind": "nsc", "d": 2, "eps": 0.05},
+            "grid": {"n": 16},
+            "thresholds": {"K": 2, "k": 1.0},
+            "seed": 1,
+            "study": {"evolve": {"T": 0.1, "dt": 0.01, "nonlinear": False}},
+        },
+    )
+    calls = []
+    counted = diagnostics.lyapunov_value
+    monkeypatch.setattr(diagnostics, "lyapunov_value", lambda *a, **k: calls.append(1) or counted(*a, **k))
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rows = (out / "band_diagnostics.csv").read_text().splitlines()[1:]
+    assert rows and len(calls) == len(rows)
+    # every interior row carries a residual, the two ends of each band do not
+    assert sum(row.endswith(",nan") for row in rows) == 2 * len({row.split(",")[1] for row in rows})
+
+
 def test_unknown_study_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--dry-run"])

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from nsclab.evolve import (
     PropagatorKernel,
     RadialFlow,
+    _apply_modes,
+    _torus_step,
     expm,
     mode_matrices,
     sharp_low_profile,
-    torus_propagator,
 )
 from nsclab.model import (
     ModelSpec,
@@ -29,6 +30,7 @@ from nsclab.model import (
 )
 from nsclab.spectral import Grid
 from nsclab import studies
+from oracles import apply_batched, torus_propagator
 
 log_eps = st.floats(-3.0, -1.0)
 log_r = st.floats(-2.0, 2.0)
@@ -168,13 +170,26 @@ def test_reduced_blocks_match_reduced_symbol():
 # --------------------------------------------------------- torus assembly
 
 
+def step_matrices(spec, grid, t):
+    """Per-mode matrices of the torus step, (n^d, nc, nc): column c is the
+    step applied to the unit vector e_c at every mode."""
+    nc, n_modes = spec.n_components, grid.n**grid.d
+    step = _torus_step(spec, grid, t, False)
+    cols = []
+    for c in range(nc):
+        u = np.zeros((nc, n_modes), dtype=complex)
+        u[c] = 1.0
+        cols.append(_apply_modes(*step, u))
+    return np.stack(cols, axis=-1).transpose(1, 0, 2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([1, 2, 3]), kinds, log_eps, st.floats(-4.0, 0.0), inviscid)
 def test_torus_propagator_matches_mode_expm(d, kind, le, ldt, nu_zero):
     spec = make_spec(kind, d, 10**le, nu_zero)
     grid = Grid(d=d, n=8)
     dt = 10**ldt
-    got = torus_propagator(spec, grid, dt)
+    got = step_matrices(spec, grid, dt)
     ref = scipy.linalg.expm(dt * mode_matrices(spec, grid))  # includes k = 0 and the Nyquist plane
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -183,12 +198,30 @@ def test_torus_propagator_matches_mode_expm(d, kind, le, ldt, nu_zero):
 @pytest.mark.parametrize("kind", ["nsc", "nsf"])
 def test_torus_propagator_hermitian_pairs_exact(d, kind):
     grid = Grid(d=d, n=8)
-    e = torus_propagator(make_spec(kind, d, 3e-2), grid, 0.37)
+    e = step_matrices(make_spec(kind, d, 3e-2), grid, 0.37)
     nc = e.shape[-1]
     e = e.reshape(*grid.shape, nc, nc)
     mirrored = np.conj(e[grid.mirror_indices()])
     off = ~grid.nyquist_mask()  # on the Nyquist plane the lattice holds no -k
     assert np.array_equal(e[off], mirrored[off])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3]), kinds, log_eps, st.floats(-4.0, 1.0), inviscid, st.integers(0, 2**32 - 1))
+def test_torus_step_matches_dense_oracle(d, kind, le, ldt, nu_zero, seed):
+    spec = make_spec(kind, d, 10**le, nu_zero)
+    grid = Grid(d=d, n=8)
+    dt = 10**ldt
+    rng = np.random.default_rng(seed)
+    shape = (spec.n_components, *grid.shape)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = apply_batched(torus_propagator(spec, grid, dt), u)
+    got = _apply_modes(*_torus_step(spec, grid, dt, False), u)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the rfft half-lattice step is the same arithmetic on a subset of modes
+    h = grid.n // 2 + 1
+    half = _apply_modes(*_torus_step(spec, grid, dt, True), np.ascontiguousarray(u[..., :h]))
+    assert np.array_equal(half, got[..., :h])
 
 
 def test_torus_kernel_uses_distinct_radii():

@@ -192,7 +192,6 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
     norms = flow.band_l2_norms(u, comps)
     for i, j in enumerate(flow.band_range()):
         assert close(norms[i], radial_band_l2_norm_reference(flow, u, comps, j))
-        assert flow.band_l2_norm(u, comps, j) == norms[i]
     assert close(flow.besov_proxy(u, comps, s, p), radial_besov_proxy_reference(flow, u, comps, s, p))
     th = make_thresholds(2, 1.0, spec.eps)
     assert close(lyapunov_l1(flow, th, p, t), lyapunov_l1_reference(flow, th, p, t))

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,20 @@ def test_diagonal_matrix_eigenvalues():
 
     m = SymbolMatrix((2.0,), 2, np.diag([-1.0, -4.0]).astype(complex), SystemKind.TOY_DAMPED, ("x", "y"))
     assert np.allclose(eigenvalues(m), [-1.0, -4.0])
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("r", [1e-4, 3.16e-3, 0.1, 1.0])
+def test_reduced_eigenvalues_multiprecision(eps, r):
+    # stiff NSC blocks: |M| ~ 1/eps^2 while the slow eigenvalue is ~ r^2
+    m = reduced_symbol(ModelSpec(kind="nsc", d=3, eps=eps), r)
+    with mpmath.workdps(50):
+        ref = mpmath.eig(mpmath.matrix(m.entries.real.tolist()), left=False, right=False)
+        ref = np.array([complex(x) for x in ref])
+    got = eigenvalues(m)
+    assert got.size == ref.size
+    for lam in ref:
+        assert np.min(np.abs(got - lam)) <= 1e-9 * abs(lam)
 
 
 def test_charpoly_agrees_with_dense_eigensolver(rng):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as hst
 
 from nsclab.besov import make_thresholds
-from nsclab.evolve import linear_trajectory, sharp_low_profile
+from nsclab.evolve import linear_trajectory, mode_matrices, sharp_low_profile
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, SpectralField, State, random_field, zero_state
 from nsclab.studies import (
@@ -23,6 +25,7 @@ from nsclab.studies import (
     theory_decay_exponent,
     well_prepared_flux,
 )
+from oracles import slow_projection_reference
 
 
 def test_theory_exponent_hand_values():
@@ -237,6 +240,39 @@ def test_slow_projection_keeps_slow_content(rng):
     assert proj.is_hermitian(1e-13)
     # the projection removes only the O(eps^2) fast component of theta data
     assert proj.theta.l2_norm() == pytest.approx(st.theta.l2_norm(), rel=1e-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=hst.integers(1, 3),
+    log_eps=hst.floats(-3.0, -0.5),
+    cut_fraction=hst.sampled_from([0.05, 0.4, 1.5, 4.0]),
+    inviscid=hst.booleans(),
+    seed=hst.integers(0, 2**32 - 1),
+)
+# the per-mode reference's 8x8 eigenvector matrix is singular (cond 3.5e16)
+# at |k| = sqrt(14) here, and its projection there is off by 22%
+@example(d=3, log_eps=-2.4976429486848915, cut_fraction=0.4, inviscid=True, seed=329)
+def test_slow_projection_matches_per_mode_reference(d, log_eps, cut_fraction, inviscid, seed):
+    grid = Grid(d=d, n={1: 32, 2: 16, 3: 8}[d])
+    visc = {"visc_mu": 0.0, "visc_lam": 0.0} if inviscid else {}
+    spec = ModelSpec(kind="nsc", d=d, eps=10.0**log_eps, **visc)
+    rng = np.random.default_rng(seed)
+    mk = lambda: random_field(grid, rng, 1.0, 1.0)
+    st = State(a=mk(), v=tuple(mk() for _ in range(d)), theta=mk(), q=tuple(mk() for _ in range(d)))
+    proj = slow_projection(st, spec, cut_fraction)
+    got = proj.stacked()
+    assert np.abs(slow_projection(proj, spec, cut_fraction).stacked() - got).max() <= 1e-13 * np.abs(got).max()
+    lam, vecs = np.linalg.eig(mode_matrices(spec, grid))
+    # an eigenvalue on the cut to rounding may fall on either side of it
+    cut = cut_fraction * spec.damping_rate
+    assume(np.all(np.abs(lam.real + cut) > 1e-8 * cut))
+    # compare where the reference's eigenbasis is trustworthy, at k and -k
+    # (re-hermitization mixes the two)
+    cond = np.linalg.cond(vecs).reshape(grid.shape)
+    ok = (cond < 1e8) & (cond[grid.mirror_indices()] < 1e8)
+    ref = slow_projection_reference(st, spec, cut_fraction).stacked()[:, ok]
+    assert np.abs(got[:, ok] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_lyapunov_ode_compare_report():
