@@ -45,6 +45,7 @@ __all__ = [
     "band_inner",
     "regime_band_indices",
     "besov_seminorm",
+    "besov_seminorms",
     "bernstein_check",
     "BERNSTEIN_INEQUALITIES",
 ]
@@ -235,10 +236,16 @@ def besov_seminorm(
     f may be a single field or a tuple of components (combined pointwise).
     The band range is limited to the grid's populated annuli.
     """
+    return besov_seminorms(f, (s,), p, regime, th, overlap)[0]
+
+
+def besov_seminorms(f, ss, p: float, regime: str, th: Thresholds, overlap: bool = False) -> list:
+    """besov_seminorm at each s in ss, from one pass over the band norms."""
     fields = _as_fields(f)
     pick = _overlap_band_indices if overlap else regime_band_indices
     js = pick(regime, th, grid_band_range(fields[0].grid))
-    return float(sum(2.0 ** (j * s) * norm for j, norm in zip(js, _band_norms(fields, js, p))))
+    norms = _band_norms(fields, js, p)
+    return [float(sum(2.0 ** (j * s) * norm for j, norm in zip(js, norms))) for s in ss]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import Thresholds, band_inner, band_lp_norm, band_project, besov_seminorm
+from .besov import Thresholds, band_inner, band_lp_norm, band_project, besov_seminorm, besov_seminorms
 from .model import ModelSpec, SystemKind
 from .spectral import SpectralField, State, apply_multiplier, to_physical
 
@@ -301,7 +301,7 @@ def _instantaneous(entry, fields: dict, th: Thresholds) -> float:
     name, part, comps, regime, kind, s, p, weight = entry
     stack = tuple(f for c in comps for f in fields[c])
     if isinstance(s, tuple):
-        val = max(besov_seminorm(stack, si, p, regime, th, overlap=True) for si in s)
+        val = max(besov_seminorms(stack, s, p, regime, th, overlap=True))
     else:
         val = besov_seminorm(stack, s, p, regime, th, overlap=True)
     return weight * val
@@ -310,28 +310,27 @@ def _instantaneous(entry, fields: dict, th: Thresholds) -> float:
 def functional_X(traj, spec: ModelSpec, th: Thresholds, p: float = 2.0) -> XFunctional:
     """Accumulate the three-regime solution functional along a trajectory.
 
-    Supremum-in-time pieces are running maxima; L1/L2-in-time pieces use the
-    trapezoid rule on the (uniform) snapshot stride.
+    traj may be any iterable, reduced one snapshot at a time.  Supremum-in-
+    time pieces are maxima; L1/L2-in-time pieces use the trapezoid rule on
+    the (uniform) snapshot stride.
     """
     if spec.kind is not SystemKind.NSC:
         raise ValueError("the solution functional is defined for the relaxing system")
     if not 2.0 <= p <= 4.0:
         raise ValueError(f"p must lie in [2, 4], got {p}")
-    traj = list(traj)
-    times = np.array([s.time for s in traj])
-    if len(traj) >= 2:
-        dts = np.diff(times)
-        if not np.allclose(dts, dts[0], rtol=1e-8):
-            raise ValueError("snapshots must be uniformly spaced")
     table = _x_table(spec.d, p, spec.eps)
     series = {entry[0]: [] for entry in table}
+    times = []
     for state in traj:
+        times.append(state.time)
+        if len(times) >= 3 and not np.isclose(times[-1] - times[-2], times[1] - times[0], rtol=1e-8):
+            raise ValueError("snapshots must be uniformly spaced")
         fields = _scaled_fields(state, spec)
         for entry in table:
             series[entry[0]].append(_instantaneous(entry, fields, th))
 
     def trapz(vals: np.ndarray) -> float:
-        return float(np.trapezoid(vals, times)) if len(traj) >= 2 else 0.0
+        return float(np.trapezoid(vals, times)) if len(times) >= 2 else 0.0
 
     constituents = {}
     sums = {"low": 0.0, "med": 0.0, "high": 0.0}

@@ -337,7 +337,7 @@ class State:
         return labels
 
     def stacked(self) -> np.ndarray:
-        """(n_comp, *grid.shape) complex array view of the coefficients."""
+        """(n_comp, *grid.shape) complex array: a copy of the coefficients."""
         return np.stack([f.coeffs for f in self.fields()])
 
     @classmethod

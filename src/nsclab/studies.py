@@ -5,16 +5,20 @@ Decay and Lyapunov-ODE studies run on the whole-space radial semigroup
 (no grid, no time discretization error); relaxation sweeps and layer fits
 run the exact per-mode linear flow on the torus.  Fits report r^2 and are
 flagged pre-asymptotic below 0.98.
+
+Sampled torus trajectories are generators, one state per sample time; the
+relaxation sweep streams them in lockstep and keeps only per-snapshot scalars.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import Thresholds, ThresholdOrderError, besov_seminorm, make_thresholds
+from .besov import Thresholds, ThresholdOrderError, besov_seminorm, besov_seminorms, make_thresholds
 from .diagnostics import effective_unknowns
 from .evolve import (
     LinearPropagator,
@@ -23,7 +27,7 @@ from .evolve import (
     _apply_modes,
     _mode_blocks,
     _torus_kernel,
-    linear_trajectory,
+    default_dt,
 )
 from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
@@ -267,30 +271,35 @@ def graded_times(eps: float, alpha: float, T: float, layer_steps: int = 80, mid_
     return segs
 
 
-def sampled_linear_trajectory(state0: State, spec: ModelSpec, segments) -> list:
-    """Exact linear flow sampled along piecewise-uniform time segments."""
-    out = [state0]
+def sampled_linear_trajectory(state0: State, spec: ModelSpec, segments):
+    """Exact linear flow sampled along piecewise-uniform time segments:
+    yields state0, then one state per sample time, each segment stepped by
+    one LinearPropagator."""
+    cur = state0
+    yield cur
     for seg in segments:
         if len(seg) < 2:
             continue
-        cur = out[-1]
         steps = len(seg) - 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else len(seg)
-        out += linear_trajectory(cur, spec, float(seg[1] - seg[0]), steps)[1:]
-    return out
+        prop = LinearPropagator(spec, cur.grid, float(seg[1] - seg[0]))
+        for _ in range(steps):
+            cur = prop.step(cur)
+            yield cur
 
 
-def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_max: float) -> list:
-    """Nonlinear flow sampled at the segment times; each snapshot interval
-    is covered by uniform IMEX sub-steps no longer than dt_max."""
+def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_max: float):
+    """Nonlinear flow sampled at the segment times: yields state0, then one
+    state per sample time, each snapshot interval covered by uniform IMEX
+    sub-steps no longer than dt_max."""
     from .evolve import imex_step
 
-    out = [state0]
     cur = state0
+    yield cur
     for seg in segments:
         if len(seg) < 2:
             continue
         start = 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else 0
-        for target in seg[start:] if start else seg:
+        for target in seg[start:]:
             span = float(target) - cur.time
             if span <= 0:
                 continue
@@ -298,38 +307,27 @@ def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_ma
             dt = span / nsub
             for _ in range(nsub):
                 cur = imex_step(cur, spec, dt)
-            out.append(cur)
-    return out
+            yield cur
 
 
-def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: float) -> dict:
-    """Relaxation error functional between paired trajectories.
-
-    Low-frequency sup/L1 pieces of the difference (a, v, theta), the
-    all-frequency L1 of the damped mode alpha q + kappa grad theta, and the
-    high-part (j >= J0) pieces of the difference.  Returns the per-piece
-    breakdown with key 'total'.
-    """
+def _pair_scalars(sn: State, sf: State, spec: ModelSpec, th: Thresholds, p: float) -> tuple:
+    """(lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one) of one snapshot pair."""
     d = spec.d
-    times = np.array([s.time for s in nsc_traj])
-    tf = np.array([s.time for s in nsf_traj])
-    if len(nsc_traj) != len(nsf_traj) or not np.allclose(times, tf, rtol=1e-10, atol=1e-12):
-        raise ValueError("paired trajectories must share their snapshot times")
-    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = [], [], [], [], [], []
-    for sn, sf in zip(nsc_traj, nsf_traj):
-        grid = sn.grid
-        pairs = list(zip([sn.a, *sn.v, sn.theta], [sf.a, *sf.v, sf.theta]))
-        diff = [SpectralField(grid, x.coeffs - y.coeffs) for x, y in pairs]
-        ta, tv, tth = diff[0], tuple(diff[1 : 1 + d]), diff[1 + d]
-        q_mode = effective_unknowns(sn, spec).Q
-        lo_inf.append(besov_seminorm((ta, *tv, tth), d / 2 - 2, 2, "low", th, overlap=True))
-        lo_one.append(besov_seminorm((ta, *tv, tth), d / 2, 2, "low", th, overlap=True))
-        q_one.append(besov_seminorm(q_mode, d / p - 1, p, "all", th))
-        ha.append(besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True))
-        hvt_inf.append(besov_seminorm((*tv, tth), d / p - 2, p, "medhigh", th, overlap=True))
-        hvt_one.append(besov_seminorm((*tv, tth), d / p, p, "medhigh", th, overlap=True))
+    pairs = zip([sn.a, *sn.v, sn.theta], [sf.a, *sf.v, sf.theta])
+    diff = [SpectralField(sn.grid, x.coeffs - y.coeffs) for x, y in pairs]
+    ta, tv, tth = diff[0], tuple(diff[1 : 1 + d]), diff[1 + d]
+    q_mode = effective_unknowns(sn, spec).Q
+    lo_inf, lo_one = besov_seminorms((ta, *tv, tth), (d / 2 - 2, d / 2), 2, "low", th, overlap=True)
+    q_one = besov_seminorm(q_mode, d / p - 1, p, "all", th)
+    ha = besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True)
+    hvt_inf, hvt_one = besov_seminorms((*tv, tth), (d / p - 2, d / p), p, "medhigh", th, overlap=True)
+    return lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one
 
-    tz = lambda v: float(np.trapezoid(np.asarray(v), times))
+
+def _error_parts(times: list, rows: list) -> dict:
+    """Sup-in-time and trapezoid-in-time pieces from the per-snapshot scalars."""
+    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = (np.array(c) for c in zip(*rows))
+    tz = lambda v: float(np.trapezoid(v, np.array(times)))
     parts = {
         "low_Linf": float(np.max(lo_inf)),
         "low_L1": tz(lo_one),
@@ -341,6 +339,24 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
     }
     parts["total"] = sum(parts.values())
     return parts
+
+
+def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: float) -> dict:
+    """Relaxation error functional between paired trajectories.
+
+    Low-frequency sup/L1 pieces of the difference (a, v, theta), the
+    all-frequency L1 of the damped mode alpha q + kappa grad theta, and the
+    high-part (j >= J0) pieces of the difference.  The trajectories may be
+    any iterables, streamed in step; each snapshot pair is reduced to its
+    scalars at once.  Returns the per-piece breakdown with key 'total'.
+    """
+    times, rows = [], []
+    for sn, sf in itertools.zip_longest(nsc_traj, nsf_traj):
+        if sn is None or sf is None or not np.isclose(sn.time, sf.time, rtol=1e-10, atol=1e-12):
+            raise ValueError("paired trajectories must share their snapshot times")
+        times.append(sn.time)
+        rows.append(_pair_scalars(sn, sf, spec, th, p))
+    return _error_parts(times, rows)
 
 
 @dataclass
@@ -374,6 +390,10 @@ def relax_sweep(
     limit from the shared (a, v, theta) data; accumulate the error
     functional and fit its slope against eps.
 
+    The Fourier-law, ill-prepared and well-prepared trajectories advance in
+    lockstep and each snapshot is reduced to scalars as soon as it is made,
+    so memory stays at a few states whatever the number of samples.
+
     Default runs are linear (exact per-mode propagation, no time
     discretization error).  nonlinear=True integrates both systems with the
     IMEX stepper instead; this is restricted to d <= 2 and n <= 256 and the
@@ -394,32 +414,26 @@ def relax_sweep(
             skipped.append({"eps": eps, "reason": str(exc)})
             continue
         segs = graded_times(eps, spec.alpha, T)
-        ill = scaled_flux_state(base, spec)
+        starts = [scaled_flux_state(base, spec)]
+        if compare_well_prepared:
+            starts.append(State(a=base.a, v=base.v, theta=base.theta, q=well_prepared_flux(base.theta, spec)))
         if nonlinear:
-            from .evolve import default_dt
-
-            dt_max = default_dt(ill, spec)
-            nsf_traj = sampled_nonlinear_trajectory(nsf_state, spec.to_nsf(), segs, dt_max)
-            nsc_traj = sampled_nonlinear_trajectory(ill, spec, segs, dt_max)
+            dt_max = default_dt(starts[0], spec)
+            flow = lambda st, sp: sampled_nonlinear_trajectory(st, sp, segs, dt_max)
         else:
-            nsf_traj = sampled_linear_trajectory(nsf_state, spec.to_nsf(), segs)
-            nsc_traj = sampled_linear_trajectory(ill, spec, segs)
-        parts = error_functional(nsc_traj, nsf_traj, spec, th, p)
+            flow = lambda st, sp: sampled_linear_trajectory(st, sp, segs)
+        # one NSF snapshot serves every NSC run at the same time
+        times, scalars = [], [[] for _ in starts]
+        for sf, *nscs in zip(flow(nsf_state, spec.to_nsf()), *(flow(st, spec) for st in starts), strict=True):
+            times.append(nscs[0].time)
+            for out, sn in zip(scalars, nscs):
+                out.append(_pair_scalars(sn, sf, spec, th, p))
+        parts = _error_parts(times, scalars[0])
         xt.append(parts["total"])
         rows.append({"eps": eps, **parts})
         used.append(eps)
         if compare_well_prepared:
-            st_wp = State(
-                a=base.a.copy(),
-                v=tuple(f.copy() for f in base.v),
-                theta=base.theta.copy(),
-                q=well_prepared_flux(base.theta, spec),
-            )
-            if nonlinear:
-                wp_traj = sampled_nonlinear_trajectory(st_wp, spec, segs, dt_max)
-            else:
-                wp_traj = sampled_linear_trajectory(st_wp, spec, segs)
-            wp.append(error_functional(wp_traj, nsf_traj, spec, th, p)["total"])
+            wp.append(_error_parts(times, scalars[1])["total"])
     if len(used) < 2:
         raise ValueError("need at least two threshold-valid eps values to fit a slope")
     slope, _, _ = fit_loglog(used, xt)

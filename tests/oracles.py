@@ -14,7 +14,11 @@ bincount; the radial flow's band norms likewise mask the nodes per band.
 The torus propagator is embedded as one dense complex matrix per mode and
 the slow projection eigendecomposes every full per-mode generator, where
 nsclab.evolve keeps one real longitudinal block per radius plus transverse
-scalars.
+scalars.  The relaxation sweep is the list-based one: whole trajectories
+are sampled into lists, one after another, and the error functional then
+takes every band sum once per value of s, where nsclab.studies streams the
+trajectories in lockstep and shares one band-norm pass between the values
+of s.
 """
 
 import math
@@ -22,9 +26,11 @@ import math
 import numpy as np
 from scipy.integrate import ode, solve_ivp
 
-from nsclab.evolve import _check_density, _torus_kernel, mode_matrices
-from nsclab.model import SystemKind
-from nsclab.besov import _overlap_band_indices, grid_band_range, regime_band_indices
+from nsclab.evolve import _check_density, _torus_kernel, default_dt, imex_step, linear_trajectory, mode_matrices
+from nsclab.diagnostics import effective_unknowns
+from nsclab.model import ModelSpec, SystemKind
+from nsclab.besov import ThresholdOrderError, _overlap_band_indices, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
+from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
 from nsclab.evolve import _SPHERE_AREA
 from nsclab.spectral import SpectralField, State, apply_multiplier, dealias_23, to_physical, to_spectral
 
@@ -418,4 +424,143 @@ def slow_projection_reference(state, spec, cut_fraction=0.4):
         theta=st.theta.hermitized(),
         q=tuple(f.hermitized() for f in st.q) if st.q is not None else None,
         time=st.time,
+    )
+
+
+# ---------------------------------------------------------------------------
+# List-based relaxation sweep.
+
+
+def sampled_linear_trajectory_reference(state0, spec, segments):
+    """Exact linear flow sampled along piecewise-uniform time segments."""
+    out = [state0]
+    for seg in segments:
+        if len(seg) < 2:
+            continue
+        cur = out[-1]
+        steps = len(seg) - 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else len(seg)
+        out += linear_trajectory(cur, spec, float(seg[1] - seg[0]), steps)[1:]
+    return out
+
+
+def sampled_nonlinear_trajectory_reference(state0, spec, segments, dt_max):
+    """Nonlinear flow sampled at the segment times; each snapshot interval
+    is covered by uniform IMEX sub-steps no longer than dt_max."""
+    out = [state0]
+    cur = state0
+    for seg in segments:
+        if len(seg) < 2:
+            continue
+        start = 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else 0
+        for target in seg[start:] if start else seg:
+            span = float(target) - cur.time
+            if span <= 0:
+                continue
+            nsub = max(1, int(math.ceil(span / dt_max)))
+            dt = span / nsub
+            for _ in range(nsub):
+                cur = imex_step(cur, spec, dt)
+            out.append(cur)
+    return out
+
+
+def error_functional_reference(nsc_traj, nsf_traj, spec, th, p):
+    """Relaxation error functional between paired trajectory lists, one
+    besov_seminorm call per piece and per value of s."""
+    d = spec.d
+    times = np.array([s.time for s in nsc_traj])
+    tf = np.array([s.time for s in nsf_traj])
+    if len(nsc_traj) != len(nsf_traj) or not np.allclose(times, tf, rtol=1e-10, atol=1e-12):
+        raise ValueError("paired trajectories must share their snapshot times")
+    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = [], [], [], [], [], []
+    for sn, sf in zip(nsc_traj, nsf_traj):
+        grid = sn.grid
+        pairs = list(zip([sn.a, *sn.v, sn.theta], [sf.a, *sf.v, sf.theta]))
+        diff = [SpectralField(grid, x.coeffs - y.coeffs) for x, y in pairs]
+        ta, tv, tth = diff[0], tuple(diff[1 : 1 + d]), diff[1 + d]
+        q_mode = effective_unknowns(sn, spec).Q
+        lo_inf.append(besov_seminorm((ta, *tv, tth), d / 2 - 2, 2, "low", th, overlap=True))
+        lo_one.append(besov_seminorm((ta, *tv, tth), d / 2, 2, "low", th, overlap=True))
+        q_one.append(besov_seminorm(q_mode, d / p - 1, p, "all", th))
+        ha.append(besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True))
+        hvt_inf.append(besov_seminorm((*tv, tth), d / p - 2, p, "medhigh", th, overlap=True))
+        hvt_one.append(besov_seminorm((*tv, tth), d / p, p, "medhigh", th, overlap=True))
+
+    tz = lambda v: float(np.trapezoid(np.asarray(v), times))
+    parts = {
+        "low_Linf": float(np.max(lo_inf)),
+        "low_L1": tz(lo_one),
+        "damped_mode_L1": tz(q_one),
+        "high_a_Linf": float(np.max(ha)),
+        "high_a_L1": tz(ha),
+        "high_vtheta_Linf": float(np.max(hvt_inf)),
+        "high_vtheta_L1": tz(hvt_one),
+    }
+    parts["total"] = sum(parts.values())
+    return parts
+
+
+def relax_sweep_reference(
+    base,
+    d,
+    eps_list,
+    T=4.0,
+    p=2.0,
+    K=8,
+    k=1.0,
+    compare_well_prepared=True,
+    nonlinear=False,
+):
+    """The relaxation sweep with every trajectory held as a whole list: NSF
+    first, then ill-prepared NSC, then well-prepared NSC (which re-reads the
+    stored NSF list)."""
+    if nonlinear and (d > 2 or base.grid.n > 256):
+        raise ValueError("nonlinear sweeps are limited to d <= 2 and n <= 256")
+    eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
+    xt, wp, rows, skipped = [], [], [], []
+    used = []
+    nsf_state = State(a=base.a.copy(), v=tuple(f.copy() for f in base.v), theta=base.theta.copy(), q=None)
+    for eps in eps_list:
+        spec = ModelSpec(kind=SystemKind.NSC, d=d, eps=eps)
+        try:
+            th = make_thresholds(K, k, eps)
+        except ThresholdOrderError as exc:
+            skipped.append({"eps": eps, "reason": str(exc)})
+            continue
+        segs = graded_times(eps, spec.alpha, T)
+        ill = scaled_flux_state(base, spec)
+        if nonlinear:
+            dt_max = default_dt(ill, spec)
+            nsf_traj = sampled_nonlinear_trajectory_reference(nsf_state, spec.to_nsf(), segs, dt_max)
+            nsc_traj = sampled_nonlinear_trajectory_reference(ill, spec, segs, dt_max)
+        else:
+            nsf_traj = sampled_linear_trajectory_reference(nsf_state, spec.to_nsf(), segs)
+            nsc_traj = sampled_linear_trajectory_reference(ill, spec, segs)
+        parts = error_functional_reference(nsc_traj, nsf_traj, spec, th, p)
+        xt.append(parts["total"])
+        rows.append({"eps": eps, **parts})
+        used.append(eps)
+        if compare_well_prepared:
+            st_wp = State(
+                a=base.a.copy(),
+                v=tuple(f.copy() for f in base.v),
+                theta=base.theta.copy(),
+                q=well_prepared_flux(base.theta, spec),
+            )
+            if nonlinear:
+                wp_traj = sampled_nonlinear_trajectory_reference(st_wp, spec, segs, dt_max)
+            else:
+                wp_traj = sampled_linear_trajectory_reference(st_wp, spec, segs)
+            wp.append(error_functional_reference(wp_traj, nsf_traj, spec, th, p)["total"])
+    if len(used) < 2:
+        raise ValueError("need at least two threshold-valid eps values to fit a slope")
+    slope, _, _ = fit_loglog(used, xt)
+    return RelaxReport(
+        eps_values=used,
+        xtilde_values=xt,
+        slope_fitted=slope,
+        well_prepared_values=wp if compare_well_prepared else None,
+        breakdown=rows,
+        skipped=skipped,
+        label="experimental: nonlinear sweep outside the decay-theory hypotheses" if nonlinear and d < 3 else "",
     )

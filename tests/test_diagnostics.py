@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nsclab.besov import band_project, make_thresholds
+from nsclab.besov import band_inner, band_lp_norm, band_project, make_thresholds
 from nsclab.diagnostics import (
+    _centered_series,
+    _regime_rate,
     calibrate_dissipation,
     curl_linf,
     damped_mode_rate,
@@ -245,6 +247,49 @@ def test_centered_difference_matches_fine_reference(rng):
         series = [lyapunov_low(s, j, eta).value for s in traj]
         vals[refine] = (series[2 * refine] - series[0]) / (2 * refine * dt)
     assert vals[1] == pytest.approx(vals[4], rel=2e-4)
+
+
+def _single_mode_state(grid, mode, coeffs):
+    """Hermitian NSC state carrying coeffs at lattice point mode, conj at -mode."""
+    arr = np.zeros((len(coeffs), *grid.shape), dtype=complex)
+    arr[(slice(None), *mode)] = coeffs
+    arr[(slice(None), *(-m % grid.n for m in mode))] = np.conj(coeffs)
+    return State.from_stacked(grid, arr, 0.0, True)
+
+
+def _exact_lyapunov_rate(s, ds, j, regime, spec, eta):
+    """d/dt L_j at state s moving with velocity ds: L_j is a quadratic form in
+    the state for 'low' and 'high', and eps |Q_j| for 'damped'."""
+    grad = lambda f: apply_multiplier(f, "grad")
+    if regime == "low":
+        energy = band_inner((s.a, *s.v, s.theta), (ds.a, *ds.v, ds.theta), j)
+        cross = band_inner(ds.v, grad(s.a), j) + band_inner(s.v, grad(ds.a), j)
+        return 2.0 * energy + eta * 2.0 ** (-j) * cross
+    if regime == "high":
+        energy = band_inner(s.theta, ds.theta, j) + spec.eps**2 * band_inner(s.q, ds.q, j)
+        cross = band_inner(ds.q, grad(s.theta), j) + band_inner(s.q, grad(ds.theta), j)
+        return 2.0 * energy + eta * 2.0 ** (-2 * j) * cross
+    q, dq = effective_unknowns(s, spec).Q, effective_unknowns(ds, spec).Q
+    return spec.eps * band_inner(q, dq, j) / band_lp_norm(q, j)
+
+
+@pytest.mark.parametrize("regime, j, mode", [("low", 0, (1, 0)), ("high", 2, (5, 0)), ("damped", 2, (3, 3))])
+def test_centered_difference_matches_exact_derivative(rng, regime, j, mode):
+    # a single decaying Fourier mode: du/dt is the generator applied to u(t),
+    # so d/dt L_j is exact at every snapshot and pins the centred difference
+    grid = Grid(d=2, n=16)
+    spec = ModelSpec(kind="nsc", d=2, eps=0.25)
+    eta = 0.1
+    gen = symbol(spec, np.array([w[mode] for w in grid.wavevectors()])).entries
+    st = _single_mode_state(grid, mode, 1e-3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
+    traj = linear_trajectory(st, spec, 5e-3 / _regime_rate(spec, j, regime), 6)
+    _, lyap, _, dl = _centered_series(traj, j, regime, spec, eta)
+    exact = [
+        _exact_lyapunov_rate(s, _single_mode_state(grid, mode, gen @ s.stacked()[(slice(None), *mode)]), j, regime, spec, eta)
+        for s in traj[1:-1]
+    ]
+    assert np.all(lyap > 0)
+    assert np.allclose(dl, exact, rtol=5e-4, atol=0.0), np.max(np.abs(dl / np.array(exact) - 1.0))
 
 
 def test_damped_mode_rate_matches_eigenvalue(rng):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, SpectralField, State, random_field, zero_state
 from nsclab.studies import (
     LayerResolutionError,
+    RelaxReport,
     decay_fit,
     error_functional,
     fit_loglog,
@@ -18,6 +21,7 @@ from nsclab.studies import (
     initial_layer,
     layer_scaling,
     lyapunov_ode_compare,
+    random_state,
     relax_sweep,
     sampled_linear_trajectory,
     scaled_flux_state,
@@ -25,7 +29,12 @@ from nsclab.studies import (
     theory_decay_exponent,
     well_prepared_flux,
 )
-from oracles import slow_projection_reference
+from oracles import (
+    error_functional_reference,
+    relax_sweep_reference,
+    sampled_linear_trajectory_reference,
+    slow_projection_reference,
+)
 
 
 def test_theory_exponent_hand_values():
@@ -102,7 +111,7 @@ def test_sampled_trajectory_matches_uniform(rng):
         q=(random_field(grid, rng, 1e-2), random_field(grid, rng, 1e-2)),
     )
     segs = [np.linspace(0.0, 0.2, 5), np.linspace(0.2, 0.6, 3)]
-    traj = sampled_linear_trajectory(st, spec, segs)
+    traj = list(sampled_linear_trajectory(st, spec, segs))
     times = [round(s.time, 12) for s in traj]
     assert times == [0.0, 0.05, 0.1, 0.15, 0.2, 0.4, 0.6]
     uniform = linear_trajectory(st, spec, 0.05, 4)
@@ -125,15 +134,75 @@ def test_scaled_flux_state_divides_by_eps(rng):
 
 
 def test_error_functional_requires_paired_times(rng):
+    # mismatched times or lengths, whether given as lists or as generators
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.05)
     th = make_thresholds(8, 1, spec.eps)
-    st = zero_state(grid)
-    nsf = zero_state(grid, with_flux=False)
-    traj_a = [State.from_stacked(grid, st.stacked(), t, True) for t in (0.0, 0.1)]
-    traj_b = [State.from_stacked(grid, nsf.stacked(), t, False) for t in (0.0, 0.2)]
-    with pytest.raises(ValueError, match="snapshot times"):
-        error_functional(traj_a, traj_b, spec, th, 2)
+    st, nsf = zero_state(grid), zero_state(grid, with_flux=False)
+    nsc_at = lambda ts: (State.from_stacked(grid, st.stacked(), t, True) for t in ts)
+    nsf_at = lambda ts: (State.from_stacked(grid, nsf.stacked(), t, False) for t in ts)
+    for a, b in (((0.0, 0.1), (0.0, 0.2)), ((0.0, 0.1, 0.2), (0.0, 0.1)), ((0.0, 0.1), (0.0, 0.1, 0.2))):
+        with pytest.raises(ValueError, match="snapshot times"):
+            error_functional(nsc_at(a), nsf_at(b), spec, th, 2)
+        with pytest.raises(ValueError, match="snapshot times"):
+            error_functional(list(nsc_at(a)), list(nsf_at(b)), spec, th, 2)
+
+
+def _assert_reports_equal(rep, ref):
+    for f in dataclasses.fields(RelaxReport):
+        assert getattr(rep, f.name) == getattr(ref, f.name), f.name
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    d=hst.sampled_from([1, 2, 3]),
+    p=hst.sampled_from([2.0, 3.0]),
+    seed=hst.integers(0, 2**32 - 1),
+    well_prepared=hst.booleans(),
+)
+def test_streamed_sweep_equals_list_oracle(d, p, seed, well_prepared):
+    # the streamed functional and sweep are bit-identical to the list-based
+    # ones, whether the functional is fed lists or generators
+    grid = Grid(d=d, n={1: 16, 2: 8, 3: 8}[d])
+    base = random_state(grid, np.random.default_rng(seed), 1e-2, 3.0)
+    eps_list = [1e-1, 3e-2]
+    rep = relax_sweep(base, d, eps_list, T=1.0, p=p, compare_well_prepared=well_prepared)
+    _assert_reports_equal(rep, relax_sweep_reference(base, d, eps_list, T=1.0, p=p, compare_well_prepared=well_prepared))
+
+    spec = ModelSpec(kind="nsc", d=d, eps=eps_list[0])
+    th = make_thresholds(8, 1.0, spec.eps)
+    segs = graded_times(spec.eps, spec.alpha, 1.0)
+    ill = scaled_flux_state(base, spec)
+    nsf0 = State(a=base.a, v=base.v, theta=base.theta, q=None)
+    nsc = sampled_linear_trajectory_reference(ill, spec, segs)
+    nsf = sampled_linear_trajectory_reference(nsf0, spec.to_nsf(), segs)
+    ref = error_functional_reference(nsc, nsf, spec, th, p)
+    assert error_functional(nsc, nsf, spec, th, p) == ref
+    streamed = (sampled_linear_trajectory(ill, spec, segs), sampled_linear_trajectory(nsf0, spec.to_nsf(), segs))
+    assert error_functional(*streamed, spec, th, p) == ref
+
+
+def test_streamed_nonlinear_sweep_equals_list_oracle(rng):
+    grid = Grid(d=1, n=16)
+    base = random_state(grid, rng, 5e-3, 3.0)
+    args = (base, 1, [1e-1, 3e-2])
+    kw = dict(T=0.5, p=3.0, compare_well_prepared=True, nonlinear=True)
+    _assert_reports_equal(relax_sweep(*args, **kw), relax_sweep_reference(*args, **kw))
+
+
+def test_relax_sweep_memory_stays_at_a_few_states():
+    # the list-based sweep holds about 750 states at once (three trajectories
+    # of 251 samples); the streamed one holds a handful
+    grid = Grid(d=3, n=16)
+    base = random_state(grid, np.random.default_rng(5), 1e-2, 3.0)
+    one_state = 8 * grid.n**3 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        relax_sweep(base, 3, [1e-1, 3e-2], T=4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * one_state, f"traced peak {peak / one_state:.1f} states"
 
 
 def test_relax_sweep_small(rng):
