@@ -392,9 +392,9 @@ def run_evolve(cfg, out_dir, rng):
 
     # per-band hypocoercivity diagnostics and the solution functional
     if th is not None and not p["nonlinear"]:
-        traj = evolve.linear_trajectory(st, spec, T / min(nsteps, 100), min(nsteps, 100))
         artifacts += _write_band_diagnostics(out_dir, st, spec, th)
-        x = diagnostics.functional_X(traj, spec, th)
+        samples = [np.linspace(0.0, T, min(nsteps, 100) + 1)]  # stride T / min(nsteps, 100)
+        x = diagnostics.functional_X(studies.sampled_linear_trajectory(st, spec, samples), spec, th)
         write_json(
             out_dir / "x_report.json",
             {"x_low": x.x_low, "x_med": x.x_med, "x_high": x.x_high, "total": x.total, **x.constituents},

@@ -40,7 +40,7 @@ from scipy.linalg import expm
 from .besov import band_labels, band_sums, dyadic_range
 from .model import ModelSpec, SymbolMatrix, SystemKind, _generators, reduced_blocks
 from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
-from .spectral import Grid, SpectralField, State, to_physical
+from .spectral import Grid, SpectralField, State, _freeze, to_physical
 from .spectral import to_spectral  # noqa: F401  (perfbench/tracer.py wraps evolve.to_spectral)
 
 __all__ = [
@@ -123,11 +123,13 @@ class PropagatorKernel:
         self.vecs = vecs
         self.vinv = np.linalg.inv(vecs)
 
-    def matrices(self, t: float) -> np.ndarray:
-        """exp(t M) per generator, real, shape (N, m, m)."""
-        out = ((self.vecs * np.exp(t * self.lam)[:, None, :]) @ self.vinv).real
+    def matrices(self, t) -> np.ndarray:
+        """exp(t M) per generator, real, shape (N, m, m); for a 1-d array of
+        T times, shape (T, N, m, m)."""
+        t = np.asarray(t, dtype=float)[..., None, None]
+        out = ((self.vecs * np.exp(t * self.lam)[..., None, :]) @ self.vinv).real
         if self.fallback.size:
-            out[self.fallback] = expm(t * self.mats[self.fallback]).real
+            out[..., self.fallback, :, :] = expm(t[..., None] * self.mats[self.fallback]).real
         return out
 
     def apply(self, t: float, u: np.ndarray) -> np.ndarray:
@@ -141,20 +143,27 @@ class PropagatorKernel:
 
 
 @functools.lru_cache(maxsize=16)
-def _torus_kernel(spec: ModelSpec, grid: Grid):
-    """Longitudinal kernel at the distinct lattice |k|^2 of a grid, the
-    index of each mode's radius (C order) and the unit wavevectors k/|k|
-    as (d, n^d), with e_1 at k = 0."""
-    _check_grid(spec, grid)
+def _lattice_radii(grid: Grid):
+    """The distinct lattice radii |k| of a grid, the index of each mode's
+    radius (C order) and the unit wavevectors k/|k| as (d, n^d), with e_1
+    at k = 0."""
     modes = np.meshgrid(*([grid.modes_1d()] * grid.d), indexing="ij")
     msq, radius = np.unique(sum(m.ravel() ** 2 for m in modes), return_inverse=True)
     r = np.sqrt(msq) * (2.0 * np.pi / grid.L)
-    kernel = PropagatorKernel(reduced_blocks(spec, r))
     rk = r[radius]
     khat = np.stack([x.ravel() for x in grid.wavevectors()])
     khat[:, rk > 0] /= rk[rk > 0]
     khat[:, rk == 0] = np.eye(grid.d)[:, :1]
-    return kernel, r, radius, khat
+    return _freeze(r), _freeze(radius), _freeze(khat)
+
+
+@functools.lru_cache(maxsize=16)
+def _torus_kernel(spec: ModelSpec, grid: Grid):
+    """Longitudinal kernel at the distinct lattice radii of a grid, with
+    the radii, mode-to-radius index and unit wavevectors of _lattice_radii."""
+    _check_grid(spec, grid)
+    r, radius, khat = _lattice_radii(grid)
+    return PropagatorKernel(reduced_blocks(spec, r)), r, radius, khat
 
 
 def _mode_blocks(blocks: np.ndarray, radius: np.ndarray) -> np.ndarray:

@@ -6,32 +6,47 @@ Decay and Lyapunov-ODE studies run on the whole-space radial semigroup
 run the exact per-mode linear flow on the torus.  Fits report r^2 and are
 flagged pre-asymptotic below 0.98.
 
-Sampled torus trajectories are generators, one state per sample time; the
-relaxation sweep streams them in lockstep and keeps only per-snapshot scalars.
+The linear p = 2 relaxation sweep steps no state: each piece of its error
+functional is a band sum over lattice radii of |C(t, |k|) z(k)|^2, C real, z
+the longitudinal data, evaluated from one 4x4 Gram factor of z per radius.
+Other sweeps stream sampled torus trajectories (generators, one state per
+sample time) in lockstep and keep only per-snapshot scalars; the stepped
+linear sweep is the oracle of the Gram one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import Thresholds, ThresholdOrderError, besov_seminorm, besov_seminorms, make_thresholds
+from .besov import (
+    Thresholds,
+    ThresholdOrderError,
+    _grid_labels,
+    _overlap_band_indices,
+    besov_seminorm,
+    besov_seminorms,
+    grid_band_range,
+    make_thresholds,
+)
 from .diagnostics import effective_unknowns
 from .evolve import (
     LinearPropagator,
     RadialDataProfile,
     RadialFlow,
     _apply_modes,
+    _lattice_radii,
     _mode_blocks,
     _torus_kernel,
     default_dt,
 )
 from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
-from .spectral import Grid, SpectralField, State, apply_multiplier, random_field
+from .spectral import Grid, SpectralField, State, _freeze, apply_multiplier, random_field
 
 __all__ = [
     "FitResult",
@@ -324,9 +339,10 @@ def _pair_scalars(sn: State, sf: State, spec: ModelSpec, th: Thresholds, p: floa
     return lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one
 
 
-def _error_parts(times: list, rows: list) -> dict:
-    """Sup-in-time and trapezoid-in-time pieces from the per-snapshot scalars."""
-    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = (np.array(c) for c in zip(*rows))
+def _error_parts(times, cols) -> dict:
+    """Sup-in-time and trapezoid-in-time pieces from the per-snapshot
+    scalars, one column per scalar of _pair_scalars."""
+    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = (np.asarray(c) for c in cols)
     tz = lambda v: float(np.trapezoid(v, np.array(times)))
     parts = {
         "low_Linf": float(np.max(lo_inf)),
@@ -356,7 +372,156 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
             raise ValueError("paired trajectories must share their snapshot times")
         times.append(sn.time)
         rows.append(_pair_scalars(sn, sf, spec, th, p))
-    return _error_parts(times, rows)
+    return _error_parts(times, zip(*rows))
+
+
+def _trajectory_error_parts(base: State, spec: ModelSpec, th: Thresholds, segs, p: float, well_prepared: bool, nonlinear: bool) -> list:
+    """error_functional of the ill-prepared (and well-prepared) run against
+    the Fourier-law run, all three stepped in lockstep along `segs`; one
+    Fourier-law snapshot serves every relaxing run at the same time."""
+    nsf_state = State(a=base.a, v=base.v, theta=base.theta, q=None)
+    starts = [scaled_flux_state(base, spec)]
+    if well_prepared:
+        starts.append(State(a=base.a, v=base.v, theta=base.theta, q=well_prepared_flux(base.theta, spec)))
+    if nonlinear:
+        dt_max = default_dt(starts[0], spec)
+        flow = lambda st, sp: sampled_nonlinear_trajectory(st, sp, segs, dt_max)
+    else:
+        flow = lambda st, sp: sampled_linear_trajectory(st, sp, segs)
+    times, scalars = [], [[] for _ in starts]
+    for sf, *nscs in zip(flow(nsf_state, spec.to_nsf()), *(flow(st, spec) for st in starts), strict=True):
+        times.append(nscs[0].time)
+        for out, sn in zip(scalars, nscs):
+            out.append(_pair_scalars(sn, sf, spec, th, p))
+    return [_error_parts(times, zip(*rows)) for rows in scalars]
+
+
+# ---------------------------------------------------------------------------
+# The p = 2 linear sweep from per-radius Gram matrices.
+
+
+# Radius-times per pass of the Gram sweep: its blocks take a few MB.
+_GRAM_CHUNK = 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _radius_keys(grid: Grid):
+    """Group the lattice by (radius, Nyquist plane): the key of each mode
+    (C order) and, per key, its radius index, its derivative weight (0 on
+    the Nyquist plane, where grad vanishes) and its band label, read from
+    the grid's own labels at one of its modes."""
+    radius = _lattice_radii(grid)[1]
+    nyquist = grid.nyquist_mask().ravel()
+    keys, first, key = np.unique(2 * radius + nyquist, return_index=True, return_inverse=True)
+    return tuple(_freeze(x) for x in (key, keys // 2, 1.0 - keys % 2, _grid_labels(grid).ravel()[first]))
+
+
+@dataclass(frozen=True)
+class _SweepGram:
+    radius: np.ndarray  # (K,) lattice radius index of each key
+    weight: np.ndarray  # (K,) derivative weight
+    band: np.ndarray  # (nbands, K) band membership
+    factor: np.ndarray  # (K, 4, 4) F with F F^T = G
+    perp_q: np.ndarray  # (K,) sum |P q|^2 of the flux template
+
+
+def _sweep_gram(base: State) -> _SweepGram:
+    """Gram factors of the sweep data, one per (radius, Nyquist) key.
+
+    Under the exact linear flow the longitudinal coordinates
+    z = (a, i k.v, theta, i k.q) (k unit) of each mode move by the real
+    block of its radius, so a band sum of |E z|^2 over a key's modes, for a
+    real E, is the trace E G E^T with G = Re sum z z^H.  G = F F^T through
+    eigh, negative eigenvalues (rounding) clipped, so every such sum is a
+    sum of squares of E F.  The transverse flux P q, P = I - k k^T, only
+    decays, and enters through sum |P q|^2.  Keys off the grid's bands
+    (the zero mode) or without data are dropped.
+    """
+    if base.q is None:
+        raise ValueError("base state carries no flux template")
+    grid = base.grid
+    d = grid.d
+    key, radius, weight, label = _radius_keys(grid)
+    khat = _lattice_radii(grid)[2]
+    u = base.stacked().reshape(2 * d + 2, -1)
+    kv, kq = (sum(khat[j] * u[s + j] for j in range(d)) for s in (1, 2 + d))
+    z = (u[0], 1j * kv, u[1 + d], 1j * kq)
+    nk = radius.size
+    gram = np.empty((nk, 4, 4))
+    for i in range(4):
+        for j in range(i, 4):
+            gram[:, i, j] = gram[:, j, i] = np.bincount(key, (z[i] * z[j].conj()).real, nk)
+    perp = np.bincount(key, sum(np.abs(u[2 + d + j] - khat[j] * kq) ** 2 for j in range(d)), nk)
+    nbands = len(grid_band_range(grid))
+    keep = (label >= 1) & (label <= nbands) & (np.any(gram != 0.0, axis=(1, 2)) | (perp != 0.0))
+    lam, vecs = np.linalg.eigh(gram[keep])
+    factor = vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+    band = (label[keep] == np.arange(1, nbands + 1)[:, None]).astype(float)
+    return _SweepGram(radius[keep], weight[keep], band, factor, perp[keep])
+
+
+def _band_error_parts(grid: Grid, th: Thresholds, times, sums: np.ndarray) -> dict:
+    """_error_parts at p = 2 from per-time band sums (T, 4, nbands) of
+    |a|^2, |k.v|^2 and |theta|^2 of the difference and |Q|^2."""
+    d, bands = grid.d, grid_band_range(grid)
+    a, v, theta, q = np.moveaxis(grid.L**d * sums, 1, 0)
+
+    def seminorm(sq, regime, s):  # besov_seminorm(..., 2, regime, th, overlap=True) per time
+        picked = _overlap_band_indices(regime, th, bands)
+        return np.sqrt(sq) @ np.array([2.0 ** (j * s) if j in picked else 0.0 for j in bands])
+
+    low, vt = a + v + theta, v + theta
+    cols = (
+        seminorm(low, "low", d / 2 - 2),
+        seminorm(low, "low", d / 2),
+        seminorm(q, "all", d / 2 - 1),
+        seminorm(a, "medhigh", d / 2 - 1),
+        seminorm(vt, "medhigh", d / 2 - 2),
+        seminorm(vt, "medhigh", d / 2),
+    )
+    return _error_parts(times, cols)
+
+
+def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresholds, times, well_prepared: bool) -> list:
+    """error_functional at p = 2 of the ill-prepared (and well-prepared)
+    run against the Fourier-law run, evaluated at `times` from the Gram
+    factors; no state is stepped.
+
+    Per key the ill-prepared data is S F, S = diag(1, 1, 1, 1/eps); the
+    well-prepared data has sigma0 = (kappa/alpha) w |k| theta0; the
+    Fourier-law run reads the first three rows.  At each time the rows of
+    B(t) S F - [B_NSF(t) 0] F carry the (a, k.v, theta) differences and the
+    row (0, 0, -kappa w |k|, alpha) of B(t) S F the longitudinal damped
+    mode.  The transverse velocity is the same in both runs, so its
+    difference vanishes; the transverse damped mode is
+    alpha^2 e^(-2 alpha t/eps^2) sum |P q0|^2.
+    """
+    kernel, r, _, _ = _torus_kernel(spec, grid)
+    kernel_nsf = _torus_kernel(spec.to_nsf(), grid)[0]
+    rad, f = gram.radius, gram.factor
+    rw = r[rad] * gram.weight
+    ill = f.copy()
+    ill[:, 3] /= spec.eps
+    starts = [(ill, gram.perp_q / spec.eps**2)]
+    if well_prepared:
+        wp = f.copy()
+        wp[:, 3] = (spec.kappa / spec.alpha) * rw[:, None] * f[:, 2]
+        starts.append((wp, np.zeros_like(gram.perp_q)))
+    q_row = np.zeros((rad.size, 1, 4))
+    q_row[:, 0, 2], q_row[:, 0, 3] = -spec.kappa * rw, spec.alpha
+    sums = np.empty((len(starts), len(times), 4, gram.band.shape[0]))
+    chunk = max(1, _GRAM_CHUNK // r.size)
+    for lo in range(0, len(times), chunk):
+        ts = times[lo : lo + chunk]
+        b = kernel.matrices(ts)[:, rad]
+        y = kernel_nsf.matrices(ts)[:, rad] @ f[:, :3]
+        decay = spec.alpha**2 * np.exp(-2.0 * spec.damping_rate * ts)[:, None, None]
+        for out, (data, perp) in zip(sums, starts):
+            x = b @ data
+            diff = np.sum((x[..., :3, :] - y) ** 2, axis=-1)
+            q_mode = np.sum((q_row @ x) ** 2, axis=-1) + decay * perp[:, None]
+            out[lo : lo + chunk] = np.swapaxes(np.concatenate([diff, q_mode], axis=-1), 1, 2) @ gram.band.T
+    return [_band_error_parts(grid, th, times, s) for s in sums]
 
 
 @dataclass
@@ -390,13 +555,19 @@ def relax_sweep(
     limit from the shared (a, v, theta) data; accumulate the error
     functional and fit its slope against eps.
 
-    The Fourier-law, ill-prepared and well-prepared trajectories advance in
-    lockstep and each snapshot is reduced to scalars as soon as it is made,
-    so memory stays at a few states whatever the number of samples.
-
     Default runs are linear (exact per-mode propagation, no time
-    discretization error).  nonlinear=True integrates both systems with the
-    IMEX stepper instead; this is restricted to d <= 2 and n <= 256 and the
+    discretization error).  At p = 2 every piece of the functional is a
+    dyadic band sum of |C z(k)|^2, z(k) the longitudinal data and C a real
+    matrix of t and |k| only, so the linear p = 2 sweep evaluates it from
+    one 4x4 Gram factor per lattice radius (and Nyquist flag), built once
+    per sweep, and the propagator blocks at each sample time: no state is
+    stepped.  Other p
+    step the Fourier-law, ill-prepared and well-prepared trajectories in
+    lockstep and reduce each snapshot to scalars as soon as it is made, so
+    memory stays at a few states whatever the number of samples.
+
+    nonlinear=True integrates both systems with the IMEX stepper instead,
+    in the lockstep loop; this is restricted to d <= 2 and n <= 256 and the
     report is labeled experimental (outside the decay-theory hypotheses).
     Threshold-invalid eps values are skipped and reported.
     """
@@ -405,7 +576,7 @@ def relax_sweep(
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
     xt, wp, rows, skipped = [], [], [], []
     used = []
-    nsf_state = State(a=base.a.copy(), v=tuple(f.copy() for f in base.v), theta=base.theta.copy(), q=None)
+    gram = None
     for eps in eps_list:
         spec = ModelSpec(kind=SystemKind.NSC, d=d, eps=eps)
         try:
@@ -414,26 +585,19 @@ def relax_sweep(
             skipped.append({"eps": eps, "reason": str(exc)})
             continue
         segs = graded_times(eps, spec.alpha, T)
-        starts = [scaled_flux_state(base, spec)]
-        if compare_well_prepared:
-            starts.append(State(a=base.a, v=base.v, theta=base.theta, q=well_prepared_flux(base.theta, spec)))
-        if nonlinear:
-            dt_max = default_dt(starts[0], spec)
-            flow = lambda st, sp: sampled_nonlinear_trajectory(st, sp, segs, dt_max)
+        if not nonlinear and p == 2:
+            if gram is None:
+                gram = _sweep_gram(base)
+            # graded_times' segments are contiguous: each starts where the last ends
+            times = np.concatenate([segs[0], *(seg[1:] for seg in segs[1:])])
+            parts = _gram_error_parts(gram, base.grid, spec, th, times, compare_well_prepared)
         else:
-            flow = lambda st, sp: sampled_linear_trajectory(st, sp, segs)
-        # one NSF snapshot serves every NSC run at the same time
-        times, scalars = [], [[] for _ in starts]
-        for sf, *nscs in zip(flow(nsf_state, spec.to_nsf()), *(flow(st, spec) for st in starts), strict=True):
-            times.append(nscs[0].time)
-            for out, sn in zip(scalars, nscs):
-                out.append(_pair_scalars(sn, sf, spec, th, p))
-        parts = _error_parts(times, scalars[0])
-        xt.append(parts["total"])
-        rows.append({"eps": eps, **parts})
+            parts = _trajectory_error_parts(base, spec, th, segs, p, compare_well_prepared, nonlinear)
+        xt.append(parts[0]["total"])
+        rows.append({"eps": eps, **parts[0]})
         used.append(eps)
         if compare_well_prepared:
-            wp.append(_error_parts(times, scalars[1])["total"])
+            wp.append(parts[1]["total"])
     if len(used) < 2:
         raise ValueError("need at least two threshold-valid eps values to fit a slope")
     slope, _, _ = fit_loglog(used, xt)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from nsclab.besov import make_thresholds
+from nsclab import evolve, studies
+from nsclab.besov import _grid_labels, make_thresholds
 from nsclab.evolve import linear_trajectory, mode_matrices, sharp_low_profile
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, SpectralField, State, random_field, zero_state
@@ -153,6 +154,19 @@ def _assert_reports_equal(rep, ref):
         assert getattr(rep, f.name) == getattr(ref, f.name), f.name
 
 
+def _assert_reports_close(rep, ref, rtol):
+    # eps_values, skipped and label exactly; every float to rtol relative
+    assert (rep.eps_values, rep.skipped, rep.label) == (ref.eps_values, ref.skipped, ref.label)
+    assert (rep.well_prepared_values is None) == (ref.well_prepared_values is None)
+    assert [row.keys() for row in rep.breakdown] == [row.keys() for row in ref.breakdown]
+    pairs = [(rep.slope_fitted, ref.slope_fitted, "slope_fitted")]
+    pairs += [(x, y, "xtilde_values") for x, y in zip(rep.xtilde_values, ref.xtilde_values, strict=True)]
+    pairs += [(x, y, "well_prepared_values") for x, y in zip(rep.well_prepared_values or [], ref.well_prepared_values or [], strict=True)]
+    pairs += [(a[key], b[key], key) for a, b in zip(rep.breakdown, ref.breakdown) for key in a]
+    for x, y, name in pairs:
+        assert abs(x - y) <= rtol * abs(y), (name, x, y)
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     d=hst.sampled_from([1, 2, 3]),
@@ -167,7 +181,11 @@ def test_streamed_sweep_equals_list_oracle(d, p, seed, well_prepared):
     base = random_state(grid, np.random.default_rng(seed), 1e-2, 3.0)
     eps_list = [1e-1, 3e-2]
     rep = relax_sweep(base, d, eps_list, T=1.0, p=p, compare_well_prepared=well_prepared)
-    _assert_reports_equal(rep, relax_sweep_reference(base, d, eps_list, T=1.0, p=p, compare_well_prepared=well_prepared))
+    ref = relax_sweep_reference(base, d, eps_list, T=1.0, p=p, compare_well_prepared=well_prepared)
+    if p == 2:  # the linear p = 2 sweep is the exact Gram evaluation, not the stepped one
+        _assert_reports_close(rep, ref, 1e-10)
+    else:
+        _assert_reports_equal(rep, ref)
 
     spec = ModelSpec(kind="nsc", d=d, eps=eps_list[0])
     th = make_thresholds(8, 1.0, spec.eps)
@@ -188,6 +206,81 @@ def test_streamed_nonlinear_sweep_equals_list_oracle(rng):
     args = (base, 1, [1e-1, 3e-2])
     kw = dict(T=0.5, p=3.0, compare_well_prepared=True, nonlinear=True)
     _assert_reports_equal(relax_sweep(*args, **kw), relax_sweep_reference(*args, **kw))
+
+
+def _hermitian_state(grid, rng):
+    # real fields whose Nyquist-plane and mean coefficients are nonzero
+    def mk():
+        raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        return SpectralField(grid, raw / (1.0 + grid.wavenumber_magnitude()) ** 2).hermitized()
+
+    d = grid.d
+    return State(a=mk(), v=tuple(mk() for _ in range(d)), theta=mk(), q=tuple(mk() for _ in range(d)))
+
+
+def _clear_kernel_caches():
+    evolve._torus_kernel.cache_clear()
+    evolve._torus_step.cache_clear()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dn=hst.sampled_from([(1, 8), (1, 16), (2, 8), (2, 16), (3, 8)]),
+    seed=hst.integers(0, 2**32 - 1),
+    well_prepared=hst.booleans(),
+    all_expm=hst.booleans(),
+)
+def test_gram_sweep_matches_stepped_oracle(dn, seed, well_prepared, all_expm):
+    # the Gram evaluation of the linear p = 2 sweep equals the stepped
+    # list-based sweep to rounding, on data with Nyquist-plane content and
+    # with every radius forced onto the expm fallback or none
+    d, n = dn
+    base = _hermitian_state(Grid(d=d, n=n), np.random.default_rng(seed))
+    kw = dict(T=1.0, compare_well_prepared=well_prepared)
+    with pytest.MonkeyPatch.context() as mp:
+        if all_expm:
+            mp.setattr(evolve, "_COND_MAX", 0.0)
+        _clear_kernel_caches()
+        try:
+            rep = relax_sweep(base, d, [1e-1, 3e-2], **kw)
+            ref = relax_sweep_reference(base, d, [1e-1, 3e-2], **kw)
+            if all_expm:
+                assert evolve._torus_kernel(ModelSpec(kind="nsc", d=d, eps=3e-2), base.grid)[0].fallback.size > 0
+        finally:
+            _clear_kernel_caches()
+    _assert_reports_close(rep, ref, 1e-10)
+
+
+def test_gram_sweep_small_eps_cancellation():
+    # the relax3d sweep: well-prepared values are O(eps^2) differences of
+    # O(1) states, the hardest case for rounding
+    grid = Grid(d=3, n=16)
+    base = random_state(grid, np.random.default_rng(1), 1e-2, 3.0)
+    eps_list = [1e-1, 3e-2, 1e-2, 3e-3]
+    rep = relax_sweep(base, 3, eps_list, T=4.0)
+    _assert_reports_close(rep, relax_sweep_reference(base, 3, eps_list, T=4.0), 1e-9)
+
+
+def test_linear_l2_sweep_steps_no_state(monkeypatch):
+    def stepped(*args, **kwargs):
+        raise AssertionError("the linear p = 2 sweep stepped a trajectory")
+
+    monkeypatch.setattr(studies, "sampled_linear_trajectory", stepped)
+    base = random_state(Grid(d=2, n=8), np.random.default_rng(3), 1e-2, 3.0)
+    rep = relax_sweep(base, 2, [1e-1, 3e-2], T=1.0)
+    assert len(rep.xtilde_values) == 2
+    with pytest.raises(AssertionError, match="stepped"):
+        relax_sweep(base, 2, [1e-1, 3e-2], T=1.0, p=3.0)
+
+
+@pytest.mark.parametrize("L", [2 * np.pi, np.pi, 2 * np.pi / 3])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_radius_keys_share_one_band_label(d, n, L):
+    grid = Grid(d=d, n=n, L=L)
+    key, radius, weight, label = studies._radius_keys(grid)
+    assert np.array_equal(_grid_labels(grid).ravel(), label[key])
+    assert np.array_equal(evolve._lattice_radii(grid)[1], radius[key])
+    assert np.array_equal(grid.nyquist_mask().ravel(), weight[key] == 0.0)
 
 
 def test_relax_sweep_memory_stays_at_a_few_states():
