@@ -252,8 +252,7 @@ def _random_state(cfg, spec, grid, rng, amplitude, decay, flux_init):
     st = studies.random_state(grid, rng, amplitude, decay, with_flux=spec.kind is model.SystemKind.NSC)
     if spec.kind is model.SystemKind.NSC:
         if flux_init == "zero":
-            q = tuple(spectral.zero_field(grid) for _ in range(grid.d))
-            st = spectral.State(a=st.a, v=st.v, theta=st.theta, q=q)
+            st.u[2 + grid.d :] = 0.0
         elif flux_init == "well-prepared":
             st = spectral.State(a=st.a, v=st.v, theta=st.theta, q=studies.well_prepared_flux(st.theta, spec))
         elif flux_init != "random":
@@ -343,32 +342,21 @@ def run_evolve(cfg, out_dir, rng):
 
     def record(s):
         rows.append([s.time, float(s.a.mean.real)] + [f.l2_norm() for f in s.fields()])
+        if p["snapshots"]:
+            name = f"snapshot_{len(rows) - 1:05d}.fld"
+            spectral.save_state(out_dir / name, s)
+            artifacts.append(name)
 
+    if p["nonlinear"]:
+        advance = lambda s: evolve.imex_step(s, spec, dt, th)
+    else:
+        advance = evolve.LinearPropagator(spec, grid, dt).step
     record(st)
     cur = st
-    snap_idx = 0
-    if p["snapshots"]:
-        spectral.save_state(out_dir / f"snapshot_{snap_idx:05d}.fld", cur)
-        artifacts.append(f"snapshot_{snap_idx:05d}.fld")
-    if p["nonlinear"]:
-        for step in range(1, nsteps + 1):
-            cur = evolve.imex_step(cur, spec, dt, th)
-            if step % stride == 0 or step == nsteps:
-                record(cur)
-                if p["snapshots"]:
-                    snap_idx += 1
-                    spectral.save_state(out_dir / f"snapshot_{snap_idx:05d}.fld", cur)
-                    artifacts.append(f"snapshot_{snap_idx:05d}.fld")
-    else:
-        prop = evolve.LinearPropagator(spec, grid, dt)
-        for step in range(1, nsteps + 1):
-            cur = prop.step(cur)
-            if step % stride == 0 or step == nsteps:
-                record(cur)
-                if p["snapshots"]:
-                    snap_idx += 1
-                    spectral.save_state(out_dir / f"snapshot_{snap_idx:05d}.fld", cur)
-                    artifacts.append(f"snapshot_{snap_idx:05d}.fld")
+    for step in range(1, nsteps + 1):
+        cur = advance(cur)
+        if step % stride == 0 or step == nsteps:
+            record(cur)
     header = ["t", "mean_a"] + [f"l2_{c}" for c in labels]
     write_csv(out_dir / "norms.csv", header, rows)
     sidecar = {
@@ -418,7 +406,7 @@ def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
     ):
         for j in js:
             dt = 5e-3 / diagnostics._regime_rate(spec, j, regime)
-            traj = evolve.linear_trajectory(state0, spec, dt, steps)
+            traj = studies.sampled_linear_trajectory(state0, spec, [dt * np.arange(steps + 1)])
             times, vals, diss, dl = diagnostics._centered_series(traj, j, regime, spec, eta)
             if not np.any(vals > 0):
                 continue
@@ -500,12 +488,7 @@ def run_initial_layer(cfg, out_dir, rng):
     mode = tuple(int(m) for m in p["mode"])[: grid.d]
     st.theta.coeffs[mode] = float(p["amplitude"])
     st.q[0].coeffs[mode] = float(p["flux_amplitude"]) / spec.eps
-    st = spectral.State(
-        a=st.a,
-        v=st.v,
-        theta=st.theta.hermitized(),
-        q=(st.q[0].hermitized(),) + tuple(st.q[1:]),
-    )
+    st = st.hermitized()
     rep = studies.initial_layer(spec, st, n_efolds=float(p["efolds"]), samples=int(p["samples"]))
     scaling = studies.layer_scaling(spec, st, factor=float(p["scaling_factor"]))
     rep_dict = dataclasses.asdict(rep)

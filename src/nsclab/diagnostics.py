@@ -172,13 +172,14 @@ def _validate_stride(times: np.ndarray, spec: ModelSpec, j: int, regime: str) ->
 
 def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
     """Snapshot times, L_j and D_j at every snapshot, and the centred
-    differences d/dt L_j at the interior snapshots."""
-    times = np.array([s.time for s in traj])
+    differences d/dt L_j at the interior snapshots.  traj may be any
+    iterable; it is read once."""
     if regime == "damped":
-        lyap = np.array([spec.eps * band_lp_norm(effective_unknowns(s, spec).Q, j) for s in traj])
+        lyap_of = lambda s: spec.eps * band_lp_norm(effective_unknowns(s, spec).Q, j)
     else:
-        lyap = np.array([lyapunov_value(s, j, regime, spec, eta) for s in traj])
-    diss = np.array([dissipation_quantity(s, j, regime, spec) for s in traj])
+        lyap_of = lambda s: lyapunov_value(s, j, regime, spec, eta)
+    rows = [(s.time, lyap_of(s), dissipation_quantity(s, j, regime, spec)) for s in traj]
+    times, lyap, diss = (np.array(c) for c in zip(*rows))
     dt = _validate_stride(times, spec, j, regime)
     return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)
 

@@ -40,7 +40,7 @@ from scipy.linalg import expm
 from .besov import band_labels, band_sums, dyadic_range
 from .model import ModelSpec, SymbolMatrix, SystemKind, _generators, reduced_blocks
 from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
-from .spectral import Grid, SpectralField, State, _freeze, to_physical
+from .spectral import Grid, State, _freeze, to_physical
 from .spectral import to_spectral  # noqa: F401  (perfbench/tracer.py wraps evolve.to_spectral)
 
 __all__ = [
@@ -236,7 +236,7 @@ class LinearPropagator:
 
     def step(self, state: State) -> State:
         _check_kind(state, self.spec)
-        new = _apply_modes(*self.factors, state.stacked())
+        new = _apply_modes(*self.factors, state.u)
         return State.from_stacked(self.grid, new, state.time + self.dt, state.has_flux)
 
 
@@ -449,11 +449,6 @@ def _half_lattice(grid: Grid):
     return tables
 
 
-def _half_coeffs(grid: Grid, fields) -> np.ndarray:
-    """Half-lattice coefficients of same-grid fields, stacked."""
-    return np.stack([f.coeffs[..., : grid.n // 2 + 1] for f in fields])
-
-
 def _full_lattice(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full-lattice coefficients of real fields from their half lattice:
     c(m) = conj c(-m) wherever the last index of m exceeds n/2."""
@@ -572,13 +567,10 @@ def source_terms(state: State, spec: ModelSpec):
     if spec.kind is SystemKind.NSC and not state.has_flux:
         raise ValueError("relaxing system needs heat-flux components")
     grid = state.grid
-    d = grid.d
-    full = _full_lattice(grid, _nonlinear_sources(_half_coeffs(grid, state.fields()), spec, grid))
-    fields = [SpectralField(grid, c) for c in full]
-    f_field, g_fields, h_field = fields[0], tuple(fields[1 : 1 + d]), fields[1 + d]
-    if spec.kind is SystemKind.NSF:
-        return f_field, g_fields, h_field
-    return f_field, g_fields, h_field, tuple(fields[2 + d :])
+    half = np.ascontiguousarray(state.u[..., : grid.n // 2 + 1])
+    nsc = spec.kind is SystemKind.NSC
+    src = State.from_stacked(grid, _full_lattice(grid, _nonlinear_sources(half, spec, grid)), state.time, nsc)
+    return (src.a, src.v, src.theta) + ((src.q,) if nsc else ())
 
 
 def imex_step(
@@ -607,10 +599,10 @@ def imex_step(
     e_full, e_half = _torus_step(spec, grid, dt, True), _torus_step(spec, grid, dt / 2.0, True)
     _check_kind(state, spec)
 
-    if not all(np.all(np.isfinite(f.coeffs)) for f in state.fields()):
+    if not np.all(np.isfinite(state.u)):
         raise NumericalBlowupError(f"non-finite coefficients entering step at t = {state.time}")
     h = grid.n // 2 + 1
-    u0 = _half_coeffs(grid, state.fields())
+    u0 = np.ascontiguousarray(state.u[..., :h])
     n0 = _nonlinear_sources(u0, spec, grid)
     if forcing is not None:
         n0 = n0 + forcing(state.time)[..., :h]

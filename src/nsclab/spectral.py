@@ -12,7 +12,10 @@ Conventions baked in here and relied on everywhere else:
 * singular multipliers (inverse Laplacian, negative-order |xi|^s) map the
   zero mode to zero and refuse fields with nonzero mean;
 * reductions sum in a fixed (C-order) lattice order, so norms are bitwise
-  reproducible for identical inputs.
+  reproducible for identical inputs;
+* a State is one (nc, *shape) array in the order (a, v, theta[, q]); its
+  components are SpectralField views of its rows, and finiteness is checked
+  once per stack where it enters (construction, from_stacked, load_state).
 """
 
 from __future__ import annotations
@@ -168,14 +171,18 @@ class SpectralField:
 
     def hermitized(self) -> "SpectralField":
         """Project onto the Hermitian-symmetric subspace (real fields)."""
-        mirrored = np.conj(self.coeffs[self.grid.mirror_indices()])
-        return SpectralField(self.grid, 0.5 * (self.coeffs + mirrored))
+        return SpectralField(self.grid, _hermitize(self.grid, self.coeffs))
 
     def l2_norm(self) -> float:
         """Physical L2 norm, computed spectrally (Parseval, exact)."""
         return float(
             np.sqrt(self.grid.L**self.grid.d * np.sum(np.abs(self.coeffs) ** 2))
         )
+
+
+def _hermitize(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """(c(m) + conj c(-m)) / 2 over the last d axes of coeffs."""
+    return 0.5 * (coeffs + np.conj(coeffs[(..., *grid.mirror_indices())]))
 
 
 def zero_field(grid: Grid) -> SpectralField:
@@ -290,87 +297,105 @@ def random_field(
     return f
 
 
-@dataclass
 class State:
     """Density, velocity, temperature and heat-flux perturbation fields.
 
-    ``q`` may be None for Fourier-law (instantaneous heat flux) systems.
+    The coefficients live in one complex array ``u`` of shape
+    (nc, *grid.shape) in the order (a, v_1..v_d, theta[, q_1..q_d]): nc =
+    2d + 2, or d + 2 for Fourier-law systems, whose ``q`` is None.  ``a``,
+    ``v``, ``theta``, ``q`` and ``fields()`` are views of rows of ``u`` and
+    ``stacked()`` is ``u``, so none of them copies, and a write through
+    ``st.theta.coeffs`` lands in the state.  The whole stack is checked
+    finite once, on entry: the keyword constructor copies its fields into a
+    new stack, ``from_stacked`` wraps the array it is given.
     """
 
-    a: SpectralField
-    v: tuple
-    theta: SpectralField
-    q: tuple | None = None
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.v = tuple(self.v)
-        if self.q is not None:
-            self.q = tuple(self.q)
-        grid = self.a.grid
-        d = grid.d
-        if len(self.v) != d or (self.q is not None and len(self.q) != d):
+    def __init__(self, a: SpectralField, v, theta: SpectralField, q=None, time: float = 0.0):
+        grid, v = a.grid, tuple(v)
+        comps = [a, *v, theta]
+        if q is not None:
+            q = tuple(q)
+            comps += q
+        if len(v) != grid.d or (q is not None and len(q) != grid.d):
             raise ValueError("velocity/heat-flux tuples must have d components")
-        for f in self.fields():
-            if f.grid != grid:
-                raise ValueError("all components must live on the same grid")
+        if any(f.grid != grid for f in comps):
+            raise ValueError("all components must live on the same grid")
+        self._wrap(grid, np.stack([f.coeffs for f in comps]), time, q is not None)
 
-    @property
-    def grid(self) -> Grid:
-        return self.a.grid
+    @classmethod
+    def from_stacked(cls, grid: Grid, arr: np.ndarray, time: float, has_flux: bool) -> "State":
+        """The State over arr (nc, *grid.shape); a complex128 arr is not copied."""
+        st = cls.__new__(cls)
+        st._wrap(grid, arr, time, has_flux)
+        return st
+
+    def _wrap(self, grid: Grid, u, time: float, has_flux: bool) -> None:
+        u = np.asarray(u, dtype=np.complex128)
+        shape = (2 * grid.d + 2 if has_flux else grid.d + 2, *grid.shape)
+        if u.shape != shape:
+            raise ValueError(f"stacked state shape {u.shape} does not match {shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("non-finite Fourier coefficients")
+        self.grid, self.u, self.time = grid, u, time
+
+    def _views(self, start: int, stop: int) -> list:
+        """SpectralFields over rows start..stop-1 of u, built without the
+        finiteness scan of SpectralField (the stack was checked on entry)."""
+        views = []
+        for c in self.u[start:stop]:
+            f = SpectralField.__new__(SpectralField)
+            f.grid, f.coeffs = self.grid, c
+            views.append(f)
+        return views
 
     @property
     def has_flux(self) -> bool:
-        return self.q is not None
+        return len(self.u) == 2 * self.grid.d + 2
+
+    @property
+    def a(self) -> SpectralField:
+        return self._views(0, 1)[0]
+
+    @property
+    def v(self) -> tuple:
+        return tuple(self._views(1, 1 + self.grid.d))
+
+    @property
+    def theta(self) -> SpectralField:
+        return self._views(1 + self.grid.d, 2 + self.grid.d)[0]
+
+    @property
+    def q(self) -> tuple | None:
+        return tuple(self._views(2 + self.grid.d, len(self.u))) if self.has_flux else None
 
     def fields(self) -> list:
-        out = [self.a, *self.v, self.theta]
-        if self.q is not None:
-            out.extend(self.q)
-        return out
+        return self._views(0, len(self.u))
 
     def component_labels(self) -> list:
         d = self.grid.d
         labels = ["a"] + [f"v{i+1}" for i in range(d)] + ["theta"]
-        if self.q is not None:
+        if self.has_flux:
             labels += [f"q{i+1}" for i in range(d)]
         return labels
 
     def stacked(self) -> np.ndarray:
-        """(n_comp, *grid.shape) complex array: a copy of the coefficients."""
-        return np.stack([f.coeffs for f in self.fields()])
-
-    @classmethod
-    def from_stacked(cls, grid: Grid, arr: np.ndarray, time: float, has_flux: bool):
-        d = grid.d
-        comps = [SpectralField(grid, arr[i]) for i in range(arr.shape[0])]
-        a = comps[0]
-        v = tuple(comps[1 : 1 + d])
-        theta = comps[1 + d]
-        q = tuple(comps[2 + d : 2 + 2 * d]) if has_flux else None
-        return cls(a=a, v=v, theta=theta, q=q, time=time)
+        """(n_comp, *grid.shape) complex array: the state's own storage."""
+        return self.u
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(f.is_hermitian(tol) for f in self.fields())
 
+    def hermitized(self) -> "State":
+        """Every component projected onto the Hermitian-symmetric subspace."""
+        return State.from_stacked(self.grid, _hermitize(self.grid, self.u), self.time, self.has_flux)
+
     def copy(self) -> "State":
-        return State(
-            a=self.a.copy(),
-            v=tuple(f.copy() for f in self.v),
-            theta=self.theta.copy(),
-            q=tuple(f.copy() for f in self.q) if self.q is not None else None,
-            time=self.time,
-        )
+        return State.from_stacked(self.grid, self.u.copy(), self.time, self.has_flux)
 
 
 def zero_state(grid: Grid, with_flux: bool = True) -> State:
-    d = grid.d
-    return State(
-        a=zero_field(grid),
-        v=tuple(zero_field(grid) for _ in range(d)),
-        theta=zero_field(grid),
-        q=tuple(zero_field(grid) for _ in range(d)) if with_flux else None,
-    )
+    nc = 2 * grid.d + 2 if with_flux else grid.d + 2
+    return State.from_stacked(grid, np.zeros((nc, *grid.shape), dtype=np.complex128), 0.0, with_flux)
 
 
 # Flat binary snapshot container.
@@ -392,16 +417,16 @@ def save_fields(path, fields, time: float = 0.0) -> None:
     """Write a list of same-grid fields to the flat binary container."""
     fields = list(fields)
     grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("all fields must share one grid")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, 1, grid.d, grid.n, grid.L, len(fields), time))
         for f in fields:
-            if f.grid != grid:
-                raise ValueError("all fields must share one grid")
             fh.write(np.ascontiguousarray(f.coeffs, dtype="<c8").tobytes())
 
 
-def load_fields(path):
-    """Read back (fields, time) from the flat binary container."""
+def _load_stack(path):
+    """Read back (grid, (ncomp, *grid.shape) coefficients, time)."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -414,11 +439,14 @@ def load_fields(path):
         if found != 8 * ncomp * count:
             raise ValueError(f"{path}: payload of {ncomp} fields needs {8 * ncomp * count} bytes, found {found}")
         grid = Grid(d=d, n=n, L=L)
-        fields = []
-        for _ in range(ncomp):
-            block = np.frombuffer(fh.read(8 * count), dtype="<c8").astype(np.complex128)
-            fields.append(SpectralField(grid, block.reshape(grid.shape)))
-    return fields, time
+        arr = np.frombuffer(fh.read(found), dtype="<c8").astype(np.complex128)
+    return grid, arr.reshape(ncomp, *grid.shape), time
+
+
+def load_fields(path):
+    """Read back (fields, time) from the flat binary container."""
+    grid, arr, time = _load_stack(path)
+    return [SpectralField(grid, c) for c in arr], time
 
 
 def save_state(path, state: State) -> None:
@@ -426,7 +454,6 @@ def save_state(path, state: State) -> None:
 
 
 def load_state(path, has_flux: bool = True) -> State:
-    fields, time = load_fields(path)
-    grid = fields[0].grid
-    arr = np.stack([f.coeffs for f in fields])
+    """Read a snapshot; its component count must match has_flux."""
+    grid, arr, time = _load_stack(path)
     return State.from_stacked(grid, arr, time, has_flux)

@@ -237,8 +237,9 @@ def scaled_flux_state(base: State, spec: ModelSpec) -> State:
     """
     if base.q is None:
         raise ValueError("base state carries no flux template")
-    q0 = tuple(SpectralField(base.grid, f.coeffs / spec.eps) for f in base.q)
-    return State(a=base.a.copy(), v=tuple(f.copy() for f in base.v), theta=base.theta.copy(), q=q0)
+    u = base.u.copy()
+    u[2 + base.grid.d :] /= spec.eps
+    return State.from_stacked(base.grid, u, 0.0, True)
 
 
 def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) -> State:
@@ -258,15 +259,8 @@ def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) ->
     proj = ((vecs * (lam.real >= -cut)[:, None, :]) @ np.linalg.inv(vecs)).real
     keep_v = (spec.mu_over_nu * r**2 <= cut).astype(float)[radius]
     keep_q = float(spec.damping_rate <= cut) if spec.kind is SystemKind.NSC else 0.0
-    arr = _apply_modes(_mode_blocks(proj, radius), keep_v, keep_q, khat, state.stacked())
-    st = State.from_stacked(state.grid, arr, state.time, state.has_flux)
-    return State(
-        a=st.a.hermitized(),
-        v=tuple(f.hermitized() for f in st.v),
-        theta=st.theta.hermitized(),
-        q=tuple(f.hermitized() for f in st.q) if st.q is not None else None,
-        time=st.time,
-    )
+    arr = _apply_modes(_mode_blocks(proj, radius), keep_v, keep_q, khat, state.u)
+    return State.from_stacked(state.grid, arr, state.time, state.has_flux).hermitized()
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +322,12 @@ def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_ma
 def _pair_scalars(sn: State, sf: State, spec: ModelSpec, th: Thresholds, p: float) -> tuple:
     """(lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one) of one snapshot pair."""
     d = spec.d
-    pairs = zip([sn.a, *sn.v, sn.theta], [sf.a, *sf.v, sf.theta])
-    diff = [SpectralField(sn.grid, x.coeffs - y.coeffs) for x, y in pairs]
-    ta, tv, tth = diff[0], tuple(diff[1 : 1 + d]), diff[1 + d]
+    diff = State.from_stacked(sn.grid, sn.u[: 2 + d] - sf.u, sn.time, False).fields()  # (a, v, theta)
     q_mode = effective_unknowns(sn, spec).Q
-    lo_inf, lo_one = besov_seminorms((ta, *tv, tth), (d / 2 - 2, d / 2), 2, "low", th, overlap=True)
+    lo_inf, lo_one = besov_seminorms(diff, (d / 2 - 2, d / 2), 2, "low", th, overlap=True)
     q_one = besov_seminorm(q_mode, d / p - 1, p, "all", th)
-    ha = besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True)
-    hvt_inf, hvt_one = besov_seminorms((*tv, tth), (d / p - 2, d / p), p, "medhigh", th, overlap=True)
+    ha = besov_seminorm(diff[:1], d / p - 1, p, "medhigh", th, overlap=True)
+    hvt_inf, hvt_one = besov_seminorms(diff[1:], (d / p - 2, d / p), p, "medhigh", th, overlap=True)
     return lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one
 
 
@@ -379,7 +371,7 @@ def _trajectory_error_parts(base: State, spec: ModelSpec, th: Thresholds, segs, 
     """error_functional of the ill-prepared (and well-prepared) run against
     the Fourier-law run, all three stepped in lockstep along `segs`; one
     Fourier-law snapshot serves every relaxing run at the same time."""
-    nsf_state = State(a=base.a, v=base.v, theta=base.theta, q=None)
+    nsf_state = State.from_stacked(base.grid, base.u[: 2 + spec.d], 0.0, False)
     starts = [scaled_flux_state(base, spec)]
     if well_prepared:
         starts.append(State(a=base.a, v=base.v, theta=base.theta, q=well_prepared_flux(base.theta, spec)))
@@ -443,7 +435,7 @@ def _sweep_gram(base: State) -> _SweepGram:
     d = grid.d
     key, radius, weight, label = _radius_keys(grid)
     khat = _lattice_radii(grid)[2]
-    u = base.stacked().reshape(2 * d + 2, -1)
+    u = base.u.reshape(2 * d + 2, -1)
     kv, kq = (sum(khat[j] * u[s + j] for j in range(d)) for s in (1, 2 + d))
     z = (u[0], 1j * kv, u[1 + d], 1j * kq)
     nk = radius.size
@@ -561,10 +553,10 @@ def relax_sweep(
     matrix of t and |k| only, so the linear p = 2 sweep evaluates it from
     one 4x4 Gram factor per lattice radius (and Nyquist flag), built once
     per sweep, and the propagator blocks at each sample time: no state is
-    stepped.  Other p
-    step the Fourier-law, ill-prepared and well-prepared trajectories in
-    lockstep and reduce each snapshot to scalars as soon as it is made, so
-    memory stays at a few states whatever the number of samples.
+    stepped.  Other p step the Fourier-law, ill-prepared and well-prepared
+    trajectories in lockstep and reduce each snapshot to scalars as soon as
+    it is made, so memory stays at a few states whatever the number of
+    samples.
 
     nonlinear=True integrates both systems with the IMEX stepper instead,
     in the lockstep loop; this is restricted to d <= 2 and n <= 256 and the

@@ -292,6 +292,17 @@ def test_centered_difference_matches_exact_derivative(rng, regime, j, mode):
     assert np.allclose(dl, exact, rtol=5e-4, atol=0.0), np.max(np.abs(dl / np.array(exact) - 1.0))
 
 
+@pytest.mark.parametrize("regime, j", [("low", 1), ("high", 3), ("damped", 2)])
+def test_centered_series_reads_a_generator_once(rng, regime, j):
+    # a one-shot generator yields the same series as the list, bit for bit
+    grid = Grid(d=2, n=16)
+    spec = ModelSpec(kind="nsc", d=2, eps=0.25)
+    traj = linear_trajectory(band_state(grid, rng, j, amp=1e-3), spec, 5e-3 / _regime_rate(spec, j, regime), 8)
+    want = _centered_series(traj, j, regime, spec, 0.1)
+    got = _centered_series((s for s in traj), j, regime, spec, 0.1)
+    assert all(np.array_equal(w, g) for w, g in zip(want, got, strict=True))
+
+
 def test_damped_mode_rate_matches_eigenvalue(rng):
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.1)

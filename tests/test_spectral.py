@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsclab.spectral import (
     Grid,
@@ -222,3 +224,97 @@ def test_state_grid_mismatch(grid2d):
     other = Grid(d=2, n=16)
     with pytest.raises(ValueError):
         State(a=zero_field(grid2d), v=(zero_field(other), zero_field(other)), theta=zero_field(grid2d))
+
+
+def test_load_state_checks_component_count(tmp_path, rng, grid2d):
+    path = tmp_path / "nsc.fld"
+    save_state(path, zero_state(grid2d))
+    assert load_state(path).has_flux
+    with pytest.raises(ValueError, match="shape"):
+        load_state(path, has_flux=False)  # would drop q
+    save_fields(path, [random_field(grid2d, rng) for _ in range(5)])  # neither NSF nor NSC at d = 2
+    for has_flux in (True, False):
+        with pytest.raises(ValueError, match="shape"):
+            load_state(path, has_flux=has_flux)
+
+
+def test_save_fields_mismatched_grids_leave_no_file(tmp_path, grid2d):
+    path = tmp_path / "mixed.fld"
+    with pytest.raises(ValueError, match="one grid"):
+        save_fields(path, [zero_field(grid2d), zero_field(Grid(d=2, n=16))])
+    assert not path.exists()
+
+
+# ------------------------------------------------ one stacked State (hypothesis)
+
+_state_grids = hst.sampled_from([Grid(d=1, n=16), Grid(d=2, n=8), Grid(d=3, n=8)])
+
+
+def _random_stack(grid, has_flux, seed):
+    shape = (2 * grid.d + 2 if has_flux else grid.d + 2, *grid.shape)
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=_state_grids, has_flux=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+def test_state_components_are_views_of_one_stack(grid, has_flux, seed):
+    arr = _random_stack(grid, has_flux, seed)
+    st = State.from_stacked(grid, arr, 0.25, has_flux)
+    assert st.u is arr and st.stacked() is arr and st.has_flux == has_flux
+    assert (st.q is None) != has_flux
+    named = [st.a, *st.v, st.theta, *(st.q or ())]
+    assert len(named) == len(arr) == len(st.fields())
+    for i, (f, g) in enumerate(zip(named, st.fields())):
+        assert np.shares_memory(f.coeffs, arr) and np.shares_memory(g.coeffs, arr)
+        assert f.grid == grid and np.array_equal(f.coeffs, arr[i]) and np.array_equal(g.coeffs, arr[i])
+    zero = (0,) * grid.d
+    st.theta.coeffs[zero] = 7.0 - 2.0j
+    assert arr[1 + grid.d][zero] == 7.0 - 2.0j
+
+    cp = st.copy()
+    assert cp.time == st.time and np.array_equal(cp.u, arr)
+    assert not any(np.shares_memory(f.coeffs, arr) for f in [*cp.fields(), cp.a, *cp.v, cp.theta])
+    cp.u[:] = 0.0
+    assert arr[1 + grid.d][zero] == 7.0 - 2.0j
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=_state_grids, has_flux=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+def test_state_hermitized_matches_per_field(grid, has_flux, seed):
+    st = State.from_stacked(grid, _random_stack(grid, has_flux, seed), 1.5, has_flux)
+    herm = st.hermitized()
+    assert herm.time == 1.5 and herm.has_flux == has_flux and herm.is_hermitian(0.0)
+    for f, h in zip(st.fields(), herm.fields()):
+        assert np.array_equal(h.coeffs, f.hermitized().coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=_state_grids, has_flux=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+def test_state_keyword_constructor_copies_into_one_stack(grid, has_flux, seed):
+    arr = _random_stack(grid, has_flux, seed)
+    fields = [SpectralField(grid, c) for c in arr]
+    d = grid.d
+    st = State(a=fields[0], v=fields[1 : 1 + d], theta=fields[1 + d], q=fields[2 + d :] if has_flux else None, time=0.5)
+    assert st.has_flux == has_flux and np.array_equal(st.u, arr)
+    assert not any(np.shares_memory(st.u, f.coeffs) for f in fields)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grid=_state_grids,
+    has_flux=hst.booleans(),
+    seed=hst.integers(0, 2**32 - 1),
+    bad=hst.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan)]),
+)
+def test_from_stacked_rejects_bad_stacks(grid, has_flux, seed, bad):
+    arr = _random_stack(grid, has_flux, seed)
+    with pytest.raises(ValueError, match="shape"):
+        State.from_stacked(grid, arr, 0.0, not has_flux)
+    for wrong in (arr[:-1], np.concatenate([arr, arr[:1]])):
+        with pytest.raises(ValueError, match="shape"):
+            State.from_stacked(grid, wrong, 0.0, has_flux)
+    rng = np.random.default_rng(seed)
+    arr[tuple(int(rng.integers(m)) for m in arr.shape)] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        State.from_stacked(grid, arr, 0.0, has_flux)
