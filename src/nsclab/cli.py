@@ -5,7 +5,8 @@ Usage: nsclab <study> --config cfg.yaml [--out DIR] [--seed N]
        [--threads N] [--dry-run]
 
 The YAML config holds a model block, a grid or radial block, a thresholds
-block, one study block (matching the subcommand) and an output block.
+block, one study block (matching the subcommand) and an output block;
+a key that has no default is a validation error.
 Numbers in CSV/dat artifacts are printed with 17 significant digits and
 '\n' line endings; identical config + seed reproduces byte-identical files.
 
@@ -136,9 +137,9 @@ _DEFAULTS = {
         "visc_lam": 0.0,
     },
     "grid": {"n": 32, "L": 2.0 * math.pi},
-    "radial": {"r_min": 1e-4, "r_max": 10.0, "nodes": 4096},
+    "radial": {"r_max": 10.0, "nodes": 4096},
     "thresholds": {"K": 8, "k": 1.0},
-    "output": {"directory": "out", "stride": 10, "formats": ["csv", "json", "dat"]},
+    "output": {"directory": "out", "stride": 10},
     "seed": 0,
     "threads": 0,
 }
@@ -171,52 +172,60 @@ _STUDY_DEFAULTS = {
 }
 
 
-def _merge(defaults: dict, override) -> dict:
-    out = dict(defaults)
-    if override:
-        for key, val in override.items():
-            if isinstance(val, dict) and isinstance(out.get(key), dict):
-                out[key] = _merge(out[key], val)
-            else:
-                out[key] = val
-    return out
+# studies whose preconditions reference the regime thresholds of model.eps
+_THRESHOLD_STUDIES = {"evolve", "lyapunov", "bernstein"}
+
+
+def _check_keys(where: str, given, allowed) -> None:
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where or 'config root'} must be a mapping, got {given!r}")
+    unknown = [f"{where}.{k}" if where else str(k) for k in given if k not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)}")
+
+
+def _merge(where: str, defaults: dict, override, extra=()) -> dict:
+    if override is None:
+        return dict(defaults)
+    _check_keys(where, override, (*defaults, *extra))
+    return {**defaults, **override}
 
 
 def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
+    """The resolved config of one run, judged before anything is computed.
+
+    Raises ConfigError (a ValueError) for a key the defaults do not hold,
+    a section that is not a mapping or a bad seed or thread count, and
+    ValueError for a model or regime split that cannot be built.
+    """
     raw = {}
     if path:
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    study_block = raw.get("study", {})
-    if study_block:
-        names = [k for k in study_block if k in STUDIES]
-        if len(names) != 1:
-            raise ConfigError(f"config must contain exactly one study block, found {names}")
-        if names[0] != study:
-            raise ConfigError(f"config study block {names[0]!r} does not match subcommand {study!r}")
-        study_params = study_block[names[0]] or {}
-    else:
-        study_params = {}
+    _check_keys("", raw, (*_DEFAULTS, "study"))
+    study_block = {} if raw.get("study") is None else raw["study"]
+    _check_keys("study", study_block, STUDIES)
+    if study_block and list(study_block) != [study]:
+        raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
     cfg = {
-        "model": _merge(_DEFAULTS["model"], raw.get("model")),
-        "grid": _merge(_DEFAULTS["grid"], raw.get("grid")),
-        "radial": _merge(_DEFAULTS["radial"], raw.get("radial")),
-        "thresholds": _merge(_DEFAULTS["thresholds"], raw.get("thresholds")),
-        "output": _merge(_DEFAULTS["output"], raw.get("output")),
-        "study": {study: _merge(_STUDY_DEFAULTS[study], study_params)},
-        "seed": raw.get("seed", _DEFAULTS["seed"]),
-        "threads": raw.get("threads", _DEFAULTS["threads"]),
+        name: _merge(name, defaults, raw.get(name), extra=("phys",) if name == "model" else ())
+        for name, defaults in _DEFAULTS.items()
+        if isinstance(defaults, dict)
     }
-    if seed is not None:
-        cfg["seed"] = seed
+    cfg["study"] = {study: _merge(f"study.{study}", _STUDY_DEFAULTS[study], study_block.get(study))}
+    phys = cfg["model"].get("phys")
+    if phys:
+        _check_keys("model.phys", phys, [f.name for f in dataclasses.fields(model.PhysParams)])
+    for key, override in (("seed", seed), ("threads", threads)):
+        val = raw.get(key, _DEFAULTS[key]) if override is None else override
+        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            raise ConfigError(f"{key} must be a non-negative integer, got {val!r}")
+        cfg[key] = val
     if out is not None:
         cfg["output"]["directory"] = str(out)
-    if threads is not None:
-        cfg["threads"] = threads
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    spec = build_model(cfg)
+    if spec.kind is model.SystemKind.NSC and study in _THRESHOLD_STUDIES:
+        build_thresholds(cfg, spec.eps)
     return cfg
 
 
@@ -397,24 +406,20 @@ def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
     Each band gets its own finely-strided window from the initial state so
     the centered-difference residual is resolved in its regime's timescale.
     """
-    grid = state0.grid
     rows = []
-    bands = list(besov.grid_band_range(grid))
-    for regime, js, eta in (
-        ("low", [j for j in bands if j <= th.J0], 0.1),
-        ("high", [j for j in bands if j >= th.Jeps], 0.25),
-    ):
-        for j in js:
+    bands = besov.grid_band_range(state0.grid)
+    for regime, eta in (("low", 0.1), ("high", 0.25)):
+        for j in besov.regime_band_indices(regime, th, bands):
             dt = 5e-3 / diagnostics._regime_rate(spec, j, regime)
             traj = studies.sampled_linear_trajectory(state0, spec, [dt * np.arange(steps + 1)])
             times, vals, diss, dl = diagnostics._centered_series(traj, j, regime, spec, eta)
             if not np.any(vals > 0):
                 continue
-            # the residual of dissipation_residual, from the same series
+            # the residual of dissipation_residual, from the same series; the
+            # centred difference leaves the two end snapshots without one
             res = dl + diagnostics._calibrate([(dl, diss[1:-1])]) * diss[1:-1]
-            res_map = dict(zip(np.round(times[1:-1], 14), res))
-            for t, lv, dv in zip(times, vals, diss):
-                rows.append([t, j, regime, lv, dv, res_map.get(round(float(t), 14), float("nan"))])
+            res = np.concatenate([[np.nan], res, [np.nan]])
+            rows += [[t, j, regime, lv, dv, r] for t, lv, dv, r in zip(times, vals, diss, res)]
     write_csv(
         out_dir / "band_diagnostics.csv",
         ["t", "j", "regime", "lyapunov", "dissipation", "residual"],
@@ -576,22 +581,11 @@ _RUNNERS = {
 }
 
 
-# studies whose preconditions reference the regime thresholds of model.eps
-_THRESHOLD_STUDIES = {"evolve", "lyapunov", "bernstein"}
-
-
 def run(config: dict) -> int:
     """Execute the study named in the config; returns the process exit code."""
     study = next(iter(config["study"]))
     out_dir = Path(config["output"]["directory"])
     threads = int(config["threads"]) or (os.cpu_count() or 1)
-    try:
-        spec = build_model(config)  # validate before touching the filesystem
-        if spec.kind is model.SystemKind.NSC and study in _THRESHOLD_STUDIES:
-            build_thresholds(config, spec.eps)
-    except (ValueError, ConfigError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(config["seed"]))
     try:
@@ -599,7 +593,7 @@ def run(config: dict) -> int:
         # the worker count changes no output bit
         with scipy.fft.set_workers(threads):
             artifacts = _RUNNERS[study](config, out_dir, rng)
-    except (ValueError, ConfigError, besov.ThresholdOrderError) as exc:
+    except ValueError as exc:  # ConfigError and ThresholdOrderError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (
@@ -630,10 +624,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.study, seed=args.seed, out=args.out, threads=args.threads)
-        spec = build_model(cfg)
-        if spec.kind is model.SystemKind.NSC and args.study in _THRESHOLD_STUDIES:
-            build_thresholds(cfg, spec.eps)
-    except (ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
+    except (ValueError, TypeError, OSError, yaml.YAMLError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -22,7 +22,6 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-import scipy.optimize
 
 __all__ = [
     "SystemKind",
@@ -368,6 +367,8 @@ def spectral_distance(eigs_a, eigs_b) -> float:
     Sorting conjugate pairs is unstable when real parts tie to roundoff, so
     spectra are compared as multisets via an assignment problem.
     """
+    import scipy.optimize  # deferred: importing it costs every CLI process ~0.2 s
+
     va = np.asarray(eigs_a, dtype=complex)
     vb = np.asarray(eigs_b, dtype=complex)
     if va.shape != vb.shape:

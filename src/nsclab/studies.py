@@ -107,14 +107,18 @@ def theory_decay_exponent(d: int, p: float, sigma: float, sigma1: float) -> floa
     return -0.5 * d * (0.5 - 1.0 / p) - 0.5 * (sigma + sigma1)
 
 
-def fit_loglog(x, y):
-    """Least-squares slope of log y against log x, with r^2."""
-    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    a = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    ss = float(np.sum((ly - ly.mean()) ** 2))
+def _fit_line(x, y):
+    """Least-squares slope and intercept of y against x, with r^2."""
+    a = np.vstack([x, np.ones_like(x)]).T
+    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
+    ss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
     return float(coef[0]), float(coef[1]), r2
+
+
+def fit_loglog(x, y):
+    """Least-squares slope of log y against log x, with r^2."""
+    return _fit_line(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
 
 
 def _validate_decay_ranges(d: int, p: float, sigma: float, sigma1: float) -> str:
@@ -659,26 +663,17 @@ def initial_layer(
     rate0 = spec.alpha / spec.eps**2
     window = n_efolds / rate0
     dt = window / samples
-    prop = LinearPropagator(spec, ill_prepared_state.grid, dt)
-    cur = ill_prepared_state
-    times, vals = [0.0], [q0]
-    for _ in range(samples):
-        cur = prop.step(cur)
-        times.append(cur.time)
-        vals.append(_q_l2(cur, spec))
-    times = np.array(times)
-    vals = np.array(vals)
-    a = np.vstack([times, np.ones_like(times)]).T
-    coef, res, *_ = np.linalg.lstsq(a, np.log(vals), rcond=None)
-    ss = float(np.sum((np.log(vals) - np.log(vals).mean()) ** 2))
-    r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
+    start = ill_prepared_state.time
+    traj = sampled_linear_trajectory(ill_prepared_state, spec, [start + dt * np.arange(samples + 1)])
+    times, vals = (np.array(c) for c in zip(*((s.time, _q_l2(s, spec)) for s in traj)))
+    slope, _, r2 = _fit_line(times, np.log(vals))
     if r2 < 0.99:
         raise LayerResolutionError(
             f"layer fit r^2 = {r2:.4f} < 0.99: the time grid does not resolve the layer"
         )
     oracle = _dominant_mode_fast_rate(ill_prepared_state, spec)
     return LayerReport(
-        rate_fitted=-float(coef[0]),
+        rate_fitted=-slope,
         rate_oracle=oracle,
         r_squared=r2,
         window=(0.0, window),
@@ -769,6 +764,8 @@ def lyapunov_ode_compare(
     t^(-1/m) = t^(-(d/2 - 1 + sigma1)/2).
     """
     d = spec.d
+    if abs(prof.sigma1 - sigma1) > 1e-12:
+        raise ValueError("data profile was built for a different sigma1")
     if t_grid is None:
         t_grid = np.logspace(0, 3, 40)
     t_grid = np.asarray(t_grid, dtype=float)

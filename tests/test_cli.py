@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,51 @@ def test_seed_must_be_integer(tmp_path):
     cfg = write_cfg(tmp_path / "c.yaml", {"seed": "abc"})
     code = main(["spectrum", "--config", str(cfg), "--dry-run"])
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"seeed": 3}, "seeed"),
+        ({"grid": {"nn": 16}}, "grid.nn"),
+        ({"output": {"formats": ["csv"]}}, "output.formats"),
+        ({"radial": {"r_min": 1e-4}}, "radial.r_min"),
+        ({"study": {"relax-sweep": {"eps_lst": [0.1]}}}, "study.relax-sweep.eps_lst"),
+        ({"study": {"relax_sweep": {}}}, "study.relax_sweep"),
+        ({"model": {"phys": {"rho_bar": 1.0, "mu_typo": 2.0}}}, "model.phys.mu_typo"),
+        ({"grid": [1, 2]}, "grid"),
+        ({"threads": "abc"}, "threads"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
+    cfg = write_cfg(tmp_path / "c.yaml", payload)
+    out = tmp_path / "out"
+    assert main(["relax-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_phys_block_builds_the_model(tmp_path):
+    cfg = write_cfg(tmp_path / "c.yaml", {"model": {"kind": "nsc", "d": 2, "phys": {"mu": 0.25, "eps": 0.05}}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["config"]["model"]["phys"] == {"mu": 0.25, "eps": 0.05}
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write_cfg(tmp_path / "c.yaml", yaml.safe_load(example)), "decay-fit")
+    assert cfg["seed"] == 1234 and "decay-fit" in cfg["study"]
+
+
+def test_cli_import_skips_scipy_optimize():
+    code = "import sys, nsclab.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.strip() == "False"
 
 
 def test_spectrum_shape_contract(tmp_path):

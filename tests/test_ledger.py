@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsclab.besov import (
@@ -182,6 +182,8 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
     st.sampled_from([2.0, 3.0, 4.0]),
     st.sampled_from([("a",), ("w",), ("Q",), ("a", "v"), ("theta", "q")]),
 )
+# bands 4 and 5 of Q sit near 3e-158 here, with subnormal squares
+@example(1, -2.3125, 4716631, 2.546875, 0.0, 2.0, ("Q",))
 def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p, comps):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind="nsc", d=d, eps=10.0**log_eps)
@@ -190,8 +192,12 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
     t = 10.0**log_t
     u = flow.at(t)
     norms = flow.band_l2_norms(u, comps)
+    top = float(np.max(norms))
     for i, j in enumerate(flow.band_range()):
-        assert close(norms[i], radial_band_l2_norm_reference(flow, u, comps, j))
+        ref = radial_band_l2_norm_reference(flow, u, comps, j)
+        # a band whose square is subnormal keeps only a few digits in either
+        # sum; compare it absolutely, on the scale of the largest band
+        assert close(norms[i], ref, scale=abs(ref) if ref * ref >= np.finfo(float).tiny else top)
     assert close(flow.besov_proxy(u, comps, s, p), radial_besov_proxy_reference(flow, u, comps, s, p))
     th = make_thresholds(2, 1.0, spec.eps)
     assert close(lyapunov_l1(flow, th, p, t), lyapunov_l1_reference(flow, th, p, t))

@@ -449,3 +449,12 @@ def test_lyapunov_ode_compare_report():
     assert rep.tail_slope_theory == pytest.approx(-1.0)
     assert abs(rep.tail_slope - rep.tail_slope_theory) / abs(rep.tail_slope_theory) < 0.1
     assert rep.c0_fitted > 0
+
+
+def test_lyapunov_ode_compare_checks_profile_sigma1():
+    # the ODE exponent m comes from sigma1, so a profile built for another
+    # sigma1 would fit the wrong envelope
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    th = make_thresholds(8, 1, spec.eps)
+    with pytest.raises(ValueError, match="different sigma1"):
+        lyapunov_ode_compare(spec, sharp_low_profile(1.5, 3), th, 2.0, 1.0)
