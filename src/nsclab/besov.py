@@ -8,10 +8,16 @@ constants, and every consumer here is constant-tolerant.
 Band membership is decided in one place, `band_labels`.  Each grid caches
 one label array (C order, zero mode unlabelled) and the radial flow labels
 its nodes the same way; every band sum is one `np.bincount` of a per-mode
-density.  For p = 2 all band norms of a state come from one pass over
-sum |c|^2 (Parseval), band inner products from one pass over Re(conj f g).
-For p != 2 each band (`labels == j`) takes one batched inverse FFT of the
-stacked components.
+density.  Band norms are taken on coefficient stacks (nc, *shape), a row
+slice of `State.u` or a difference of two, rows combined pointwise; the
+functions that take fields or field tuples stack them once.  For p = 2 all
+band norms of a stack come from one pass over sum |c|^2 (Parseval), band
+inner products from one pass over Re(conj f g).  For p != 2 each band that
+some weight picks takes one complex inverse FFT of the stack: a real
+transform would assume Hermitian input, which a single complex exponential
+is not, and one batched transform over all bands holds every band's
+samples at once (a larger peak, no faster).  A semi-norm is the band norms
+dotted with a regime weight vector, 2^(js) on the bands the regime picks.
 
 Regimes are split by a pair of dyadic indices (J0, Jeps).  Internally the
 regimes are disjoint (low: j <= J0, medium: J0 < j < Jeps, high: j >= Jeps);
@@ -139,88 +145,100 @@ def _grid_labels(grid: Grid) -> np.ndarray:
     return _freeze(band_labels(grid.wavenumber_magnitude(), grid_band_range(grid)))
 
 
-def _band_parseval(grid: Grid, density: np.ndarray) -> dict:
-    """{j: L^d sum of density over band j}: the band parts of a Parseval sum."""
-    bands = grid_band_range(grid)
-    return dict(zip(bands, grid.L**grid.d * band_sums(_grid_labels(grid), density, len(bands))))
-
-
-def _band_keep(grid: Grid, j: int):
-    bands = grid_band_range(grid)
-    return _grid_labels(grid) == j - bands.start + 1 if j in bands else False
-
-
 def band_project(f: SpectralField, j: int) -> SpectralField:
     """Retain exactly the coefficients with 2^j <= |xi| < 2^(j+1)."""
-    return SpectralField(f.grid, np.where(_band_keep(f.grid, j), f.coeffs, 0.0))
+    bands = grid_band_range(f.grid)
+    keep = _grid_labels(f.grid) == j - bands.start + 1 if j in bands else False
+    return SpectralField(f.grid, np.where(keep, f.coeffs, 0.0))
 
 
-def _as_fields(f) -> list:
-    return list(f) if isinstance(f, (tuple, list)) else [f]
+def _as_stack(f) -> tuple:
+    """(grid, (nc, *shape) coefficients) of a field or a tuple of fields."""
+    fields = list(f) if isinstance(f, (tuple, list)) else [f]
+    return fields[0].grid, np.stack([x.coeffs for x in fields])
 
 
-def _band_norms(fields, js, p: float) -> list:
-    """L^p norms of the pointwise euclidean magnitude of several components,
-    restricted to each band j in js (0 off the grid's bands)."""
-    grid = fields[0].grid
+def _band_norms(grid: Grid, u: np.ndarray, p: float, keep=None) -> np.ndarray:
+    """L^p norms of the pointwise euclidean magnitude of the rows of u
+    (nc, *grid.shape), one per band of grid_band_range.  At p != 2 only
+    the bands where the mask `keep` is true are transformed; the others
+    read 0."""
+    bands = grid_band_range(grid)
+    labels = _grid_labels(grid)
     if p == 2:
-        sums = _band_parseval(grid, sum(np.abs(f.coeffs) ** 2 for f in fields))
-        return [math.sqrt(sums.get(j, 0.0)) for j in js]
-    stack = np.stack([f.coeffs for f in fields])
+        density = sum(np.abs(c) ** 2 for c in u)
+        return np.sqrt(grid.L**grid.d * band_sums(labels, density, len(bands)))
     axes = tuple(range(1, grid.d + 1))
     cell = (grid.L / grid.n) ** grid.d
-    out = []
-    for j in js:
-        phys = np.fft.ifftn(np.where(_band_keep(grid, j), stack, 0.0), axes=axes) * grid.n**grid.d
+    out = np.zeros(len(bands))
+    for i in range(len(bands)) if keep is None else np.flatnonzero(keep):
+        phys = np.fft.ifftn(np.where(labels == i + 1, u, 0.0), axes=axes) * grid.n**grid.d
         mags = np.sqrt(np.sum(np.abs(phys) ** 2, axis=0))
-        out.append(float(np.max(mags) if np.isinf(p) else (np.sum(mags**p) * cell) ** (1.0 / p)))
+        out[i] = np.max(mags) if np.isinf(p) else (np.sum(mags**p) * cell) ** (1.0 / p)
     return out
 
 
 def band_lp_norm(f, j: int, p: float = 2) -> float:
     """Physical L^p norm of the band-j projection (f may be a tuple)."""
-    return _band_norms(_as_fields(f), [j], p)[0]
+    return _band_norm(*_as_stack(f), j, p)
+
+
+def _band_norm(grid: Grid, u: np.ndarray, j: int, p: float = 2) -> float:
+    """band_lp_norm of the rows of u (nc, *grid.shape); 0 off the grid's bands."""
+    bands = grid_band_range(grid)
+    if j not in bands:
+        return 0.0
+    return float(_band_norms(grid, u, p, np.equal(bands, j))[j - bands.start])
 
 
 def band_inner(f, g, j: int) -> float:
     """Band-j part of the real L2 inner product sum_i int f_i g_i (Parseval)."""
-    fs = _as_fields(f)
-    density = sum(np.real(np.conj(x.coeffs) * y.coeffs) for x, y in zip(fs, _as_fields(g)))
-    return float(_band_parseval(fs[0].grid, density).get(j, 0.0))
+    return _band_inner(*_as_stack(f), _as_stack(g)[1], j)
+
+
+def _band_inner(grid: Grid, fu: np.ndarray, gu: np.ndarray, j: int) -> float:
+    """band_inner of the rows of two (nc, *grid.shape) stacks."""
+    bands = grid_band_range(grid)
+    if j not in bands:
+        return 0.0
+    density = sum(np.real(np.conj(x) * y) for x, y in zip(fu, gu))
+    return float(grid.L**grid.d * band_sums(_grid_labels(grid), density, len(bands))[j - bands.start])
 
 
 def regime_band_indices(regime: str, th: Thresholds, bands) -> list:
-    """Bands of `bands` that fall in `regime` under the disjoint convention.
-
-    With overlap left to the caller: this is the disjoint split used for the
-    additivity identity low + med + high = all.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    j0, je = th.J0, th.Jeps
-    sel = {
-        "low": lambda j: j <= j0,
-        "med": lambda j: j0 < j < je,
-        "high": lambda j: j >= je,
-        "lowmed": lambda j: j < je,
-        "medhigh": lambda j: j > j0,
-        "all": lambda j: True,
-    }[regime]
-    return [j for j in bands if sel(j)]
+    """Bands of `bands` that fall in `regime` under the disjoint convention,
+    the split of the additivity identity low + med + high = all."""
+    return _regime_bands(regime, th, bands, 0)
 
 
 def _overlap_band_indices(regime: str, th: Thresholds, bands) -> list:
     """Band selection with the overlapping endpoint convention."""
-    j0, je = th.J0, th.Jeps
-    sel = {
-        "low": lambda j: j <= j0,
-        "med": lambda j: j0 <= j <= je,
-        "high": lambda j: j >= je - 1,
-        "lowmed": lambda j: j <= je,
-        "medhigh": lambda j: j >= j0,
-        "all": lambda j: True,
+    return _regime_bands(regime, th, bands, 1)
+
+
+def _regime_bands(regime: str, th: Thresholds, bands, overlap: int) -> list:
+    """Bands j of `bands` in the regime's interval lo <= j <= hi.  overlap = 1
+    moves each edge of med and high out by one band, so that adjacent
+    regimes share J0 (low, med) and Jeps - 1, Jeps (med, high)."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    j0, je, o, inf = th.J0, th.Jeps, overlap, math.inf
+    lo, hi = {
+        "low": (-inf, j0),
+        "med": (j0 + 1 - o, je - 1 + o),
+        "high": (je - o, inf),
+        "lowmed": (-inf, je - 1 + o),
+        "medhigh": (j0 + 1 - o, inf),
+        "all": (-inf, inf),
     }[regime]
-    return [j for j in bands if sel(j)]
+    return [j for j in bands if lo <= j <= hi]
+
+
+def _regime_weights(grid: Grid, regime: str, th: Thresholds, s: float, overlap: bool = False) -> np.ndarray:
+    """2^(js) on each band j of the grid that `regime` picks, 0 on the others."""
+    bands = grid_band_range(grid)
+    picked = _regime_bands(regime, th, bands, int(overlap))
+    return np.array([2.0 ** (j * s) if j in picked else 0.0 for j in bands])
 
 
 def besov_seminorm(
@@ -236,16 +254,15 @@ def besov_seminorm(
     f may be a single field or a tuple of components (combined pointwise).
     The band range is limited to the grid's populated annuli.
     """
-    return besov_seminorms(f, (s,), p, regime, th, overlap)[0]
+    return besov_seminorms(*_as_stack(f), (s,), p, regime, th, overlap)[0]
 
 
-def besov_seminorms(f, ss, p: float, regime: str, th: Thresholds, overlap: bool = False) -> list:
-    """besov_seminorm at each s in ss, from one pass over the band norms."""
-    fields = _as_fields(f)
-    pick = _overlap_band_indices if overlap else regime_band_indices
-    js = pick(regime, th, grid_band_range(fields[0].grid))
-    norms = _band_norms(fields, js, p)
-    return [float(sum(2.0 ** (j * s) * norm for j, norm in zip(js, norms))) for s in ss]
+def besov_seminorms(grid: Grid, u: np.ndarray, ss, p: float, regime: str, th: Thresholds, overlap: bool = False) -> list:
+    """besov_seminorm of the rows of u (nc, *grid.shape) at each s in ss,
+    from one pass over the band norms of the bands the regime picks."""
+    weights = [_regime_weights(grid, regime, th, s, overlap) for s in ss]
+    norms = _band_norms(grid, u, p, weights[0] != 0)
+    return [float(norms @ w) for w in weights]
 
 
 @dataclass(frozen=True)
@@ -266,8 +283,9 @@ class BandProfile:
 
 def band_profile(fields: dict, p: float = 2, s: float = 0.0) -> BandProfile:
     """Band decomposition of named fields: norms per (band, component)."""
-    bands = grid_band_range(_as_fields(next(iter(fields.values())))[0].grid)
-    norms = {name: _band_norms(_as_fields(f), bands, p) for name, f in fields.items()}
+    stacks = {name: _as_stack(f) for name, f in fields.items()}
+    norms = {name: _band_norms(grid, u, p) for name, (grid, u) in stacks.items()}
+    bands = grid_band_range(next(iter(stacks.values()))[0])
     entries = {}
     for i, j in enumerate(bands):
         row = {name: 2.0 ** (j * s) * vals[i] for name, vals in norms.items() if vals[i] > 0.0}
@@ -311,13 +329,14 @@ def bernstein_check(
         raise ValueError(f"field must occupy exactly one band, found {occupied}")
     (j,) = occupied
 
+    norm = band_lp_norm(f_band, j, p)
     results = []
     for name, regime, factor, sign in BERNSTEIN_INEQUALITIES:
         if j not in _overlap_band_indices(regime, th, [j]):
             continue
-        lhs = besov_seminorm(f_band, s, p, regime, th, overlap=True)
-        rhs_order = s + sign * s_prime
-        rhs = factor(th, s_prime) * besov_seminorm(f_band, rhs_order, p, regime, th, overlap=True)
+        # f_band lies in band j alone: a semi-norm of it is 2^(j s) |f_j|_Lp
+        lhs = 2.0 ** (j * s) * norm
+        rhs = factor(th, s_prime) * (2.0 ** (j * (s + sign * s_prime)) * norm)
         ratio = lhs / rhs if rhs > 0 else np.inf
         results.append(
             {

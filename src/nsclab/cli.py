@@ -6,7 +6,8 @@ Usage: nsclab <study> --config cfg.yaml [--out DIR] [--seed N]
 
 The YAML config holds a model block, a grid or radial block, a thresholds
 block, one study block (matching the subcommand) and an output block;
-a key that has no default is a validation error.
+a key that has no default, or a value of another kind than its default,
+is a validation error.
 Numbers in CSV/dat artifacts are printed with 17 significant digits and
 '\n' line endings; identical config + seed reproduces byte-identical files.
 
@@ -174,6 +175,7 @@ _STUDY_DEFAULTS = {
 
 # studies whose preconditions reference the regime thresholds of model.eps
 _THRESHOLD_STUDIES = {"evolve", "lyapunov", "bernstein"}
+_FLUX_INITS = ("zero", "random", "well-prepared")
 
 
 def _check_keys(where: str, given, allowed) -> None:
@@ -184,10 +186,43 @@ def _check_keys(where: str, given, allowed) -> None:
         raise ConfigError(f"unknown config key {', '.join(unknown)}")
 
 
+def _is_number(val, kind=float) -> bool:
+    """val is not a bool and kind() reads it (YAML reads 1e-2 as a string)."""
+    if isinstance(val, bool):
+        return False
+    try:
+        kind(val)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _check_value(where: str, default, val) -> None:
+    """Raise ConfigError unless val is the kind of value its default is
+    (spectrum.direction, null by default, may be a list of numbers)."""
+    if isinstance(default, bool):
+        ok, want = isinstance(val, bool), "true or false"
+    elif isinstance(default, (int, float)):
+        ok, want = _is_number(val, type(default)), "a number"
+    elif isinstance(default, list) or default is None:
+        kind = type(default[0]) if default else float
+        ok = val is default or (isinstance(val, list) and all(_is_number(x, kind) for x in val))
+        want = "a list of numbers"
+    elif where.endswith(".flux_init"):
+        ok, want = val in _FLUX_INITS, f"one of {', '.join(_FLUX_INITS)}"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"{where} must be {want}, got {val!r}")
+
+
 def _merge(where: str, defaults: dict, override, extra=()) -> dict:
     if override is None:
         return dict(defaults)
     _check_keys(where, override, (*defaults, *extra))
+    for key, val in override.items():
+        if key in defaults:
+            _check_value(f"{where}.{key}", defaults[key], val)
     return {**defaults, **override}
 
 
@@ -195,7 +230,8 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     """The resolved config of one run, judged before anything is computed.
 
     Raises ConfigError (a ValueError) for a key the defaults do not hold,
-    a section that is not a mapping or a bad seed or thread count, and
+    a value of another kind than its default (naming the dotted key), a
+    section that is not a mapping or a bad seed or thread count, and
     ValueError for a model or regime split that cannot be built.
     """
     raw = {}
@@ -205,6 +241,7 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     _check_keys("", raw, (*_DEFAULTS, "study"))
     study_block = {} if raw.get("study") is None else raw["study"]
     _check_keys("study", study_block, STUDIES)
+    blocks = {name: _merge(f"study.{name}", _STUDY_DEFAULTS[name], block) for name, block in study_block.items()}
     if study_block and list(study_block) != [study]:
         raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
     cfg = {
@@ -212,10 +249,10 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
         for name, defaults in _DEFAULTS.items()
         if isinstance(defaults, dict)
     }
-    cfg["study"] = {study: _merge(f"study.{study}", _STUDY_DEFAULTS[study], study_block.get(study))}
+    cfg["study"] = {study: blocks.get(study, dict(_STUDY_DEFAULTS[study]))}
     phys = cfg["model"].get("phys")
-    if phys:
-        _check_keys("model.phys", phys, [f.name for f in dataclasses.fields(model.PhysParams)])
+    if phys:  # judged against the PhysParams defaults, every one a float
+        _merge("model.phys", {f.name: f.default for f in dataclasses.fields(model.PhysParams)}, phys)
     for key, override in (("seed", seed), ("threads", threads)):
         val = raw.get(key, _DEFAULTS[key]) if override is None else override
         if isinstance(val, bool) or not isinstance(val, int) or val < 0:
@@ -232,19 +269,10 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
 def build_model(cfg: dict) -> model.ModelSpec:
     m = cfg["model"]
     if "phys" in m and m["phys"]:
-        params = model.PhysParams(**m["phys"])
+        params = model.PhysParams(**{k: float(v) for k, v in m["phys"].items()})
         return model.build_spec(params, m["kind"], int(m["d"]))
-    return model.ModelSpec(
-        kind=m["kind"],
-        d=int(m["d"]),
-        alpha=float(m["alpha"]),
-        beta=float(m["beta"]),
-        gamma=float(m["gamma"]),
-        kappa=float(m["kappa"]),
-        eps=float(m["eps"]),
-        visc_mu=float(m["visc_mu"]),
-        visc_lam=float(m["visc_lam"]),
-    )
+    coeffs = {k: float(v) for k, v in m.items() if k not in ("kind", "d", "phys")}
+    return model.ModelSpec(kind=m["kind"], d=int(m["d"]), **coeffs)
 
 
 def build_grid(cfg: dict, spec: model.ModelSpec) -> spectral.Grid:
@@ -257,15 +285,13 @@ def build_thresholds(cfg: dict, eps: float) -> besov.Thresholds:
     return besov.make_thresholds(int(t["K"]), float(t["k"]), eps)
 
 
-def _random_state(cfg, spec, grid, rng, amplitude, decay, flux_init):
+def _random_state(spec, grid, rng, amplitude, decay, flux_init):
     st = studies.random_state(grid, rng, amplitude, decay, with_flux=spec.kind is model.SystemKind.NSC)
     if spec.kind is model.SystemKind.NSC:
         if flux_init == "zero":
             st.u[2 + grid.d :] = 0.0
         elif flux_init == "well-prepared":
             st = spectral.State(a=st.a, v=st.v, theta=st.theta, q=studies.well_prepared_flux(st.theta, spec))
-        elif flux_init != "random":
-            raise ConfigError(f"unknown flux_init {flux_init!r}")
     return st
 
 
@@ -338,7 +364,7 @@ def run_evolve(cfg, out_dir, rng):
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps) if spec.kind is model.SystemKind.NSC else None
     p = cfg["study"]["evolve"]
-    st = _random_state(cfg, spec, grid, rng, float(p["amplitude"]), float(p["spectral_decay"]), p["flux_init"])
+    st = _random_state(spec, grid, rng, float(p["amplitude"]), float(p["spectral_decay"]), p["flux_init"])
     T = float(p["T"])
     dt = float(p["dt"]) or evolve.default_dt(st, spec)
     nsteps = max(1, int(round(T / dt)))

@@ -2,6 +2,9 @@
 functionals, dissipation-inequality residuals, and the global solution
 functional X accumulated along trajectories.
 
+Band norms are taken on row slices of `State.u` and of the effective
+unknowns' stacks (`EffectiveState._Q`, `_w`); X reads scaled row arrays.
+
 The low-band functional carries a band-weighted cross term
 eta * 2^(-j) * int v_j . grad a_j (a plain 1/2 coefficient would not stay
 equivalent to the squared norm on bands with 2^j >= 2), which keeps the
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import Thresholds, band_inner, band_lp_norm, band_project, besov_seminorm, besov_seminorms
+from .besov import Thresholds, _band_inner, _band_norm, band_project, besov_seminorms
+from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps diagnostics.besov_seminorm)
 from .model import ModelSpec, SystemKind
-from .spectral import SpectralField, State, apply_multiplier, to_physical
+from .spectral import State, _grad, _row_views, apply_multiplier, to_physical
 
 __all__ = [
     "EffectiveState",
@@ -41,29 +45,34 @@ __all__ = [
 class EffectiveState:
     """Damped mode Q = alpha q + kappa grad theta and effective velocity
     w = v + (-Lap)^-1 grad a (zero mode of w equals the zero mode of v).
-    w is built from `base` on first access; most readers need only Q."""
+    Each is one (d, *shape) stack, `_Q` and `_w`, whose rows the d-tuples
+    `Q` and `w` view.  w is built from `base` on first access; most readers
+    need only Q."""
 
-    Q: tuple
+    _Q: np.ndarray
     base: State
 
+    @property
+    def Q(self) -> tuple:
+        return tuple(_row_views(self.base.grid, self._Q))
+
     @functools.cached_property
+    def _w(self) -> np.ndarray:
+        grid, u = self.base.grid, self.base.u
+        k2 = sum(x**2 for x in grid.wavevectors())
+        inv = _grad(grid, u[0]) / np.where(k2 == 0.0, 1.0, k2)  # _grad is 0 on the Nyquist plane
+        return u[1 : 1 + grid.d] + np.where(k2 == 0.0, 0.0, inv)
+
+    @property
     def w(self) -> tuple:
-        grad_a = apply_multiplier(self.base.a, "grad")
-        return tuple(
-            SpectralField(self.base.grid, v.coeffs + apply_multiplier(g, "inv_neg_laplacian").coeffs)
-            for v, g in zip(self.base.v, grad_a)
-        )
+        return tuple(_row_views(self.base.grid, self._w))
 
 
 def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
     if not state.has_flux:
         raise ValueError("effective unknowns need the heat-flux components")
-    grad_theta = apply_multiplier(state.theta, "grad")
-    Q = tuple(
-        SpectralField(state.grid, spec.alpha * q.coeffs + spec.kappa * g.coeffs)
-        for q, g in zip(state.q, grad_theta)
-    )
-    return EffectiveState(Q=Q, base=state)
+    d = state.grid.d
+    return EffectiveState(spec.alpha * state.u[2 + d :] + spec.kappa * _grad(state.grid, state.u[1 + d]), state)
 
 
 def curl_linf(fields) -> float:
@@ -93,8 +102,9 @@ def lyapunov_low(state: State, j: int, eta: float = 0.25) -> LyapunovValue:
     eta 2^(-j) int v_j . grad a_j; within [1-2 eta, 1+2 eta] of the norm part."""
     if not 0 < eta <= 0.25:
         raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
-    norm_part = band_lp_norm((state.a, *state.v, state.theta), j) ** 2
-    cross = eta * 2.0 ** (-j) * band_inner(state.v, apply_multiplier(state.a, "grad"), j)
+    grid, u = state.grid, state.u
+    norm_part = _band_norm(grid, u[: 2 + grid.d], j) ** 2
+    cross = eta * 2.0 ** (-j) * _band_inner(grid, u[1 : 1 + grid.d], _grad(grid, u[0]), j)
     return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross, 0.0))
 
 
@@ -111,21 +121,20 @@ def lyapunov_high(
     for linear studies (J computed from the instantaneous a otherwise)."""
     if not state.has_flux:
         raise ValueError("high-band functional needs the heat-flux components")
-    eps = spec.eps
-    theta_part = band_lp_norm(state.theta, j) ** 2
-    flux_part = band_lp_norm(state.q, j) ** 2 * eps**2
+    eps, grid, u = spec.eps, state.grid, state.u
+    theta_part = _band_norm(grid, u[1 + grid.d : 2 + grid.d], j) ** 2
+    flux_part = _band_norm(grid, u[2 + grid.d :], j) ** 2 * eps**2
     weight_part = 0.0
     if density_weight:
         a_phys = to_physical(state.a).real
         if np.max(np.abs(a_phys)) >= 1.0:
             raise ValueError("density weight undefined: |a| >= 1 somewhere")
         jw = a_phys / (1.0 + a_phys)
-        grid = state.grid
         cell = (grid.L / grid.n) ** grid.d
         q_sq = sum(np.abs(to_physical(band_project(f, j))) ** 2 for f in state.q)
         weight_part = float(np.sum(jw * q_sq) * cell) * eps**2
         flux_part += weight_part  # int (1 + J)|q_j|^2 = |q_j|^2 + int J |q_j|^2 (discrete Parseval)
-    cross = eta * 2.0 ** (-2 * j) * band_inner(state.q, apply_multiplier(state.theta, "grad"), j)
+    cross = eta * 2.0 ** (-2 * j) * _band_inner(grid, u[2 + grid.d :], _grad(grid, u[1 + grid.d]), j)
     value = theta_part + flux_part + cross
     return LyapunovValue(j=j, value=value, parts=(theta_part + flux_part - weight_part, cross, weight_part))
 
@@ -140,12 +149,13 @@ def lyapunov_value(state: State, j: int, regime: str, spec: ModelSpec, eta: floa
 
 def dissipation_quantity(state: State, j: int, regime: str, spec: ModelSpec) -> float:
     """The regime's dissipation functional entering d/dt L_j + c D_j <= 0."""
+    grid, u, d = state.grid, state.u, state.grid.d
     if regime == "low":
-        return 2.0 ** (2 * j) * band_lp_norm((state.a, *state.v, state.theta), j) ** 2
+        return 2.0 ** (2 * j) * _band_norm(grid, u[: 2 + d], j) ** 2
     if regime == "high":
-        return (band_lp_norm(state.theta, j) ** 2 + spec.eps**2 * band_lp_norm(state.q, j) ** 2) / spec.eps**2
+        return (_band_norm(grid, u[1 + d : 2 + d], j) ** 2 + spec.eps**2 * _band_norm(grid, u[2 + d :], j) ** 2) / spec.eps**2
     if regime == "damped":
-        return band_lp_norm(effective_unknowns(state, spec).Q, j) / spec.eps
+        return _band_norm(grid, effective_unknowns(state, spec)._Q, j) / spec.eps
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -175,7 +185,7 @@ def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
     differences d/dt L_j at the interior snapshots.  traj may be any
     iterable; it is read once."""
     if regime == "damped":
-        lyap_of = lambda s: spec.eps * band_lp_norm(effective_unknowns(s, spec).Q, j)
+        lyap_of = lambda s: spec.eps * _band_norm(s.grid, effective_unknowns(s, spec)._Q, j)
     else:
         lyap_of = lambda s: lyapunov_value(s, j, regime, spec, eta)
     rows = [(s.time, lyap_of(s), dissipation_quantity(s, j, regime, spec)) for s in traj]
@@ -217,18 +227,23 @@ def dissipation_residual(traj, j: int, regime: str, spec: ModelSpec, th: Thresho
     return times[1:-1], residual, violations
 
 
+def _fit_line(x, y):
+    """Least-squares slope and intercept of y against x, with r^2."""
+    a = np.vstack([x, np.ones_like(x)]).T
+    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
+    ss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r2
+
+
 def damped_mode_rate(traj, j: int, spec: ModelSpec):
     """Exponential decay rate of |Q_j| fitted on log-linear least squares."""
     times = np.array([s.time for s in traj])
-    vals = np.array([band_lp_norm(effective_unknowns(s, spec).Q, j) for s in traj])
+    vals = np.array([_band_norm(s.grid, effective_unknowns(s, spec)._Q, j) for s in traj])
     if np.any(vals <= 0):
         raise ValueError("damped-mode norm vanished; nothing to fit")
-    logs = np.log(vals)
-    a = np.vstack([times, np.ones_like(times)]).T
-    coef, res, *_ = np.linalg.lstsq(a, logs, rcond=None)
-    ss = float(np.sum((logs - logs.mean()) ** 2))
-    r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
-    return -float(coef[0]), r2
+    slope, _, r2 = _fit_line(times, np.log(vals))
+    return -slope, r2
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +296,18 @@ class XFunctional:
         return self.x_low + self.x_med + self.x_high
 
 
-def _scaled_fields(state: State, spec: ModelSpec) -> dict:
-    eps = spec.eps
+def _scaled_rows(state: State, spec: ModelSpec) -> dict:
+    """The row stacks (k, *shape) that the table names, scaled by eps."""
+    u, d, eps = state.u, state.grid.d, spec.eps
     es = effective_unknowns(state, spec)
-    scale = lambda fs, c: tuple(SpectralField(f.grid, c * f.coeffs) for f in fs)
-    return {
-        "a": (state.a,),
-        "v": state.v,
-        "theta": (state.theta,),
-        "q": state.q,
-        "eq": scale(state.q, eps),
-        "e2theta": (SpectralField(state.grid, eps**2 * state.theta.coeffs),),
-        "e3q": scale(state.q, eps**3),
-        "Q": es.Q,
-        "w": es.w,
-    }
+    rows = {"a": u[:1], "v": u[1 : 1 + d], "theta": u[1 + d : 2 + d], "q": u[2 + d :], "Q": es._Q, "w": es._w}
+    return {**rows, "eq": eps * rows["q"], "e2theta": eps**2 * rows["theta"], "e3q": eps**3 * rows["q"]}
 
 
-def _instantaneous(entry, fields: dict, th: Thresholds) -> float:
+def _instantaneous(entry, rows: dict, grid, th: Thresholds) -> float:
     name, part, comps, regime, kind, s, p, weight = entry
-    stack = tuple(f for c in comps for f in fields[c])
-    if isinstance(s, tuple):
-        val = max(besov_seminorms(stack, s, p, regime, th, overlap=True))
-    else:
-        val = besov_seminorm(stack, s, p, regime, th, overlap=True)
-    return weight * val
+    u = np.concatenate([rows[c] for c in comps])
+    return weight * max(besov_seminorms(grid, u, s if isinstance(s, tuple) else (s,), p, regime, th, overlap=True))
 
 
 def functional_X(traj, spec: ModelSpec, th: Thresholds, p: float = 2.0) -> XFunctional:
@@ -326,9 +328,9 @@ def functional_X(traj, spec: ModelSpec, th: Thresholds, p: float = 2.0) -> XFunc
         times.append(state.time)
         if len(times) >= 3 and not np.isclose(times[-1] - times[-2], times[1] - times[0], rtol=1e-8):
             raise ValueError("snapshots must be uniformly spaced")
-        fields = _scaled_fields(state, spec)
+        rows = _scaled_rows(state, spec)
         for entry in table:
-            series[entry[0]].append(_instantaneous(entry, fields, th))
+            series[entry[0]].append(_instantaneous(entry, rows, state.grid, th))
 
     def trapz(vals: np.ndarray) -> float:
         return float(np.trapezoid(vals, times)) if len(times) >= 2 else 0.0

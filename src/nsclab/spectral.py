@@ -208,6 +208,11 @@ def _deriv_weight(grid: Grid) -> np.ndarray:
     return np.where(grid.nyquist_mask(), 0.0, 1.0)
 
 
+def _grad(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """The gradient of coefficients c as one (d, *grid.shape) stack."""
+    return 1j * np.stack(grid.wavevectors()) * _deriv_weight(grid) * c
+
+
 def apply_multiplier(f, m: str, *, j: int | None = None, sigma: float | None = None):
     """Apply a Fourier multiplier.
 
@@ -234,9 +239,7 @@ def apply_multiplier(f, m: str, *, j: int | None = None, sigma: float | None = N
     xi = grid.wavevectors()
     w = _deriv_weight(grid)
     if m == "grad":
-        return tuple(
-            SpectralField(grid, 1j * x * w * f.coeffs) for x in xi
-        )
+        return tuple(SpectralField(grid, g) for g in _grad(grid, f.coeffs))
     if m == "grad_j":
         if j is None or not 0 <= j < grid.d:
             raise ValueError(f"grad_j needs a component index in [0, {grid.d})")
@@ -297,6 +300,18 @@ def random_field(
     return f
 
 
+def _row_views(grid: Grid, rows: np.ndarray) -> list:
+    """SpectralFields over the rows of a (k, *grid.shape) stack, built
+    without the finiteness scan of SpectralField (the stack was checked
+    where it entered)."""
+    views = []
+    for c in rows:
+        f = SpectralField.__new__(SpectralField)
+        f.grid, f.coeffs = grid, c
+        views.append(f)
+    return views
+
+
 class State:
     """Density, velocity, temperature and heat-flux perturbation fields.
 
@@ -338,38 +353,28 @@ class State:
             raise ValueError("non-finite Fourier coefficients")
         self.grid, self.u, self.time = grid, u, time
 
-    def _views(self, start: int, stop: int) -> list:
-        """SpectralFields over rows start..stop-1 of u, built without the
-        finiteness scan of SpectralField (the stack was checked on entry)."""
-        views = []
-        for c in self.u[start:stop]:
-            f = SpectralField.__new__(SpectralField)
-            f.grid, f.coeffs = self.grid, c
-            views.append(f)
-        return views
-
     @property
     def has_flux(self) -> bool:
         return len(self.u) == 2 * self.grid.d + 2
 
     @property
     def a(self) -> SpectralField:
-        return self._views(0, 1)[0]
+        return _row_views(self.grid, self.u[:1])[0]
 
     @property
     def v(self) -> tuple:
-        return tuple(self._views(1, 1 + self.grid.d))
+        return tuple(_row_views(self.grid, self.u[1 : 1 + self.grid.d]))
 
     @property
     def theta(self) -> SpectralField:
-        return self._views(1 + self.grid.d, 2 + self.grid.d)[0]
+        return _row_views(self.grid, self.u[1 + self.grid.d : 2 + self.grid.d])[0]
 
     @property
     def q(self) -> tuple | None:
-        return tuple(self._views(2 + self.grid.d, len(self.u))) if self.has_flux else None
+        return tuple(_row_views(self.grid, self.u[2 + self.grid.d :])) if self.has_flux else None
 
     def fields(self) -> list:
-        return self._views(0, len(self.u))
+        return _row_views(self.grid, self.u)
 
     def component_labels(self) -> list:
         d = self.grid.d

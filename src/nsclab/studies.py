@@ -11,7 +11,9 @@ functional is a band sum over lattice radii of |C(t, |k|) z(k)|^2, C real, z
 the longitudinal data, evaluated from one 4x4 Gram factor of z per radius.
 Other sweeps stream sampled torus trajectories (generators, one state per
 sample time) in lockstep and keep only per-snapshot scalars; the stepped
-linear sweep is the oracle of the Gram one.
+linear sweep is the oracle of the Gram one.  Both turn per-band norms of
+four groups of unknowns into the six pieces with the weights of
+`_error_weights`; the stepped path reads row slices of the states' stacks.
 """
 
 from __future__ import annotations
@@ -23,17 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import (
-    Thresholds,
-    ThresholdOrderError,
-    _grid_labels,
-    _overlap_band_indices,
-    besov_seminorm,
-    besov_seminorms,
-    grid_band_range,
-    make_thresholds,
-)
-from .diagnostics import effective_unknowns
+from .besov import Thresholds, ThresholdOrderError, _band_norms, _grid_labels, _regime_weights, grid_band_range, make_thresholds
+from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps studies.besov_seminorm)
+from .diagnostics import _fit_line, effective_unknowns
 from .evolve import (
     LinearPropagator,
     RadialDataProfile,
@@ -105,15 +99,6 @@ class FitResult:
 def theory_decay_exponent(d: int, p: float, sigma: float, sigma1: float) -> float:
     """Algebraic decay rate -d/2 (1/2 - 1/p) - (sigma + sigma1)/2."""
     return -0.5 * d * (0.5 - 1.0 / p) - 0.5 * (sigma + sigma1)
-
-
-def _fit_line(x, y):
-    """Least-squares slope and intercept of y against x, with r^2."""
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-    ss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
 
 
 def fit_loglog(x, y):
@@ -323,21 +308,48 @@ def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_ma
             yield cur
 
 
+@functools.lru_cache(maxsize=32)
+def _error_weights(grid: Grid, th: Thresholds, p: float) -> tuple:
+    """(group, band weights) of the six per-snapshot scalars of the error
+    functional, (lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one): each is a
+    semi-norm of group 0, the difference (a, v, theta) at p = 2, group 1,
+    the damped mode Q, group 2, the difference a, or group 3, the difference
+    (v, theta), the last three at p.  The weights are besov_seminorms'."""
+    d = grid.d
+    w = lambda regime, s: _freeze(_regime_weights(grid, regime, th, s, overlap=True))
+    return (
+        (0, w("low", d / 2 - 2)),
+        (0, w("low", d / 2)),
+        (1, w("all", d / p - 1)),  # "all" picks every band under either convention
+        (2, w("medhigh", d / p - 1)),
+        (3, w("medhigh", d / p - 2)),
+        (3, w("medhigh", d / p)),
+    )
+
+
+def _error_columns(pieces, norms) -> tuple:
+    """The six scalars from the per-band norms (..., nbands) of the four
+    groups: per scalar, its group's norms dotted with its weights."""
+    return tuple(norms[g] @ w for g, w in pieces)
+
+
 def _pair_scalars(sn: State, sf: State, spec: ModelSpec, th: Thresholds, p: float) -> tuple:
-    """(lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one) of one snapshot pair."""
-    d = spec.d
-    diff = State.from_stacked(sn.grid, sn.u[: 2 + d] - sf.u, sn.time, False).fields()  # (a, v, theta)
-    q_mode = effective_unknowns(sn, spec).Q
-    lo_inf, lo_one = besov_seminorms(diff, (d / 2 - 2, d / 2), 2, "low", th, overlap=True)
-    q_one = besov_seminorm(q_mode, d / p - 1, p, "all", th)
-    ha = besov_seminorm(diff[:1], d / p - 1, p, "medhigh", th, overlap=True)
-    hvt_inf, hvt_one = besov_seminorms(diff[1:], (d / p - 2, d / p), p, "medhigh", th, overlap=True)
-    return lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one
+    """The six scalars of one snapshot pair; at p != 2 each group is
+    transformed only on the bands some of its weights pick."""
+    grid, d = sn.grid, spec.d
+    pieces = _error_weights(grid, th, p)
+    diff = sn.u[: 2 + d] - sf.u  # (a, v, theta)
+    groups = (diff, effective_unknowns(sn, spec)._Q, diff[:1], diff[1:])
+    norms = [
+        _band_norms(grid, u, 2 if g == 0 else p, np.any([w for h, w in pieces if h == g], axis=0))
+        for g, u in enumerate(groups)
+    ]
+    return _error_columns(pieces, norms)
 
 
 def _error_parts(times, cols) -> dict:
     """Sup-in-time and trapezoid-in-time pieces from the per-snapshot
-    scalars, one column per scalar of _pair_scalars."""
+    scalars, one column per scalar of _error_weights."""
     lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = (np.asarray(c) for c in cols)
     tz = lambda v: float(np.trapezoid(v, np.array(times)))
     parts = {
@@ -459,23 +471,9 @@ def _sweep_gram(base: State) -> _SweepGram:
 def _band_error_parts(grid: Grid, th: Thresholds, times, sums: np.ndarray) -> dict:
     """_error_parts at p = 2 from per-time band sums (T, 4, nbands) of
     |a|^2, |k.v|^2 and |theta|^2 of the difference and |Q|^2."""
-    d, bands = grid.d, grid_band_range(grid)
-    a, v, theta, q = np.moveaxis(grid.L**d * sums, 1, 0)
-
-    def seminorm(sq, regime, s):  # besov_seminorm(..., 2, regime, th, overlap=True) per time
-        picked = _overlap_band_indices(regime, th, bands)
-        return np.sqrt(sq) @ np.array([2.0 ** (j * s) if j in picked else 0.0 for j in bands])
-
-    low, vt = a + v + theta, v + theta
-    cols = (
-        seminorm(low, "low", d / 2 - 2),
-        seminorm(low, "low", d / 2),
-        seminorm(q, "all", d / 2 - 1),
-        seminorm(a, "medhigh", d / 2 - 1),
-        seminorm(vt, "medhigh", d / 2 - 2),
-        seminorm(vt, "medhigh", d / 2),
-    )
-    return _error_parts(times, cols)
+    a, v, theta, q = np.moveaxis(grid.L**grid.d * sums, 1, 0)
+    norms = [np.sqrt(x) for x in (a + v + theta, q, a, v + theta)]
+    return _error_parts(times, _error_columns(_error_weights(grid, th, 2.0), norms))
 
 
 def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresholds, times, well_prepared: bool) -> list:

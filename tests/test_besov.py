@@ -1,19 +1,26 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsclab.besov import (
+    REGIMES,
     ThresholdOrderError,
+    _overlap_band_indices,
     band_lp_norm,
     band_profile,
     band_project,
     bernstein_check,
     besov_seminorm,
+    besov_seminorms,
     floor_log2,
     grid_band_range,
     make_thresholds,
     regime_band_indices,
 )
-from nsclab.spectral import Grid, SpectralField, random_field, to_physical, zero_field
+from nsclab.spectral import Grid, SpectralField, State, random_field, to_physical, zero_field
 
 
 def test_threshold_examples():
@@ -192,3 +199,42 @@ def test_band_profile_rows(rng):
     assert rows and all(len(r) == 5 for r in rows)
     js = sorted({r[0] for r in rows})
     assert js == [j for j in grid_band_range(g) if band_lp_norm(f, j, 2) > 0]
+
+
+# ------------------------------------------ band norms on stacks (hypothesis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=hst.sampled_from([Grid(d=1, n=16), Grid(d=2, n=8), Grid(d=3, n=8)]),
+    has_flux=hst.booleans(),
+    p=hst.sampled_from([2.0, 3.0, 4.0, np.inf]),
+    regime=hst.sampled_from(REGIMES),
+    overlap=hst.booleans(),
+    rows=hst.tuples(hst.integers(0, 7), hst.integers(1, 8)),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_seminorms_on_stacks_equal_field_tuples(grid, has_flux, p, regime, overlap, rows, seed):
+    """besov_seminorms on a row slice of State.u, or on a difference of two,
+    equals besov_seminorm on the same rows as a field tuple, bit for bit,
+    and leaves the stack as it was."""
+    rng = np.random.default_rng(seed)
+    nc = 2 * grid.d + 2 if has_flux else grid.d + 2
+    shape = (nc, *grid.shape)
+    st, other = (State.from_stacked(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0, has_flux) for _ in range(2))
+    lo = min(rows[0], nc - 1)
+    hi = min(max(lo + 1, rows[1]), nc)
+    th = make_thresholds(2, 1.0, 1 / 8)  # J0 = 1, Jeps = 3
+    pick = _overlap_band_indices if overlap else regime_band_indices
+    ss = (-1.0, 0.5, 1.5)
+    for u, fields in (
+        (st.u[lo:hi], st.fields()[lo:hi]),
+        (st.u[lo:hi] - other.u[lo:hi], [SpectralField(grid, x.coeffs - y.coeffs) for x, y in zip(st.fields()[lo:hi], other.fields()[lo:hi])]),
+    ):
+        before = u.copy()
+        with mock.patch.object(np.fft, "ifftn", wraps=np.fft.ifftn) as ifftn:
+            got = besov_seminorms(grid, u, ss, p, regime, th, overlap)
+        # one transform per band the regime picks, none at p = 2
+        assert ifftn.call_count == (0 if p == 2 else len(pick(regime, th, grid_band_range(grid))))
+        assert got == [besov_seminorm(tuple(fields), s, p, regime, th, overlap) for s in ss]
+        assert np.array_equal(u, before)

@@ -69,6 +69,11 @@ def test_seed_must_be_integer(tmp_path):
         ({"grid": [1, 2]}, "grid"),
         ({"threads": "abc"}, "threads"),
         ({"seed": -1}, "seed"),
+        ({"study": {"relax-sweep": {"T": "abc"}}}, "study.relax-sweep.T"),
+        ({"study": {"evolve": {"flux_init": "bogus"}}}, "study.evolve.flux_init"),
+        ({"grid": {"n": "abc"}}, "grid.n"),
+        ({"model": {"phys": {"rho_bar": "abc"}}}, "model.phys.rho_bar"),
+        ({"model": {"eps": None}}, "model.eps"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -77,6 +82,20 @@ def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
     assert main(["relax-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_yaml_exponent_literals_load_and_run(tmp_path):
+    """YAML 1.1 reads 1e-2 (no dot) as a string; such values are judged by
+    float() and echoed as written."""
+    text = "model: {kind: nsc, d: 2, eps: 1e-2}\ngrid: {n: 8}\nstudy:\n  relax-sweep: {eps_list: [1e-1, 5e-2], T: 5e-1}\n"
+    assert yaml.safe_load(text)["model"]["eps"] == "1e-2"
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["relax-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert echo["model"]["eps"] == "1e-2" and echo["study"]["relax-sweep"]["eps_list"] == ["1e-1", "5e-2"]
+    assert json.loads((out / "report.json").read_text())["eps_values"] == [0.1, 0.05]
 
 
 def test_phys_block_builds_the_model(tmp_path):

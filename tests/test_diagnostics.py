@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from nsclab.besov import band_inner, band_lp_norm, band_project, make_thresholds
 from nsclab.diagnostics import (
@@ -18,7 +20,7 @@ from nsclab.diagnostics import (
     lyapunov_low,
 )
 from nsclab.evolve import LinearPropagator, linear_trajectory, mode_matrices
-from nsclab.model import ModelSpec, eigenvalues, symbol
+from nsclab.model import ModelSpec, SystemKind, eigenvalues, symbol
 from nsclab.spectral import (
     Grid,
     SpectralField,
@@ -38,6 +40,31 @@ def band_state(grid, rng, j, amp=1.0):
 
 
 # ---------------------------------------------------------- effective unknowns
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=hst.sampled_from([Grid(d=1, n=16), Grid(d=2, n=8), Grid(d=3, n=8)]), seed=hst.integers(0, 2**32 - 1))
+def test_effective_state_rows_view_one_stack(grid, seed):
+    """Q and w are views of one stack each, equal bit for bit to the
+    per-field formulas alpha q_i + kappa d_i theta and
+    v_i + d_i a / |xi|^2 (0 at the zero mode and on the Nyquist plane)."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * grid.d + 2, *grid.shape)
+    st = State.from_stacked(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0, True)
+    spec = ModelSpec(kind=SystemKind.NSC, d=grid.d, eps=0.1, kappa=0.7, alpha=1.3)
+    es = effective_unknowns(st, spec)
+    xi, w = grid.wavevectors(), np.where(grid.nyquist_mask(), 0.0, 1.0)
+    k2 = sum(x**2 for x in xi)
+    for name, stack, expect in (
+        ("Q", es._Q, [spec.alpha * q.coeffs + spec.kappa * (1j * x * w * st.theta.coeffs) for q, x in zip(st.q, xi)]),
+        ("w", es._w, [v.coeffs + np.where(k2 == 0.0, 0.0, w * (1j * x * w * st.a.coeffs) / np.where(k2 == 0.0, 1.0, k2)) for v, x in zip(st.v, xi)]),
+    ):
+        rows = getattr(es, name)
+        assert stack.shape == (grid.d, *grid.shape) and len(rows) == grid.d
+        for f, row, ref in zip(rows, stack, expect):
+            assert f.grid == grid and np.shares_memory(f.coeffs, stack) and np.array_equal(f.coeffs, row)
+            assert np.array_equal(f.coeffs, ref)
+    assert not np.shares_memory(es._Q, st.u)
 
 
 def test_well_prepared_flux_kills_damped_mode(grid2d, rng, nsc2):

@@ -200,6 +200,27 @@ def test_streamed_sweep_equals_list_oracle(d, p, seed, well_prepared):
     assert error_functional(*streamed, spec, th, p) == ref
 
 
+@pytest.mark.parametrize("K, transforms", [(8, 4 + 1 + 1), (2, 4 + 3 + 3)])
+def test_stepped_functional_transforms_only_picked_bands(rng, monkeypatch, K, transforms):
+    # d = 3, n = 16 has bands 0..3.  At p = 3 the damped mode Q is summed
+    # over all four bands and a and (v, theta) over medhigh, j >= J0; the
+    # low group stays at p = 2 (no transform).  The functional still equals
+    # the per-piece besov_seminorm oracle exactly.
+    grid = Grid(d=3, n=16)
+    spec = ModelSpec(kind="nsc", d=3, eps=0.1)
+    th = make_thresholds(K, 1.0, spec.eps)
+    base = random_state(grid, rng, 1e-2, 3.0)
+    segs = [np.linspace(0.0, 0.01, 3)]
+    nsc = sampled_linear_trajectory_reference(scaled_flux_state(base, spec), spec, segs)
+    nsf = sampled_linear_trajectory_reference(State(a=base.a, v=base.v, theta=base.theta, q=None), spec.to_nsf(), segs)
+    ref = error_functional_reference(nsc, nsf, spec, th, 3.0)
+    calls = []
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda *a, **k: calls.append(1) or ifftn(*a, **k))
+    assert error_functional(nsc, nsf, spec, th, 3.0) == ref
+    assert len(calls) == len(nsc) * transforms
+
+
 def test_streamed_nonlinear_sweep_equals_list_oracle(rng):
     grid = Grid(d=1, n=16)
     base = random_state(grid, rng, 5e-3, 3.0)
