@@ -9,7 +9,6 @@ from .diagnostics import (
     EffectiveState,
     LyapunovValue,
     XFunctional,
-    dissipation_residual,
     effective_unknowns,
     functional_X,
     lyapunov_high,
@@ -24,7 +23,6 @@ from .evolve import (
     imex_step,
     linear_trajectory,
     propagate_mode,
-    radial_semigroup_norms,
     sharp_low_profile,
     source_terms,
 )
@@ -38,11 +36,9 @@ from .model import (
     eigenvalues,
     kalman_rank,
     reduced_symbol,
-    solenoidal_eigenvalues,
-    spectral_distance,
     symbol,
 )
-from .spectral import Grid, SpectralField, State, apply_multiplier, dealias_23, to_physical, to_spectral
+from .spectral import Grid, SpectralField, State, apply_multiplier, to_physical, to_spectral
 from .studies import (
     DecayReport,
     FitResult,

@@ -48,7 +48,6 @@ __all__ = [
     "band_sums",
     "band_project",
     "band_lp_norm",
-    "band_inner",
     "regime_band_indices",
     "besov_seminorm",
     "besov_seminorms",
@@ -191,13 +190,9 @@ def _band_norm(grid: Grid, u: np.ndarray, j: int, p: float = 2) -> float:
     return float(_band_norms(grid, u, p, np.equal(bands, j))[j - bands.start])
 
 
-def band_inner(f, g, j: int) -> float:
-    """Band-j part of the real L2 inner product sum_i int f_i g_i (Parseval)."""
-    return _band_inner(*_as_stack(f), _as_stack(g)[1], j)
-
-
 def _band_inner(grid: Grid, fu: np.ndarray, gu: np.ndarray, j: int) -> float:
-    """band_inner of the rows of two (nc, *grid.shape) stacks."""
+    """Band-j part of the real L2 inner product sum_i int f_i g_i of the
+    rows of two (nc, *grid.shape) stacks (Parseval)."""
     bands = grid_band_range(grid)
     if j not in bands:
         return 0.0

@@ -175,6 +175,7 @@ _STUDY_DEFAULTS = {
 
 # studies whose preconditions reference the regime thresholds of model.eps
 _THRESHOLD_STUDIES = {"evolve", "lyapunov", "bernstein"}
+_GRID_STUDIES = {"evolve", "relax-sweep", "initial-layer", "bernstein"}
 _FLUX_INITS = ("zero", "random", "well-prepared")
 
 
@@ -226,13 +227,26 @@ def _merge(where: str, defaults: dict, override, extra=()) -> dict:
     return {**defaults, **override}
 
 
+def _check_study(name: str, block: dict, d: int) -> None:
+    """Raise ConfigError for a study value of the right kind that the study
+    would still refuse."""
+    where, direction = f"study.{name}", block.get("direction")
+    if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
+        raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
+    if name == "relax-sweep" and not 2.0 <= float(block["p"]) <= 4.0:
+        raise ConfigError(f"{where}.p must lie in [2, 4], got {block['p']!r}")
+    if name == "relax-sweep" and len({float(e) for e in block["eps_list"]}) < 2:
+        raise ConfigError(f"{where}.eps_list must hold at least two distinct values, got {block['eps_list']!r}")
+
+
 def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     """The resolved config of one run, judged before anything is computed.
 
     Raises ConfigError (a ValueError) for a key the defaults do not hold,
-    a value of another kind than its default (naming the dotted key), a
-    section that is not a mapping or a bad seed or thread count, and
-    ValueError for a model or regime split that cannot be built.
+    a value of another kind than its default or one its study or the
+    grid would refuse (naming the dotted key), a section that is not a
+    mapping or a bad seed or thread count, and ValueError for a model or
+    regime split that cannot be built.
     """
     raw = {}
     if path:
@@ -242,8 +256,6 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     study_block = {} if raw.get("study") is None else raw["study"]
     _check_keys("study", study_block, STUDIES)
     blocks = {name: _merge(f"study.{name}", _STUDY_DEFAULTS[name], block) for name, block in study_block.items()}
-    if study_block and list(study_block) != [study]:
-        raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
     cfg = {
         name: _merge(name, defaults, raw.get(name), extra=("phys",) if name == "model" else ())
         for name, defaults in _DEFAULTS.items()
@@ -261,6 +273,12 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     if out is not None:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
+    for name, block in blocks.items():
+        _check_study(name, block, spec.d)
+    if study_block and list(study_block) != [study]:
+        raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
+    if study in _GRID_STUDIES:
+        build_grid(cfg, spec)
     if spec.kind is model.SystemKind.NSC and study in _THRESHOLD_STUDIES:
         build_thresholds(cfg, spec.eps)
     return cfg
@@ -277,7 +295,10 @@ def build_model(cfg: dict) -> model.ModelSpec:
 
 def build_grid(cfg: dict, spec: model.ModelSpec) -> spectral.Grid:
     g = cfg["grid"]
-    return spectral.Grid(d=spec.d, n=int(g["n"]), L=float(g["L"]))
+    try:
+        return spectral.Grid(d=spec.d, n=int(g["n"]), L=float(g["L"]))
+    except ValueError as exc:  # Grid names the field it refuses, n or L
+        raise ConfigError(f"grid.{exc}") from None
 
 
 def build_thresholds(cfg: dict, eps: float) -> besov.Thresholds:
@@ -306,7 +327,7 @@ def run_spectrum(cfg, out_dir, rng):
     direction = p["direction"]
     if direction is None:
         direction = [1.0] + [0.0] * (spec.d - 1)
-    direction = np.asarray(direction, dtype=float)[: spec.d]
+    direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
 
     def one(r):
@@ -441,9 +462,9 @@ def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
             times, vals, diss, dl = diagnostics._centered_series(traj, j, regime, spec, eta)
             if not np.any(vals > 0):
                 continue
-            # the residual of dissipation_residual, from the same series; the
+            # residual d/dt L_j + c D_j at the series' own calibration c; the
             # centred difference leaves the two end snapshots without one
-            res = dl + diagnostics._calibrate([(dl, diss[1:-1])]) * diss[1:-1]
+            res = dl + diagnostics._calibrate(dl, diss[1:-1]) * diss[1:-1]
             res = np.concatenate([[np.nan], res, [np.nan]])
             rows += [[t, j, regime, lv, dv, r] for t, lv, dv, r in zip(times, vals, diss, res)]
     write_csv(

@@ -1,6 +1,7 @@
 """Hypocoercivity diagnostics: effective unknowns, per-band perturbed energy
-functionals, dissipation-inequality residuals, and the global solution
-functional X accumulated along trajectories.
+functionals with the dissipation series and calibration behind the
+`evolve` study's band_diagnostics.csv, and the global solution functional
+X accumulated along trajectories.
 
 Band norms are taken on row slices of `State.u` and of the effective
 unknowns' stacks (`EffectiveState._Q`, `_w`); X reads scaled row arrays.
@@ -22,21 +23,17 @@ import numpy as np
 from .besov import Thresholds, _band_inner, _band_norm, band_project, besov_seminorms
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps diagnostics.besov_seminorm)
 from .model import ModelSpec, SystemKind
-from .spectral import State, _grad, _row_views, apply_multiplier, to_physical
+from .spectral import State, _grad, _row_views, to_physical
 
 __all__ = [
     "EffectiveState",
     "LyapunovValue",
     "XFunctional",
     "effective_unknowns",
-    "curl_linf",
     "lyapunov_low",
     "lyapunov_high",
     "lyapunov_value",
     "dissipation_quantity",
-    "calibrate_dissipation",
-    "dissipation_residual",
-    "damped_mode_rate",
     "functional_X",
 ]
 
@@ -73,21 +70,6 @@ def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
         raise ValueError("effective unknowns need the heat-flux components")
     d = state.grid.d
     return EffectiveState(spec.alpha * state.u[2 + d :] + spec.kappa * _grad(state.grid, state.u[1 + d]), state)
-
-
-def curl_linf(fields) -> float:
-    """Max spectral magnitude of the curl of a d-tuple (0 for d = 1)."""
-    fields = tuple(fields)
-    d = fields[0].grid.d
-    if d == 1:
-        return 0.0
-    pairs = [(0, 1)] if d == 2 else [(0, 1), (0, 2), (1, 2)]
-    worst = 0.0
-    for i, j in pairs:
-        dji = apply_multiplier(fields[j], "grad_j", j=i).coeffs
-        dij = apply_multiplier(fields[i], "grad_j", j=j).coeffs
-        worst = max(worst, float(np.max(np.abs(dji - dij))))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -194,56 +176,13 @@ def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
     return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)
 
 
-def _calibrate(series) -> float:
-    """Largest c with dl + c dmid <= 0 over the (dl, dmid) pairs of series."""
-    best = np.inf
-    for dl, dmid in series:
-        ok = dmid > 0
-        if np.any(ok):
-            best = min(best, float(np.min(-dl[ok] / dmid[ok])))
+def _calibrate(dl: np.ndarray, dmid: np.ndarray) -> float:
+    """Largest c >= 0 with dl + c dmid <= 0 wherever dmid > 0."""
+    ok = dmid > 0
+    best = float(np.min(-dl[ok] / dmid[ok])) if np.any(ok) else np.inf
     if not np.isfinite(best):
         raise ValueError("no usable samples for calibration (zero dissipation)")
     return max(best, 0.0)
-
-
-def calibrate_dissipation(trajs, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1) -> float:
-    """Largest c with d/dt L_j + c D_j <= 0 across the training trajectories."""
-    series = (_centered_series(traj, j, regime, spec, eta) for traj in trajs)
-    return _calibrate((dl, diss[1:-1]) for _, _, diss, dl in series)
-
-
-def dissipation_residual(traj, j: int, regime: str, spec: ModelSpec, th: Thresholds, eta: float = 0.1, c: float | None = None):
-    """Per-time residual d/dt L_j + c D_j at interior snapshots.
-
-    c defaults to the trajectory's own calibration.  Returns (times, residual,
-    violations) where violations counts residuals above discretization slack.
-    """
-    times, _, diss, dl = _centered_series(traj, j, regime, spec, eta)
-    dmid = diss[1:-1]
-    if c is None:
-        c = _calibrate([(dl, dmid)])
-    residual = dl + c * dmid
-    violations = int(np.sum(residual > 1e-8))
-    return times[1:-1], residual, violations
-
-
-def _fit_line(x, y):
-    """Least-squares slope and intercept of y against x, with r^2."""
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
-    ss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
-
-
-def damped_mode_rate(traj, j: int, spec: ModelSpec):
-    """Exponential decay rate of |Q_j| fitted on log-linear least squares."""
-    times = np.array([s.time for s in traj])
-    vals = np.array([_band_norm(s.grid, effective_unknowns(s, spec)._Q, j) for s in traj])
-    if np.any(vals <= 0):
-        raise ValueError("damped-mode norm vanished; nothing to fit")
-    slope, _, r2 = _fit_line(times, np.log(vals))
-    return -slope, r2
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "RadialDataProfile",
     "sharp_low_profile",
     "RadialFlow",
-    "radial_semigroup_norms",
     "source_terms",
     "imex_step",
     "default_dt",
@@ -389,30 +388,6 @@ class RadialFlow:
                 f"radial quadrature underflow/overflow at t = {t}: norm = {val}"
             )
         return val
-
-
-def radial_semigroup_norms(
-    spec: ModelSpec,
-    prof: RadialDataProfile,
-    d: int,
-    p: float,
-    sigma: float,
-    times,
-    comps=("a", "v"),
-    r_min: float = 1e-4,
-    r_max: float = 1e4,
-    nodes: int = 4096,
-) -> np.ndarray:
-    """Time series of |Lambda^sigma (components)(t)|_Lp under the linear flow.
-
-    p = 2 is an exact Plancherel evaluation on the radial quadrature grid;
-    p > 2 uses the dyadic-band embedding proxy.  Quadrature underflow (all
-    mass decayed below tiny) is reported, not zeroed.
-    """
-    if spec.d != d:
-        raise ValueError(f"spec dimension {spec.d} != requested {d}")
-    flow = RadialFlow(spec, prof, r_min=r_min, r_max=r_max, nodes=nodes)
-    return np.array([flow.checked_lp_norm(flow.at(float(t)), comps, sigma, p, t) for t in times])
 
 
 # ---------------------------------------------------------------------------

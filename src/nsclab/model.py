@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "SystemKind",
-    "spectral_distance",
     "PhysParams",
     "ModelSpec",
     "SymbolMatrix",
@@ -34,7 +33,6 @@ __all__ = [
     "symbol",
     "reduced_symbol",
     "reduced_blocks",
-    "solenoidal_eigenvalues",
     "eigenvalues",
     "kalman_rank",
 ]
@@ -319,8 +317,9 @@ def reduced_symbol(spec: ModelSpec, r: float) -> SymbolMatrix:
 
     Unknowns (a, omega, theta, sigma) with omega = Lambda^-1 div v and
     sigma = Lambda^-1 div q; the block is real.  Its spectrum is the
-    longitudinal part of symbol(spec, xi); the solenoidal complement is
-    returned by solenoidal_eigenvalues.
+    longitudinal part of symbol(spec, xi).  The solenoidal complement adds
+    (d-1) viscous modes -(mu/nu) r^2 and, for the relaxing system, (d-1)
+    damped modes -alpha/eps^2.
     """
     if r < 0 or not np.isfinite(r):
         raise ValueError(f"radial wavenumber must be finite and >= 0, got {r}")
@@ -330,20 +329,6 @@ def reduced_symbol(spec: ModelSpec, r: float) -> SymbolMatrix:
     m = reduced_blocks(spec, [r])[0].astype(complex)
     labels = ("a", "omega", "theta", "sigma")[: m.shape[0]]
     return SymbolMatrix((r,), m.shape[0], m, kind, labels)
-
-
-def solenoidal_eigenvalues(spec: ModelSpec, r: float) -> list:
-    """Eigenvalues of the transverse (divergence-free) complement at |xi| = r.
-
-    (d-1) viscous heat modes -mu r^2/nu for the velocity and, for the
-    relaxing system, (d-1) damped modes -alpha/eps^2 for the heat flux.
-    """
-    out = []
-    if spec.kind in (SystemKind.NSC, SystemKind.NSF):
-        out += [complex(-spec.mu_over_nu * r**2)] * (spec.d - 1)
-    if spec.kind is SystemKind.NSC:
-        out += [complex(-spec.damping_rate)] * (spec.d - 1)
-    return out
 
 
 def _sort_eigs(vals: np.ndarray) -> np.ndarray:
@@ -359,23 +344,6 @@ def eigenvalues(m: SymbolMatrix) -> np.ndarray:
     if n > 64:
         raise ValueError(f"symbol size {n} exceeds the supported maximum 64")
     return _sort_eigs(np.linalg.eigvals(a))
-
-
-def spectral_distance(eigs_a, eigs_b) -> float:
-    """Max |a_i - b_j| under the optimal one-to-one eigenvalue pairing.
-
-    Sorting conjugate pairs is unstable when real parts tie to roundoff, so
-    spectra are compared as multisets via an assignment problem.
-    """
-    import scipy.optimize  # deferred: importing it costs every CLI process ~0.2 s
-
-    va = np.asarray(eigs_a, dtype=complex)
-    vb = np.asarray(eigs_b, dtype=complex)
-    if va.shape != vb.shape:
-        raise ValueError("spectra must have the same length")
-    cost = np.abs(va[:, None] - vb[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max()) if va.size else 0.0
 
 
 def _first_order_transport(spec: ModelSpec, omega: np.ndarray) -> np.ndarray:

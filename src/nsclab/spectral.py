@@ -35,13 +35,10 @@ __all__ = [
     "apply_multiplier",
     "to_physical",
     "to_spectral",
-    "dealias_23",
-    "field_lp_norm",
     "random_field",
     "zero_field",
     "zero_state",
     "save_fields",
-    "load_fields",
     "save_state",
     "load_state",
 ]
@@ -71,7 +68,7 @@ class Grid:
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be an even integer >= 8, got {self.n}")
         if not self.L > 0:
-            raise ValueError(f"box length must be positive, got {self.L}")
+            raise ValueError(f"L must be positive, got {self.L}")
 
     @property
     def shape(self) -> tuple:
@@ -265,22 +262,6 @@ def apply_multiplier(f, m: str, *, j: int | None = None, sigma: float | None = N
     raise ValueError(f"unknown multiplier {m!r}")
 
 
-def dealias_23(f: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |m_i| > n/3 (2/3 rule); idempotent."""
-    return SpectralField(f.grid, np.where(f.grid.dealias_mask(), f.coeffs, 0.0))
-
-
-def field_lp_norm(f: SpectralField, p: float) -> float:
-    """Physical L^p norm on the torus (Riemann sum at grid points)."""
-    if p == 2:
-        return f.l2_norm()
-    vals = np.abs(to_physical(f))
-    if np.isinf(p):
-        return float(np.max(vals))
-    cell = (f.grid.L / f.grid.n) ** f.grid.d
-    return float((np.sum(vals**p) * cell) ** (1.0 / p))
-
-
 def random_field(
     grid: Grid,
     rng: np.random.Generator,
@@ -446,12 +427,6 @@ def _load_stack(path):
         grid = Grid(d=d, n=n, L=L)
         arr = np.frombuffer(fh.read(found), dtype="<c8").astype(np.complex128)
     return grid, arr.reshape(ncomp, *grid.shape), time
-
-
-def load_fields(path):
-    """Read back (fields, time) from the flat binary container."""
-    grid, arr, time = _load_stack(path)
-    return [SpectralField(grid, c) for c in arr], time
 
 
 def save_state(path, state: State) -> None:

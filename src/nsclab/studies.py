@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import Thresholds, ThresholdOrderError, _band_norms, _grid_labels, _regime_weights, grid_band_range, make_thresholds
+from .besov import Thresholds, ThresholdOrderError, _band_norms, _grid_labels, _regime_bands, _regime_weights, grid_band_range, make_thresholds
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps studies.besov_seminorm)
-from .diagnostics import _fit_line, effective_unknowns
+from .diagnostics import effective_unknowns
 from .evolve import (
     LinearPropagator,
     RadialDataProfile,
@@ -38,6 +38,7 @@ from .evolve import (
     _torus_kernel,
     default_dt,
 )
+from . import evolve  # imex_step read at each call: perfbench/tracer.py wraps evolve.imex_step
 from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
 from .spectral import Grid, SpectralField, State, _freeze, apply_multiplier, random_field
@@ -99,6 +100,15 @@ class FitResult:
 def theory_decay_exponent(d: int, p: float, sigma: float, sigma1: float) -> float:
     """Algebraic decay rate -d/2 (1/2 - 1/p) - (sigma + sigma1)/2."""
     return -0.5 * d * (0.5 - 1.0 / p) - 0.5 * (sigma + sigma1)
+
+
+def _fit_line(x, y):
+    """Least-squares slope and intercept of y against x, with r^2."""
+    a = np.vstack([x, np.ones_like(x)]).T
+    coef, res, *_ = np.linalg.lstsq(a, y, rcond=None)
+    ss = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(res[0]) / ss if res.size and ss > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r2
 
 
 def fit_loglog(x, y):
@@ -269,43 +279,48 @@ def graded_times(eps: float, alpha: float, T: float, layer_steps: int = 80, mid_
     return segs
 
 
+def _walk_segments(state0: State, segments, advance):
+    """Yield state0, then the states advance(cur, seg, targets) yields for
+    each segment of two or more times; targets leave out seg[0] when the
+    walk already stands there."""
+    cur = state0
+    yield cur
+    for seg in (s for s in segments if len(s) >= 2):
+        at_start = abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0]))
+        for cur in advance(cur, seg, seg[1:] if at_start else seg):
+            yield cur
+
+
 def sampled_linear_trajectory(state0: State, spec: ModelSpec, segments):
     """Exact linear flow sampled along piecewise-uniform time segments:
     yields state0, then one state per sample time, each segment stepped by
     one LinearPropagator."""
-    cur = state0
-    yield cur
-    for seg in segments:
-        if len(seg) < 2:
-            continue
-        steps = len(seg) - 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else len(seg)
+
+    def advance(cur, seg, targets):
         prop = LinearPropagator(spec, cur.grid, float(seg[1] - seg[0]))
-        for _ in range(steps):
+        for _ in targets:
             cur = prop.step(cur)
             yield cur
+
+    return _walk_segments(state0, segments, advance)
 
 
 def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_max: float):
     """Nonlinear flow sampled at the segment times: yields state0, then one
     state per sample time, each snapshot interval covered by uniform IMEX
     sub-steps no longer than dt_max."""
-    from .evolve import imex_step
 
-    cur = state0
-    yield cur
-    for seg in segments:
-        if len(seg) < 2:
-            continue
-        start = 1 if abs(cur.time - seg[0]) <= 1e-13 * max(1.0, abs(seg[0])) else 0
-        for target in seg[start:]:
+    def advance(cur, seg, targets):
+        for target in targets:
             span = float(target) - cur.time
             if span <= 0:
                 continue
             nsub = max(1, int(math.ceil(span / dt_max)))
-            dt = span / nsub
             for _ in range(nsub):
-                cur = imex_step(cur, spec, dt)
+                cur = evolve.imex_step(cur, spec, span / nsub)
             yield cur
+
+    return _walk_segments(state0, segments, advance)
 
 
 @functools.lru_cache(maxsize=32)
@@ -374,19 +389,26 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
     any iterables, streamed in step; each snapshot pair is reduced to its
     scalars at once.  Returns the per-piece breakdown with key 'total'.
     """
-    times, rows = [], []
-    for sn, sf in itertools.zip_longest(nsc_traj, nsf_traj):
-        if sn is None or sf is None or not np.isclose(sn.time, sf.time, rtol=1e-10, atol=1e-12):
+    return _paired_error_parts([nsc_traj], nsf_traj, spec, th, p)[0]
+
+
+def _paired_error_parts(nsc_trajs, nsf_traj, spec: ModelSpec, th: Thresholds, p: float) -> list:
+    """error_functional of each relaxing trajectory against the one
+    Fourier-law trajectory, all streamed in step; each Fourier-law snapshot
+    serves every relaxing run at its time."""
+    times, scalars = [], [[] for _ in nsc_trajs]
+    for sf, *nscs in itertools.zip_longest(nsf_traj, *nsc_trajs):
+        if sf is None or any(sn is None or not np.isclose(sn.time, sf.time, rtol=1e-10, atol=1e-12) for sn in nscs):
             raise ValueError("paired trajectories must share their snapshot times")
-        times.append(sn.time)
-        rows.append(_pair_scalars(sn, sf, spec, th, p))
-    return _error_parts(times, zip(*rows))
+        times.append(nscs[0].time)
+        for out, sn in zip(scalars, nscs):
+            out.append(_pair_scalars(sn, sf, spec, th, p))
+    return [_error_parts(times, zip(*rows)) for rows in scalars]
 
 
 def _trajectory_error_parts(base: State, spec: ModelSpec, th: Thresholds, segs, p: float, well_prepared: bool, nonlinear: bool) -> list:
     """error_functional of the ill-prepared (and well-prepared) run against
-    the Fourier-law run, all three stepped in lockstep along `segs`; one
-    Fourier-law snapshot serves every relaxing run at the same time."""
+    the Fourier-law run, all three stepped in lockstep along `segs`."""
     nsf_state = State.from_stacked(base.grid, base.u[: 2 + spec.d], 0.0, False)
     starts = [scaled_flux_state(base, spec)]
     if well_prepared:
@@ -396,12 +418,7 @@ def _trajectory_error_parts(base: State, spec: ModelSpec, th: Thresholds, segs, 
         flow = lambda st, sp: sampled_nonlinear_trajectory(st, sp, segs, dt_max)
     else:
         flow = lambda st, sp: sampled_linear_trajectory(st, sp, segs)
-    times, scalars = [], [[] for _ in starts]
-    for sf, *nscs in zip(flow(nsf_state, spec.to_nsf()), *(flow(st, spec) for st in starts), strict=True):
-        times.append(nscs[0].time)
-        for out, sn in zip(scalars, nscs):
-            out.append(_pair_scalars(sn, sf, spec, th, p))
-    return [_error_parts(times, zip(*rows)) for rows in scalars]
+    return _paired_error_parts([flow(st, spec) for st in starts], flow(nsf_state, spec.to_nsf()), spec, th, p)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +582,8 @@ def relax_sweep(
     report is labeled experimental (outside the decay-theory hypotheses).
     Threshold-invalid eps values are skipped and reported.
     """
+    if not 2.0 <= p <= 4.0:
+        raise ValueError(f"p must lie in [2, 4], got {p}")
     if nonlinear and (d > 2 or base.grid.n > 256):
         raise ValueError("nonlinear sweeps are limited to d <= 2 and n <= 256")
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
@@ -713,7 +732,8 @@ def layer_scaling(spec: ModelSpec, ill_prepared_state: State, factor: float = 2.
 
 def lyapunov_l1(flow: RadialFlow, th: Thresholds, p: float, t: float) -> float:
     """The terminal decay functional: epsilon-weighted regime semi-norms of
-    (a, v, theta, q, w, Q) combined across low/medium/high bands."""
+    (a, v, theta, q, w, Q) summed over the low, medium and high bands of the
+    overlapping split, which repeats J0 and Jeps - 1, Jeps."""
     d, eps = flow.spec.d, flow.spec.eps
     j = np.array(flow.band_range())
     u = flow.at(t)
@@ -726,9 +746,8 @@ def lyapunov_l1(flow: RadialFlow, th: Thresholds, p: float, t: float) -> float:
         + 2.0 ** (j * (d / p - 2 + shift)) * (eps * Q + theta)
     )
     high = eps * 2.0 ** (j * (d / 2 + 1)) * (a + eps * theta + eps**2 * q) + eps * 2.0 ** (j * (d / 2)) * w
-    return float(
-        np.sum(low[j <= th.J0]) + np.sum(med[(th.J0 <= j) & (j <= th.Jeps)]) + np.sum(high[j >= th.Jeps - 1])
-    )
+    picked = lambda regime: np.isin(j, _regime_bands(regime, th, flow.band_range(), 1))
+    return float(np.sum(low[picked("low")]) + np.sum(med[picked("med")]) + np.sum(high[picked("high")]))
 
 
 @dataclass

@@ -19,11 +19,17 @@ are sampled into lists, one after another, and the error functional then
 takes every band sum once per value of s, where nsclab.studies streams the
 trajectories in lockstep and shares one band-norm pass between the values
 of s.
+
+Three references are helpers the package itself never calls:
+`spectral_distance` pairs two spectra as multisets through scipy's
+assignment solver, `solenoidal_eigenvalues` writes the transverse modes in
+closed form, and `dealias_23` applies the 2/3-rule mask to one field.
 """
 
 import math
 
 import numpy as np
+import scipy.optimize
 from scipy.integrate import ode, solve_ivp
 
 from nsclab.evolve import _check_density, _torus_kernel, default_dt, imex_step, linear_trajectory, mode_matrices
@@ -32,7 +38,7 @@ from nsclab.model import ModelSpec, SystemKind
 from nsclab.besov import ThresholdOrderError, _overlap_band_indices, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
 from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
 from nsclab.evolve import _SPHERE_AREA
-from nsclab.spectral import SpectralField, State, apply_multiplier, dealias_23, to_physical, to_spectral
+from nsclab.spectral import SpectralField, State, apply_multiplier, to_physical, to_spectral
 
 
 def ode_propagate(mat, u0, t, rtol=1e-11, atol=1e-14):
@@ -65,6 +71,40 @@ def ode_propagate_explicit(mat, u0, t, rtol=1e-10):
     )
     y = sol.y[:, -1]
     return y[:n] + 1j * y[n:]
+
+
+def spectral_distance(eigs_a, eigs_b) -> float:
+    """Max |a_i - b_j| under the optimal one-to-one eigenvalue pairing.
+
+    Sorting conjugate pairs is unstable when real parts tie to roundoff, so
+    spectra are compared as multisets via an assignment problem.
+    """
+    va = np.asarray(eigs_a, dtype=complex)
+    vb = np.asarray(eigs_b, dtype=complex)
+    if va.shape != vb.shape:
+        raise ValueError("spectra must have the same length")
+    cost = np.abs(va[:, None] - vb[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    return float(cost[rows, cols].max()) if va.size else 0.0
+
+
+def solenoidal_eigenvalues(spec, r):
+    """Eigenvalues of the transverse (divergence-free) complement at |xi| = r.
+
+    (d-1) viscous heat modes -mu r^2/nu for the velocity and, for the
+    relaxing system, (d-1) damped modes -alpha/eps^2 for the heat flux.
+    """
+    out = []
+    if spec.kind in (SystemKind.NSC, SystemKind.NSF):
+        out += [complex(-spec.mu_over_nu * r**2)] * (spec.d - 1)
+    if spec.kind is SystemKind.NSC:
+        out += [complex(-spec.damping_rate)] * (spec.d - 1)
+    return out
+
+
+def dealias_23(f):
+    """Zero every coefficient with any |m_i| > n/3 (2/3 rule); idempotent."""
+    return SpectralField(f.grid, np.where(f.grid.dealias_mask(), f.coeffs, 0.0))
 
 
 def quadratic_roots(b, c):

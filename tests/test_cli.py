@@ -74,6 +74,15 @@ def test_seed_must_be_integer(tmp_path):
         ({"grid": {"n": "abc"}}, "grid.n"),
         ({"model": {"phys": {"rho_bar": "abc"}}}, "model.phys.rho_bar"),
         ({"model": {"eps": None}}, "model.eps"),
+        ({"study": {"spectrum": {"direction": [1, 0, 0, 5]}}}, "study.spectrum.direction"),
+        ({"study": {"spectrum": {"direction": [1.0]}}}, "study.spectrum.direction"),
+        ({"study": {"spectrum": {"direction": [0, 0, 0]}}}, "study.spectrum.direction"),
+        ({"study": {"relax-sweep": {"p": -1}}}, "study.relax-sweep.p"),
+        ({"study": {"relax-sweep": {"p": 5.0}}}, "study.relax-sweep.p"),
+        ({"grid": {"n": 7}}, "grid.n"),
+        ({"grid": {"L": -1.0}}, "grid.L"),
+        ({"study": {"relax-sweep": {"eps_list": []}}}, "study.relax-sweep.eps_list"),
+        ({"study": {"relax-sweep": {"eps_list": [0.1, 0.1]}}}, "study.relax-sweep.eps_list"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from nsclab.besov import band_inner, band_lp_norm, band_project, make_thresholds
+from nsclab.besov import _as_stack, _band_inner, _band_norm, band_lp_norm, band_project, make_thresholds
 from nsclab.diagnostics import (
+    _calibrate,
     _centered_series,
     _regime_rate,
-    calibrate_dissipation,
-    curl_linf,
-    damped_mode_rate,
     dissipation_quantity,
-    dissipation_residual,
     effective_unknowns,
     functional_X,
     lyapunov_high,
@@ -30,7 +27,58 @@ from nsclab.spectral import (
     zero_field,
     zero_state,
 )
-from nsclab.studies import slow_projection, well_prepared_flux
+from nsclab.studies import _fit_line, slow_projection, well_prepared_flux
+
+
+def band_inner(f, g, j: int) -> float:
+    """Band-j part of the real L2 inner product sum_i int f_i g_i (Parseval)."""
+    return _band_inner(*_as_stack(f), _as_stack(g)[1], j)
+
+
+def curl_linf(fields) -> float:
+    """Max spectral magnitude of the curl of a d-tuple (0 for d = 1)."""
+    fields = tuple(fields)
+    d = fields[0].grid.d
+    if d == 1:
+        return 0.0
+    pairs = [(0, 1)] if d == 2 else [(0, 1), (0, 2), (1, 2)]
+    worst = 0.0
+    for i, j in pairs:
+        dji = apply_multiplier(fields[j], "grad_j", j=i).coeffs
+        dij = apply_multiplier(fields[i], "grad_j", j=j).coeffs
+        worst = max(worst, float(np.max(np.abs(dji - dij))))
+    return worst
+
+
+def calibrate_dissipation(trajs, j, regime, spec, th, eta=0.1):
+    """Largest c with d/dt L_j + c D_j <= 0 across the training trajectories."""
+    series = [_centered_series(traj, j, regime, spec, eta) for traj in trajs]
+    return _calibrate(np.concatenate([dl for *_, dl in series]), np.concatenate([diss[1:-1] for _, _, diss, _ in series]))
+
+
+def dissipation_residual(traj, j, regime, spec, th, eta=0.1, c=None):
+    """Per-time residual d/dt L_j + c D_j at interior snapshots.
+
+    c defaults to the trajectory's own calibration.  Returns (times, residual,
+    violations) where violations counts residuals above discretization slack.
+    """
+    times, _, diss, dl = _centered_series(traj, j, regime, spec, eta)
+    dmid = diss[1:-1]
+    if c is None:
+        c = _calibrate(dl, dmid)
+    residual = dl + c * dmid
+    violations = int(np.sum(residual > 1e-8))
+    return times[1:-1], residual, violations
+
+
+def damped_mode_rate(traj, j, spec):
+    """Exponential decay rate of |Q_j| fitted on log-linear least squares."""
+    times = np.array([s.time for s in traj])
+    vals = np.array([_band_norm(s.grid, effective_unknowns(s, spec)._Q, j) for s in traj])
+    if np.any(vals <= 0):
+        raise ValueError("damped-mode norm vanished; nothing to fit")
+    slope, _, r2 = _fit_line(times, np.log(vals))
+    return -slope, r2
 
 
 def band_state(grid, rng, j, amp=1.0):
@@ -240,6 +288,13 @@ def test_dissipation_residual_calibrates_from_one_series(rng, monkeypatch):
     assert len(calls) == len(traj)
     times_c, res_c, violations_c = dissipation_residual(traj, j, "low", spec, th, c=c)
     assert np.array_equal(times, times_c) and np.array_equal(res, res_c) and violations == violations_c
+
+
+def test_calibrate_clips_at_zero_and_needs_dissipation():
+    assert _calibrate(np.array([1.0, -2.0]), np.array([1.0, 1.0])) == 0.0
+    assert _calibrate(np.array([-2.0, -3.0]), np.array([1.0, 0.0])) == 2.0
+    with pytest.raises(ValueError, match="no usable samples"):
+        _calibrate(np.array([-1.0]), np.array([0.0]))
 
 
 def test_dissipation_residual_zero_state(grid2d, nsc2):

@@ -24,13 +24,11 @@ from nsclab.model import (
     eigenvalues,
     reduced_blocks,
     reduced_symbol,
-    solenoidal_eigenvalues,
-    spectral_distance,
     symbol,
 )
 from nsclab.spectral import Grid
 from nsclab import studies
-from oracles import apply_batched, torus_propagator
+from oracles import apply_batched, solenoidal_eigenvalues, spectral_distance, torus_propagator
 
 log_eps = st.floats(-3.0, -1.0)
 log_r = st.floats(-2.0, 2.0)

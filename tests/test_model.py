@@ -15,14 +15,19 @@ from nsclab.model import (
     eigenvalues,
     kalman_rank,
     reduced_symbol,
-    solenoidal_eigenvalues,
-    spectral_distance,
     symbol,
 )
 from nsclab.model import _first_order_transport
 from nsclab.spectral import Grid
 
-from oracles import companion_roots, first_order_transport_reference, toy_damped_roots, toy_diffusive_roots
+from oracles import (
+    companion_roots,
+    first_order_transport_reference,
+    solenoidal_eigenvalues,
+    spectral_distance,
+    toy_damped_roots,
+    toy_diffusive_roots,
+)
 
 
 def test_build_spec_unit_example():

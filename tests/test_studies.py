@@ -356,6 +356,15 @@ def test_relax_sweep_skips_invalid_eps(rng):
         relax_sweep(base, 2, [0.5, 0.3], T=0.5)
 
 
+@pytest.mark.parametrize("p", [5.0, 1.0, -1.0])
+def test_relax_sweep_refuses_p_outside_2_4(rng, p):
+    grid = Grid(d=2, n=8)
+    mk = lambda: random_field(grid, rng, 1e-2, 3.0)
+    base = State(a=mk(), v=(mk(), mk()), theta=mk(), q=(mk(), mk()))
+    with pytest.raises(ValueError, match=r"p must lie in \[2, 4\]"):
+        relax_sweep(base, 2, [1e-1, 3e-2], T=0.5, p=p)
+
+
 def test_initial_layer_single_mode(rng):
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.1)
