@@ -38,7 +38,7 @@ from .model import (
     reduced_symbol,
     symbol,
 )
-from .spectral import Grid, SpectralField, State, apply_multiplier, to_physical, to_spectral
+from .spectral import Grid, SpectralField, State, to_physical, to_spectral
 from .studies import (
     DecayReport,
     FitResult,

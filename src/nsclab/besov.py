@@ -262,31 +262,30 @@ def besov_seminorms(grid: Grid, u: np.ndarray, ss, p: float, regime: str, th: Th
 
 @dataclass(frozen=True)
 class BandProfile:
-    """Per-band L^p norms of the components of a field tuple."""
+    """Per-band L2 norms of the components of a field tuple."""
 
-    p: float
-    s: float
     entries: dict  # band index -> {component label: norm}
 
     def rows(self):
-        """(j, band_center, component, p, band_norm) rows for CSV export."""
+        """(j, band_center, component, p, band_norm) rows for CSV export,
+        p = 2."""
         for j in sorted(self.entries):
             center = 1.5 * 2.0**j
             for comp, val in self.entries[j].items():
-                yield (j, center, comp, self.p, val)
+                yield (j, center, comp, 2, val)
 
 
-def band_profile(fields: dict, p: float = 2, s: float = 0.0) -> BandProfile:
-    """Band decomposition of named fields: norms per (band, component)."""
+def band_profile(fields: dict) -> BandProfile:
+    """Band decomposition of named fields: L2 norms per (band, component)."""
     stacks = {name: _as_stack(f) for name, f in fields.items()}
-    norms = {name: _band_norms(grid, u, p) for name, (grid, u) in stacks.items()}
+    norms = {name: _band_norms(grid, u, 2) for name, (grid, u) in stacks.items()}
     bands = grid_band_range(next(iter(stacks.values()))[0])
     entries = {}
     for i, j in enumerate(bands):
-        row = {name: 2.0 ** (j * s) * vals[i] for name, vals in norms.items() if vals[i] > 0.0}
+        row = {name: vals[i] for name, vals in norms.items() if vals[i] > 0.0}
         if row:
             entries[j] = row
-    return BandProfile(p=p, s=s, entries=entries)
+    return BandProfile(entries=entries)
 
 
 # The six band-wise embedding inequalities, lhs <= C * factor * rhs:

@@ -167,7 +167,7 @@ _STUDY_DEFAULTS = {
         "well_prepared": True,
         "nonlinear": False,
     },
-    "initial-layer": {"amplitude": 1e-3, "flux_amplitude": 1e-2, "mode": [1, 0, 0], "efolds": 5.0, "samples": 60, "scaling_factor": 2.0},
+    "initial-layer": {"amplitude": 1e-3, "flux_amplitude": 1e-2, "mode": None, "efolds": 5.0, "samples": 60, "scaling_factor": 2.0},
     "lyapunov": {"p": 2.0, "sigma1": 1.5, "t_min": 1.0, "t_max": 1000.0, "t_count": 40, "r_max": 64.0},
     "bernstein": {"trials": 100, "s_min": -1.5, "s_max": 1.5, "sp_min": 0.1, "sp_max": 2.0, "c_bern": 4.0},
 }
@@ -200,7 +200,8 @@ def _is_number(val, kind=float) -> bool:
 
 def _check_value(where: str, default, val) -> None:
     """Raise ConfigError unless val is the kind of value its default is
-    (spectrum.direction, null by default, may be a list of numbers)."""
+    (spectrum.direction and initial-layer.mode, null by default, may be
+    lists of numbers)."""
     if isinstance(default, bool):
         ok, want = isinstance(val, bool), "true or false"
     elif isinstance(default, (int, float)):
@@ -227,16 +228,24 @@ def _merge(where: str, defaults: dict, override, extra=()) -> dict:
     return {**defaults, **override}
 
 
-def _check_study(name: str, block: dict, d: int) -> None:
+def _check_study(name: str, block: dict, d: int, n: int) -> None:
     """Raise ConfigError for a study value of the right kind that the study
-    would still refuse."""
-    where, direction = f"study.{name}", block.get("direction")
+    would still refuse on a d-dimensional grid of n points per axis."""
+    where, direction, mode = f"study.{name}", block.get("direction"), block.get("mode")
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
-    if name == "relax-sweep" and not 2.0 <= float(block["p"]) <= 4.0:
+    if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
+        raise ConfigError(f"{where}.mode must be {d} integers of magnitude below n/2 = {n / 2:g}, got {mode!r}")
+    if name != "relax-sweep":
+        return
+    eps = [float(e) for e in block["eps_list"]]
+    if not 2.0 <= float(block["p"]) <= 4.0:
         raise ConfigError(f"{where}.p must lie in [2, 4], got {block['p']!r}")
-    if name == "relax-sweep" and len({float(e) for e in block["eps_list"]}) < 2:
-        raise ConfigError(f"{where}.eps_list must hold at least two distinct values, got {block['eps_list']!r}")
+    if len(set(eps)) < 2 or not all(e > 0 for e in eps):
+        raise ConfigError(f"{where}.eps_list must hold at least two distinct positive values, got {block['eps_list']!r}")
+    max_d, max_n = studies._NONLINEAR_SWEEP_MAX
+    if block["nonlinear"] and (d > max_d or n > max_n):
+        raise ConfigError(f"{where}.nonlinear runs only at d <= {max_d} and n <= {max_n}, got d = {d}, n = {n}")
 
 
 def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
@@ -274,7 +283,7 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
     for name, block in blocks.items():
-        _check_study(name, block, spec.d)
+        _check_study(name, block, spec.d, int(cfg["grid"]["n"]))
     if study_block and list(study_block) != [study]:
         raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
     if study in _GRID_STUDIES:
@@ -404,7 +413,7 @@ def run_evolve(cfg, out_dir, rng):
             artifacts.append(name)
 
     if p["nonlinear"]:
-        advance = lambda s: evolve.imex_step(s, spec, dt, th)
+        advance = lambda s: evolve.imex_step(s, spec, dt)
     else:
         advance = evolve.LinearPropagator(spec, grid, dt).step
     record(st)
@@ -430,7 +439,7 @@ def run_evolve(cfg, out_dir, rng):
 
     # band decomposition of the final state
     named = dict(zip(labels, cur.fields()))
-    prof = besov.band_profile(named, p=2)
+    prof = besov.band_profile(named)
     write_csv(out_dir / "band_profile.csv", ["j", "band_center", "component", "p", "band_norm"], prof.rows())
     artifacts.append("band_profile.csv")
 
@@ -447,18 +456,19 @@ def run_evolve(cfg, out_dir, rng):
     return artifacts
 
 
-def _write_band_diagnostics(out_dir, state0, spec, th, steps: int = 40) -> list:
+def _write_band_diagnostics(out_dir, state0, spec, th) -> list:
     """(t, j, regime, lyapunov, dissipation, residual) rows per in-regime band.
 
-    Each band gets its own finely-strided window from the initial state so
-    the centered-difference residual is resolved in its regime's timescale.
+    Each band gets its own finely-strided window of 40 steps from the initial
+    state so the centered-difference residual is resolved in its regime's
+    timescale.
     """
     rows = []
     bands = besov.grid_band_range(state0.grid)
     for regime, eta in (("low", 0.1), ("high", 0.25)):
         for j in besov.regime_band_indices(regime, th, bands):
             dt = 5e-3 / diagnostics._regime_rate(spec, j, regime)
-            traj = studies.sampled_linear_trajectory(state0, spec, [dt * np.arange(steps + 1)])
+            traj = studies.sampled_linear_trajectory(state0, spec, [dt * np.arange(41)])
             times, vals, diss, dl = diagnostics._centered_series(traj, j, regime, spec, eta)
             if not np.any(vals > 0):
                 continue
@@ -537,7 +547,7 @@ def run_initial_layer(cfg, out_dir, rng):
     grid = build_grid(cfg, spec)
     p = cfg["study"]["initial-layer"]
     st = spectral.zero_state(grid)
-    mode = tuple(int(m) for m in p["mode"])[: grid.d]
+    mode = tuple(p["mode"] or [1] + [0] * (grid.d - 1))
     st.theta.coeffs[mode] = float(p["amplitude"])
     st.q[0].coeffs[mode] = float(p["flux_amplitude"]) / spec.eps
     st = st.hermitized()

@@ -1,10 +1,11 @@
 """Hypocoercivity diagnostics: effective unknowns, per-band perturbed energy
 functionals with the dissipation series and calibration behind the
 `evolve` study's band_diagnostics.csv, and the global solution functional
-X accumulated along trajectories.
+X accumulated along trajectories, whose pieces are all p = 2 semi-norms.
 
 Band norms are taken on row slices of `State.u` and of the effective
 unknowns' stacks (`EffectiveState._Q`, `_w`); X reads scaled row arrays.
+The functionals are linear: the high-band one carries no density weight.
 
 The low-band functional carries a band-weighted cross term
 eta * 2^(-j) * int v_j . grad a_j (a plain 1/2 coefficient would not stay
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import Thresholds, _band_inner, _band_norm, band_project, besov_seminorms
+from .besov import Thresholds, _band_inner, _band_norm, besov_seminorms
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps diagnostics.besov_seminorm)
 from .model import ModelSpec, SystemKind
-from .spectral import State, _grad, _row_views, to_physical
+from .spectral import State, _grad, _row_views
 
 __all__ = [
     "EffectiveState",
@@ -76,7 +77,7 @@ def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
 class LyapunovValue:
     j: int
     value: float
-    parts: tuple  # (norm_part, cross_part, weight_part)
+    parts: tuple  # (norm_part, cross_part)
 
 
 def lyapunov_low(state: State, j: int, eta: float = 0.25) -> LyapunovValue:
@@ -87,38 +88,19 @@ def lyapunov_low(state: State, j: int, eta: float = 0.25) -> LyapunovValue:
     grid, u = state.grid, state.u
     norm_part = _band_norm(grid, u[: 2 + grid.d], j) ** 2
     cross = eta * 2.0 ** (-j) * _band_inner(grid, u[1 : 1 + grid.d], _grad(grid, u[0]), j)
-    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross, 0.0))
+    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross))
 
 
-def lyapunov_high(
-    state: State,
-    j: int,
-    eta: float,
-    spec: ModelSpec,
-    density_weight: bool = False,
-) -> LyapunovValue:
+def lyapunov_high(state: State, j: int, eta: float, spec: ModelSpec) -> LyapunovValue:
     """High-band perturbed energy:
-    |theta_j|^2 + int (1+J(a)) |eps q_j|^2 + eta 2^(-2j) int q_j . grad theta_j,
-    equivalent to |(theta_j, eps q_j)|^2.  The density weight is switched off
-    for linear studies (J computed from the instantaneous a otherwise)."""
+    |theta_j|^2 + |eps q_j|^2 + eta 2^(-2j) int q_j . grad theta_j,
+    equivalent to |(theta_j, eps q_j)|^2."""
     if not state.has_flux:
         raise ValueError("high-band functional needs the heat-flux components")
     eps, grid, u = spec.eps, state.grid, state.u
-    theta_part = _band_norm(grid, u[1 + grid.d : 2 + grid.d], j) ** 2
-    flux_part = _band_norm(grid, u[2 + grid.d :], j) ** 2 * eps**2
-    weight_part = 0.0
-    if density_weight:
-        a_phys = to_physical(state.a).real
-        if np.max(np.abs(a_phys)) >= 1.0:
-            raise ValueError("density weight undefined: |a| >= 1 somewhere")
-        jw = a_phys / (1.0 + a_phys)
-        cell = (grid.L / grid.n) ** grid.d
-        q_sq = sum(np.abs(to_physical(band_project(f, j))) ** 2 for f in state.q)
-        weight_part = float(np.sum(jw * q_sq) * cell) * eps**2
-        flux_part += weight_part  # int (1 + J)|q_j|^2 = |q_j|^2 + int J |q_j|^2 (discrete Parseval)
+    norm_part = _band_norm(grid, u[1 + grid.d : 2 + grid.d], j) ** 2 + _band_norm(grid, u[2 + grid.d :], j) ** 2 * eps**2
     cross = eta * 2.0 ** (-2 * j) * _band_inner(grid, u[2 + grid.d :], _grad(grid, u[1 + grid.d]), j)
-    value = theta_part + flux_part + cross
-    return LyapunovValue(j=j, value=value, parts=(theta_part + flux_part - weight_part, cross, weight_part))
+    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross))
 
 
 def lyapunov_value(state: State, j: int, regime: str, spec: ModelSpec, eta: float) -> float:
@@ -191,35 +173,36 @@ def _calibrate(dl: np.ndarray, dmid: np.ndarray) -> float:
 _LINF, _L1, _L2T = "Linf", "L1", "L2"
 
 
-def _x_table(d: int, p: float, eps: float):
-    """(name, part, comps, regime, time-kind, s or (s1,s2), p, weight)."""
+def _x_table(d: int, eps: float):
+    """(name, part, comps, time-kind, s or (s1, s2), weight); every piece is
+    a p = 2 semi-norm over the bands of its part."""
     return (
-        ("low_state_Linf", "low", ("a", "v", "theta", "eq"), "low", _LINF, d / 2 - 1, 2, 1.0),
-        ("low_avtheta_L1", "low", ("a", "v", "theta"), "low", _L1, d / 2 + 1, 2, 1.0),
-        ("low_q_L1", "low", ("q",), "low", _L1, d / 2, 2, 1.0),
-        ("low_Q_L1", "low", ("Q",), "low", _L1, d / 2 - 1, 2, 1.0 / eps),
-        ("med_thetaq_Linf", "med", ("theta", "eq"), "med", _LINF, (d / p - 2, d / p - 1), p, 1.0),
-        ("med_theta_L1", "med", ("theta",), "med", _L1, (d / p, d / p + 1), p, 1.0),
-        ("med_q_L1", "med", ("q",), "med", _L1, (d / p - 1, d / p), p, 1.0),
-        ("med_q_L2", "med", ("q",), "med", _L2T, (d / p - 2, d / p - 1), p, 1.0),
-        ("med_Q_L1", "med", ("Q",), "med", _L1, (d / p - 2, d / p - 1), p, 1.0 / eps),
-        ("med_w_Linf", "med", ("w",), "med", _LINF, d / p - 1, p, 1.0),
-        ("med_w_L1", "med", ("w",), "med", _L1, d / p + 1, p, 1.0),
-        ("med_a_Linf", "med", ("a",), "med", _LINF, d / p, p, 1.0),
-        ("med_a_L1", "med", ("a",), "med", _L1, d / p, p, 1.0),
-        ("med_v_Linf", "med", ("v",), "med", _LINF, (d / p - 1, d / p), p, 1.0),
-        ("med_v_L1", "med", ("v",), "med", _L1, d / p + 1, p, 1.0),
-        ("med_v_L2", "med", ("v",), "med", _L2T, d / p + 1, p, 1.0),
-        ("high_a_Linf", "high", ("a",), "high", _LINF, d / 2 + 1, 2, eps),
-        ("high_a_L1", "high", ("a",), "high", _L1, d / 2 + 1, 2, eps),
-        ("high_thetaq2_Linf", "high", ("e2theta", "e3q"), "high", _LINF, d / 2 + 1, 2, 1.0),
-        ("high_thetaq_L1", "high", ("theta", "eq"), "high", _L1, d / 2 + 1, 2, 1.0),
-        ("high_Q_L1", "high", ("Q",), "high", _L1, d / p, p, 1.0),
-        ("high_w_Linf", "high", ("w",), "high", _LINF, d / 2, 2, eps),
-        ("high_w_L1", "high", ("w",), "high", _L1, d / 2 + 2, 2, eps),
-        ("high_v_Linf", "high", ("v",), "high", _LINF, d / 2 + 1, 2, eps),
-        ("high_v_L1", "high", ("v",), "high", _L1, d / 2 + 2, 2, eps),
-        ("high_v_L2", "high", ("v",), "high", _L2T, d / 2 + 2, 2, eps),
+        ("low_state_Linf", "low", ("a", "v", "theta", "eq"), _LINF, d / 2 - 1, 1.0),
+        ("low_avtheta_L1", "low", ("a", "v", "theta"), _L1, d / 2 + 1, 1.0),
+        ("low_q_L1", "low", ("q",), _L1, d / 2, 1.0),
+        ("low_Q_L1", "low", ("Q",), _L1, d / 2 - 1, 1.0 / eps),
+        ("med_thetaq_Linf", "med", ("theta", "eq"), _LINF, (d / 2 - 2, d / 2 - 1), 1.0),
+        ("med_theta_L1", "med", ("theta",), _L1, (d / 2, d / 2 + 1), 1.0),
+        ("med_q_L1", "med", ("q",), _L1, (d / 2 - 1, d / 2), 1.0),
+        ("med_q_L2", "med", ("q",), _L2T, (d / 2 - 2, d / 2 - 1), 1.0),
+        ("med_Q_L1", "med", ("Q",), _L1, (d / 2 - 2, d / 2 - 1), 1.0 / eps),
+        ("med_w_Linf", "med", ("w",), _LINF, d / 2 - 1, 1.0),
+        ("med_w_L1", "med", ("w",), _L1, d / 2 + 1, 1.0),
+        ("med_a_Linf", "med", ("a",), _LINF, d / 2, 1.0),
+        ("med_a_L1", "med", ("a",), _L1, d / 2, 1.0),
+        ("med_v_Linf", "med", ("v",), _LINF, (d / 2 - 1, d / 2), 1.0),
+        ("med_v_L1", "med", ("v",), _L1, d / 2 + 1, 1.0),
+        ("med_v_L2", "med", ("v",), _L2T, d / 2 + 1, 1.0),
+        ("high_a_Linf", "high", ("a",), _LINF, d / 2 + 1, eps),
+        ("high_a_L1", "high", ("a",), _L1, d / 2 + 1, eps),
+        ("high_thetaq2_Linf", "high", ("e2theta", "e3q"), _LINF, d / 2 + 1, 1.0),
+        ("high_thetaq_L1", "high", ("theta", "eq"), _L1, d / 2 + 1, 1.0),
+        ("high_Q_L1", "high", ("Q",), _L1, d / 2, 1.0),
+        ("high_w_Linf", "high", ("w",), _LINF, d / 2, eps),
+        ("high_w_L1", "high", ("w",), _L1, d / 2 + 2, eps),
+        ("high_v_Linf", "high", ("v",), _LINF, d / 2 + 1, eps),
+        ("high_v_L1", "high", ("v",), _L1, d / 2 + 2, eps),
+        ("high_v_L2", "high", ("v",), _L2T, d / 2 + 2, eps),
     )
 
 
@@ -244,12 +227,12 @@ def _scaled_rows(state: State, spec: ModelSpec) -> dict:
 
 
 def _instantaneous(entry, rows: dict, grid, th: Thresholds) -> float:
-    name, part, comps, regime, kind, s, p, weight = entry
+    name, part, comps, kind, s, weight = entry
     u = np.concatenate([rows[c] for c in comps])
-    return weight * max(besov_seminorms(grid, u, s if isinstance(s, tuple) else (s,), p, regime, th, overlap=True))
+    return weight * max(besov_seminorms(grid, u, s if isinstance(s, tuple) else (s,), 2, part, th, overlap=True))
 
 
-def functional_X(traj, spec: ModelSpec, th: Thresholds, p: float = 2.0) -> XFunctional:
+def functional_X(traj, spec: ModelSpec, th: Thresholds) -> XFunctional:
     """Accumulate the three-regime solution functional along a trajectory.
 
     traj may be any iterable, reduced one snapshot at a time.  Supremum-in-
@@ -258,9 +241,7 @@ def functional_X(traj, spec: ModelSpec, th: Thresholds, p: float = 2.0) -> XFunc
     """
     if spec.kind is not SystemKind.NSC:
         raise ValueError("the solution functional is defined for the relaxing system")
-    if not 2.0 <= p <= 4.0:
-        raise ValueError(f"p must lie in [2, 4], got {p}")
-    table = _x_table(spec.d, p, spec.eps)
+    table = _x_table(spec.d, spec.eps)
     series = {entry[0]: [] for entry in table}
     times = []
     for state in traj:
@@ -279,7 +260,7 @@ def functional_X(traj, spec: ModelSpec, th: Thresholds, p: float = 2.0) -> XFunc
     for entry in table:
         name, part = entry[0], entry[1]
         vals = np.array(series[name])
-        kind = entry[4]
+        kind = entry[3]
         if kind == _LINF:
             out = float(np.max(vals))
         elif kind == _L1:

@@ -268,15 +268,14 @@ class RadialDataProfile:
     sigma1: float
 
 
-def sharp_low_profile(sigma1: float, d: int, mix=None, r_cut: float = 1.0) -> RadialDataProfile:
+def sharp_low_profile(sigma1: float, d: int) -> RadialDataProfile:
     """Data sharply in the critical low-frequency class: |xi|^(sigma1 - d/2)
-    on |xi| <= r_cut, zero above.  mix weights the components."""
+    in every component on |xi| <= 1, zero above."""
 
     def amplitude(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        base = np.where(r <= r_cut, r ** (sigma1 - d / 2.0), 0.0)
-        w = np.ones(4) if mix is None else np.asarray(mix, dtype=complex)
-        return base[:, None] * w[None, :]
+        base = np.where(r <= 1.0, r ** (sigma1 - d / 2.0), 0.0)
+        return base[:, None] * np.ones(4)[None, :]
 
     return RadialDataProfile(amplitude=amplitude, sigma1=sigma1)
 
@@ -292,8 +291,6 @@ class RadialFlow:
     are labelled with their dyadic band once (besov.band_labels, the torus
     rule), so all band norms of a sample come from one band sum.
     """
-
-    REDUCED_LABELS = ("a", "omega", "theta", "sigma")
 
     def __init__(
         self,
@@ -332,16 +329,11 @@ class RadialFlow:
         return self.kernel.apply(t, self.u0)
 
     def component(self, u: np.ndarray, name: str) -> np.ndarray:
-        """Derived or primitive per-node scalar amplitude |component(r)|."""
+        """Per-node scalar amplitude |component(r)| of a, v (the reduced
+        omega), theta, q (the reduced sigma), or the derived w and Q."""
         a, om, th = u[:, 0], u[:, 1], u[:, 2]
-        if name in ("a", "omega", "theta"):
-            return np.abs(u[:, self.REDUCED_LABELS.index(name)])
-        if name == "sigma":
-            return np.abs(u[:, 3])
-        if name == "v":
-            return np.abs(om)
-        if name == "q":
-            return np.abs(u[:, 3])
+        if name in ("a", "v", "theta", "q"):
+            return np.abs(u[:, ("a", "v", "theta", "q").index(name)])
         if name == "w":  # effective velocity: omega - a/r along the direction
             return np.abs(om - a / self.r)
         if name == "Q":  # damped mode alpha q + kappa grad theta, longitudinal
@@ -357,14 +349,11 @@ class RadialFlow:
         return math.sqrt(area * integral / (2.0 * np.pi) ** self.d)
 
     def band_l2_norms(self, u: np.ndarray, comps) -> np.ndarray:
-        """L2 norms of the named components on every band of band_range()."""
+        """L2 norms of the named components on every band of self.bands."""
         vals = sum(self.component(u, c) ** 2 for c in comps)
         weight = self.r ** (self.d - 1.0) * self.r * self.log_weights
         integrals = band_sums(self.labels, vals * weight, len(self.bands))
         return np.sqrt(_SPHERE_AREA[self.d] * integrals / (2.0 * np.pi) ** self.d)
-
-    def band_range(self) -> range:
-        return self.bands
 
     def besov_proxy(self, u: np.ndarray, comps, s: float, p: float) -> float:
         """sum_j 2^(j(s + d/2 - d/p)) |u_j|_L2: the band-summed L^p proxy."""
@@ -548,28 +537,19 @@ def source_terms(state: State, spec: ModelSpec):
     return (src.a, src.v, src.theta) + ((src.q,) if nsc else ())
 
 
-def imex_step(
-    state: State,
-    spec: ModelSpec,
-    dt: float,
-    th=None,
-    forcing=None,
-) -> State:
+def imex_step(state: State, spec: ModelSpec, dt: float, forcing=None) -> State:
     """One integrating-factor midpoint step of the nonlinear system.
 
     U(t+dt) = e^(dt M) U + dt e^(dt M / 2) N(U_mid), with the midpoint
     state predicted by an explicit Euler step in the integrating-factor
     frame; second order in dt.  `forcing(t)` may supply an extra stacked
-    spectral source (manufactured solutions, external drive).  `th` is an
-    optional Thresholds carrying the regime-validity check for spec.eps.
+    spectral source (manufactured solutions, external drive).
 
     The step runs on the rfft half lattice, so the fields must be real
     (Hermitian coefficients); the result is rebuilt by conjugate mirroring.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    if th is not None and spec.kind is SystemKind.NSC and abs(th.eps - spec.eps) > 1e-12 * max(1.0, spec.eps):
-        raise ValueError("thresholds were built for a different relaxation time")
     grid = state.grid
     e_full, e_half = _torus_step(spec, grid, dt, True), _torus_step(spec, grid, dt / 2.0, True)
     _check_kind(state, spec)

@@ -7,10 +7,8 @@ m on the usual FFT integer lattice.
 
 Conventions baked in here and relied on everywhere else:
 
-* the Nyquist plane (|m_i| = n/2) is zeroed by every multiplier because its
-  derivative sign is ambiguous and it breaks Hermitian symmetry;
-* singular multipliers (inverse Laplacian, negative-order |xi|^s) map the
-  zero mode to zero and refuse fields with nonzero mean;
+* the Nyquist plane (|m_i| = n/2) is zeroed by every derivative because its
+  sign is ambiguous there and it breaks Hermitian symmetry;
 * reductions sum in a fixed (C-order) lattice order, so norms are bitwise
   reproducible for identical inputs;
 * a State is one (nc, *shape) array in the order (a, v, theta[, q]); its
@@ -31,27 +29,14 @@ __all__ = [
     "Grid",
     "SpectralField",
     "State",
-    "MeanValueError",
-    "apply_multiplier",
     "to_physical",
     "to_spectral",
     "random_field",
     "zero_field",
     "zero_state",
-    "save_fields",
     "save_state",
     "load_state",
 ]
-
-
-class MeanValueError(ValueError):
-    """A singular multiplier was fed a field with nonzero mean."""
-
-    def __init__(self, mean_value):
-        self.mean_value = mean_value
-        super().__init__(
-            f"singular multiplier requires zero mean, got mean {mean_value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -200,66 +185,10 @@ def to_spectral(grid: Grid, samples: np.ndarray) -> SpectralField:
     return SpectralField(grid, np.fft.fftn(samples) / grid.n**grid.d)
 
 
-def _deriv_weight(grid: Grid) -> np.ndarray:
-    """1 on derivative-safe modes, 0 on the Nyquist plane."""
-    return np.where(grid.nyquist_mask(), 0.0, 1.0)
-
-
 def _grad(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """The gradient of coefficients c as one (d, *grid.shape) stack."""
-    return 1j * np.stack(grid.wavevectors()) * _deriv_weight(grid) * c
-
-
-def apply_multiplier(f, m: str, *, j: int | None = None, sigma: float | None = None):
-    """Apply a Fourier multiplier.
-
-    m is one of 'grad_j' (component j, needs j), 'grad' (returns d-tuple),
-    'div' (f must be a d-tuple, returns scalar), 'laplacian',
-    'inv_neg_laplacian', 'lambda_sigma' (needs sigma).
-
-    Singular multipliers ('inv_neg_laplacian', 'lambda_sigma' with sigma < 0)
-    raise MeanValueError when the zero mode is nonzero.
-    """
-    if m == "div":
-        fields = list(f)
-        grid = fields[0].grid
-        if len(fields) != grid.d:
-            raise ValueError(f"div expects a {grid.d}-tuple, got {len(fields)} fields")
-        xi = grid.wavevectors()
-        w = _deriv_weight(grid)
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        for comp, x in zip(fields, xi):
-            out += 1j * x * w * comp.coeffs
-        return SpectralField(grid, out)
-
-    grid = f.grid
-    xi = grid.wavevectors()
-    w = _deriv_weight(grid)
-    if m == "grad":
-        return tuple(SpectralField(grid, g) for g in _grad(grid, f.coeffs))
-    if m == "grad_j":
-        if j is None or not 0 <= j < grid.d:
-            raise ValueError(f"grad_j needs a component index in [0, {grid.d})")
-        return SpectralField(grid, 1j * xi[j] * w * f.coeffs)
-    if m == "laplacian":
-        k2 = sum(x**2 for x in xi)
-        return SpectralField(grid, -k2 * w * f.coeffs)
-    if m == "inv_neg_laplacian":
-        if abs(f.mean) > 0.0:
-            raise MeanValueError(f.mean)
-        k2 = sum(x**2 for x in xi)
-        k2safe = np.where(k2 == 0.0, 1.0, k2)
-        return SpectralField(grid, np.where(k2 == 0.0, 0.0, w * f.coeffs / k2safe))
-    if m == "lambda_sigma":
-        if sigma is None:
-            raise ValueError("lambda_sigma needs sigma")
-        if sigma < 0 and abs(f.mean) > 0.0:
-            raise MeanValueError(f.mean)
-        k = grid.wavenumber_magnitude()
-        ksafe = np.where(k == 0.0, 1.0, k)
-        mult = np.where(k == 0.0, 0.0, ksafe**sigma)
-        return SpectralField(grid, mult * w * f.coeffs)
-    raise ValueError(f"unknown multiplier {m!r}")
+    """The gradient of coefficients c as one (d, *grid.shape) stack, 0 on
+    the Nyquist plane."""
+    return 1j * np.stack(grid.wavevectors()) * np.where(grid.nyquist_mask(), 0.0, 1.0) * c
 
 
 def random_field(
@@ -267,17 +196,16 @@ def random_field(
     rng: np.random.Generator,
     amplitude: float = 1.0,
     decay: float = 2.0,
-    zero_mean: bool = True,
 ) -> SpectralField:
-    """Random Hermitian field with |coeff| ~ (1+|m|)^-decay, Nyquist-free."""
+    """Random Hermitian field with |coeff| ~ (1+|m|)^-decay, Nyquist-free
+    and of zero mean."""
     shape = grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     mag = grid.wavenumber_magnitude() * grid.L / (2.0 * np.pi)
     raw *= amplitude / (1.0 + mag) ** decay
     raw[grid.nyquist_mask()] = 0.0
     f = SpectralField(grid, raw).hermitized()
-    if zero_mean:
-        f.coeffs[(0,) * grid.d] = 0.0
+    f.coeffs[(0,) * grid.d] = 0.0
     return f
 
 
@@ -299,8 +227,8 @@ class State:
     The coefficients live in one complex array ``u`` of shape
     (nc, *grid.shape) in the order (a, v_1..v_d, theta[, q_1..q_d]): nc =
     2d + 2, or d + 2 for Fourier-law systems, whose ``q`` is None.  ``a``,
-    ``v``, ``theta``, ``q`` and ``fields()`` are views of rows of ``u`` and
-    ``stacked()`` is ``u``, so none of them copies, and a write through
+    ``v``, ``theta``, ``q`` and ``fields()`` are views of rows of ``u``, so
+    none of them copies, and a write through
     ``st.theta.coeffs`` lands in the state.  The whole stack is checked
     finite once, on entry: the keyword constructor copies its fields into a
     new stack, ``from_stacked`` wraps the array it is given.
@@ -364,10 +292,6 @@ class State:
             labels += [f"q{i+1}" for i in range(d)]
         return labels
 
-    def stacked(self) -> np.ndarray:
-        """(n_comp, *grid.shape) complex array: the state's own storage."""
-        return self.u
-
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(f.is_hermitian(tol) for f in self.fields())
 
@@ -399,18 +323,6 @@ _HEADER = struct.Struct("<4sIIIdId")
 _MAGIC = b"SFLD"
 
 
-def save_fields(path, fields, time: float = 0.0) -> None:
-    """Write a list of same-grid fields to the flat binary container."""
-    fields = list(fields)
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("all fields must share one grid")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, 1, grid.d, grid.n, grid.L, len(fields), time))
-        for f in fields:
-            fh.write(np.ascontiguousarray(f.coeffs, dtype="<c8").tobytes())
-
-
 def _load_stack(path):
     """Read back (grid, (ncomp, *grid.shape) coefficients, time)."""
     with open(path, "rb") as fh:
@@ -430,7 +342,12 @@ def _load_stack(path):
 
 
 def save_state(path, state: State) -> None:
-    save_fields(path, state.fields(), time=state.time)
+    """Write a snapshot, one component row at a time."""
+    grid = state.grid
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, 1, grid.d, grid.n, grid.L, len(state.u), state.time))
+        for row in state.u:
+            fh.write(np.ascontiguousarray(row, dtype="<c8").tobytes())
 
 
 def load_state(path, has_flux: bool = True) -> State:

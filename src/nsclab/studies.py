@@ -3,8 +3,7 @@ epsilon-sweeps, initial-layer measurements, and the Lyapunov-ODE comparison.
 
 Decay and Lyapunov-ODE studies run on the whole-space radial semigroup
 (no grid, no time discretization error); relaxation sweeps and layer fits
-run the exact per-mode linear flow on the torus.  Fits report r^2 and are
-flagged pre-asymptotic below 0.98.
+run the exact per-mode linear flow on the torus.  Fits report r^2.
 
 The linear p = 2 relaxation sweep steps no state: each piece of its error
 functional is a band sum over lattice radii of |C(t, |k|) z(k)|^2, C real, z
@@ -41,7 +40,7 @@ from .evolve import (
 from . import evolve  # imex_step read at each call: perfbench/tracer.py wraps evolve.imex_step
 from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
-from .spectral import Grid, SpectralField, State, _freeze, apply_multiplier, random_field
+from .spectral import Grid, SpectralField, State, _freeze, _grad, random_field
 
 __all__ = [
     "FitResult",
@@ -69,9 +68,6 @@ __all__ = [
     "lyapunov_ode_compare",
 ]
 
-R2_CLEAN = 0.98
-
-
 class LayerResolutionError(RuntimeError):
     """The fine time grid did not resolve the initial layer (r^2 < 0.99)."""
 
@@ -85,10 +81,6 @@ class FitResult:
     samples: int
     label: str = ""
     range_note: str = ""
-
-    @property
-    def clean(self) -> bool:
-        return self.r_squared >= R2_CLEAN
 
     @property
     def relative_error(self) -> float:
@@ -223,8 +215,7 @@ def random_state(grid: Grid, rng: np.random.Generator, amp: float = 1e-2, decay:
 
 def well_prepared_flux(theta: SpectralField, spec: ModelSpec) -> tuple:
     """Fourier-law flux q = -(kappa/alpha) grad theta (damped mode Q = 0)."""
-    grad = apply_multiplier(theta, "grad")
-    return tuple(SpectralField(theta.grid, -(spec.kappa / spec.alpha) * g.coeffs) for g in grad)
+    return tuple(SpectralField(theta.grid, -(spec.kappa / spec.alpha) * g) for g in _grad(theta.grid, theta.coeffs))
 
 
 def scaled_flux_state(base: State, spec: ModelSpec) -> State:
@@ -241,10 +232,10 @@ def scaled_flux_state(base: State, spec: ModelSpec) -> State:
     return State.from_stacked(base.grid, u, 0.0, True)
 
 
-def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) -> State:
+def slow_projection(state: State, spec: ModelSpec) -> State:
     """Remove the fast relaxation eigendirections mode by mode.
 
-    Eigendirections with Re(lambda) < -cut_fraction * alpha/eps^2 are
+    Eigendirections with Re(lambda) < -0.4 alpha/eps^2 are
     zeroed; what remains is the slow spectral subspace (Fourier-law manifold
     up to O(eps^2)).  The longitudinal part projects with one spectral
     projector V diag(Re lambda >= -cut) V^-1 per lattice radius; the
@@ -253,7 +244,7 @@ def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) ->
     Result is re-hermitized.
     """
     kernel, r, radius, khat = _torus_kernel(spec, state.grid)
-    cut = cut_fraction * spec.alpha / spec.eps**2
+    cut = 0.4 * spec.alpha / spec.eps**2
     lam, vecs = np.linalg.eig(kernel.mats)
     proj = ((vecs * (lam.real >= -cut)[:, None, :]) @ np.linalg.inv(vecs)).real
     keep_v = (spec.mu_over_nu * r**2 <= cut).astype(float)[radius]
@@ -266,16 +257,17 @@ def slow_projection(state: State, spec: ModelSpec, cut_fraction: float = 0.4) ->
 # Relaxation sweep.
 
 
-def graded_times(eps: float, alpha: float, T: float, layer_steps: int = 80, mid_steps: int = 100, tail_steps: int = 70):
-    """Uniform segments refined inside the initial layer: the damped mode
-    decays at rate alpha/eps^2 and its time integral must be resolved."""
+def graded_times(eps: float, alpha: float, T: float):
+    """Uniform segments of 80, 100 and 70 steps, refined inside the initial
+    layer: the damped mode decays at rate alpha/eps^2 and its time integral
+    must be resolved."""
     t1 = min(20.0 * eps**2 / alpha, 0.5 * T)
     t2 = min(max(0.5, 2.0 * t1), T)
-    segs = [np.linspace(0.0, t1, layer_steps + 1)]
+    segs = [np.linspace(0.0, t1, 81)]
     if t2 > t1:
-        segs.append(np.linspace(t1, t2, mid_steps + 1))
+        segs.append(np.linspace(t1, t2, 101))
     if T > t2:
-        segs.append(np.linspace(t2, T, tail_steps + 1))
+        segs.append(np.linspace(t2, T, 71))
     return segs
 
 
@@ -550,6 +542,10 @@ class RelaxReport:
         return all(b <= a * (1 + 1e-12) for a, b in zip(self.xtilde_values, self.xtilde_values[1:]))
 
 
+# The largest dimension and points per axis a nonlinear sweep runs at.
+_NONLINEAR_SWEEP_MAX = (2, 256)
+
+
 def relax_sweep(
     base: State,
     d: int,
@@ -578,14 +574,16 @@ def relax_sweep(
     samples.
 
     nonlinear=True integrates both systems with the IMEX stepper instead,
-    in the lockstep loop; this is restricted to d <= 2 and n <= 256 and the
-    report is labeled experimental (outside the decay-theory hypotheses).
+    in the lockstep loop; this is restricted to d <= 2 and n <= 256
+    (_NONLINEAR_SWEEP_MAX) and the report is labeled experimental (outside
+    the decay-theory hypotheses).
     Threshold-invalid eps values are skipped and reported.
     """
     if not 2.0 <= p <= 4.0:
         raise ValueError(f"p must lie in [2, 4], got {p}")
-    if nonlinear and (d > 2 or base.grid.n > 256):
-        raise ValueError("nonlinear sweeps are limited to d <= 2 and n <= 256")
+    max_d, max_n = _NONLINEAR_SWEEP_MAX
+    if nonlinear and (d > max_d or base.grid.n > max_n):
+        raise ValueError(f"nonlinear sweeps are limited to d <= {max_d} and n <= {max_n}")
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
     xt, wp, rows, skipped = [], [], [], []
     used = []
@@ -735,7 +733,7 @@ def lyapunov_l1(flow: RadialFlow, th: Thresholds, p: float, t: float) -> float:
     (a, v, theta, q, w, Q) summed over the low, medium and high bands of the
     overlapping split, which repeats J0 and Jeps - 1, Jeps."""
     d, eps = flow.spec.d, flow.spec.eps
-    j = np.array(flow.band_range())
+    j = np.array(flow.bands)
     u = flow.at(t)
     a, v, theta, q, w, Q = (flow.band_l2_norms(u, (c,)) for c in ("a", "v", "theta", "q", "w", "Q"))
     shift = d / 2.0 - d / p
@@ -746,7 +744,7 @@ def lyapunov_l1(flow: RadialFlow, th: Thresholds, p: float, t: float) -> float:
         + 2.0 ** (j * (d / p - 2 + shift)) * (eps * Q + theta)
     )
     high = eps * 2.0 ** (j * (d / 2 + 1)) * (a + eps * theta + eps**2 * q) + eps * 2.0 ** (j * (d / 2)) * w
-    picked = lambda regime: np.isin(j, _regime_bands(regime, th, flow.band_range(), 1))
+    picked = lambda regime: np.isin(j, _regime_bands(regime, th, flow.bands, 1))
     return float(np.sum(low[picked("low")]) + np.sum(med[picked("med")]) + np.sum(high[picked("high")]))
 
 
@@ -771,14 +769,13 @@ def lyapunov_ode_compare(
     t_grid=None,
     r_max: float = 64.0,
     nodes: int = 4096,
-    tail_start: float = 50.0,
 ) -> OdeCompareReport:
     """Evaluate the terminal Lyapunov functional along the zero-source
     radial flow, fit the largest c0 keeping dL/dt + c0 L^(1+m) <= 0, and
     overlay the closed-form solution of the fitted ODE.
 
     m = 2/(d/2 - 1 + sigma1); the ODE envelope implies a large-time power
-    t^(-1/m) = t^(-(d/2 - 1 + sigma1)/2).
+    t^(-1/m) = t^(-(d/2 - 1 + sigma1)/2), whose slope is fitted on t >= 50.
     """
     d = spec.d
     if abs(prof.sigma1 - sigma1) > 1e-12:
@@ -798,7 +795,7 @@ def lyapunov_ode_compare(
     envelope = (l1[0] ** (-m_exp) + c0 * m_exp * (t_grid - t_grid[0])) ** (-1.0 / m_exp)
     violation = float(np.max(l1 - envelope))
 
-    sel = t_grid >= tail_start
+    sel = t_grid >= 50.0
     slope, _, _ = fit_loglog(t_grid[sel], l1[sel])
     return OdeCompareReport(
         times=t_grid,

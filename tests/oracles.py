@@ -20,10 +20,12 @@ takes every band sum once per value of s, where nsclab.studies streams the
 trajectories in lockstep and shares one band-norm pass between the values
 of s.
 
-Three references are helpers the package itself never calls:
+Some references are helpers the package itself never calls:
 `spectral_distance` pairs two spectra as multisets through scipy's
 assignment solver, `solenoidal_eigenvalues` writes the transverse modes in
-closed form, and `dealias_23` applies the 2/3-rule mask to one field.
+closed form, `dealias_23` applies the 2/3-rule mask to one field, and
+`grad_j`, `grad`, `div` and `laplacian` apply one Fourier multiplier to
+one field or d-tuple, where the package differentiates whole stacks.
 """
 
 import math
@@ -38,7 +40,30 @@ from nsclab.model import ModelSpec, SystemKind
 from nsclab.besov import ThresholdOrderError, _overlap_band_indices, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
 from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
 from nsclab.evolve import _SPHERE_AREA
-from nsclab.spectral import SpectralField, State, apply_multiplier, to_physical, to_spectral
+from nsclab.spectral import SpectralField, State, to_physical, to_spectral
+
+
+def grad_j(f, j):
+    """The derivative d/dx_j, i xi_j f, of one field; 0 on the Nyquist plane."""
+    grid = f.grid
+    return SpectralField(grid, 1j * grid.wavevectors()[j] * np.where(grid.nyquist_mask(), 0.0, 1.0) * f.coeffs)
+
+
+def grad(f):
+    return tuple(grad_j(f, j) for j in range(f.grid.d))
+
+
+def div(fields):
+    """The divergence of a d-tuple of fields."""
+    fields = tuple(fields)
+    return SpectralField(fields[0].grid, sum(grad_j(f, j).coeffs for j, f in enumerate(fields)))
+
+
+def laplacian(f):
+    """-|xi|^2 f; 0 on the Nyquist plane."""
+    grid = f.grid
+    k2 = sum(x**2 for x in grid.wavevectors())
+    return SpectralField(grid, -k2 * np.where(grid.nyquist_mask(), 0.0, 1.0) * f.coeffs)
 
 
 def ode_propagate(mat, u0, t, rtol=1e-11, atol=1e-14):
@@ -180,17 +205,16 @@ def source_terms_reference(state, spec):
     one_plus = 1.0 + a_p
     jfun = a_p / one_plus
 
-    grad_a = [to_physical(g).real for g in apply_multiplier(state.a, "grad")]
-    grad_th = [to_physical(g).real for g in apply_multiplier(state.theta, "grad")]
-    grad_v = [[to_physical(apply_multiplier(state.v[i], "grad_j", j=j)).real for j in range(d)] for i in range(d)]
+    grad_a = [to_physical(g).real for g in grad(state.a)]
+    grad_th = [to_physical(g).real for g in grad(state.theta)]
+    grad_v = [[to_physical(grad_j(state.v[i], j)).real for j in range(d)] for i in range(d)]
     div_v = sum(grad_v[i][i] for i in range(d))
 
     nu = spec.nu
     # normalized Lame operator applied to v, physical samples
     av_spec = []
-    lap_v = [apply_multiplier(state.v[i], "laplacian") for i in range(d)]
-    div_v_field = apply_multiplier(state.v, "div")
-    grad_div_v = apply_multiplier(div_v_field, "grad")
+    lap_v = [laplacian(state.v[i]) for i in range(d)]
+    grad_div_v = grad(div(state.v))
     for i in range(d):
         coeff = (
             spec.visc_mu * lap_v[i].coeffs + (spec.visc_lam + spec.visc_mu) * grad_div_v[i].coeffs
@@ -202,7 +226,7 @@ def source_terms_reference(state, spec):
         return dealias_23(to_spectral(grid, phys))
 
     # F = -div(a v)
-    f_field = apply_multiplier(tuple(spectralize(a_p * v_p[i]) for i in range(d)), "div")
+    f_field = div(spectralize(a_p * v_p[i]) for i in range(d))
     f_field = SpectralField(grid, -f_field.coeffs)
 
     # G = -(v.grad)v - J(a) A v + J(a) grad a - theta grad(a)/(1+a)
@@ -220,10 +244,10 @@ def source_terms_reference(state, spec):
 
     adv_th = sum(v_p[j] * grad_th[j] for j in range(d))
     if spec.kind is SystemKind.NSC:
-        div_q = to_physical(apply_multiplier(state.q, "div")).real
+        div_q = to_physical(div(state.q)).real
         flux_term = spec.beta * jfun * div_q
     else:
-        lap_th = to_physical(apply_multiplier(state.theta, "laplacian")).real
+        lap_th = to_physical(laplacian(state.theta)).real
         flux_term = -(spec.beta * spec.kappa / spec.alpha) * jfun * lap_th
     h_phys = -adv_th + flux_term + nheat / one_plus - spec.gamma * th_p * div_v
     h_field = spectralize(h_phys)
@@ -232,7 +256,7 @@ def source_terms_reference(state, spec):
         return f_field, tuple(g_fields), h_field
 
     q_p = [to_physical(f).real for f in state.q]
-    grad_q = [[to_physical(apply_multiplier(state.q[i], "grad_j", j=j)).real for j in range(d)] for i in range(d)]
+    grad_q = [[to_physical(grad_j(state.q[i], j)).real for j in range(d)] for i in range(d)]
     i_fields = []
     for i in range(d):
         adv_q = sum(v_p[j] * grad_q[i][j] for j in range(d))
@@ -328,7 +352,7 @@ def radial_besov_proxy_reference(flow, u, comps, s, p):
     shift = flow.d / 2.0 - flow.d / p
     return sum(
         2.0 ** (j * (s + shift)) * radial_band_l2_norm_reference(flow, u, comps, j)
-        for j in flow.band_range()
+        for j in flow.bands
     )
 
 
@@ -337,7 +361,7 @@ def lyapunov_l1_reference(flow, th, p, t):
     d = spec.d
     eps = spec.eps
     u = flow.at(t)
-    bands = flow.band_range()
+    bands = flow.bands
     norm = lambda comps, j: radial_band_l2_norm_reference(flow, u, comps, j)
     val = 0.0
     for j in (j for j in bands if j <= th.J0):
@@ -373,31 +397,20 @@ def lyapunov_low_reference(state, j, eta):
     v_j = [band_project_reference(f, j) for f in state.v]
     th_j = band_project_reference(state.theta, j)
     norm_part = a_j.l2_norm() ** 2 + sum(f.l2_norm() ** 2 for f in v_j) + th_j.l2_norm() ** 2
-    grad_a = apply_multiplier(a_j, "grad")
+    grad_a = grad(a_j)
     cross = eta * 2.0 ** (-j) * sum(_inner_reference(v, g) for v, g in zip(v_j, grad_a))
     return norm_part + cross, norm_part, cross
 
 
-def lyapunov_high_reference(state, j, eta, spec, density_weight):
+def lyapunov_high_reference(state, j, eta, spec):
     """(value, parts) from band projections, as lyapunov_high."""
     eps = spec.eps
     th_j = band_project_reference(state.theta, j)
     q_j = [band_project_reference(f, j) for f in state.q]
-    theta_part = th_j.l2_norm() ** 2
-    if density_weight:
-        a_phys = to_physical(state.a).real
-        jw = a_phys / (1.0 + a_phys)
-        grid = state.grid
-        cell = (grid.L / grid.n) ** grid.d
-        q_sq = sum(np.abs(to_physical(f)) ** 2 for f in q_j)
-        flux_part = float(np.sum((1.0 + jw) * q_sq) * cell) * eps**2
-        weight_part = float(np.sum(jw * q_sq) * cell) * eps**2
-    else:
-        flux_part = sum(f.l2_norm() ** 2 for f in q_j) * eps**2
-        weight_part = 0.0
-    grad_th = apply_multiplier(th_j, "grad")
+    norm_part = th_j.l2_norm() ** 2 + sum(f.l2_norm() ** 2 for f in q_j) * eps**2
+    grad_th = grad(th_j)
     cross = eta * 2.0 ** (-2 * j) * sum(_inner_reference(q, g) for q, g in zip(q_j, grad_th))
-    return theta_part + flux_part + cross, (theta_part + flux_part - weight_part, cross, weight_part)
+    return norm_part + cross, (norm_part, cross)
 
 
 def dissipation_quantity_reference(state, j, regime, spec, q_mode=None):
@@ -449,13 +462,13 @@ def apply_batched(e, stacked):
     return out.T.reshape(stacked.shape)
 
 
-def slow_projection_reference(state, spec, cut_fraction=0.4):
+def slow_projection_reference(state, spec):
     """Remove the fast relaxation eigendirections mode by mode, from one
     eigendecomposition of every full per-mode generator."""
     lam, vecs = np.linalg.eig(mode_matrices(spec, state.grid))
-    u = state.stacked().reshape(len(state.fields()), -1).T
+    u = state.u.reshape(len(state.fields()), -1).T
     coef = np.linalg.solve(vecs, u[..., None])[..., 0]
-    coef[lam.real < -cut_fraction * spec.alpha / spec.eps**2] = 0.0
+    coef[lam.real < -0.4 * spec.alpha / spec.eps**2] = 0.0
     arr = (vecs @ coef[..., None])[..., 0].T.reshape(-1, *state.grid.shape)
     st = State.from_stacked(state.grid, arr, state.time, state.has_flux)
     return State(

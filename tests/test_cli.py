@@ -83,6 +83,14 @@ def test_seed_must_be_integer(tmp_path):
         ({"grid": {"L": -1.0}}, "grid.L"),
         ({"study": {"relax-sweep": {"eps_list": []}}}, "study.relax-sweep.eps_list"),
         ({"study": {"relax-sweep": {"eps_list": [0.1, 0.1]}}}, "study.relax-sweep.eps_list"),
+        ({"study": {"relax-sweep": {"eps_list": [0.1, -0.05]}}}, "study.relax-sweep.eps_list"),
+        ({"study": {"relax-sweep": {"nonlinear": True}}}, "study.relax-sweep.nonlinear"),  # d = 3
+        ({"model": {"d": 2}, "grid": {"n": 512}, "study": {"relax-sweep": {"nonlinear": True}}}, "study.relax-sweep.nonlinear"),
+        ({"model": {"d": 2}, "grid": {"n": 16}, "study": {"initial-layer": {"mode": [40, 0]}}}, "study.initial-layer.mode"),
+        ({"model": {"d": 2}, "grid": {"n": 16}, "study": {"initial-layer": {"mode": [8, 0]}}}, "study.initial-layer.mode"),
+        ({"model": {"d": 2}, "study": {"initial-layer": {"mode": [1.7, 0]}}}, "study.initial-layer.mode"),
+        ({"study": {"initial-layer": {"mode": [1]}}}, "study.initial-layer.mode"),  # d = 3
+        ({"model": {"d": 2}, "study": {"initial-layer": {"mode": [1, 0, 0, 5]}}}, "study.initial-layer.mode"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -303,20 +311,19 @@ def test_unknown_study_rejected():
 
 
 def test_initial_layer_study(tmp_path):
-    cfg = write_cfg(
-        tmp_path / "c.yaml",
-        {
-            "model": {"kind": "nsc", "d": 2, "eps": 0.1},
-            "grid": {"n": 16},
-            "seed": 1,
-            "study": {"initial-layer": {"mode": [1, 0]}},
-        },
-    )
+    base = {"model": {"kind": "nsc", "d": 2, "eps": 0.1}, "grid": {"n": 16}, "seed": 1}
+    cfg = write_cfg(tmp_path / "c.yaml", {**base, "study": {"initial-layer": {"mode": [1, 0]}}})
     out = tmp_path / "out"
     assert main(["initial-layer", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     rep = json.loads((out / "report.json").read_text())
     assert rep["layer"]["r_squared"] > 0.99
     assert abs(rep["scaling_ratio"] - rep["expected_ratio"]) / rep["expected_ratio"] < 0.05
+    # without a mode the layer starts on the first axis, e_1 = (1, 0)
+    default = tmp_path / "default"
+    assert main(["initial-layer", "--config", str(write_cfg(tmp_path / "d.yaml", base)), "--out", str(default)]) == EXIT_OK
+    assert json.loads((default / "manifest.json").read_text())["config"]["study"]["initial-layer"]["mode"] is None
+    for name in ("report.json", "layer.csv", "layer.dat"):
+        assert digest(default / name) == digest(out / name)
 
 
 def test_initial_layer_resolution_failure_exit_3(tmp_path):

@@ -22,12 +22,12 @@ from nsclab.spectral import (
     Grid,
     SpectralField,
     State,
-    apply_multiplier,
     random_field,
     zero_field,
     zero_state,
 )
 from nsclab.studies import _fit_line, slow_projection, well_prepared_flux
+from oracles import grad, grad_j
 
 
 def band_inner(f, g, j: int) -> float:
@@ -44,8 +44,8 @@ def curl_linf(fields) -> float:
     pairs = [(0, 1)] if d == 2 else [(0, 1), (0, 2), (1, 2)]
     worst = 0.0
     for i, j in pairs:
-        dji = apply_multiplier(fields[j], "grad_j", j=i).coeffs
-        dij = apply_multiplier(fields[i], "grad_j", j=j).coeffs
+        dji = grad_j(fields[j], i).coeffs
+        dij = grad_j(fields[i], j).coeffs
         worst = max(worst, float(np.max(np.abs(dji - dij))))
     return worst
 
@@ -200,17 +200,6 @@ def test_lyapunov_high_equivalence(grid2d, rng):
         assert 0.5 <= hv.value / target <= 2.0
 
 
-def test_lyapunov_high_density_weight(grid2d, rng, nsc2):
-    st = band_state(grid2d, rng, 4, amp=1e-2)
-    plain = lyapunov_high(st, 4, 0.25, nsc2, density_weight=False)
-    weighted = lyapunov_high(st, 4, 0.25, nsc2, density_weight=True)
-    assert weighted.parts[2] != 0.0
-    assert abs(weighted.value - plain.value) <= 0.2 * plain.value
-    st.a.coeffs[(0, 0)] = 1.5
-    with pytest.raises(ValueError):
-        lyapunov_high(st, 4, 0.25, nsc2, density_weight=True)
-
-
 # ----------------------------------------------------------------- trajectories
 
 
@@ -301,7 +290,7 @@ def test_dissipation_residual_zero_state(grid2d, nsc2):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     th = make_thresholds(8, 1, spec.eps)
     dt = 0.005 / (2.0 ** (2 * 2) + 2 * 2.0**2)
-    traj = [State.from_stacked(grid2d, zero_state(grid2d).stacked(), i * dt, True) for i in range(10)]
+    traj = [State.from_stacked(grid2d, zero_state(grid2d).u, i * dt, True) for i in range(10)]
     times, res, violations = dissipation_residual(traj, 1, "low", spec, th, c=1.0)
     assert np.all(res == 0.0) and violations == 0
 
@@ -342,7 +331,6 @@ def _single_mode_state(grid, mode, coeffs):
 def _exact_lyapunov_rate(s, ds, j, regime, spec, eta):
     """d/dt L_j at state s moving with velocity ds: L_j is a quadratic form in
     the state for 'low' and 'high', and eps |Q_j| for 'damped'."""
-    grad = lambda f: apply_multiplier(f, "grad")
     if regime == "low":
         energy = band_inner((s.a, *s.v, s.theta), (ds.a, *ds.v, ds.theta), j)
         cross = band_inner(ds.v, grad(s.a), j) + band_inner(s.v, grad(ds.a), j)
@@ -367,7 +355,7 @@ def test_centered_difference_matches_exact_derivative(rng, regime, j, mode):
     traj = linear_trajectory(st, spec, 5e-3 / _regime_rate(spec, j, regime), 6)
     _, lyap, _, dl = _centered_series(traj, j, regime, spec, eta)
     exact = [
-        _exact_lyapunov_rate(s, _single_mode_state(grid, mode, gen @ s.stacked()[(slice(None), *mode)]), j, regime, spec, eta)
+        _exact_lyapunov_rate(s, _single_mode_state(grid, mode, gen @ s.u[(slice(None), *mode)]), j, regime, spec, eta)
         for s in traj[1:-1]
     ]
     assert np.all(lyap > 0)
@@ -406,7 +394,7 @@ def test_damped_mode_rate_matches_eigenvalue(rng):
 def test_functional_X_zero_trajectory(grid2d):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     th = make_thresholds(8, 1, spec.eps)
-    traj = [State.from_stacked(grid2d, zero_state(grid2d).stacked(), 0.1 * i, True) for i in range(5)]
+    traj = [State.from_stacked(grid2d, zero_state(grid2d).u, 0.1 * i, True) for i in range(5)]
     x = functional_X(traj, spec, th)
     assert x.total == 0.0
     assert all(v == 0.0 for v in x.constituents.values())
@@ -456,7 +444,7 @@ def test_functional_X_single_mode_integral_oracle():
     slow = np.argsort(np.abs(lam.real))[1]  # a decaying slow eigenvector
     lam0, v0 = lam[slow], vecs[:, slow]
     st = zero_state(grid)
-    arr = st.stacked()
+    arr = st.u
     arr[:, 1, 0] = 1e-3 * v0
     arr[:, -1, 0] = 1e-3 * np.conj(v0)  # Hermitian mirror at -xi
     st = State.from_stacked(grid, arr, 0.0, True)
@@ -510,7 +498,7 @@ def test_functional_X_requires_uniform_stride(grid2d, rng):
     th = make_thresholds(8, 1, spec.eps)
     st = zero_state(grid2d)
     bad = [
-        State.from_stacked(grid2d, st.stacked(), t, True)
+        State.from_stacked(grid2d, st.u, t, True)
         for t in (0.0, 0.1, 0.3)
     ]
     with pytest.raises(ValueError, match="uniform"):

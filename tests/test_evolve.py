@@ -6,7 +6,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from nsclab.besov import make_thresholds
 from nsclab.evolve import (
     DensityPositivityError,
     LinearPropagator,
@@ -323,9 +322,10 @@ def test_sources_match_per_field_reference(d, n, kind, inviscid, seed, a_max, lo
     st = State(
         a=a,
         v=tuple(random_field(grid, rng, amp_v, 2.0) for _ in range(d)),
-        theta=random_field(grid, rng, amp_th, 2.0, zero_mean=False),
+        theta=random_field(grid, rng, amp_th, 2.0),
         q=tuple(random_field(grid, rng, amp_q, 2.0) for _ in range(d)) if kind == "nsc" else None,
     )
+    st.theta.coeffs[(0,) * d] = amp_th * rng.standard_normal()  # a mean
 
     def flat(sources):
         return np.stack([f.coeffs for item in sources for f in (item if isinstance(item, tuple) else (item,))])
@@ -458,14 +458,6 @@ def test_imex_kind_state_mismatch(grid2d, nsc2):
         imex_step(zero_state(grid2d, with_flux=False), nsc2, 1e-3)
     with pytest.raises(ValueError):
         imex_step(zero_state(grid2d), nsc2.to_nsf(), 1e-3)
-
-
-def test_imex_threshold_mismatch(grid1d, rng):
-    spec = ModelSpec(kind="nsc", d=1, eps=0.5)
-    st = rand_state(grid1d, rng, amp=1e-3)
-    th = make_thresholds(2, 1, 0.25)
-    with pytest.raises(ValueError, match="relaxation time"):
-        imex_step(st, spec, 1e-3, th=th)
 
 
 def test_default_dt_scales(grid1d, rng):

@@ -20,7 +20,7 @@ from nsclab.besov import (
     make_thresholds,
 )
 from nsclab.diagnostics import dissipation_quantity, effective_unknowns, lyapunov_high, lyapunov_low
-from nsclab.evolve import RadialFlow, sharp_low_profile
+from nsclab.evolve import RadialDataProfile, RadialFlow, sharp_low_profile
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, State, random_field
 from nsclab.studies import lyapunov_l1
@@ -84,9 +84,9 @@ def test_band_labels_half_open_at_powers_of_two():
 def test_radial_node_labels_match_masks(log2_min, log2_max, nodes):
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_min=2.0**log2_min, r_max=2.0**log2_max, nodes=nodes)
-    for i, j in enumerate(flow.band_range(), start=1):
+    for i, j in enumerate(flow.bands, start=1):
         assert np.array_equal(flow.labels == i, (flow.r >= 2.0**j) & (flow.r < 2.0 ** (j + 1)))
-    assert np.all((flow.labels >= 1) & (flow.labels <= len(flow.band_range())))
+    assert np.all((flow.labels >= 1) & (flow.labels <= len(flow.bands)))
 
 
 # ------------------------------------------------- torus norms vs masked sums
@@ -95,7 +95,10 @@ def test_radial_node_labels_match_masks(log2_min, log2_max, nodes):
 def _fields(grid, seed, count):
     rng = np.random.default_rng(seed)
     amp = 10.0 ** rng.uniform(-3, 1)
-    return [random_field(grid, rng, amp, decay=rng.uniform(0.0, 3.0), zero_mean=False) for _ in range(count)]
+    fields = [random_field(grid, rng, amp, decay=rng.uniform(0.0, 3.0)) for _ in range(count)]
+    for f in fields:  # a mean, which no band holds
+        f.coeffs[(0,) * grid.d] = amp * rng.standard_normal()
+    return fields
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,11 +128,10 @@ def test_besov_matches_masked_reference(dn, L, seed, count, p, regime, overlap, 
     bands = grid_band_range(grid)
     for j in [bands.start - 1, *bands, bands.stop]:
         assert close(band_lp_norm(f, j, p), stack_lp_norm_reference(fields, j, p))
-    prof = band_profile({"f": f}, p=p, s=s)
+    prof = band_profile({"f": f})
     for j in bands:
-        ref_j = stack_lp_norm_reference(fields, j, p)
         got = prof.entries.get(j, {}).get("f", 0.0)
-        assert close(got, 2.0 ** (j * s) * ref_j)
+        assert close(got, stack_lp_norm_reference(fields, j, 2))
 
 
 # ------------------------------------------------ band functionals vs projections
@@ -148,7 +150,6 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
     d, n = dn
     grid = Grid(d=d, n=n, L=L)
     spec = ModelSpec(kind="nsc", d=d, eps=eps)
-    # amplitude keeps |a| < 1 in physical space, so the density weight exists
     state = _state(grid, seed, 1e-3)
     q_mode = effective_unknowns(state, spec).Q
     bands = grid_band_range(grid)
@@ -158,18 +159,23 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
         assert close(lo.parts[0], norm_part)
         assert close(lo.parts[1], cross, scale=norm_part)
         assert close(lo.value, value, scale=norm_part)
-        for weighted in (False, True):
-            hi = lyapunov_high(state, j, eta, spec, density_weight=weighted)
-            value, parts = lyapunov_high_reference(state, j, eta, spec, weighted)
-            scale = parts[0] + parts[2]
-            assert close(hi.value, value, scale=scale)
-            assert all(close(x, y, scale=scale) for x, y in zip(hi.parts, parts))
+        hi = lyapunov_high(state, j, eta, spec)
+        value, parts = lyapunov_high_reference(state, j, eta, spec)
+        assert close(hi.value, value, scale=parts[0])
+        assert all(close(x, y, scale=parts[0]) for x, y in zip(hi.parts, parts))
         for regime in ("low", "high", "damped"):
             ref = dissipation_quantity_reference(state, j, regime, spec, q_mode)
             assert close(dissipation_quantity(state, j, regime, spec), ref)
 
 
 # ------------------------------------------------------ radial flow vs masks
+
+
+def _cut_profile(d, mix, r_cut):
+    """Data |xi|^(1.5 - d/2) on |xi| <= r_cut, zero above, with the
+    components weighted by mix."""
+    amplitude = lambda r: np.where(r <= r_cut, r ** (1.5 - d / 2.0), 0.0)[:, None] * np.asarray(mix, dtype=complex)[None, :]
+    return RadialDataProfile(amplitude=amplitude, sigma1=1.5)
 
 
 @settings(max_examples=25, deadline=None)
@@ -187,13 +193,13 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
 def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p, comps):
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind="nsc", d=d, eps=10.0**log_eps)
-    prof = sharp_low_profile(1.5, d, mix=rng.uniform(-1.0, 1.0, 4), r_cut=float(rng.uniform(0.5, 40.0)))
+    prof = _cut_profile(d, rng.uniform(-1.0, 1.0, 4), float(rng.uniform(0.5, 40.0)))
     flow = RadialFlow(spec, prof, r_max=64.0, nodes=512)
     t = 10.0**log_t
     u = flow.at(t)
     norms = flow.band_l2_norms(u, comps)
     top = float(np.max(norms))
-    for i, j in enumerate(flow.band_range()):
+    for i, j in enumerate(flow.bands):
         ref = radial_band_l2_norm_reference(flow, u, comps, j)
         # a band whose square is subnormal keeps only a few digits in either
         # sum; compare it absolutely, on the scale of the largest band
@@ -205,7 +211,7 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
 
 def test_radial_band_norms_partition_l2():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
-    flow = RadialFlow(spec, sharp_low_profile(1.5, 3, r_cut=30.0), r_max=64.0, nodes=1024)
+    flow = RadialFlow(spec, _cut_profile(3, np.ones(4), 30.0), r_max=64.0, nodes=1024)
     u = flow.at(1.0)
     total = math.sqrt(np.sum(flow.band_l2_norms(u, ("a", "v")) ** 2))
     assert total == pytest.approx(flow.l2_norm(u, ("a", "v")), rel=1e-13)

@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from nsclab.spectral import (
+    _HEADER,
     Grid,
-    MeanValueError,
     SpectralField,
     State,
+    _grad,
     _load_stack,
-    apply_multiplier,
     load_state,
     random_field,
-    save_fields,
     save_state,
     to_physical,
     to_spectral,
@@ -56,40 +55,16 @@ def test_single_mode_gradient_exact():
     f = zero_field(g)
     f.coeffs[3, 2] = 1.0 + 0.5j
     xi = [w[3, 2] for w in g.wavevectors()]
-    out = apply_multiplier(f, "grad")
+    out = _grad(g, f.coeffs)
     for comp, x in zip(out, xi):
-        assert comp.coeffs[3, 2] == 1j * x * (1.0 + 0.5j)
-        comp.coeffs[3, 2] = 0.0
-        assert np.all(comp.coeffs == 0.0)
-
-
-def test_laplacian_inverse_composition(rng, grid2d):
-    f = random_field(grid2d, rng)
-    back = apply_multiplier(apply_multiplier(f, "inv_neg_laplacian"), "laplacian")
-    assert np.max(np.abs(back.coeffs + f.coeffs)) <= 1e-12
-
-
-def test_lambda_sigma_two_equals_neg_laplacian(rng, grid2d):
-    f = random_field(grid2d, rng)
-    a = apply_multiplier(f, "lambda_sigma", sigma=2.0)
-    b = apply_multiplier(f, "laplacian")
-    assert np.max(np.abs(a.coeffs + b.coeffs)) <= 1e-12
-
-
-def test_singular_multiplier_rejects_nonzero_mean(grid2d, rng):
-    f = random_field(grid2d, rng, zero_mean=False)
-    f.coeffs[0, 0] = 0.7
-    with pytest.raises(MeanValueError) as err:
-        apply_multiplier(f, "inv_neg_laplacian")
-    assert abs(err.value.mean_value - 0.7) < 1e-15
-    with pytest.raises(MeanValueError):
-        apply_multiplier(f, "lambda_sigma", sigma=-1.0)
-    # nonnegative orders are fine with a mean
-    apply_multiplier(f, "lambda_sigma", sigma=1.0)
+        assert comp[3, 2] == 1j * x * (1.0 + 0.5j)
+        comp[3, 2] = 0.0
+        assert np.all(comp == 0.0)
 
 
 def test_transform_round_trip(rng, grid2d):
-    f = random_field(grid2d, rng, zero_mean=False)
+    f = random_field(grid2d, rng)
+    f.coeffs[0, 0] = rng.standard_normal()  # a mean
     samples = to_physical(f)
     back = to_spectral(grid2d, samples)
     scale = np.max(np.abs(f.coeffs))
@@ -142,7 +117,8 @@ def test_dealias_rules(rng):
 
 def test_parseval(rng):
     g = Grid(d=2, n=32, L=5.0)
-    f = random_field(g, rng, zero_mean=False)
+    f = random_field(g, rng)
+    f.coeffs[0, 0] = rng.standard_normal()  # a mean
     phys = to_physical(f)
     lhs = np.sum(np.abs(phys) ** 2) * (g.L / g.n) ** g.d
     rhs = g.L**g.d * np.sum(np.abs(f.coeffs) ** 2)
@@ -154,30 +130,23 @@ def test_derivative_matches_analytic():
     g = Grid(d=1, n=64, L=3.0)
     x = np.arange(g.n) * g.L / g.n
     f = to_spectral(g, np.sin(2 * np.pi * x / g.L))
-    df = to_physical(apply_multiplier(f, "grad_j", j=0))
+    df = to_physical(SpectralField(g, _grad(g, f.coeffs)[0]))
     exact = (2 * np.pi / g.L) * np.cos(2 * np.pi * x / g.L)
     assert np.max(np.abs(df.real - exact)) <= 1e-10
 
 
 def test_hermitian_closure(rng, grid2d):
     f = random_field(grid2d, rng)
-    ops = [
-        lambda h: apply_multiplier(h, "grad_j", j=0),
-        lambda h: apply_multiplier(h, "laplacian"),
-        lambda h: apply_multiplier(h, "inv_neg_laplacian"),
-        lambda h: apply_multiplier(h, "lambda_sigma", sigma=0.5),
-        dealias_23,
-    ]
-    for op in ops:
-        assert op(f).is_hermitian(1e-12)
+    for c in _grad(grid2d, f.coeffs):
+        assert SpectralField(grid2d, c).is_hermitian(1e-12)
+    assert dealias_23(f).is_hermitian(1e-12)
 
 
 def test_nyquist_zeroed_by_derivatives():
     g = Grid(d=1, n=16)
     f = zero_field(g)
     f.coeffs[g.n // 2] = 1.0  # the Nyquist entry
-    out = apply_multiplier(f, "grad_j", j=0)
-    assert np.all(out.coeffs == 0.0)
+    assert np.all(_grad(g, f.coeffs) == 0.0)
 
 
 def test_lp_norm_single_mode():
@@ -210,17 +179,18 @@ def test_state_round_trip_container(tmp_path, rng, grid2d):
     "cut, message",
     [
         (lambda raw: raw[:20], "header needs 36 bytes, found 20"),
-        (lambda raw: raw[:-3], "payload of 2 fields needs 2048 bytes, found 2045"),
-        (lambda raw: raw + b"\0" * 8, "payload of 2 fields needs 2048 bytes, found 2056"),
+        (lambda raw: raw[:-3], "payload of 4 fields needs 2048 bytes, found 2045"),
+        (lambda raw: raw + b"\0" * 8, "payload of 4 fields needs 2048 bytes, found 2056"),
     ],
     ids=["short-header", "truncated-payload", "trailing-bytes"],
 )
 def test_load_fields_checks_byte_counts(tmp_path, rng, cut, message):
-    grid = Grid(d=1, n=128)
+    grid = Grid(d=1, n=64)
     path = tmp_path / "fields.fld"
-    save_fields(path, [random_field(grid, rng), random_field(grid, rng)], time=0.5)
+    fields = [random_field(grid, rng) for _ in range(4)]
+    save_state(path, State(a=fields[0], v=fields[1:2], theta=fields[2], q=fields[3:], time=0.5))
     fields, time = load_fields(path)
-    assert len(fields) == 2 and time == 0.5
+    assert len(fields) == 4 and time == 0.5
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
         load_fields(path)
@@ -228,7 +198,7 @@ def test_load_fields_checks_byte_counts(tmp_path, rng, cut, message):
 
 def test_state_stacking(grid2d, rng):
     st = zero_state(grid2d)
-    arr = st.stacked()
+    arr = st.u
     assert arr.shape == (6,) + grid2d.shape
     st2 = State.from_stacked(grid2d, arr, 0.5, True)
     assert st2.time == 0.5
@@ -241,23 +211,21 @@ def test_state_grid_mismatch(grid2d):
         State(a=zero_field(grid2d), v=(zero_field(other), zero_field(other)), theta=zero_field(grid2d))
 
 
-def test_load_state_checks_component_count(tmp_path, rng, grid2d):
+def test_load_state_checks_component_count(tmp_path, grid2d):
     path = tmp_path / "nsc.fld"
     save_state(path, zero_state(grid2d))
     assert load_state(path).has_flux
     with pytest.raises(ValueError, match="shape"):
         load_state(path, has_flux=False)  # would drop q
-    save_fields(path, [random_field(grid2d, rng) for _ in range(5)])  # neither NSF nor NSC at d = 2
+    # five components, neither NSF nor NSC at d = 2: the header says five and
+    # the payload holds five
+    raw = path.read_bytes()
+    header = list(_HEADER.unpack(raw[: _HEADER.size]))
+    header[5] = 5
+    path.write_bytes(_HEADER.pack(*header) + raw[_HEADER.size : -8 * grid2d.n**2])
     for has_flux in (True, False):
         with pytest.raises(ValueError, match="shape"):
             load_state(path, has_flux=has_flux)
-
-
-def test_save_fields_mismatched_grids_leave_no_file(tmp_path, grid2d):
-    path = tmp_path / "mixed.fld"
-    with pytest.raises(ValueError, match="one grid"):
-        save_fields(path, [zero_field(grid2d), zero_field(Grid(d=2, n=16))])
-    assert not path.exists()
 
 
 # ------------------------------------------------ one stacked State (hypothesis)
@@ -276,7 +244,7 @@ def _random_stack(grid, has_flux, seed):
 def test_state_components_are_views_of_one_stack(grid, has_flux, seed):
     arr = _random_stack(grid, has_flux, seed)
     st = State.from_stacked(grid, arr, 0.25, has_flux)
-    assert st.u is arr and st.stacked() is arr and st.has_flux == has_flux
+    assert st.u is arr and st.has_flux == has_flux
     assert (st.q is None) != has_flux
     named = [st.a, *st.v, st.theta, *(st.q or ())]
     assert len(named) == len(arr) == len(st.fields())

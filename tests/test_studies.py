@@ -89,7 +89,7 @@ def test_decay_fit_smoke_accuracy():
     prof = sharp_low_profile(1.5, 3)
     rep = decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=np.logspace(1, 3, 20), nodes=2048)
     fit = rep.density_velocity
-    assert fit.clean
+    assert fit.r_squared >= 0.98
     assert fit.relative_error < 0.05
     assert rep.temperature_flux is not None
 
@@ -116,7 +116,7 @@ def test_sampled_trajectory_matches_uniform(rng):
     times = [round(s.time, 12) for s in traj]
     assert times == [0.0, 0.05, 0.1, 0.15, 0.2, 0.4, 0.6]
     uniform = linear_trajectory(st, spec, 0.05, 4)
-    assert np.allclose(traj[4].stacked(), uniform[4].stacked(), atol=1e-12)
+    assert np.allclose(traj[4].u, uniform[4].u, atol=1e-12)
 
 
 def test_scaled_flux_state_divides_by_eps(rng):
@@ -140,8 +140,8 @@ def test_error_functional_requires_paired_times(rng):
     spec = ModelSpec(kind="nsc", d=2, eps=0.05)
     th = make_thresholds(8, 1, spec.eps)
     st, nsf = zero_state(grid), zero_state(grid, with_flux=False)
-    nsc_at = lambda ts: (State.from_stacked(grid, st.stacked(), t, True) for t in ts)
-    nsf_at = lambda ts: (State.from_stacked(grid, nsf.stacked(), t, False) for t in ts)
+    nsc_at = lambda ts: (State.from_stacked(grid, st.u, t, True) for t in ts)
+    nsf_at = lambda ts: (State.from_stacked(grid, nsf.u, t, False) for t in ts)
     for a, b in (((0.0, 0.1), (0.0, 0.2)), ((0.0, 0.1, 0.2), (0.0, 0.1)), ((0.0, 0.1), (0.0, 0.1, 0.2))):
         with pytest.raises(ValueError, match="snapshot times"):
             error_functional(nsc_at(a), nsf_at(b), spec, th, 2)
@@ -438,32 +438,31 @@ def test_slow_projection_keeps_slow_content(rng):
 @given(
     d=hst.integers(1, 3),
     log_eps=hst.floats(-3.0, -0.5),
-    cut_fraction=hst.sampled_from([0.05, 0.4, 1.5, 4.0]),
     inviscid=hst.booleans(),
     seed=hst.integers(0, 2**32 - 1),
 )
 # the per-mode reference's 8x8 eigenvector matrix is singular (cond 3.5e16)
 # at |k| = sqrt(14) here, and its projection there is off by 22%
-@example(d=3, log_eps=-2.4976429486848915, cut_fraction=0.4, inviscid=True, seed=329)
-def test_slow_projection_matches_per_mode_reference(d, log_eps, cut_fraction, inviscid, seed):
+@example(d=3, log_eps=-2.4976429486848915, inviscid=True, seed=329)
+def test_slow_projection_matches_per_mode_reference(d, log_eps, inviscid, seed):
     grid = Grid(d=d, n={1: 32, 2: 16, 3: 8}[d])
     visc = {"visc_mu": 0.0, "visc_lam": 0.0} if inviscid else {}
     spec = ModelSpec(kind="nsc", d=d, eps=10.0**log_eps, **visc)
     rng = np.random.default_rng(seed)
     mk = lambda: random_field(grid, rng, 1.0, 1.0)
     st = State(a=mk(), v=tuple(mk() for _ in range(d)), theta=mk(), q=tuple(mk() for _ in range(d)))
-    proj = slow_projection(st, spec, cut_fraction)
-    got = proj.stacked()
-    assert np.abs(slow_projection(proj, spec, cut_fraction).stacked() - got).max() <= 1e-13 * np.abs(got).max()
+    proj = slow_projection(st, spec)
+    got = proj.u
+    assert np.abs(slow_projection(proj, spec).u - got).max() <= 1e-13 * np.abs(got).max()
     lam, vecs = np.linalg.eig(mode_matrices(spec, grid))
     # an eigenvalue on the cut to rounding may fall on either side of it
-    cut = cut_fraction * spec.damping_rate
+    cut = 0.4 * spec.damping_rate
     assume(np.all(np.abs(lam.real + cut) > 1e-8 * cut))
     # compare where the reference's eigenbasis is trustworthy, at k and -k
     # (re-hermitization mixes the two)
     cond = np.linalg.cond(vecs).reshape(grid.shape)
     ok = (cond < 1e8) & (cond[grid.mirror_indices()] < 1e8)
-    ref = slow_projection_reference(st, spec, cut_fraction).stacked()[:, ok]
+    ref = slow_projection_reference(st, spec).u[:, ok]
     assert np.abs(got[:, ok] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

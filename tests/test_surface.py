@@ -1,7 +1,8 @@
-"""Every top-level function and class of the package is reached from the
-program: the console entry point, a demo, a layer the benchmark tracer
-wraps or a name the acceptance gates import.  Helpers only tests call live
-in the tests (see tests/oracles.py)."""
+"""Every top-level function and class of the package, and every method and
+property of those classes, is reached from the program: the console entry
+point, a demo, a layer the benchmark tracer wraps or a name the acceptance
+gates import.  Helpers only tests call live in the tests (see
+tests/oracles.py)."""
 
 import ast
 from pathlib import Path
@@ -45,18 +46,31 @@ def _roots(modules: dict) -> set:
     return roots
 
 
+def _is_member(node) -> bool:
+    """A method or property that must be reached by name: not a dunder."""
+    return isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
 def test_package_holds_only_reachable_definitions():
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    defs = {}  # name -> [(module, node)]
+    defs = {}  # name -> [(owner, node, names read when reached)]
     for mod, tree in modules.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append((mod, node))
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append((mod, node, _names(node)))
+            elif isinstance(node, ast.ClassDef):
+                # a class reads its bases, decorators, attributes and dunders;
+                # each other method or property is reached by its own name
+                body = [n for n in node.body if not _is_member(n)]
+                shell = set().union(*map(_names, [*node.bases, *node.decorator_list, *body]))
+                defs.setdefault(node.name, []).append((mod, node, shell))
+                for member in filter(_is_member, node.body):
+                    defs.setdefault(member.name, []).append((f"{mod}.{node.name}", member, _names(member)))
     reached, todo = set(), list(_roots(modules))
     while todo:
-        for mod, node in defs.get(todo.pop(), []):
-            if (mod, node.name) not in reached:
-                reached.add((mod, node.name))
-                todo += _names(node)
-    unreached = sorted(f"{mod}.{name}" for name, found in defs.items() for mod, _ in found if (mod, name) not in reached)
+        for owner, node, names in defs.get(todo.pop(), []):
+            if (owner, node.name) not in reached:
+                reached.add((owner, node.name))
+                todo += names
+    unreached = sorted(f"{owner}.{name}" for name, found in defs.items() for owner, _, _ in found if (owner, name) not in reached)
     assert not unreached, f"defined in src/nsclab but reached by no program path: {unreached}"
