@@ -188,14 +188,14 @@ def _check_keys(where: str, given, allowed) -> None:
 
 
 def _is_number(val, kind=float) -> bool:
-    """val is not a bool and kind() reads it (YAML reads 1e-2 as a string)."""
+    """val is not a bool and kind() reads it (YAML reads 1e-2 as a string);
+    an int kind refuses a fractional part instead of truncating it."""
     if isinstance(val, bool):
         return False
     try:
-        kind(val)
+        return kind(val) == float(val) or kind is float
     except (TypeError, ValueError, OverflowError):
         return False
-    return True
 
 
 def _check_value(where: str, default, val) -> None:
@@ -205,7 +205,7 @@ def _check_value(where: str, default, val) -> None:
     if isinstance(default, bool):
         ok, want = isinstance(val, bool), "true or false"
     elif isinstance(default, (int, float)):
-        ok, want = _is_number(val, type(default)), "a number"
+        ok, want = _is_number(val, type(default)), "an integer" if type(default) is int else "a number"
     elif isinstance(default, list) or default is None:
         kind = type(default[0]) if default else float
         ok = val is default or (isinstance(val, list) and all(_is_number(x, kind) for x in val))
@@ -551,15 +551,18 @@ def run_initial_layer(cfg, out_dir, rng):
     st.theta.coeffs[mode] = float(p["amplitude"])
     st.q[0].coeffs[mode] = float(p["flux_amplitude"]) / spec.eps
     st = st.hermitized()
-    rep = studies.initial_layer(spec, st, n_efolds=float(p["efolds"]), samples=int(p["samples"]))
-    scaling = studies.layer_scaling(spec, st, factor=float(p["scaling_factor"]))
+    factor, efolds, samples = float(p["scaling_factor"]), float(p["efolds"]), int(p["samples"])
+    rep = studies.initial_layer(spec, st, n_efolds=efolds, samples=samples)
+    fine_spec = dataclasses.replace(spec, eps=spec.eps / factor)
+    fine = studies.initial_layer(fine_spec, st, n_efolds=efolds, samples=samples)
+    scaling = studies.LayerScalingReport(spec.eps, fine_spec.eps, rep.rate_fitted, fine.rate_fitted)
     rep_dict = dataclasses.asdict(rep)
     series = [(t, q) for t, q in zip(rep_dict.pop("times"), rep_dict.pop("q_norms"))]
     payload = {
         "layer": rep_dict,
         "scaling": dataclasses.asdict(scaling),
         "scaling_ratio": scaling.ratio,
-        "expected_ratio": float(p["scaling_factor"]) ** 2,
+        "expected_ratio": factor**2,
     }
     write_json(out_dir / "report.json", payload)
     write_csv(out_dir / "layer.csv", ["t", "q_norm"], series)

@@ -118,8 +118,6 @@ def dissipation_quantity(state: State, j: int, regime: str, spec: ModelSpec) -> 
         return 2.0 ** (2 * j) * _band_norm(grid, u[: 2 + d], j) ** 2
     if regime == "high":
         return (_band_norm(grid, u[1 + d : 2 + d], j) ** 2 + spec.eps**2 * _band_norm(grid, u[2 + d :], j) ** 2) / spec.eps**2
-    if regime == "damped":
-        return _band_norm(grid, effective_unknowns(state, spec)._Q, j) / spec.eps
     raise ValueError(f"unknown regime {regime!r}")
 
 
@@ -148,11 +146,7 @@ def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
     """Snapshot times, L_j and D_j at every snapshot, and the centred
     differences d/dt L_j at the interior snapshots.  traj may be any
     iterable; it is read once."""
-    if regime == "damped":
-        lyap_of = lambda s: spec.eps * _band_norm(s.grid, effective_unknowns(s, spec)._Q, j)
-    else:
-        lyap_of = lambda s: lyapunov_value(s, j, regime, spec, eta)
-    rows = [(s.time, lyap_of(s), dissipation_quantity(s, j, regime, spec)) for s in traj]
+    rows = [(s.time, lyapunov_value(s, j, regime, spec, eta), dissipation_quantity(s, j, regime, spec)) for s in traj]
     times, lyap, diss = (np.array(c) for c in zip(*rows))
     dt = _validate_stride(times, spec, j, regime)
     return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)

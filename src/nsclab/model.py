@@ -5,8 +5,8 @@ ODE dU/dt = M(xi) U for the zero-source linearized systems:
 
 * NSC: relaxing heat flux, unknowns (a, v, theta, q), size 2d+2;
 * NSF: instantaneous Fourier heat flux, unknowns (a, v, theta), size d+2;
-* two 2x2 toy couplings (density/velocity diffusion, temperature/flux
-  damping) and the damped thermal wave, kept in their 1-scalar reduction.
+* two 2x2 toy couplings in their 1-scalar reduction: density/velocity
+  diffusion, and the temperature/flux damping of the damped thermal wave.
 
 Sign convention: these are generators, so spectral stability means
 Re(lambda) <= 0.  The heat-flux equation is implemented as
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +42,6 @@ class SystemKind(Enum):
     NSF = "nsf"
     TOY_DIFFUSIVE = "toy-diffusive"
     TOY_DAMPED = "toy-damped"
-    CATTANEO_WAVE = "cattaneo-wave"
 
     @classmethod
     def parse(cls, name) -> "SystemKind":
@@ -56,7 +54,7 @@ class SystemKind(Enum):
         raise ValueError(f"unknown system kind {name!r}")
 
 
-_TOYS = (SystemKind.TOY_DIFFUSIVE, SystemKind.TOY_DAMPED, SystemKind.CATTANEO_WAVE)
+_TOYS = (SystemKind.TOY_DIFFUSIVE, SystemKind.TOY_DAMPED)
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,8 @@ def _generators(spec: ModelSpec, xi: np.ndarray) -> np.ndarray:
     """Generators M(xi), shape (N, nc, nc), at a stack of N wavevectors xi
     of shape (N, d); the toys take their scalar reduction, shape (N, 1).
     This is the one assembly of the full generator: symbol,
-    evolve.mode_matrices and the transport of kalman_rank all read it."""
+    evolve.mode_matrices and kalman_rank, whose transport and dissipation
+    are its odd and even parts, all read it."""
     kind = spec.kind
     m = np.zeros((xi.shape[0], spec.n_components, spec.n_components), dtype=complex)
     if kind in _TOYS:
@@ -355,72 +354,13 @@ def _first_order_transport(spec: ModelSpec, omega: np.ndarray) -> np.ndarray:
     return (0.5j * (symbol(spec, omega).entries - symbol(spec, -omega).entries)).real
 
 
-def _dissipated_rows(spec: ModelSpec) -> np.ndarray:
-    """Rows spanning all dissipated directions (damping plus viscous/diffusive)."""
-    d = spec.d
-    n = spec.n_components
-    kind = spec.kind
-    rows = []
-    if kind is SystemKind.NSC:
-        if spec.visc_mu > 0 or spec.visc_lam + spec.visc_mu > 0:
-            rows += list(range(1, 1 + d))
-        if spec.alpha > 0:
-            rows += list(range(2 + d, 2 + 2 * d))
-    elif kind is SystemKind.NSF:
-        if spec.visc_mu > 0 or spec.visc_lam + spec.visc_mu > 0:
-            rows += list(range(1, 1 + d))
-        if spec.kappa > 0:
-            rows.append(1 + d)
-    elif kind is SystemKind.TOY_DIFFUSIVE:
-        rows.append(1)
-    else:
-        if spec.alpha > 0:
-            rows.append(1)
-    dmat = np.zeros((len(rows), n))
-    for i, r in enumerate(rows):
-        dmat[i, r] = 1.0
-    return dmat
-
-
-def _rational_rank(mat) -> tuple:
-    """Exact rank by fraction-free Gaussian elimination over Fraction."""
-    rows = [[Fraction(x).limit_denominator(10**12) if not isinstance(x, Fraction) else x for x in row] for row in mat]
-    nrow = len(rows)
-    ncol = len(rows[0]) if nrow else 0
-    rank = 0
-    pivots = []
-    for col in range(ncol):
-        piv = None
-        for r in range(rank, nrow):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for r in range(nrow):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrow:
-            break
-    return rank, pivots, rows
-
-
-def _exactly_rational(x: float) -> bool:
-    frac = Fraction(x).limit_denominator(10**6)
-    return float(frac) == x
-
-
 def kalman_rank(spec: ModelSpec, omega) -> SKReport:
     """Stability rank test for the pair (transport A(omega), dissipation D).
 
-    D spans the damped and viscous/diffusive directions; the report is full
-    exactly when rank [D; DA; ...; DA^(n-1)] = n, i.e. no transport
-    eigendirection hides from the dissipation.
+    D is the dissipative part of the symbol, the nonzero rows of
+    B(omega) = -(M(omega) + M(-omega))/2; the report is full exactly when
+    rank [D; DA; ...; DA^(n-1)] = n, i.e. no transport eigendirection hides
+    from the dissipation (Shizuta-Kawashima).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if spec.kind in _TOYS:
@@ -434,34 +374,19 @@ def kalman_rank(spec: ModelSpec, omega) -> SKReport:
         omega = omega / nrm
 
     a = _first_order_transport(spec, omega)
-    dmat = _dissipated_rows(spec)
+    b = (-0.5 * (symbol(spec, omega).entries + symbol(spec, -omega).entries)).real
+    dmat = b[np.any(b != 0, axis=1)]
     n = spec.n_components
     if dmat.shape[0] == 0:
         return SKReport(rank=0, full=False, witness_direction=None)
 
-    blocks = []
-    block = dmat
-    for _ in range(n):
-        blocks.append(block)
-        block = block @ a
-    kal = np.vstack(blocks)
+    blocks = [dmat]
+    for _ in range(n - 1):
+        blocks.append(blocks[-1] @ a)
     # powers of a stiff transport matrix span many orders of magnitude; row
     # scaling preserves the row space, so normalize per block for the SVD
-    normalized = np.vstack(
-        [b / s for b in blocks for s in [np.abs(b).max()] if s > 0] or [dmat]
-    )
-
-    coeff_values = [spec.alpha, spec.beta, spec.gamma, spec.kappa, spec.eps, *np.atleast_1d(omega)]
-    if all(_exactly_rational(float(x)) for x in coeff_values):
-        rank, _, _ = _rational_rank(kal.tolist())
-    else:
-        svals = np.linalg.svd(normalized, compute_uv=False)
-        tol = 1e-10 * (svals[0] if svals.size else 1.0)
-        rank = int(np.sum(svals > tol))
-
+    normalized = np.vstack([blk / s for blk in blocks for s in [np.abs(blk).max()] if s > 0])
+    _, svals, vh = np.linalg.svd(normalized, full_matrices=False)
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
     full = rank == n
-    witness = None
-    if not full:
-        _, _, vh = np.linalg.svd(normalized)
-        witness = np.asarray(vh[-1])
-    return SKReport(rank=rank, full=full, witness_direction=witness)
+    return SKReport(rank=rank, full=full, witness_direction=None if full else vh[-1])

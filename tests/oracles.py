@@ -273,7 +273,7 @@ def first_order_transport_reference(spec, omega):
     kind = spec.kind
     if kind is SystemKind.TOY_DIFFUSIVE:
         return np.array([[0.0, 1.0], [1.0, 0.0]])
-    if kind in (SystemKind.TOY_DAMPED, SystemKind.CATTANEO_WAVE):
+    if kind is SystemKind.TOY_DAMPED:
         return np.array([[0.0, 1.0], [spec.kappa / spec.eps**2, 0.0]])
     if kind is SystemKind.NSC:
         n = 2 * d + 2
@@ -413,14 +413,12 @@ def lyapunov_high_reference(state, j, eta, spec):
     return norm_part + cross, (norm_part, cross)
 
 
-def dissipation_quantity_reference(state, j, regime, spec, q_mode=None):
-    """Low/high dissipation from band projections; "damped" reads q_mode."""
+def dissipation_quantity_reference(state, j, regime, spec):
+    """Low/high dissipation from band projections."""
     sq = lambda fields: sum(band_project_reference(f, j).l2_norm() ** 2 for f in fields)
     if regime == "low":
         return 2.0 ** (2 * j) * sq([state.a, *state.v, state.theta])
-    if regime == "high":
-        return (sq([state.theta]) + spec.eps**2 * sq(state.q)) / spec.eps**2
-    return math.sqrt(sq(q_mode)) / spec.eps
+    return (sq([state.theta]) + spec.eps**2 * sq(state.q)) / spec.eps**2
 
 
 def torus_propagator(spec, grid, t):

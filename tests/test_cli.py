@@ -91,6 +91,9 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"d": 2}, "study": {"initial-layer": {"mode": [1.7, 0]}}}, "study.initial-layer.mode"),
         ({"study": {"initial-layer": {"mode": [1]}}}, "study.initial-layer.mode"),  # d = 3
         ({"model": {"d": 2}, "study": {"initial-layer": {"mode": [1, 0, 0, 5]}}}, "study.initial-layer.mode"),
+        ({"grid": {"n": 16.7}}, "grid.n"),
+        ({"thresholds": {"K": 8.9}}, "thresholds.K"),
+        ({"study": {"initial-layer": {"samples": 60.5}}}, "study.initial-layer.samples"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -324,6 +327,16 @@ def test_initial_layer_study(tmp_path):
     assert json.loads((default / "manifest.json").read_text())["config"]["study"]["initial-layer"]["mode"] is None
     for name in ("report.json", "layer.csv", "layer.dat"):
         assert digest(default / name) == digest(out / name)
+
+
+def test_initial_layer_scaling_reuses_the_configured_fit(tmp_path):
+    # the coarse rate of the scaling is the layer fit at the configured window
+    study = {"initial-layer": {"efolds": 3.0, "samples": 90}}
+    cfg = write_cfg(tmp_path / "c.yaml", {"model": {"kind": "nsc", "d": 2, "eps": 0.1}, "grid": {"n": 16}, "study": study})
+    out = tmp_path / "out"
+    assert main(["initial-layer", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["scaling"]["rate_coarse"] == rep["layer"]["rate_fitted"]
 
 
 def test_initial_layer_resolution_failure_exit_3(tmp_path):

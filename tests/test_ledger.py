@@ -19,7 +19,7 @@ from nsclab.besov import (
     grid_band_range,
     make_thresholds,
 )
-from nsclab.diagnostics import dissipation_quantity, effective_unknowns, lyapunov_high, lyapunov_low
+from nsclab.diagnostics import dissipation_quantity, lyapunov_high, lyapunov_low
 from nsclab.evolve import RadialDataProfile, RadialFlow, sharp_low_profile
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, State, random_field
@@ -151,7 +151,6 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
     grid = Grid(d=d, n=n, L=L)
     spec = ModelSpec(kind="nsc", d=d, eps=eps)
     state = _state(grid, seed, 1e-3)
-    q_mode = effective_unknowns(state, spec).Q
     bands = grid_band_range(grid)
     for j in [bands.start - 1, *bands, bands.stop]:
         lo = lyapunov_low(state, j, eta)
@@ -163,8 +162,8 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
         value, parts = lyapunov_high_reference(state, j, eta, spec)
         assert close(hi.value, value, scale=parts[0])
         assert all(close(x, y, scale=parts[0]) for x, y in zip(hi.parts, parts))
-        for regime in ("low", "high", "damped"):
-            ref = dissipation_quantity_reference(state, j, regime, spec, q_mode)
+        for regime in ("low", "high"):
+            ref = dissipation_quantity_reference(state, j, regime, spec)
             assert close(dissipation_quantity(state, j, regime, spec), ref)
 
 

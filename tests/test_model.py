@@ -3,7 +3,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from nsclab.evolve import mode_matrices
@@ -93,9 +93,10 @@ def test_toy_diffusive_symbol_and_roots():
 
 
 def test_cattaneo_wave_second_sound_speed():
-    # in the wave regime the pair's phase speed approaches sqrt(kappa)/eps
+    # the damped thermal wave: in the wave regime the pair's phase speed
+    # approaches sqrt(kappa)/eps
     eps, kappa = 0.05, 2.0
-    spec = ModelSpec(kind="cattaneo-wave", d=1, eps=eps, kappa=kappa)
+    spec = ModelSpec(kind="toy-damped", d=1, eps=eps, kappa=kappa)
     xi = 1e4
     eigs = eigenvalues(symbol(spec, xi))
     speed = abs(eigs[0].imag) / xi
@@ -250,8 +251,7 @@ def test_kalman_full_rank_random_directions(nsc3, rng):
         assert rep.full and rep.rank == nsc3.n_components
 
 
-def test_kalman_exact_rational_path(nsc3):
-    # axis and rational directions go through exact elimination
+def test_kalman_full_rank_on_axis_and_rational_direction(nsc3):
     rep = kalman_rank(nsc3, np.array([1.0, 0.0, 0.0]))
     assert rep.full
     rep = kalman_rank(nsc3, np.array([3.0, 4.0, 0.0]) / 5.0)
@@ -349,7 +349,7 @@ def test_transport_matches_explicit_assembly(spec, w):
     np.testing.assert_array_max_ulp(got, first_order_transport_reference(spec, omega), maxulp=1)
 
 
-@pytest.mark.parametrize("kind", ["toy-diffusive", "toy-damped", "cattaneo-wave"])
+@pytest.mark.parametrize("kind", ["toy-diffusive", "toy-damped"])
 def test_toy_transport_matches_explicit_assembly(kind):
     spec = ModelSpec(kind=kind, d=1, eps=0.3, kappa=0.7)
     omega = np.array([1.0])
@@ -358,11 +358,68 @@ def test_toy_transport_matches_explicit_assembly(kind):
     )
 
 
+inviscid = {"visc_mu": 0.0, "visc_lam": 0.0}
+
+
 @settings(max_examples=40, deadline=None)
 @given(full_specs(), directions, hst.integers(0, 2**32 - 1), hst.booleans())
+@example(ModelSpec(kind="nsc", d=3, eps=0.1, **inviscid), [0.6, 0.8, 0.0], 0, False)
+@example(ModelSpec(kind="nsc", d=3, eps=0.1, visc_mu=0.0, visc_lam=1.0), [0.6, 0.8, 0.0], 1, False)
 def test_kalman_rank_is_rotation_invariant(spec, w, seed, no_heat_coupling):
     if no_heat_coupling and spec.kind is SystemKind.NSC:
         spec = replace(spec, kappa=0.0)
     omega = unit_direction(w, spec.d)
     rot, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((spec.d, spec.d)))
     assert kalman_rank(spec, rot @ omega).rank == kalman_rank(spec, omega).rank
+
+
+@hst.composite
+def rank_specs(draw):
+    """NSC/NSF specs with kappa > 0 and eps in [0.1, 1]: full, bulk-only
+    (mu = 0 < lam) or no viscosity, and NSC with or without damping."""
+    kind = draw(hst.sampled_from(["nsc", "nsf"]))
+    visc = draw(hst.sampled_from(["full", "bulk", "none"]))
+    lam = {"full": hst.floats(0.0, 5.0), "bulk": coefficient, "none": hst.just(0.0)}[visc]
+    return ModelSpec(
+        kind=kind,
+        d=draw(hst.sampled_from([1, 2, 3])),
+        alpha=0.0 if kind == "nsc" and draw(hst.booleans()) else draw(coefficient),
+        beta=draw(coefficient),
+        gamma=draw(coefficient),
+        kappa=draw(coefficient),
+        eps=draw(hst.floats(0.1, 1.0)) if kind == "nsc" else 0.0,
+        visc_mu=draw(coefficient) if visc == "full" else 0.0,
+        visc_lam=draw(lam),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_specs(), directions)
+@example(ModelSpec(kind="nsc", d=3, eps=0.1, visc_mu=0.0, visc_lam=1.0), [0.0, 0.0, 1.0])
+@example(ModelSpec(kind="nsc", d=2, eps=0.1, **inviscid), [0.6, 0.8, 0.0])
+def test_kalman_rank_counts_the_damped_modes(spec, w):
+    # every generator eigenvalue off the imaginary axis is one rank
+    omega = unit_direction(w, spec.d)
+    undamped = int(np.sum(np.abs(eigenvalues(symbol(spec, omega)).real) < 1e-9))
+    assert kalman_rank(spec, omega).rank == spec.n_components - undamped
+
+
+def closed_form_rank(spec):
+    """(d - 1) transverse velocities hide when mu = 0, (d - 1) transverse
+    fluxes when alpha = 0, and the four longitudinal unknowns as well when
+    nothing but the heat coupling is left (nu = alpha = 0)."""
+    d, mu0, alpha0 = spec.d, spec.visc_mu == 0, spec.alpha == 0
+    if spec.kind is SystemKind.NSF:
+        return d + 2 - mu0 * (d - 1)
+    return 2 * d + 2 - (mu0 + alpha0) * (d - 1) - 4 * (spec.nu == 0 and alpha0)
+
+
+@pytest.mark.parametrize("kind, eps", [("nsc", 1e-2), ("nsc", 1e-3), ("nsc", 1e-4), ("nsf", 0.0)])
+def test_kalman_rank_stiff_closed_form(kind, eps, rng):
+    for d in (1, 2, 3):
+        dirs = [np.eye(d)[0], np.array([0.6, 0.8, 0.0])[:d], rng.standard_normal(d)]
+        for mu, lam in ((0.5, 0.0), (0.0, 1.0), (0.0, 0.0)):
+            for alpha in (0.0, 1.0) if kind == "nsc" else (1.0,):
+                spec = ModelSpec(kind=kind, d=d, alpha=alpha, kappa=0.8, eps=eps, visc_mu=mu, visc_lam=lam)
+                for w in dirs:
+                    assert kalman_rank(spec, w / np.linalg.norm(w)).rank == closed_form_rank(spec), (spec, w)
