@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 import yaml
 
 from . import besov, diagnostics, evolve, model, spectral, studies
@@ -188,12 +187,12 @@ def _check_keys(where: str, given, allowed) -> None:
 
 
 def _is_number(val, kind=float) -> bool:
-    """val is not a bool and kind() reads it (YAML reads 1e-2 as a string);
-    an int kind refuses a fractional part instead of truncating it."""
+    """val is not a bool, is finite and kind() reads it (YAML reads 1e-2 as a
+    string); an int kind refuses a fractional part instead of truncating it."""
     if isinstance(val, bool):
         return False
     try:
-        return kind(val) == float(val) or kind is float
+        return math.isfinite(float(val)) and (kind is float or kind(val) == float(val))
     except (TypeError, ValueError, OverflowError):
         return False
 
@@ -205,11 +204,11 @@ def _check_value(where: str, default, val) -> None:
     if isinstance(default, bool):
         ok, want = isinstance(val, bool), "true or false"
     elif isinstance(default, (int, float)):
-        ok, want = _is_number(val, type(default)), "an integer" if type(default) is int else "a number"
+        ok, want = _is_number(val, type(default)), "an integer" if type(default) is int else "a finite number"
     elif isinstance(default, list) or default is None:
         kind = type(default[0]) if default else float
         ok = val is default or (isinstance(val, list) and all(_is_number(x, kind) for x in val))
-        want = "a list of numbers"
+        want = "a list of finite numbers"
     elif where.endswith(".flux_init"):
         ok, want = val in _FLUX_INITS, f"one of {', '.join(_FLUX_INITS)}"
     else:
@@ -648,11 +647,11 @@ def run(config: dict) -> int:
     threads = int(config["threads"]) or (os.cpu_count() or 1)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(int(config["seed"]))
+    # pocketfft splits a batched transform into independent 1-D ones, so the
+    # worker count changes no output bit
+    token = evolve._FFT_WORKERS.set(threads)
     try:
-        # pocketfft splits a batched transform into independent 1-D ones, so
-        # the worker count changes no output bit
-        with scipy.fft.set_workers(threads):
-            artifacts = _RUNNERS[study](config, out_dir, rng)
+        artifacts = _RUNNERS[study](config, out_dir, rng)
     except ValueError as exc:  # ConfigError and ThresholdOrderError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -664,6 +663,8 @@ def run(config: dict) -> int:
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        evolve._FFT_WORKERS.reset(token)
     write_manifest(out_dir, config, artifacts)
     print(f"wrote {len(artifacts) + 1} artifacts to {out_dir}")
     return EXIT_OK

@@ -25,17 +25,21 @@ inverse real FFT of every field and derivative the products need, and a
 forward real FFT of the stacked products, dealiased by the 2/3 rule.  The
 IMEX step applies the linear step on the half lattice and rebuilds the full
 lattice once per step by conjugate mirroring.
+
+scipy is not imported with this module: scipy.fft loads on the first source
+evaluation and scipy.linalg on the first expm, so a study that reaches
+neither, such as the linear Gram sweep or the radial flow, runs on numpy
+alone.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, rfftn
-from scipy.linalg import expm
 
 from .besov import band_labels, band_sums, dyadic_range
 from .model import ModelSpec, SymbolMatrix, SystemKind, _generators, reduced_blocks
@@ -72,6 +76,19 @@ class DensityPositivityError(RuntimeError):
 
 class NumericalBlowupError(RuntimeError):
     """Non-finite values appeared during time stepping."""
+
+
+# FFT workers of the nonlinear sources; None keeps scipy's default, including
+# a scipy.fft.set_workers around the call.  cli.run sets it from --threads.
+_FFT_WORKERS = contextvars.ContextVar("fft_workers", default=None)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm, batched over leading axes.  scipy.linalg loads on
+    the first call, so a study that never calls it does not pay the import."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
 
 
 def propagate_mode(m: SymbolMatrix, u0, t: float) -> np.ndarray:
@@ -432,6 +449,9 @@ def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray
     to physical space in one batched irfftn, and the products come back in
     one batched rfftn; norm="forward" keeps the Fourier-series convention.
     """
+    from scipy.fft import irfftn, rfftn  # loaded on the first evaluation
+
+    workers = _FFT_WORKERS.get()
     ikw, lapw, drop, _ = _half_lattice(grid)
     d = grid.d
     nsc = spec.kind is SystemKind.NSC
@@ -461,7 +481,7 @@ def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray
     else:
         spectra.append((lapw * th)[None])
     phys = irfftn(
-        np.concatenate(spectra), s=grid.shape, axes=tuple(range(-d, 0)), norm="forward"
+        np.concatenate(spectra), s=grid.shape, axes=tuple(range(-d, 0)), norm="forward", workers=workers
     )
 
     pieces = np.split(phys, np.cumsum([len(x) for x in spectra])[:-1])
@@ -505,7 +525,7 @@ def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray
     prods = np.stack(prods)
     if not np.all(np.isfinite(prods)):
         raise NumericalBlowupError("non-finite nonlinear source")
-    out = rfftn(prods, axes=tuple(range(-d, 0)), norm="forward")
+    out = rfftn(prods, axes=tuple(range(-d, 0)), norm="forward", workers=workers)
     out[:, drop] = 0.0
     # F = -div of the dealiased a v, stored over the last a v_i slot
     out[d - 1] = -sum(ikw[i] * out[i] for i in range(d))

@@ -5,11 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.fft
 import yaml
 
 from nsclab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
-from nsclab.spectral import load_state
+from nsclab.evolve import imex_step
+from nsclab.model import ModelSpec
+from nsclab.spectral import Grid, load_state
+from nsclab.studies import random_state
 
 
 def write_cfg(path, payload):
@@ -94,6 +99,10 @@ def test_seed_must_be_integer(tmp_path):
         ({"grid": {"n": 16.7}}, "grid.n"),
         ({"thresholds": {"K": 8.9}}, "thresholds.K"),
         ({"study": {"initial-layer": {"samples": 60.5}}}, "study.initial-layer.samples"),
+        ({"study": {"evolve": {"T": float("inf")}}}, "study.evolve.T"),
+        ({"study": {"evolve": {"T": float("nan")}}}, "study.evolve.T"),
+        ({"study": {"relax-sweep": {"T": float("inf")}}}, "study.relax-sweep.T"),
+        ({"study": {"relax-sweep": {"eps_list": [0.1, float("nan")]}}}, "study.relax-sweep.eps_list"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -132,12 +141,35 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg["seed"] == 1234 and "decay-fit" in cfg["study"]
 
 
-def test_cli_import_skips_scipy_optimize():
-    code = "import sys, nsclab.cli; print('scipy.optimize' in sys.modules)"
+def _scipy_loaded_after(code: str) -> list:
+    """The scipy modules a fresh interpreter holds once code has run; only
+    the nonlinear sources load scipy.fft and only expm loads scipy.linalg."""
+    probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert proc.stdout.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_skips_scipy_optimize():
+    loaded = set(_scipy_loaded_after("import nsclab.cli"))
+    assert "scipy.optimize" not in loaded
+    assert not loaded & {"scipy.fft", "scipy.linalg", "scipy.special"}
+
+
+def test_linear_and_radial_studies_skip_scipy_fft(tmp_path):
+    runs = {
+        "relax-sweep": {"model": {"d": 3}, "grid": {"n": 8}, "study": {"relax-sweep": {"p": 2.0, "T": 0.5, "eps_list": [0.1, 0.05]}}},
+        "decay-fit": {"model": {"d": 3, "eps": 0.01}, "radial": {"nodes": 512}, "study": {"decay-fit": {"t_count": 20}}},
+        "lyapunov": {"model": {"d": 3, "eps": 0.01}, "radial": {"nodes": 512}, "study": {"lyapunov": {"t_count": 20}}},
+    }
+    calls = []
+    for study, payload in runs.items():
+        cfg = write_cfg(tmp_path / f"{study}.yaml", payload)
+        calls.append(f"assert main({[study, '--config', str(cfg), '--out', str(tmp_path / study)]!r}) == 0")
+    loaded = _scipy_loaded_after("from nsclab.cli import main\n" + "\n".join(calls))
+    assert "scipy.fft" not in loaded
 
 
 def test_spectrum_shape_contract(tmp_path):
@@ -386,6 +418,32 @@ def test_thread_count_does_not_change_output(tmp_path):
         runs.append({p.name: digest(p) for p in out.iterdir() if p.suffix == ".fld" or p.name == "norms.csv"})
     assert len(runs[0]) == 5  # norms.csv and snapshots at steps 0, 2, 4, 6
     assert runs[0] == runs[1]
+
+
+def test_thread_count_reaches_the_source_transforms(tmp_path, monkeypatch):
+    seen = []
+    for name in ("irfftn", "rfftn"):
+        real = getattr(scipy.fft, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            seen.append((_name, kwargs.get("workers")))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+
+    cfg = write_cfg(
+        tmp_path / "e.yaml",
+        {"model": {"kind": "nsc", "d": 2, "eps": 0.1}, "grid": {"n": 8}, "seed": 1, "study": {"evolve": {"T": 0.02, "dt": 0.01, "nonlinear": True}}},
+    )
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]) == EXIT_OK
+    assert {name for name, _ in seen} == {"irfftn", "rfftn"}
+    assert {workers for _, workers in seen} == {2}
+
+    # outside the CLI the sources keep scipy's default
+    seen.clear()
+    spec = ModelSpec(kind="nsc", d=2, eps=0.1)
+    imex_step(random_state(Grid(n=8, d=2), np.random.default_rng(1)), spec, 0.01)
+    assert seen and {workers for _, workers in seen} == {None}
 
 
 def test_defaults_without_config_file():
