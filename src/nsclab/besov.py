@@ -159,7 +159,8 @@ def _as_stack(f) -> tuple:
 
 def _band_norms(grid: Grid, u: np.ndarray, p: float, keep=None) -> np.ndarray:
     """L^p norms of the pointwise euclidean magnitude of the rows of u
-    (nc, *grid.shape), one per band of grid_band_range.  At p != 2 only
+    (nc, *grid.shape), one per band of grid_band_range; at p = 2 u may be
+    any sequence of rows, which spares stacking them.  At p != 2 only
     the bands where the mask `keep` is true are transformed; the others
     read 0."""
     bands = grid_band_range(grid)

@@ -227,24 +227,43 @@ def _merge(where: str, defaults: dict, override, extra=()) -> dict:
     return {**defaults, **override}
 
 
-def _check_study(name: str, block: dict, d: int, n: int) -> None:
+def _judged(where: str, check, *args) -> None:
+    """check(*args), its ValueError (argument name first) a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
+
+
+def _log_times(block: dict) -> np.ndarray:
+    return np.logspace(math.log10(float(block["t_min"])), math.log10(float(block["t_max"])), int(block["t_count"]))
+
+
+def _check_study(name: str, block: dict, d: int, cfg: dict) -> None:
     """Raise ConfigError for a study value of the right kind that the study
-    would still refuse on a d-dimensional grid of n points per axis."""
-    where, direction, mode = f"study.{name}", block.get("direction"), block.get("mode")
+    would still refuse on the d-dimensional grid or the radial nodes of
+    cfg, by the library's own check where it has one."""
+    where, direction, mode, n = f"study.{name}", block.get("direction"), block.get("mode"), int(cfg["grid"]["n"])
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
         raise ConfigError(f"{where}.mode must be {d} integers of magnitude below n/2 = {n / 2:g}, got {mode!r}")
-    if name != "relax-sweep":
-        return
-    eps = [float(e) for e in block["eps_list"]]
-    if not 2.0 <= float(block["p"]) <= 4.0:
-        raise ConfigError(f"{where}.p must lie in [2, 4], got {block['p']!r}")
-    if len(set(eps)) < 2 or not all(e > 0 for e in eps):
-        raise ConfigError(f"{where}.eps_list must hold at least two distinct positive values, got {block['eps_list']!r}")
-    max_d, max_n = studies._NONLINEAR_SWEEP_MAX
-    if block["nonlinear"] and (d > max_d or n > max_n):
-        raise ConfigError(f"{where}.nonlinear runs only at d <= {max_d} and n <= {max_n}, got d = {d}, n = {n}")
+    for key in ("T", "count", "scaling_factor"):  # a duration, a sample count, a divisor
+        if key in block and not float(block[key]) > 0:
+            raise ConfigError(f"{where}.{key} must be positive, got {block[key]!r}")
+    if float(block.get("dt", 0.0)) < 0:
+        raise ConfigError(f"{where}.dt must be positive, or 0 for the default step, got {block['dt']!r}")
+    if name in ("decay-fit", "lyapunov"):
+        _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
+    if name == "relax-sweep":
+        eps = [float(e) for e in block["eps_list"]]
+        _judged(where, studies._validate_sweep, d, n, eps, float(block["p"]), block["nonlinear"])
+    elif name == "decay-fit":
+        _judged(where, studies._validate_decay_ranges, d, float(block["p"]), float(block["sigma"]), float(block["sigma1"]), int(block["t_count"]))
+    elif name == "lyapunov":
+        _judged(where, studies._tail_samples, _log_times(block))
+    elif name == "initial-layer":
+        _judged(where, studies._validate_layer, float(block["efolds"]), int(block["samples"]))
 
 
 def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
@@ -281,8 +300,8 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     if out is not None:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
-    for name, block in blocks.items():
-        _check_study(name, block, spec.d, int(cfg["grid"]["n"]))
+    for name, block in {**blocks, **cfg["study"]}.items():
+        _check_study(name, block, spec.d, cfg)
     if study_block and list(study_block) != [study]:
         raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
     if study in _GRID_STUDIES:
@@ -444,7 +463,9 @@ def run_evolve(cfg, out_dir, rng):
 
     # per-band hypocoercivity diagnostics and the solution functional
     if th is not None and not p["nonlinear"]:
-        artifacts += _write_band_diagnostics(out_dir, st, spec, th)
+        header = ["t", "j", "regime", "lyapunov", "dissipation", "residual"]
+        write_csv(out_dir / "band_diagnostics.csv", header, diagnostics.band_diagnostics(st, spec, th))
+        artifacts.append("band_diagnostics.csv")
         samples = [np.linspace(0.0, T, min(nsteps, 100) + 1)]  # stride T / min(nsteps, 100)
         x = diagnostics.functional_X(studies.sampled_linear_trajectory(st, spec, samples), spec, th)
         write_json(
@@ -455,53 +476,19 @@ def run_evolve(cfg, out_dir, rng):
     return artifacts
 
 
-def _write_band_diagnostics(out_dir, state0, spec, th) -> list:
-    """(t, j, regime, lyapunov, dissipation, residual) rows per in-regime band.
-
-    Each band gets its own finely-strided window of 40 steps from the initial
-    state so the centered-difference residual is resolved in its regime's
-    timescale.
-    """
-    rows = []
-    bands = besov.grid_band_range(state0.grid)
-    for regime, eta in (("low", 0.1), ("high", 0.25)):
-        for j in besov.regime_band_indices(regime, th, bands):
-            dt = 5e-3 / diagnostics._regime_rate(spec, j, regime)
-            traj = studies.sampled_linear_trajectory(state0, spec, [dt * np.arange(41)])
-            times, vals, diss, dl = diagnostics._centered_series(traj, j, regime, spec, eta)
-            if not np.any(vals > 0):
-                continue
-            # residual d/dt L_j + c D_j at the series' own calibration c; the
-            # centred difference leaves the two end snapshots without one
-            res = dl + diagnostics._calibrate(dl, diss[1:-1]) * diss[1:-1]
-            res = np.concatenate([[np.nan], res, [np.nan]])
-            rows += [[t, j, regime, lv, dv, r] for t, lv, dv, r in zip(times, vals, diss, res)]
-    write_csv(
-        out_dir / "band_diagnostics.csv",
-        ["t", "j", "regime", "lyapunov", "dissipation", "residual"],
-        rows,
-    )
-    return ["band_diagnostics.csv"]
-
-
 def run_decay_fit(cfg, out_dir, rng):
     spec = build_model(cfg)
     p = cfg["study"]["decay-fit"]
     r = cfg["radial"]
     sigma1 = float(p["sigma1"])
     prof = evolve.sharp_low_profile(sigma1, spec.d)
-    ts = np.logspace(math.log10(float(p["t_min"])), math.log10(float(p["t_max"])), int(p["t_count"]))
+    ts = _log_times(p)
     rep = studies.decay_fit(
         spec, prof, spec.d, float(p["p"]), float(p["sigma"]), sigma1,
         t_grid=ts, r_max=float(r["r_max"]), nodes=int(r["nodes"]),
     )
-    rows = [
-        [t, nav] + ([ntq] if rep.norms_tq is not None else [])
-        for t, nav, ntq in zip(
-            rep.times, rep.norms_av, rep.norms_tq if rep.norms_tq is not None else rep.norms_av
-        )
-    ]
-    header = ["t", "norm_av"] + (["norm_thetaflux"] if rep.norms_tq is not None else [])
+    cols = [rep.times, rep.norms_av] + ([rep.norms_tq] if rep.norms_tq is not None else [])
+    header, rows = ["t", "norm_av", "norm_thetaflux"][: len(cols)], list(zip(*cols))
     write_csv(out_dir / "decay.csv", header, rows)
     write_dat(out_dir / "decay.dat", header, rows)
     payload = {
@@ -528,13 +515,8 @@ def run_relax_sweep(cfg, out_dir, rng):
         compare_well_prepared=bool(p["well_prepared"]),
         nonlinear=bool(p["nonlinear"]),
     )
-    header = ["eps", "xtilde"] + (["xtilde_well_prepared"] if rep.well_prepared_values else [])
-    rows = []
-    for i, eps in enumerate(rep.eps_values):
-        row = [eps, rep.xtilde_values[i]]
-        if rep.well_prepared_values:
-            row.append(rep.well_prepared_values[i])
-        rows.append(row)
+    cols = [rep.eps_values, rep.xtilde_values] + ([rep.well_prepared_values] if rep.well_prepared_values else [])
+    header, rows = ["eps", "xtilde", "xtilde_well_prepared"][: len(cols)], list(zip(*cols))
     write_csv(out_dir / "relax.csv", header, rows)
     write_dat(out_dir / "relax.dat", header, rows)
     write_json(out_dir / "report.json", dataclasses.asdict(rep))
@@ -576,7 +558,7 @@ def run_lyapunov(cfg, out_dir, rng):
     th = build_thresholds(cfg, spec.eps)
     sigma1 = float(p["sigma1"])
     prof = evolve.sharp_low_profile(sigma1, spec.d)
-    ts = np.logspace(math.log10(float(p["t_min"])), math.log10(float(p["t_max"])), int(p["t_count"]))
+    ts = _log_times(p)
     rep = studies.lyapunov_ode_compare(
         spec, prof, th, float(p["p"]), sigma1,
         t_grid=ts, r_max=float(p["r_max"]), nodes=int(r["nodes"]),

@@ -1,11 +1,13 @@
 """Hypocoercivity diagnostics: effective unknowns, per-band perturbed energy
 functionals with the dissipation series and calibration behind the
-`evolve` study's band_diagnostics.csv, and the global solution functional
-X accumulated along trajectories, whose pieces are all p = 2 semi-norms.
+`evolve` study's band_diagnostics.csv, and the one engine that evaluates
+the global solution functional X and the relaxation error of `studies`
+from tables of their pieces.
 
 Band norms are taken on row slices of `State.u` and of the effective
-unknowns' stacks (`EffectiveState._Q`, `_w`); X reads scaled row arrays.
-The functionals are linear: the high-band one carries no density weight.
+unknowns' stacks (`EffectiveState._Q`, `_w`), once per row group and
+snapshot; X reads scaled rows, all at p = 2.  The band functionals are
+linear: the high-band one carries no density weight.
 
 The low-band functional carries a band-weighted cross term
 eta * 2^(-j) * int v_j . grad a_j (a plain 1/2 coefficient would not stay
@@ -16,15 +18,17 @@ equivalence bracket [1 - 2 eta, 1 + 2 eta] valid on every band.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import Thresholds, _band_inner, _band_norm, besov_seminorms
+from .besov import Thresholds, _band_inner, _band_norm, _band_norms, _regime_weights, grid_band_range, regime_band_indices
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps diagnostics.besov_seminorm)
+from .evolve import LinearPropagator
 from .model import ModelSpec, SystemKind
-from .spectral import State, _grad, _row_views
+from .spectral import State, _freeze, _grad, _row_views
 
 __all__ = [
     "EffectiveState",
@@ -35,6 +39,7 @@ __all__ = [
     "lyapunov_high",
     "lyapunov_value",
     "dissipation_quantity",
+    "band_diagnostics",
     "functional_X",
 ]
 
@@ -128,27 +133,22 @@ def _regime_rate(spec: ModelSpec, j: int, regime: str) -> float:
     return spec.alpha / spec.eps**2
 
 
-def _validate_stride(times: np.ndarray, spec: ModelSpec, j: int, regime: str) -> float:
-    dts = np.diff(times)
+def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
+    """Snapshot times, L_j and D_j at every snapshot, and the centred
+    differences d/dt L_j at the interior snapshots, which need a uniform
+    stride resolving the regime's rate.  traj may be any iterable; it is
+    read once."""
+    rows = [(s.time, lyapunov_value(s, j, regime, spec, eta), dissipation_quantity(s, j, regime, spec)) for s in traj]
+    times, lyap, diss = (np.array(c) for c in zip(*rows))
+    dts, rate = np.diff(times), _regime_rate(spec, j, regime)
     if not np.allclose(dts, dts[0], rtol=1e-8):
         raise ValueError("trajectory snapshots must be uniformly spaced")
     dt = float(dts[0])
-    rate = _regime_rate(spec, j, regime)
     if dt * rate > 1e-2:
         raise ValueError(
             f"snapshot stride {dt:.3g} too coarse for centered differencing: "
             f"need dt <= {1e-2 / rate:.3g} in regime {regime!r} at band {j}"
         )
-    return dt
-
-
-def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
-    """Snapshot times, L_j and D_j at every snapshot, and the centred
-    differences d/dt L_j at the interior snapshots.  traj may be any
-    iterable; it is read once."""
-    rows = [(s.time, lyapunov_value(s, j, regime, spec, eta), dissipation_quantity(s, j, regime, spec)) for s in traj]
-    times, lyap, diss = (np.array(c) for c in zip(*rows))
-    dt = _validate_stride(times, spec, j, regime)
     return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)
 
 
@@ -161,42 +161,99 @@ def _calibrate(dl: np.ndarray, dmid: np.ndarray) -> float:
     return max(best, 0.0)
 
 
+def band_diagnostics(state0: State, spec: ModelSpec, th: Thresholds) -> list:
+    """(t, j, regime, lyapunov, dissipation, residual) rows per in-regime
+    band: 40 steps of the linear flow from state0, strided to the band's
+    rate, and the residual d/dt L_j + c D_j at the series' own calibration
+    c (NaN at the two ends, which have no centred difference)."""
+    rows = []
+    for regime, eta in (("low", 0.1), ("high", 0.25)):
+        for j in regime_band_indices(regime, th, grid_band_range(state0.grid)):
+            prop = LinearPropagator(spec, state0.grid, 5e-3 / _regime_rate(spec, j, regime))
+            traj = itertools.accumulate(range(40), lambda s, _: prop.step(s), initial=state0)
+            times, vals, diss, dl = _centered_series(traj, j, regime, spec, eta)
+            if not np.any(vals > 0):
+                continue
+            res = np.concatenate([[np.nan], dl + _calibrate(dl, diss[1:-1]) * diss[1:-1], [np.nan]])
+            rows += [[t, j, regime, lv, dv, r] for t, lv, dv, r in zip(times, vals, diss, res)]
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# Global solution functional X.
+# Functional tables: entries (name, group, regime, s or a tuple of s, weight,
+# time kind).  At one snapshot an entry is weight * max_s sum_j 2^(js)
+# |group_j| over the bands of its regime under the overlapping split; its
+# time kind takes the max over snapshots (Linf), the trapezoid (L1) or the
+# root of the trapezoid of squares (L2).
 
-_LINF, _L1, _L2T = "Linf", "L1", "L2"
+
+@functools.lru_cache(maxsize=32)
+def _table_weights(table: tuple, grid, th: Thresholds) -> tuple:
+    """Per entry, its regime weights on the grid's bands, one row per s."""
+    return tuple(
+        _freeze(np.array([_regime_weights(grid, regime, th, s, overlap=True) for s in (ss if isinstance(ss, tuple) else (ss,))]))
+        for _, _, regime, ss, _, _ in table
+    )
 
 
-def _x_table(d: int, eps: float):
-    """(name, part, comps, time-kind, s or (s1, s2), weight); every piece is
-    a p = 2 semi-norm over the bands of its part."""
+def _evaluate(table: tuple, weights: tuple, norms: dict) -> tuple:
+    """Each entry's value from the per-band norms of its group, (nbands,) at
+    one snapshot or (T, nbands) at T of them."""
+    return tuple(
+        weight * np.max([norms[group] @ w for w in ws], axis=0)
+        for (_, group, _, _, weight, _), ws in zip(table, weights)
+    )
+
+
+def _snapshot_values(table: tuple, grid, th: Thresholds, groups: dict) -> tuple:
+    """_evaluate at one snapshot of the groups, each mapped to its rows and
+    p: one band pass per group, at p != 2 over the bands its entries pick."""
+    weights = _table_weights(table, grid, th)
+    picked = lambda g: np.any(np.concatenate([ws for (_, h, *_), ws in zip(table, weights) if h == g]), axis=0)
+    return _evaluate(table, weights, {g: _band_norms(grid, u, p, picked(g)) for g, (u, p) in groups.items()})
+
+
+def _time_reduce(table: tuple, times, columns) -> dict:
+    """Each entry's time norm of its column of values at the snapshot times,
+    one column per entry in table order."""
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("snapshot times must strictly increase")
+    trapz = lambda v: np.trapezoid(v, times)
+    reduce = {"Linf": np.max, "L1": trapz, "L2": lambda v: math.sqrt(trapz(v**2))}
+    return {name: float(reduce[kind](np.asarray(col))) for (name, *_, kind), col in zip(table, columns, strict=True)}
+
+
+def _x_table(d: int, eps: float) -> tuple:
+    """The pieces of X, each a p = 2 semi-norm of a group of the rows that
+    functional_X names; the regime is the part of X it adds to."""
     return (
-        ("low_state_Linf", "low", ("a", "v", "theta", "eq"), _LINF, d / 2 - 1, 1.0),
-        ("low_avtheta_L1", "low", ("a", "v", "theta"), _L1, d / 2 + 1, 1.0),
-        ("low_q_L1", "low", ("q",), _L1, d / 2, 1.0),
-        ("low_Q_L1", "low", ("Q",), _L1, d / 2 - 1, 1.0 / eps),
-        ("med_thetaq_Linf", "med", ("theta", "eq"), _LINF, (d / 2 - 2, d / 2 - 1), 1.0),
-        ("med_theta_L1", "med", ("theta",), _L1, (d / 2, d / 2 + 1), 1.0),
-        ("med_q_L1", "med", ("q",), _L1, (d / 2 - 1, d / 2), 1.0),
-        ("med_q_L2", "med", ("q",), _L2T, (d / 2 - 2, d / 2 - 1), 1.0),
-        ("med_Q_L1", "med", ("Q",), _L1, (d / 2 - 2, d / 2 - 1), 1.0 / eps),
-        ("med_w_Linf", "med", ("w",), _LINF, d / 2 - 1, 1.0),
-        ("med_w_L1", "med", ("w",), _L1, d / 2 + 1, 1.0),
-        ("med_a_Linf", "med", ("a",), _LINF, d / 2, 1.0),
-        ("med_a_L1", "med", ("a",), _L1, d / 2, 1.0),
-        ("med_v_Linf", "med", ("v",), _LINF, (d / 2 - 1, d / 2), 1.0),
-        ("med_v_L1", "med", ("v",), _L1, d / 2 + 1, 1.0),
-        ("med_v_L2", "med", ("v",), _L2T, d / 2 + 1, 1.0),
-        ("high_a_Linf", "high", ("a",), _LINF, d / 2 + 1, eps),
-        ("high_a_L1", "high", ("a",), _L1, d / 2 + 1, eps),
-        ("high_thetaq2_Linf", "high", ("e2theta", "e3q"), _LINF, d / 2 + 1, 1.0),
-        ("high_thetaq_L1", "high", ("theta", "eq"), _L1, d / 2 + 1, 1.0),
-        ("high_Q_L1", "high", ("Q",), _L1, d / 2, 1.0),
-        ("high_w_Linf", "high", ("w",), _LINF, d / 2, eps),
-        ("high_w_L1", "high", ("w",), _L1, d / 2 + 2, eps),
-        ("high_v_Linf", "high", ("v",), _LINF, d / 2 + 1, eps),
-        ("high_v_L1", "high", ("v",), _L1, d / 2 + 2, eps),
-        ("high_v_L2", "high", ("v",), _L2T, d / 2 + 2, eps),
+        ("low_state_Linf", ("a", "v", "theta", "eq"), "low", d / 2 - 1, 1.0, "Linf"),
+        ("low_avtheta_L1", ("a", "v", "theta"), "low", d / 2 + 1, 1.0, "L1"),
+        ("low_q_L1", ("q",), "low", d / 2, 1.0, "L1"),
+        ("low_Q_L1", ("Q",), "low", d / 2 - 1, 1.0 / eps, "L1"),
+        ("med_thetaq_Linf", ("theta", "eq"), "med", (d / 2 - 2, d / 2 - 1), 1.0, "Linf"),
+        ("med_theta_L1", ("theta",), "med", (d / 2, d / 2 + 1), 1.0, "L1"),
+        ("med_q_L1", ("q",), "med", (d / 2 - 1, d / 2), 1.0, "L1"),
+        ("med_q_L2", ("q",), "med", (d / 2 - 2, d / 2 - 1), 1.0, "L2"),
+        ("med_Q_L1", ("Q",), "med", (d / 2 - 2, d / 2 - 1), 1.0 / eps, "L1"),
+        ("med_w_Linf", ("w",), "med", d / 2 - 1, 1.0, "Linf"),
+        ("med_w_L1", ("w",), "med", d / 2 + 1, 1.0, "L1"),
+        ("med_a_Linf", ("a",), "med", d / 2, 1.0, "Linf"),
+        ("med_a_L1", ("a",), "med", d / 2, 1.0, "L1"),
+        ("med_v_Linf", ("v",), "med", (d / 2 - 1, d / 2), 1.0, "Linf"),
+        ("med_v_L1", ("v",), "med", d / 2 + 1, 1.0, "L1"),
+        ("med_v_L2", ("v",), "med", d / 2 + 1, 1.0, "L2"),
+        ("high_a_Linf", ("a",), "high", d / 2 + 1, eps, "Linf"),
+        ("high_a_L1", ("a",), "high", d / 2 + 1, eps, "L1"),
+        ("high_thetaq2_Linf", ("e2theta", "e3q"), "high", d / 2 + 1, 1.0, "Linf"),
+        ("high_thetaq_L1", ("theta", "eq"), "high", d / 2 + 1, 1.0, "L1"),
+        ("high_Q_L1", ("Q",), "high", d / 2, 1.0, "L1"),
+        ("high_w_Linf", ("w",), "high", d / 2, eps, "Linf"),
+        ("high_w_L1", ("w",), "high", d / 2 + 2, eps, "L1"),
+        ("high_v_Linf", ("v",), "high", d / 2 + 1, eps, "Linf"),
+        ("high_v_L1", ("v",), "high", d / 2 + 2, eps, "L1"),
+        ("high_v_L2", ("v",), "high", d / 2 + 2, eps, "L2"),
     )
 
 
@@ -212,55 +269,24 @@ class XFunctional:
         return self.x_low + self.x_med + self.x_high
 
 
-def _scaled_rows(state: State, spec: ModelSpec) -> dict:
-    """The row stacks (k, *shape) that the table names, scaled by eps."""
-    u, d, eps = state.u, state.grid.d, spec.eps
-    es = effective_unknowns(state, spec)
-    rows = {"a": u[:1], "v": u[1 : 1 + d], "theta": u[1 + d : 2 + d], "q": u[2 + d :], "Q": es._Q, "w": es._w}
-    return {**rows, "eq": eps * rows["q"], "e2theta": eps**2 * rows["theta"], "e3q": eps**3 * rows["q"]}
-
-
-def _instantaneous(entry, rows: dict, grid, th: Thresholds) -> float:
-    name, part, comps, kind, s, weight = entry
-    u = np.concatenate([rows[c] for c in comps])
-    return weight * max(besov_seminorms(grid, u, s if isinstance(s, tuple) else (s,), 2, part, th, overlap=True))
-
-
 def functional_X(traj, spec: ModelSpec, th: Thresholds) -> XFunctional:
     """Accumulate the three-regime solution functional along a trajectory.
 
-    traj may be any iterable, reduced one snapshot at a time.  Supremum-in-
-    time pieces are maxima; L1/L2-in-time pieces use the trapezoid rule on
-    the (uniform) snapshot stride.
+    traj may be any iterable of snapshots at strictly increasing times,
+    reduced one snapshot at a time.  Supremum-in-time pieces are maxima;
+    L1/L2-in-time pieces use the trapezoid rule on the snapshot times.
     """
     if spec.kind is not SystemKind.NSC:
         raise ValueError("the solution functional is defined for the relaxing system")
     table = _x_table(spec.d, spec.eps)
-    series = {entry[0]: [] for entry in table}
-    times = []
-    for state in traj:
+    groups = dict.fromkeys(group for _, group, *_ in table)
+    times, values = [], []
+    for state in traj:  # the rows (k, *shape) that the table names, some scaled by eps
+        u, d, eps, es = state.u, state.grid.d, spec.eps, effective_unknowns(state, spec)
+        rows = {"a": u[:1], "v": u[1 : 1 + d], "theta": u[1 + d : 2 + d], "q": u[2 + d :], "Q": es._Q, "w": es._w}
+        rows.update(eq=eps * rows["q"], e2theta=eps**2 * rows["theta"], e3q=eps**3 * rows["q"])
         times.append(state.time)
-        if len(times) >= 3 and not np.isclose(times[-1] - times[-2], times[1] - times[0], rtol=1e-8):
-            raise ValueError("snapshots must be uniformly spaced")
-        rows = _scaled_rows(state, spec)
-        for entry in table:
-            series[entry[0]].append(_instantaneous(entry, rows, state.grid, th))
-
-    def trapz(vals: np.ndarray) -> float:
-        return float(np.trapezoid(vals, times)) if len(times) >= 2 else 0.0
-
-    constituents = {}
-    sums = {"low": 0.0, "med": 0.0, "high": 0.0}
-    for entry in table:
-        name, part = entry[0], entry[1]
-        vals = np.array(series[name])
-        kind = entry[3]
-        if kind == _LINF:
-            out = float(np.max(vals))
-        elif kind == _L1:
-            out = trapz(vals)
-        else:
-            out = math.sqrt(trapz(vals**2))
-        constituents[name] = out
-        sums[part] += out
-    return XFunctional(x_low=sums["low"], x_med=sums["med"], x_high=sums["high"], constituents=constituents)
+        values.append(_snapshot_values(table, state.grid, th, {g: ([r for c in g for r in rows[c]], 2) for g in groups}))
+    constituents = _time_reduce(table, times, zip(*values))
+    part = lambda r: sum(constituents[name] for name, _, regime, *_ in table if regime == r)
+    return XFunctional(x_low=part("low"), x_med=part("med"), x_high=part("high"), constituents=constituents)

@@ -300,6 +300,11 @@ def sharp_low_profile(sigma1: float, d: int) -> RadialDataProfile:
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
+def _check_nodes(nodes: int) -> None:
+    if nodes < 512:
+        raise ValueError(f"nodes must be at least 512, got {nodes}")
+
+
 class RadialFlow:
     """Longitudinal linear flow on a log-radial quadrature grid.
 
@@ -317,8 +322,7 @@ class RadialFlow:
         r_max: float = 1e4,
         nodes: int = 4096,
     ):
-        if nodes < 512:
-            raise ValueError(f"need at least 512 radial nodes, got {nodes}")
+        _check_nodes(nodes)
         self.spec = spec
         self.profile = profile
         self.d = spec.d

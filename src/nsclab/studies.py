@@ -9,10 +9,11 @@ The linear p = 2 relaxation sweep steps no state: each piece of its error
 functional is a band sum over lattice radii of |C(t, |k|) z(k)|^2, C real, z
 the longitudinal data, evaluated from one 4x4 Gram factor of z per radius.
 Other sweeps stream sampled torus trajectories (generators, one state per
-sample time) in lockstep and keep only per-snapshot scalars; the stepped
-linear sweep is the oracle of the Gram one.  Both turn per-band norms of
-four groups of unknowns into the six pieces with the weights of
-`_error_weights`; the stepped path reads row slices of the states' stacks.
+sample time) in lockstep and keep only per-snapshot values; the stepped
+linear sweep is the oracle of the Gram one.  Both hand per-band norms of
+four groups of unknowns to the `diagnostics` engine, which evaluates the
+seven pieces of `_error_table` and reduces them in time; the stepped path
+reads row slices of the states' stacks.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import Thresholds, ThresholdOrderError, _band_norms, _grid_labels, _regime_bands, _regime_weights, grid_band_range, make_thresholds
+from .besov import Thresholds, ThresholdOrderError, _grid_labels, _regime_bands, grid_band_range, make_thresholds
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps studies.besov_seminorm)
-from .diagnostics import effective_unknowns
+from .diagnostics import _evaluate, _snapshot_values, _table_weights, _time_reduce, effective_unknowns
 from .evolve import (
     LinearPropagator,
     RadialDataProfile,
@@ -108,7 +109,13 @@ def fit_loglog(x, y):
     return _fit_line(np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float)))
 
 
-def _validate_decay_ranges(d: int, p: float, sigma: float, sigma1: float) -> str:
+def _validate_decay_ranges(d: int, p: float, sigma: float, sigma1: float, t_count: int) -> str:
+    """Raise ValueError, naming the argument first, unless decay_fit can fit
+    on t_count samples; the note on a sigma beyond the stated window."""
+    if t_count < 20:
+        raise ValueError(f"t_count = {t_count}: decay fits need at least 20 samples")
+    if not p >= 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     sigma0 = 2.0 * d / p - d / 2.0
     if not (1.0 - d / 2.0 < sigma1 <= sigma0):
         raise ValueError(
@@ -151,14 +158,10 @@ def decay_fit(
 ) -> DecayReport:
     """Fit the large-time algebraic decay of |Lambda^sigma (a, v)|_Lp and,
     where its window admits sigma, of |Lambda^sigma (theta, eps q)|_Lp."""
-    note = _validate_decay_ranges(d, p, sigma, sigma1)
+    t_grid = np.asarray(np.logspace(1, 3, 25) if t_grid is None else t_grid, dtype=float)
+    note = _validate_decay_ranges(d, p, sigma, sigma1, len(t_grid))
     if abs(prof.sigma1 - sigma1) > 1e-12:
         raise ValueError("data profile was built for a different sigma1")
-    if t_grid is None:
-        t_grid = np.logspace(1, 3, 25)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 20:
-        raise ValueError(f"decay fits need at least 20 samples, got {len(t_grid)}")
     theory = theory_decay_exponent(d, p, sigma, sigma1)
 
     if spec.d != d:
@@ -315,59 +318,25 @@ def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_ma
     return _walk_segments(state0, segments, advance)
 
 
-@functools.lru_cache(maxsize=32)
-def _error_weights(grid: Grid, th: Thresholds, p: float) -> tuple:
-    """(group, band weights) of the six per-snapshot scalars of the error
-    functional, (lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one): each is a
-    semi-norm of group 0, the difference (a, v, theta) at p = 2, group 1,
-    the damped mode Q, group 2, the difference a, or group 3, the difference
-    (v, theta), the last three at p.  The weights are besov_seminorms'."""
-    d = grid.d
-    w = lambda regime, s: _freeze(_regime_weights(grid, regime, th, s, overlap=True))
+def _error_table(d: int, p: float) -> tuple:
+    """The seven pieces of the relaxation error, a `diagnostics` table:
+    semi-norms of the difference (a, v, theta) at p = 2 and of the damped
+    mode Q, the difference a and the difference (v, theta) at p ("all" picks
+    every band under either convention)."""
     return (
-        (0, w("low", d / 2 - 2)),
-        (0, w("low", d / 2)),
-        (1, w("all", d / p - 1)),  # "all" picks every band under either convention
-        (2, w("medhigh", d / p - 1)),
-        (3, w("medhigh", d / p - 2)),
-        (3, w("medhigh", d / p)),
+        ("low_Linf", "diff", "low", d / 2 - 2, 1.0, "Linf"),
+        ("low_L1", "diff", "low", d / 2, 1.0, "L1"),
+        ("damped_mode_L1", "Q", "all", d / p - 1, 1.0, "L1"),
+        ("high_a_Linf", "a", "medhigh", d / p - 1, 1.0, "Linf"),
+        ("high_a_L1", "a", "medhigh", d / p - 1, 1.0, "L1"),
+        ("high_vtheta_Linf", "vtheta", "medhigh", d / p - 2, 1.0, "Linf"),
+        ("high_vtheta_L1", "vtheta", "medhigh", d / p, 1.0, "L1"),
     )
 
 
-def _error_columns(pieces, norms) -> tuple:
-    """The six scalars from the per-band norms (..., nbands) of the four
-    groups: per scalar, its group's norms dotted with its weights."""
-    return tuple(norms[g] @ w for g, w in pieces)
-
-
-def _pair_scalars(sn: State, sf: State, spec: ModelSpec, th: Thresholds, p: float) -> tuple:
-    """The six scalars of one snapshot pair; at p != 2 each group is
-    transformed only on the bands some of its weights pick."""
-    grid, d = sn.grid, spec.d
-    pieces = _error_weights(grid, th, p)
-    diff = sn.u[: 2 + d] - sf.u  # (a, v, theta)
-    groups = (diff, effective_unknowns(sn, spec)._Q, diff[:1], diff[1:])
-    norms = [
-        _band_norms(grid, u, 2 if g == 0 else p, np.any([w for h, w in pieces if h == g], axis=0))
-        for g, u in enumerate(groups)
-    ]
-    return _error_columns(pieces, norms)
-
-
-def _error_parts(times, cols) -> dict:
-    """Sup-in-time and trapezoid-in-time pieces from the per-snapshot
-    scalars, one column per scalar of _error_weights."""
-    lo_inf, lo_one, q_one, ha, hvt_inf, hvt_one = (np.asarray(c) for c in cols)
-    tz = lambda v: float(np.trapezoid(v, np.array(times)))
-    parts = {
-        "low_Linf": float(np.max(lo_inf)),
-        "low_L1": tz(lo_one),
-        "damped_mode_L1": tz(q_one),
-        "high_a_Linf": float(np.max(ha)),
-        "high_a_L1": tz(ha),
-        "high_vtheta_Linf": float(np.max(hvt_inf)),
-        "high_vtheta_L1": tz(hvt_one),
-    }
+def _error_parts(table: tuple, times, columns) -> dict:
+    """The pieces reduced in time and their 'total'."""
+    parts = _time_reduce(table, times, columns)
     parts["total"] = sum(parts.values())
     return parts
 
@@ -378,8 +347,9 @@ def error_functional(nsc_traj, nsf_traj, spec: ModelSpec, th: Thresholds, p: flo
     Low-frequency sup/L1 pieces of the difference (a, v, theta), the
     all-frequency L1 of the damped mode alpha q + kappa grad theta, and the
     high-part (j >= J0) pieces of the difference.  The trajectories may be
-    any iterables, streamed in step; each snapshot pair is reduced to its
-    scalars at once.  Returns the per-piece breakdown with key 'total'.
+    any iterables at strictly increasing times, streamed in step; each
+    snapshot pair is reduced to its values at once.  Returns the per-piece
+    breakdown with key 'total'.
     """
     return _paired_error_parts([nsc_traj], nsf_traj, spec, th, p)[0]
 
@@ -388,14 +358,16 @@ def _paired_error_parts(nsc_trajs, nsf_traj, spec: ModelSpec, th: Thresholds, p:
     """error_functional of each relaxing trajectory against the one
     Fourier-law trajectory, all streamed in step; each Fourier-law snapshot
     serves every relaxing run at its time."""
-    times, scalars = [], [[] for _ in nsc_trajs]
+    table, times, values = _error_table(spec.d, p), [], [[] for _ in nsc_trajs]
     for sf, *nscs in itertools.zip_longest(nsf_traj, *nsc_trajs):
         if sf is None or any(sn is None or not np.isclose(sn.time, sf.time, rtol=1e-10, atol=1e-12) for sn in nscs):
             raise ValueError("paired trajectories must share their snapshot times")
         times.append(nscs[0].time)
-        for out, sn in zip(scalars, nscs):
-            out.append(_pair_scalars(sn, sf, spec, th, p))
-    return [_error_parts(times, zip(*rows)) for rows in scalars]
+        for out, sn in zip(values, nscs):
+            diff = sn.u[: 2 + spec.d] - sf.u  # (a, v, theta)
+            groups = {"diff": (diff, 2), "Q": (effective_unknowns(sn, spec)._Q, p), "a": (diff[:1], p), "vtheta": (diff[1:], p)}
+            out.append(_snapshot_values(table, sn.grid, th, groups))
+    return [_error_parts(table, times, zip(*rows)) for rows in values]
 
 
 def _trajectory_error_parts(base: State, spec: ModelSpec, th: Thresholds, segs, p: float, well_prepared: bool, nonlinear: bool) -> list:
@@ -477,14 +449,6 @@ def _sweep_gram(base: State) -> _SweepGram:
     return _SweepGram(radius[keep], weight[keep], band, factor, perp[keep])
 
 
-def _band_error_parts(grid: Grid, th: Thresholds, times, sums: np.ndarray) -> dict:
-    """_error_parts at p = 2 from per-time band sums (T, 4, nbands) of
-    |a|^2, |k.v|^2 and |theta|^2 of the difference and |Q|^2."""
-    a, v, theta, q = np.moveaxis(grid.L**grid.d * sums, 1, 0)
-    norms = [np.sqrt(x) for x in (a + v + theta, q, a, v + theta)]
-    return _error_parts(times, _error_columns(_error_weights(grid, th, 2.0), norms))
-
-
 def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresholds, times, well_prepared: bool) -> list:
     """error_functional at p = 2 of the ill-prepared (and well-prepared)
     run against the Fourier-law run, evaluated at `times` from the Gram
@@ -524,7 +488,14 @@ def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresho
             diff = np.sum((x[..., :3, :] - y) ** 2, axis=-1)
             q_mode = np.sum((q_row @ x) ** 2, axis=-1) + decay * perp[:, None]
             out[lo : lo + chunk] = np.swapaxes(np.concatenate([diff, q_mode], axis=-1), 1, 2) @ gram.band.T
-    return [_band_error_parts(grid, th, times, s) for s in sums]
+    table = _error_table(grid.d, 2.0)
+    weights = _table_weights(table, grid, th)
+    parts = []
+    for s in sums:  # band sums (T, 4, nbands) of |a|^2, |k.v|^2, |theta|^2 of the difference and |Q|^2
+        a, v, theta, q = np.moveaxis(grid.L**grid.d * s, 1, 0)
+        norms = {g: np.sqrt(x) for g, x in (("diff", a + v + theta), ("Q", q), ("a", a), ("vtheta", v + theta))}
+        parts.append(_error_parts(table, times, _evaluate(table, weights, norms)))
+    return parts
 
 
 @dataclass
@@ -542,8 +513,15 @@ class RelaxReport:
         return all(b <= a * (1 + 1e-12) for a, b in zip(self.xtilde_values, self.xtilde_values[1:]))
 
 
-# The largest dimension and points per axis a nonlinear sweep runs at.
-_NONLINEAR_SWEEP_MAX = (2, 256)
+def _validate_sweep(d: int, n: int, eps_list, p: float, nonlinear: bool) -> None:
+    """Raise ValueError, naming the argument first, for a sweep that
+    relax_sweep refuses on a d-dimensional grid of n points per axis."""
+    if not 2.0 <= p <= 4.0:
+        raise ValueError(f"p must lie in [2, 4], got {p}")
+    if len(set(eps_list)) < 2 or not all(e > 0 for e in eps_list):
+        raise ValueError(f"eps_list must hold at least two distinct positive values, got {eps_list}")
+    if nonlinear and (d > 2 or n > 256):
+        raise ValueError(f"nonlinear sweeps run only at d <= 2 and n <= 256, got d = {d}, n = {n}")
 
 
 def relax_sweep(
@@ -574,17 +552,12 @@ def relax_sweep(
     samples.
 
     nonlinear=True integrates both systems with the IMEX stepper instead,
-    in the lockstep loop; this is restricted to d <= 2 and n <= 256
-    (_NONLINEAR_SWEEP_MAX) and the report is labeled experimental (outside
-    the decay-theory hypotheses).
+    in the lockstep loop; this is restricted to d <= 2 and n <= 256 and the
+    report is labeled experimental (outside the decay-theory hypotheses).
     Threshold-invalid eps values are skipped and reported.
     """
-    if not 2.0 <= p <= 4.0:
-        raise ValueError(f"p must lie in [2, 4], got {p}")
-    max_d, max_n = _NONLINEAR_SWEEP_MAX
-    if nonlinear and (d > max_d or base.grid.n > max_n):
-        raise ValueError(f"nonlinear sweeps are limited to d <= {max_d} and n <= {max_n}")
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
+    _validate_sweep(d, base.grid.n, eps_list, p, nonlinear)
     xt, wp, rows, skipped = [], [], [], []
     used = []
     gram = None
@@ -660,6 +633,13 @@ def _dominant_mode_fast_rate(state: State, spec: ModelSpec) -> float:
     return -float(np.min(eigs.real))
 
 
+def _validate_layer(efolds: float, samples: int) -> None:
+    if not efolds > 0:
+        raise ValueError(f"efolds must be positive, got {efolds}")
+    if samples < 50:
+        raise ValueError(f"samples = {samples}: need at least 50 samples inside the layer window")
+
+
 def initial_layer(
     spec: ModelSpec,
     ill_prepared_state: State,
@@ -670,8 +650,7 @@ def initial_layer(
     [0, n_efolds * eps^2/alpha] and compare to the fast-eigenvalue oracle of
     the dominant mode.  Raises LayerResolutionError when the fit is not
     clean (r^2 < 0.99)."""
-    if samples < 50:
-        raise ValueError("need at least 50 samples inside the layer window")
+    _validate_layer(n_efolds, samples)
     q0 = _q_l2(ill_prepared_state, spec)
     if q0 == 0.0:
         raise ValueError("state is exactly well-prepared: no layer to fit")
@@ -760,6 +739,14 @@ class OdeCompareReport:
     monotone: bool
 
 
+def _tail_samples(t_grid: np.ndarray) -> np.ndarray:
+    """The samples t >= 50 that the tail slope is fitted on, at least two."""
+    tail = t_grid >= 50.0
+    if np.count_nonzero(tail) < 2:
+        raise ValueError(f"t_count = {len(t_grid)} leaves {np.count_nonzero(tail)} samples at t >= 50; the tail slope needs two")
+    return tail
+
+
 def lyapunov_ode_compare(
     spec: ModelSpec,
     prof: RadialDataProfile,
@@ -780,9 +767,8 @@ def lyapunov_ode_compare(
     d = spec.d
     if abs(prof.sigma1 - sigma1) > 1e-12:
         raise ValueError("data profile was built for a different sigma1")
-    if t_grid is None:
-        t_grid = np.logspace(0, 3, 40)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(np.logspace(0, 3, 40) if t_grid is None else t_grid, dtype=float)
+    tail = _tail_samples(t_grid)
     flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
     l1 = np.array([lyapunov_l1(flow, th, p, float(t)) for t in t_grid])
     monotone = bool(np.all(np.diff(l1) <= 0.0))
@@ -795,8 +781,7 @@ def lyapunov_ode_compare(
     envelope = (l1[0] ** (-m_exp) + c0 * m_exp * (t_grid - t_grid[0])) ** (-1.0 / m_exp)
     violation = float(np.max(l1 - envelope))
 
-    sel = t_grid >= 50.0
-    slope, _, _ = fit_loglog(t_grid[sel], l1[sel])
+    slope, _, _ = fit_loglog(t_grid[tail], l1[tail])
     return OdeCompareReport(
         times=t_grid,
         l1_values=l1,

@@ -103,6 +103,19 @@ def test_seed_must_be_integer(tmp_path):
         ({"study": {"evolve": {"T": float("nan")}}}, "study.evolve.T"),
         ({"study": {"relax-sweep": {"T": float("inf")}}}, "study.relax-sweep.T"),
         ({"study": {"relax-sweep": {"eps_list": [0.1, float("nan")]}}}, "study.relax-sweep.eps_list"),
+        ({"study": {"evolve": {"T": -1.0}}}, "study.evolve.T"),
+        ({"study": {"evolve": {"dt": -0.1}}}, "study.evolve.dt"),
+        ({"study": {"relax-sweep": {"T": -1.0}}}, "study.relax-sweep.T"),
+        ({"study": {"initial-layer": {"efolds": -1.0}}}, "study.initial-layer.efolds"),
+        ({"study": {"spectrum": {"count": 0}}}, "study.spectrum.count"),
+        ({"study": {"lyapunov": {"t_count": 1}}}, "study.lyapunov.t_count"),
+        ({"study": {"lyapunov": {"t_count": 2}}}, "study.lyapunov.t_count"),  # one sample at t >= 50
+        ({"study": {"initial-layer": {"scaling_factor": 0}}}, "study.initial-layer.scaling_factor"),
+        ({"study": {"decay-fit": {"t_count": 19}}}, "study.decay-fit.t_count"),
+        ({"study": {"decay-fit": {"sigma1": 2.0}}}, "study.decay-fit.sigma1"),
+        ({"study": {"decay-fit": {"sigma": -2.0}}}, "study.decay-fit.sigma ="),
+        ({"radial": {"nodes": 511}, "study": {"decay-fit": {}}}, "radial.nodes"),
+        ({"study": {"initial-layer": {"samples": 49}}}, "study.initial-layer.samples"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from nsclab.besov import _as_stack, _band_inner, _band_norm, band_project, make_thresholds
+from nsclab.besov import _as_stack, _band_inner, _band_norm, band_project, besov_seminorm, make_thresholds
 from nsclab.diagnostics import (
     _calibrate,
     _centered_series,
     _regime_rate,
+    _x_table,
     dissipation_quantity,
     effective_unknowns,
     functional_X,
@@ -26,7 +27,7 @@ from nsclab.spectral import (
     zero_field,
     zero_state,
 )
-from nsclab.studies import _fit_line, slow_projection, well_prepared_flux
+from nsclab.studies import _fit_line, random_state, sampled_linear_trajectory, slow_projection, well_prepared_flux
 from oracles import grad, grad_j
 
 
@@ -490,16 +491,70 @@ def test_functional_X_uniform_in_eps(grid2d, rng):
     assert max(totals) / min(totals) < 2.0
 
 
-def test_functional_X_requires_uniform_stride(grid2d, rng):
+def test_functional_X_requires_increasing_times(grid2d):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     th = make_thresholds(8, 1, spec.eps)
     st = zero_state(grid2d)
-    bad = [
-        State.from_stacked(grid2d, st.u, t, True)
-        for t in (0.0, 0.1, 0.3)
-    ]
-    with pytest.raises(ValueError, match="uniform"):
-        functional_X(bad, spec, th)
+    for times in ((0.0, 0.1, 0.1), (0.0, 0.2, 0.1)):
+        bad = [State.from_stacked(grid2d, st.u, t, True) for t in times]
+        with pytest.raises(ValueError, match="strictly increase"):
+            functional_X(bad, spec, th)
+
+
+def _x_snapshot_reference(st, spec, th) -> dict:
+    """Each piece of X at one snapshot, one besov_seminorm call per value of
+    s on the fields its table entry names."""
+    eps, es = spec.eps, effective_unknowns(st, spec)
+    scaled = lambda c, fields: tuple(SpectralField(f.grid, c * f.coeffs) for f in fields)
+    fields = {
+        "a": (st.a,), "v": st.v, "theta": (st.theta,), "q": st.q, "Q": es.Q, "w": es.w,
+        "eq": scaled(eps, st.q), "e2theta": scaled(eps**2, (st.theta,)), "e3q": scaled(eps**3, st.q),
+    }
+    out = {}
+    for name, group, regime, ss, weight, _ in _x_table(spec.d, eps):
+        f = tuple(x for c in group for x in fields[c])
+        out[name] = weight * max(besov_seminorm(f, s, 2, regime, th, overlap=True) for s in (ss if isinstance(ss, tuple) else (ss,)))
+    return out
+
+
+def test_functional_X_at_non_uniform_times_is_the_trapezoid(grid2d, rng):
+    # the time reduction reads any strictly increasing times: sup, trapezoid
+    # and root of the trapezoid of squares of the per-snapshot pieces
+    spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
+    th = make_thresholds(8, 1, spec.eps)
+    st = State(
+        a=random_field(grid2d, rng, 1e-3),
+        v=(random_field(grid2d, rng, 1e-3), random_field(grid2d, rng, 1e-3)),
+        theta=random_field(grid2d, rng, 1e-3),
+        q=(random_field(grid2d, rng, 1e-3), random_field(grid2d, rng, 1e-3)),
+    )
+    traj = list(sampled_linear_trajectory(st, spec, [np.linspace(0.0, 0.02, 5), np.linspace(0.02, 0.5, 4)]))
+    times = np.array([s.time for s in traj])
+    assert np.ptp(np.diff(times)) > 0.1
+    snaps = [_x_snapshot_reference(s, spec, th) for s in traj]
+    x = functional_X(traj, spec, th)
+    for name, *_, kind in _x_table(spec.d, spec.eps):
+        vals = np.array([snap[name] for snap in snaps])
+        want = {"Linf": np.max(vals), "L1": np.trapezoid(vals, times), "L2": math.sqrt(np.trapezoid(vals**2, times))}[kind]
+        assert x.constituents[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+    assert x.total > 0
+
+
+def test_functional_X_takes_one_band_pass_per_group(grid2d, rng, monkeypatch):
+    # the 26 pieces of X read 10 distinct row groups, each reduced to its
+    # band norms once per snapshot
+    import nsclab.diagnostics as diagnostics
+
+    spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
+    th = make_thresholds(8, 1, spec.eps)
+    traj = linear_trajectory(random_state(grid2d, rng), spec, 0.02, 4)
+    want = functional_X(traj, spec, th)
+    calls = []
+    counted = diagnostics._band_norms
+    monkeypatch.setattr(diagnostics, "_band_norms", lambda *a: calls.append(1) or counted(*a))
+    assert functional_X(traj, spec, th) == want
+    assert len({group for _, group, *_ in _x_table(spec.d, spec.eps)}) == 10
+    assert len(calls) == 10 * len(traj)
 
 
 def test_dissipation_quantity_regimes(grid2d, rng):

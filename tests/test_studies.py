@@ -149,6 +149,19 @@ def test_error_functional_requires_paired_times(rng):
             error_functional(list(nsc_at(a)), list(nsf_at(b)), spec, th, 2)
 
 
+def test_error_functional_requires_increasing_times():
+    # paired trajectories that share their times but step back in time
+    grid = Grid(d=2, n=16)
+    spec = ModelSpec(kind="nsc", d=2, eps=0.05)
+    th = make_thresholds(8, 1, spec.eps)
+    st, nsf = zero_state(grid), zero_state(grid, with_flux=False)
+    times = (0.0, 0.2, 0.1)
+    nsc_traj = [State.from_stacked(grid, st.u, t, True) for t in times]
+    nsf_traj = [State.from_stacked(grid, nsf.u, t, False) for t in times]
+    with pytest.raises(ValueError, match="strictly increase"):
+        error_functional(nsc_traj, nsf_traj, spec, th, 2)
+
+
 def _assert_reports_equal(rep, ref):
     for f in dataclasses.fields(RelaxReport):
         assert getattr(rep, f.name) == getattr(ref, f.name), f.name
