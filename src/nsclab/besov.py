@@ -230,9 +230,8 @@ def _regime_bands(regime: str, th: Thresholds, bands, overlap: int) -> list:
     return [j for j in bands if lo <= j <= hi]
 
 
-def _regime_weights(grid: Grid, regime: str, th: Thresholds, s: float, overlap: bool = False) -> np.ndarray:
-    """2^(js) on each band j of the grid that `regime` picks, 0 on the others."""
-    bands = grid_band_range(grid)
+def _regime_weights(bands: range, regime: str, th: Thresholds, s: float, overlap: bool = False) -> np.ndarray:
+    """2^(js) on each band j of `bands` that `regime` picks, 0 on the others."""
     picked = _regime_bands(regime, th, bands, int(overlap))
     return np.array([2.0 ** (j * s) if j in picked else 0.0 for j in bands])
 
@@ -256,7 +255,7 @@ def besov_seminorm(
 def besov_seminorms(grid: Grid, u: np.ndarray, ss, p: float, regime: str, th: Thresholds, overlap: bool = False) -> list:
     """besov_seminorm of the rows of u (nc, *grid.shape) at each s in ss,
     from one pass over the band norms of the bands the regime picks."""
-    weights = [_regime_weights(grid, regime, th, s, overlap) for s in ss]
+    weights = [_regime_weights(grid_band_range(grid), regime, th, s, overlap) for s in ss]
     norms = _band_norms(grid, u, p, weights[0] != 0)
     return [float(norms @ w) for w in weights]
 

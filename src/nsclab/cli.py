@@ -235,8 +235,14 @@ def _judged(where: str, check, *args) -> None:
         raise ConfigError(f"{where}.{exc}") from None
 
 
-def _log_times(block: dict) -> np.ndarray:
-    return np.logspace(math.log10(float(block["t_min"])), math.log10(float(block["t_max"])), int(block["t_count"]))
+def _log_times(where: str, block: dict) -> np.ndarray:
+    """The log-spaced grid of a study block, r_min to r_max over count radii
+    (spectrum) or t_min to t_max over t_count times; ConfigError unless
+    0 < min < max."""
+    lo, hi, count = ("r_min", "r_max", "count") if "r_min" in block else ("t_min", "t_max", "t_count")
+    if not 0 < float(block[lo]) < float(block[hi]):
+        raise ConfigError(f"{where}.{lo} and {hi} must satisfy 0 < {lo} < {hi}, got {block[lo]!r} and {block[hi]!r}")
+    return np.logspace(math.log10(float(block[lo])), math.log10(float(block[hi])), int(block[count]))
 
 
 def _check_study(name: str, block: dict, d: int, cfg: dict) -> None:
@@ -248,20 +254,27 @@ def _check_study(name: str, block: dict, d: int, cfg: dict) -> None:
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
         raise ConfigError(f"{where}.mode must be {d} integers of magnitude below n/2 = {n / 2:g}, got {mode!r}")
-    for key in ("T", "count", "scaling_factor"):  # a duration, a sample count, a divisor
+    for key in ("T", "count", "t_count", "scaling_factor"):  # a duration, two sample counts, a divisor
         if key in block and not float(block[key]) > 0:
             raise ConfigError(f"{where}.{key} must be positive, got {block[key]!r}")
     if float(block.get("dt", 0.0)) < 0:
         raise ConfigError(f"{where}.dt must be positive, or 0 for the default step, got {block['dt']!r}")
     if name in ("decay-fit", "lyapunov"):
         _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
+    if name in ("spectrum", "decay-fit", "lyapunov"):
+        times = _log_times(where, block)
     if name == "relax-sweep":
         eps = [float(e) for e in block["eps_list"]]
         _judged(where, studies._validate_sweep, d, n, eps, float(block["p"]), block["nonlinear"])
     elif name == "decay-fit":
         _judged(where, studies._validate_decay_ranges, d, float(block["p"]), float(block["sigma"]), float(block["sigma1"]), int(block["t_count"]))
     elif name == "lyapunov":
-        _judged(where, studies._tail_samples, _log_times(block))
+        _judged(where, studies._tail_samples, times)
+    elif name == "bernstein":
+        if not 0 < float(block["sp_min"]) <= float(block["sp_max"]):
+            raise ConfigError(f"{where}.sp_min and sp_max must satisfy 0 < sp_min <= sp_max, got {block['sp_min']!r} and {block['sp_max']!r}")
+        if not float(block["s_min"]) <= float(block["s_max"]):
+            raise ConfigError(f"{where}.s_min must not exceed s_max, got {block['s_min']!r} and {block['s_max']!r}")
     elif name == "initial-layer":
         _judged(where, studies._validate_layer, float(block["efolds"]), int(block["samples"]))
 
@@ -350,7 +363,7 @@ def _random_state(spec, grid, rng, amplitude, decay, flux_init):
 def run_spectrum(cfg, out_dir, rng):
     spec = build_model(cfg)
     p = cfg["study"]["spectrum"]
-    rs = np.logspace(math.log10(float(p["r_min"])), math.log10(float(p["r_max"])), int(p["count"]))
+    rs = _log_times("study.spectrum", p)
     direction = p["direction"]
     if direction is None:
         direction = [1.0] + [0.0] * (spec.d - 1)
@@ -482,7 +495,7 @@ def run_decay_fit(cfg, out_dir, rng):
     r = cfg["radial"]
     sigma1 = float(p["sigma1"])
     prof = evolve.sharp_low_profile(sigma1, spec.d)
-    ts = _log_times(p)
+    ts = _log_times("study.decay-fit", p)
     rep = studies.decay_fit(
         spec, prof, spec.d, float(p["p"]), float(p["sigma"]), sigma1,
         t_grid=ts, r_max=float(r["r_max"]), nodes=int(r["nodes"]),
@@ -558,7 +571,7 @@ def run_lyapunov(cfg, out_dir, rng):
     th = build_thresholds(cfg, spec.eps)
     sigma1 = float(p["sigma1"])
     prof = evolve.sharp_low_profile(sigma1, spec.d)
-    ts = _log_times(p)
+    ts = _log_times("study.lyapunov", p)
     rep = studies.lyapunov_ode_compare(
         spec, prof, th, float(p["p"]), sigma1,
         t_grid=ts, r_max=float(p["r_max"]), nodes=int(r["nodes"]),

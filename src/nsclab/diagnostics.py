@@ -182,16 +182,17 @@ def band_diagnostics(state0: State, spec: ModelSpec, th: Thresholds) -> list:
 # ---------------------------------------------------------------------------
 # Functional tables: entries (name, group, regime, s or a tuple of s, weight,
 # time kind).  At one snapshot an entry is weight * max_s sum_j 2^(js)
-# |group_j| over the bands of its regime under the overlapping split; its
-# time kind takes the max over snapshots (Linf), the trapezoid (L1) or the
-# root of the trapezoid of squares (L2).
+# |group_j| over the bands of its regime under the overlapping split, the
+# bands of a torus grid or of the radial flow's nodes; its time kind takes
+# the max over snapshots (Linf), the trapezoid (L1) or the root of the
+# trapezoid of squares (L2), and is None in a table read at one time.
 
 
 @functools.lru_cache(maxsize=32)
-def _table_weights(table: tuple, grid, th: Thresholds) -> tuple:
-    """Per entry, its regime weights on the grid's bands, one row per s."""
+def _table_weights(table: tuple, bands: range, th: Thresholds) -> tuple:
+    """Per entry, its regime weights on `bands`, one row per s."""
     return tuple(
-        _freeze(np.array([_regime_weights(grid, regime, th, s, overlap=True) for s in (ss if isinstance(ss, tuple) else (ss,))]))
+        _freeze(np.array([_regime_weights(bands, regime, th, s, overlap=True) for s in (ss if isinstance(ss, tuple) else (ss,))]))
         for _, _, regime, ss, _, _ in table
     )
 
@@ -208,7 +209,7 @@ def _evaluate(table: tuple, weights: tuple, norms: dict) -> tuple:
 def _snapshot_values(table: tuple, grid, th: Thresholds, groups: dict) -> tuple:
     """_evaluate at one snapshot of the groups, each mapped to its rows and
     p: one band pass per group, at p != 2 over the bands its entries pick."""
-    weights = _table_weights(table, grid, th)
+    weights = _table_weights(table, grid_band_range(grid), th)
     picked = lambda g: np.any(np.concatenate([ws for (_, h, *_), ws in zip(table, weights) if h == g]), axis=0)
     return _evaluate(table, weights, {g: _band_norms(grid, u, p, picked(g)) for g, (u, p) in groups.items()})
 

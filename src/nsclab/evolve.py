@@ -9,7 +9,9 @@ the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
 of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
 exponential per eigenvalue; radii whose eigenbasis is ill-conditioned keep
 scipy.linalg.expm (scaling and squaring, Higham 2005).  The radial flow
-uses one kernel over its quadrature nodes; the torus builds one kernel per
+uses one kernel over its log-spaced quadrature nodes, and its one norm
+method, RadialFlow.band_norms, turns a sample into per-band L2 norms with
+one band sum; the torus builds one kernel per
 (spec, grid) at the distinct lattice |k|^2 and never forms a per-mode
 matrix: a step gathers the real block of each mode's radius, applies it to
 the longitudinal coordinates (a, i k.v, theta, i k.q) and scales the
@@ -298,6 +300,8 @@ def sharp_low_profile(sigma1: float, d: int) -> RadialDataProfile:
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
+# The lowest radial node of every radial flow.
+_R_MIN = 1e-4
 
 
 def _check_nodes(nodes: int) -> None:
@@ -308,96 +312,48 @@ def _check_nodes(nodes: int) -> None:
 class RadialFlow:
     """Longitudinal linear flow on a log-radial quadrature grid.
 
-    Evaluates u(t, r) = exp(t M_red(r)) u0(r) and turns it into Plancherel
-    L2 norms, dyadic band norms and Besov-type proxies for p > 2.  The nodes
-    are labelled with their dyadic band once (besov.band_labels, the torus
-    rule), so all band norms of a sample come from one band sum.
+    Evaluates u(t, r) = exp(t M_red(r)) u0(r) on nodes log-spaced from
+    1e-4 to r_max, and turns a sample into the L2 norms of Lambda^sigma of
+    named components on every dyadic band: one band sum of the components'
+    |.|^2 r^(2 sigma) against a per-node Plancherel weight built once
+    (sphere area x r^d x log-trapezoid weight / (2 pi)^d).  The nodes are
+    labelled with their dyadic band once (besov.band_labels, the torus
+    rule) and the bands cover every node, so the band norms also sum to the
+    whole-space norm.
     """
 
-    def __init__(
-        self,
-        spec: ModelSpec,
-        profile: RadialDataProfile,
-        r_min: float = 1e-4,
-        r_max: float = 1e4,
-        nodes: int = 4096,
-    ):
+    def __init__(self, spec: ModelSpec, profile: RadialDataProfile, r_max: float = 1e4, nodes: int = 4096):
         _check_nodes(nodes)
         self.spec = spec
-        self.profile = profile
         self.d = spec.d
-        self.r = np.logspace(math.log10(r_min), math.log10(r_max), nodes)
-        self.log_weights = self._trapezoid_weights(np.log(self.r))
+        self.r = np.logspace(math.log10(_R_MIN), math.log10(r_max), nodes)
+        half = 0.5 * np.diff(np.log(self.r))
+        trapezoid = np.pad(half, (0, 1)) + np.pad(half, (1, 0))  # in log r: r^(d-1) dr = r^d d(log r)
+        self.weight = _SPHERE_AREA[self.d] * self.r**self.d * trapezoid / (2.0 * np.pi) ** self.d
         self.bands = dyadic_range(self.r[0], self.r[-1])
         self.labels = band_labels(self.r, self.bands)
         self.kernel = PropagatorKernel(reduced_blocks(spec, self.r))
-        self.ncomp = self.kernel.mats.shape[-1]
-        u0 = np.asarray(profile.amplitude(self.r), dtype=complex)
-        if u0.shape[1] > self.ncomp:
-            u0 = u0[:, : self.ncomp]
-        self.u0 = u0
-
-    @staticmethod
-    def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-        w = np.zeros_like(x)
-        dx = np.diff(x)
-        w[:-1] += 0.5 * dx
-        w[1:] += 0.5 * dx
-        return w
+        self.u0 = np.asarray(profile.amplitude(self.r), dtype=complex)[:, : self.kernel.mats.shape[-1]]
 
     def at(self, t: float) -> np.ndarray:
         """Reduced coefficients at time t, shape (nodes, ncomp)."""
         return self.kernel.apply(t, self.u0)
 
-    def component(self, u: np.ndarray, name: str) -> np.ndarray:
-        """Per-node scalar amplitude |component(r)| of a, v (the reduced
-        omega), theta, q (the reduced sigma), or the derived w and Q."""
-        a, om, th = u[:, 0], u[:, 1], u[:, 2]
-        if name in ("a", "v", "theta", "q"):
-            return np.abs(u[:, ("a", "v", "theta", "q").index(name)])
-        if name == "w":  # effective velocity: omega - a/r along the direction
-            return np.abs(om - a / self.r)
-        if name == "Q":  # damped mode alpha q + kappa grad theta, longitudinal
-            return np.abs(self.spec.alpha * u[:, 3] - self.spec.kappa * self.r * th)
-        raise ValueError(f"unknown component {name!r}")
+    def band_norms(self, u: np.ndarray, comps, sigma: float = 0.0) -> np.ndarray:
+        """L2 norms of Lambda^sigma of the named components of u on every
+        band of self.bands: a, v (the reduced omega), theta, q (the reduced
+        sigma), the effective velocity w = omega - a/r and the longitudinal
+        damped mode Q = alpha sigma - kappa r theta."""
 
-    def l2_norm(self, u: np.ndarray, comps, sigma: float = 0.0) -> float:
-        """Plancherel L2 norm of Lambda^sigma applied to the named components."""
-        area = _SPHERE_AREA[self.d]
-        vals = sum(self.component(u, c) ** 2 for c in comps)
-        w = self.r ** (2.0 * sigma + self.d - 1.0)
-        integral = float(np.sum(vals * w * self.r * self.log_weights))  # extra r: d(log r) quadrature
-        return math.sqrt(area * integral / (2.0 * np.pi) ** self.d)
+        def row(name):
+            if name == "w":
+                return u[:, 1] - u[:, 0] / self.r
+            if name == "Q":
+                return self.spec.alpha * u[:, 3] - self.spec.kappa * self.r * u[:, 2]
+            return u[:, ("a", "v", "theta", "q").index(name)]
 
-    def band_l2_norms(self, u: np.ndarray, comps) -> np.ndarray:
-        """L2 norms of the named components on every band of self.bands."""
-        vals = sum(self.component(u, c) ** 2 for c in comps)
-        weight = self.r ** (self.d - 1.0) * self.r * self.log_weights
-        integrals = band_sums(self.labels, vals * weight, len(self.bands))
-        return np.sqrt(_SPHERE_AREA[self.d] * integrals / (2.0 * np.pi) ** self.d)
-
-    def besov_proxy(self, u: np.ndarray, comps, s: float, p: float) -> float:
-        """sum_j 2^(j(s + d/2 - d/p)) |u_j|_L2: the band-summed L^p proxy."""
-        shift = self.d / 2.0 - self.d / p
-        norms = self.band_l2_norms(u, comps)
-        return float(sum(2.0 ** (j * (s + shift)) * norm for j, norm in zip(self.bands, norms)))
-
-    def lp_norm(self, u: np.ndarray, comps, sigma: float, p: float) -> float:
-        if p == 2:
-            return self.l2_norm(u, comps, sigma)
-        if p < 2:
-            raise ValueError(f"p must be >= 2, got {p}")
-        return self.besov_proxy(u, comps, sigma, p)
-
-    def checked_lp_norm(self, u: np.ndarray, comps, sigma: float, p: float, t: float) -> float:
-        """lp_norm of u = at(t), raising FloatingPointError when the
-        quadrature under- or overflows instead of returning 0 or inf."""
-        val = self.lp_norm(u, comps, sigma, p)
-        if not np.isfinite(val) or (val == 0.0 and self.lp_norm(self.u0, comps, sigma, p) > 0.0):
-            raise FloatingPointError(
-                f"radial quadrature underflow/overflow at t = {t}: norm = {val}"
-            )
-        return val
+        density = sum(np.abs(row(c)) ** 2 for c in comps) * self.r ** (2.0 * sigma)
+        return np.sqrt(band_sums(self.labels, density * self.weight, len(self.bands)))
 
 
 # ---------------------------------------------------------------------------

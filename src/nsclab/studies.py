@@ -3,7 +3,11 @@ epsilon-sweeps, initial-layer measurements, and the Lyapunov-ODE comparison.
 
 Decay and Lyapunov-ODE studies run on the whole-space radial semigroup
 (no grid, no time discretization error); relaxation sweeps and layer fits
-run the exact per-mode linear flow on the torus.  Fits report r^2.
+run the exact per-mode linear flow on the torus.  Fits report r^2.  Both
+radial studies read the per-band norms of `RadialFlow.band_norms`: a decay
+fit sums them (squares at p = 2, the band-weighted proxy at p > 2), and
+the terminal functional `lyapunov_l1` is `_lyapunov_table`, which the
+`diagnostics` engine evaluates on the flow's bands at each sample time.
 
 The linear p = 2 relaxation sweep steps no state: each piece of its error
 functional is a band sum over lattice radii of |C(t, |k|) z(k)|^2, C real, z
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .besov import Thresholds, ThresholdOrderError, _grid_labels, _regime_bands, grid_band_range, make_thresholds
+from .besov import Thresholds, ThresholdOrderError, _grid_labels, grid_band_range, make_thresholds
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps studies.besov_seminorm)
 from .diagnostics import _evaluate, _snapshot_values, _table_weights, _time_reduce, effective_unknowns
 from .evolve import (
@@ -169,18 +173,28 @@ def decay_fit(
     with_tq = sigma <= d / p - 2.0 or spec.kind is SystemKind.NSC
     eps = spec.eps
     flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
+    lift = 2.0 ** (np.array(flow.bands) * (sigma + (d / 2.0 - d / p)))
+
+    def norm(u, comps):
+        """|Lambda^sigma comps|_L2 at p = 2, at p > 2 the band-summed proxy
+        sum_j 2^(j(sigma + d/2 - d/p)) |comps_j|_L2."""
+        if p == 2:
+            return math.sqrt(np.sum(flow.band_norms(u, comps, sigma) ** 2))
+        return float(flow.band_norms(u, comps) @ lift)
+
     vals_av, vals_tq = [], []
     for t in t_grid:
         u = flow.at(float(t))
-        vals_av.append(flow.checked_lp_norm(u, ("a", "v"), sigma, p, t))
+        val = norm(u, ("a", "v"))
+        if not np.isfinite(val) or (val == 0.0 and norm(flow.u0, ("a", "v")) > 0.0):
+            raise FloatingPointError(f"radial quadrature underflow/overflow at t = {t}: norm = {val}")
+        vals_av.append(val)
         if not with_tq:
             continue
         if spec.kind is SystemKind.NSC:
-            nt = flow.lp_norm(u, ("theta",), sigma, p)
-            nq = flow.lp_norm(u, ("q",), sigma, p)
-            vals_tq.append(math.sqrt(nt**2 + (eps * nq) ** 2))
+            vals_tq.append(math.sqrt(norm(u, ("theta",)) ** 2 + (eps * norm(u, ("q",))) ** 2))
         else:
-            vals_tq.append(flow.lp_norm(u, ("theta",), sigma, p))
+            vals_tq.append(norm(u, ("theta",)))
     norms_av = np.asarray(vals_av)
     slope, _, r2 = fit_loglog(1.0 + t_grid, norms_av)
     window = (float(t_grid[0]), float(t_grid[-1]))
@@ -489,7 +503,7 @@ def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresho
             q_mode = np.sum((q_row @ x) ** 2, axis=-1) + decay * perp[:, None]
             out[lo : lo + chunk] = np.swapaxes(np.concatenate([diff, q_mode], axis=-1), 1, 2) @ gram.band.T
     table = _error_table(grid.d, 2.0)
-    weights = _table_weights(table, grid, th)
+    weights = _table_weights(table, grid_band_range(grid), th)
     parts = []
     for s in sums:  # band sums (T, 4, nbands) of |a|^2, |k.v|^2, |theta|^2 of the difference and |Q|^2
         a, v, theta, q = np.moveaxis(grid.L**grid.d * s, 1, 0)
@@ -707,24 +721,34 @@ def layer_scaling(spec: ModelSpec, ill_prepared_state: State, factor: float = 2.
 # Terminal Lyapunov ODE comparison.
 
 
+def _lyapunov_table(d: int, p: float, eps: float) -> tuple:
+    """The terminal decay functional, a `diagnostics` table read at one time:
+    the low group (a, v, theta, eps q), the medium a, w, eps Q and theta at
+    L^p-type exponents, and the high eps a, eps^2 theta, eps^3 q and eps w."""
+    shift = d / 2.0 - d / p
+    return (
+        ("low_state", "state", "low", d / 2 - 1, 1.0, None),
+        ("med_a", "a", "med", d / p + shift, 1.0, None),
+        ("med_w", "w", "med", d / p - 1 + shift, 1.0, None),
+        ("med_Q", "Q", "med", d / p - 2 + shift, eps, None),
+        ("med_theta", "theta", "med", d / p - 2 + shift, 1.0, None),
+        ("high_a", "a", "high", d / 2 + 1, eps, None),
+        ("high_theta", "theta", "high", d / 2 + 1, eps**2, None),
+        ("high_q", "q", "high", d / 2 + 1, eps**3, None),
+        ("high_w", "w", "high", d / 2, eps, None),
+    )
+
+
 def lyapunov_l1(flow: RadialFlow, th: Thresholds, p: float, t: float) -> float:
     """The terminal decay functional: epsilon-weighted regime semi-norms of
     (a, v, theta, q, w, Q) summed over the low, medium and high bands of the
     overlapping split, which repeats J0 and Jeps - 1, Jeps."""
-    d, eps = flow.spec.d, flow.spec.eps
-    j = np.array(flow.bands)
+    eps = flow.spec.eps
+    table = _lyapunov_table(flow.d, p, eps)
     u = flow.at(t)
-    a, v, theta, q, w, Q = (flow.band_l2_norms(u, (c,)) for c in ("a", "v", "theta", "q", "w", "Q"))
-    shift = d / 2.0 - d / p
-    low = 2.0 ** (j * (d / 2 - 1)) * np.sqrt(a**2 + v**2 + theta**2 + eps**2 * q**2)
-    med = (
-        2.0 ** (j * (d / p + shift)) * a
-        + 2.0 ** (j * (d / p - 1 + shift)) * w
-        + 2.0 ** (j * (d / p - 2 + shift)) * (eps * Q + theta)
-    )
-    high = eps * 2.0 ** (j * (d / 2 + 1)) * (a + eps * theta + eps**2 * q) + eps * 2.0 ** (j * (d / 2)) * w
-    picked = lambda regime: np.isin(j, _regime_bands(regime, th, flow.bands, 1))
-    return float(np.sum(low[picked("low")]) + np.sum(med[picked("med")]) + np.sum(high[picked("high")]))
+    norms = {c: flow.band_norms(u, (c,)) for c in ("a", "theta", "q", "w", "Q")}
+    norms["state"] = flow.band_norms(u * [1.0, 1.0, 1.0, eps], ("a", "v", "theta", "q"))  # q scaled by eps
+    return float(sum(_evaluate(table, _table_weights(table, flow.bands, th), norms)))
 
 
 @dataclass

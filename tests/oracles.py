@@ -39,7 +39,6 @@ from nsclab.diagnostics import effective_unknowns
 from nsclab.model import ModelSpec, SystemKind
 from nsclab.besov import ThresholdOrderError, _overlap_band_indices, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
 from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
-from nsclab.evolve import _SPHERE_AREA
 from nsclab.spectral import SpectralField, State, to_physical, to_spectral
 
 
@@ -299,7 +298,8 @@ def first_order_transport_reference(spec, omega):
 
 
 # Dyadic band norms, as nsclab.besov, RadialFlow and studies.lyapunov_l1
-# computed them with one mask per band and per call.
+# computed them with one mask per band and per call; the radial ones read
+# only the nodes, the model coefficients and the reduced coordinates.
 
 
 def band_mask_reference(grid, j):
@@ -338,14 +338,30 @@ def besov_seminorm_reference(f, s, p, regime, th, overlap=False):
     return float(sum(2.0 ** (j * s) * stack_lp_norm_reference(fields, j, p) for j in js))
 
 
-def radial_band_l2_norm_reference(flow, u, comps, j):
-    area = _SPHERE_AREA[flow.d]
-    vals = sum(flow.component(u, c) ** 2 for c in comps)
-    mask = (flow.r >= 2.0**j) & (flow.r < 2.0 ** (j + 1))
-    w = np.where(mask, flow.r ** (flow.d - 1.0), 0.0)
-    integrand = vals * w * flow.r  # extra r: d(log r) quadrature
-    integral = float(np.sum(integrand * flow.log_weights))
-    return math.sqrt(area * integral / (2.0 * np.pi) ** flow.d)
+def _radial_density_reference(flow, u, comps):
+    """sum |component|^2 per node, from the reduced coordinates
+    (a, omega, theta[, sigma]) of u: w = omega - a/r and
+    Q = alpha sigma - kappa r theta."""
+    r, spec = flow.r, flow.spec
+    rows = {"a": u[:, 0], "v": u[:, 1], "theta": u[:, 2], "w": u[:, 1] - u[:, 0] / r}
+    if u.shape[1] == 4:
+        rows.update(q=u[:, 3], Q=spec.alpha * u[:, 3] - spec.kappa * r * u[:, 2])
+    return sum(np.abs(rows[c]) ** 2 for c in comps)
+
+
+def radial_band_l2_norm_reference(flow, u, comps, j, sigma=0.0):
+    """|Lambda^sigma comps|_L2 over the nodes with 2^j <= r < 2^(j+1), or
+    over every node when j is None: the trapezoid rule in log r of
+    |S^(d-1)| r^(2 sigma + d) |comps|^2 / (2 pi)^d."""
+    d, r = flow.d, flow.r
+    x = np.log(r)
+    weights = np.zeros_like(x)
+    weights[:-1] += 0.5 * np.diff(x)
+    weights[1:] += 0.5 * np.diff(x)
+    mask = np.ones(r.shape, bool) if j is None else (r >= 2.0**j) & (r < 2.0 ** (j + 1))
+    integrand = np.where(mask, _radial_density_reference(flow, u, comps) * r ** (2.0 * sigma + d), 0.0)
+    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    return math.sqrt(area * float(np.sum(integrand * weights)) / (2.0 * np.pi) ** d)
 
 
 def radial_besov_proxy_reference(flow, u, comps, s, p):

@@ -116,6 +116,16 @@ def test_seed_must_be_integer(tmp_path):
         ({"study": {"decay-fit": {"sigma": -2.0}}}, "study.decay-fit.sigma ="),
         ({"radial": {"nodes": 511}, "study": {"decay-fit": {}}}, "radial.nodes"),
         ({"study": {"initial-layer": {"samples": 49}}}, "study.initial-layer.samples"),
+        ({"study": {"spectrum": {"r_min": 0.0}}}, "study.spectrum.r_min"),
+        ({"study": {"spectrum": {"r_min": 10.0, "r_max": 1.0}}}, "study.spectrum.r_min"),
+        ({"study": {"decay-fit": {"t_min": 0.0}}}, "study.decay-fit.t_min"),
+        ({"study": {"decay-fit": {"t_min": 100.0, "t_max": 10.0}}}, "study.decay-fit.t_min"),
+        ({"study": {"lyapunov": {"t_min": 0.0}}}, "study.lyapunov.t_min"),
+        ({"study": {"lyapunov": {"t_min": 1000.0, "t_max": 1.0}}}, "study.lyapunov.t_min"),
+        ({"study": {"lyapunov": {"t_count": -1}}}, "study.lyapunov.t_count"),
+        ({"study": {"bernstein": {"sp_min": -1.0}}}, "study.bernstein.sp_min"),
+        ({"study": {"bernstein": {"sp_min": 3.0}}}, "study.bernstein.sp_min"),  # sp_max = 2
+        ({"study": {"bernstein": {"s_min": 1.0, "s_max": -1.0}}}, "study.bernstein.s_min"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

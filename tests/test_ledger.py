@@ -14,6 +14,7 @@ from nsclab.besov import (
     _grid_labels,
     band_labels,
     band_lp_norm,
+    dyadic_range,
     band_profile,
     besov_seminorm,
     grid_band_range,
@@ -23,7 +24,7 @@ from nsclab.diagnostics import dissipation_quantity, lyapunov_high, lyapunov_low
 from nsclab.evolve import RadialDataProfile, RadialFlow, sharp_low_profile
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, State, random_field
-from nsclab.studies import lyapunov_l1
+from nsclab.studies import decay_fit, lyapunov_l1
 from oracles import (
     band_mask_reference,
     besov_seminorm_reference,
@@ -82,11 +83,16 @@ def test_band_labels_half_open_at_powers_of_two():
 @settings(max_examples=15, deadline=None)
 @given(st.integers(-12, -2), st.integers(2, 12), st.integers(512, 1200))
 def test_radial_node_labels_match_masks(log2_min, log2_max, nodes):
+    r = np.logspace(math.log10(2.0**log2_min), math.log10(2.0**log2_max), nodes)
+    bands = dyadic_range(r[0], r[-1])
+    labels = band_labels(r, bands)
+    for i, j in enumerate(bands, start=1):
+        assert np.array_equal(labels == i, (r >= 2.0**j) & (r < 2.0 ** (j + 1)))
+    assert np.all((labels >= 1) & (labels <= len(bands)))
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
-    flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_min=2.0**log2_min, r_max=2.0**log2_max, nodes=nodes)
-    for i, j in enumerate(flow.bands, start=1):
-        assert np.array_equal(flow.labels == i, (flow.r >= 2.0**j) & (flow.r < 2.0 ** (j + 1)))
-    assert np.all((flow.labels >= 1) & (flow.labels <= len(flow.bands)))
+    flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=2.0**log2_max, nodes=nodes)
+    assert flow.bands == dyadic_range(flow.r[0], flow.r[-1])
+    assert np.array_equal(flow.labels, band_labels(flow.r, flow.bands))
 
 
 # ------------------------------------------------- torus norms vs masked sums
@@ -196,14 +202,14 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
     flow = RadialFlow(spec, prof, r_max=64.0, nodes=512)
     t = 10.0**log_t
     u = flow.at(t)
-    norms = flow.band_l2_norms(u, comps)
-    top = float(np.max(norms))
-    for i, j in enumerate(flow.bands):
-        ref = radial_band_l2_norm_reference(flow, u, comps, j)
-        # a band whose square is subnormal keeps only a few digits in either
-        # sum; compare it absolutely, on the scale of the largest band
-        assert close(norms[i], ref, scale=abs(ref) if ref * ref >= np.finfo(float).tiny else top)
-    assert close(flow.besov_proxy(u, comps, s, p), radial_besov_proxy_reference(flow, u, comps, s, p))
+    for sigma in (0.0, s):
+        norms = flow.band_norms(u, comps, sigma)
+        top = float(np.max(norms))
+        for i, j in enumerate(flow.bands):
+            ref = radial_band_l2_norm_reference(flow, u, comps, j, sigma)
+            # a band whose square is subnormal keeps only a few digits in either
+            # sum; compare it absolutely, on the scale of the largest band
+            assert close(norms[i], ref, scale=abs(ref) if ref * ref >= np.finfo(float).tiny else top)
     th = make_thresholds(2, 1.0, spec.eps)
     assert close(lyapunov_l1(flow, th, p, t), lyapunov_l1_reference(flow, th, p, t))
 
@@ -212,5 +218,33 @@ def test_radial_band_norms_partition_l2():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     flow = RadialFlow(spec, _cut_profile(3, np.ones(4), 30.0), r_max=64.0, nodes=1024)
     u = flow.at(1.0)
-    total = math.sqrt(np.sum(flow.band_l2_norms(u, ("a", "v")) ** 2))
-    assert total == pytest.approx(flow.l2_norm(u, ("a", "v")), rel=1e-13)
+    total = math.sqrt(np.sum(flow.band_norms(u, ("a", "v")) ** 2))
+    assert total == pytest.approx(radial_band_l2_norm_reference(flow, u, ("a", "v"), None), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, p, sigma, sigma1", [("nsc", 2.0, 0.0, 1.5), ("nsc", 3.0, 0.25, 0.5), ("nsf", 2.0, -1.0, 1.5)])
+def test_decay_fit_norms_match_reference(kind, p, sigma, sigma1):
+    """decay_fit's norms: the Plancherel integral at p = 2, the band-summed
+    proxy at p > 2, and (theta, eps q) as the root of the two squares."""
+    spec = ModelSpec(kind=kind, d=3, eps=1e-2)
+    prof = sharp_low_profile(sigma1, 3)
+    times = np.logspace(0.0, 2.0, 20)
+    rep = decay_fit(spec, prof, 3, p, sigma, sigma1, t_grid=times, r_max=64.0, nodes=512)
+    flow = RadialFlow(spec, prof, r_max=64.0, nodes=512)
+    if p == 2:
+        norm = lambda u, comps: radial_band_l2_norm_reference(flow, u, comps, None, sigma)
+    else:
+        norm = lambda u, comps: radial_besov_proxy_reference(flow, u, comps, sigma, p)
+    for t, av, tq in zip(times, rep.norms_av, rep.norms_tq, strict=True):
+        u = flow.at(float(t))
+        assert close(av, norm(u, ("a", "v")))
+        ref = math.hypot(norm(u, ("theta",)), spec.eps * norm(u, ("q",))) if kind == "nsc" else norm(u, ("theta",))
+        assert close(tq, ref)
+
+
+def test_decay_fit_reports_quadrature_underflow():
+    """Where every node has decayed below the smallest float, the fit
+    raises instead of taking the log of 0."""
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    with pytest.raises(FloatingPointError, match="underflow"):
+        decay_fit(spec, sharp_low_profile(1.5, 3), 3, 2.0, 0.0, 1.5, t_grid=np.logspace(298.0, 300.0, 20), nodes=512)
