@@ -245,11 +245,15 @@ def _log_times(where: str, block: dict) -> np.ndarray:
     return np.logspace(math.log10(float(block[lo])), math.log10(float(block[hi])), int(block[count]))
 
 
-def _check_study(name: str, block: dict, d: int, cfg: dict) -> None:
-    """Raise ConfigError for a study value of the right kind that the study
-    would still refuse on the d-dimensional grid or the radial nodes of
-    cfg, by the library's own check where it has one."""
+def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> None:
+    """Raise ConfigError for a study the model of spec cannot run, or a
+    study value of the right kind that the study would still refuse on the
+    grid or the radial nodes of cfg, by the library's own check where it
+    has one."""
     where, direction, mode, n = f"study.{name}", block.get("direction"), block.get("mode"), int(cfg["grid"]["n"])
+    d = spec.d
+    if name in ("lyapunov", "bernstein") and spec.kind is model.SystemKind.NSF:
+        raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): its regime thresholds come from model.eps > 0")
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
@@ -314,7 +318,7 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
     for name, block in {**blocks, **cfg["study"]}.items():
-        _check_study(name, block, spec.d, cfg)
+        _check_study(name, block, spec, cfg)
     if study_block and list(study_block) != [study]:
         raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
     if study in _GRID_STUDIES:

@@ -22,10 +22,14 @@ dt by eps; the explicit part of the IMEX step only sees the quadratic
 sources.
 
 The fields are real, so the nonlinear part works on the rfft half lattice
-(last axis 0..n/2).  One source evaluation is two batched transforms: an
-inverse real FFT of every field and derivative the products need, and a
-forward real FFT of the stacked products, dealiased by the 2/3 rule.  The
-IMEX step applies the linear step on the half lattice and rebuilds the full
+(last axis 0..n/2).  One source evaluation writes every field and
+derivative the products need into one half-lattice stack and takes it to
+physical space in two passes: a complex inverse FFT over the leading grid
+axes, in place, then an inverse real FFT along the last axis.  These are
+the passes of scipy's irfftn, bit for bit, without its temporary the size
+of the whole stack.  The products are formed in place in one array and go
+back in one batched forward real FFT, dealiased by the 2/3 rule.  The IMEX
+step applies the linear step on the half lattice and rebuilds the full
 lattice once per step by conjugate mirroring.
 
 scipy is not imported with this module: scipy.fft loads on the first source
@@ -401,88 +405,135 @@ def _full_lattice(grid: Grid, half: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sum_products(out: np.ndarray, tmp: np.ndarray, pairs) -> np.ndarray:
+    """sum(x * y for x, y in pairs) written into out, with tmp as scratch.
+    Like Python's sum it starts from 0, so the bits, signed zeros included,
+    are those of the generator expression."""
+    out.fill(0.0)
+    for x, y in pairs:
+        out += np.multiply(x, y, out=tmp)
+    return out
+
+
+def _source_spectra(u: np.ndarray, spec: ModelSpec, grid: Grid, bounds: np.ndarray) -> np.ndarray:
+    """Half-lattice spectra of every field and derivative the sources need,
+    in one stack split at bounds: the fields, grad a, grad theta, grad v
+    ([i*d + j]: d v_i / dx_j), A v, then div q and grad q (NSC) or Lap theta
+    (NSF).  Every row keeps the operation order of its formula, so its bits
+    do not depend on the buffer it is written into."""
+    ikw, lapw, _, _ = _half_lattice(grid)
+    d, hshape = grid.d, u.shape[1:]
+    v, th = u[1 : 1 + d], u[1 + d]
+    stack = np.empty((bounds[-1] + (d * d if spec.kind is SystemKind.NSC else 0), *hshape), dtype=complex)
+    fields, grad_a, grad_th, grad_v, av, extra, grad_q = np.split(stack, bounds)
+    fields[...] = u[: len(fields)]
+    np.multiply(ikw, u[0], out=grad_a)
+    np.multiply(ikw, th, out=grad_th)
+    np.multiply(ikw[None, :], v[:, None], out=grad_v.reshape(d, d, *hshape))
+    tmp = np.empty(hshape, dtype=complex)
+    if spec.nu > 0:
+        # normalized Lame operator (mu Lap v + (lam + mu) grad div v) / nu
+        div_v = _sum_products(np.empty_like(tmp), tmp, zip(ikw, v))
+        np.multiply(spec.visc_mu, np.multiply(lapw, v, out=av), out=av)
+        for row, k in zip(av, ikw):
+            row += np.multiply(spec.visc_lam + spec.visc_mu, np.multiply(k, div_v, out=tmp), out=tmp)
+        np.true_divide(av, spec.nu, out=av)
+    else:
+        av.fill(0.0)
+    if spec.kind is SystemKind.NSC:
+        q = u[2 + d :]
+        _sum_products(extra[0], tmp, zip(ikw, q))
+        np.multiply(ikw[None, :], q[:, None], out=grad_q.reshape(d, d, *hshape))
+    else:
+        np.multiply(lapw, th, out=extra[0])
+    return stack
+
+
+def _inverse_rfftn(stack: np.ndarray, grid: Grid, workers) -> np.ndarray:
+    """scipy.fft.irfftn of a half-lattice stack over its last d axes
+    (norm="forward"), bit for bit, overwriting the stack: the complex pass
+    over the leading grid axes runs in place, then the real pass along the
+    last axis.  irfftn runs the same two passes, but into a temporary the
+    size of the whole stack."""
+    from scipy.fft import ifftn, irfft  # loaded on the first evaluation
+
+    if grid.d > 1:
+        stack = ifftn(stack, axes=tuple(range(-grid.d, -1)), norm="forward", overwrite_x=True, workers=workers)
+    return irfft(stack, n=grid.n, axis=-1, norm="forward", workers=workers)
+
+
 def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray:
     """Dealiased sources (F, G, H[, I]) on the half lattice, stacked in state
     component order, from half-lattice state coefficients u (a, v, theta[, q]).
 
-    Every field and derivative the products need (36 at d = 3 for NSC) goes
-    to physical space in one batched irfftn, and the products come back in
-    one batched rfftn; norm="forward" keeps the Fourier-series convention.
+    Every field and derivative the products need (36 at d = 3 for NSC) is
+    written into one stack (_source_spectra) and goes to physical space in
+    two passes (_inverse_rfftn): an in-place complex transform over the
+    leading grid axes, then an inverse real transform along the last axis.
+    The products are formed in place in one array, with a few scratch
+    arrays, and come back in one batched rfftn; norm="forward" keeps the
+    Fourier-series convention.  Each product keeps the operation order of
+    its formula, so the bits do not depend on the buffers.
     """
-    from scipy.fft import irfftn, rfftn  # loaded on the first evaluation
+    from scipy.fft import rfftn  # loaded on the first evaluation
 
     workers = _FFT_WORKERS.get()
-    ikw, lapw, drop, _ = _half_lattice(grid)
+    ikw, _, drop, _ = _half_lattice(grid)
     d = grid.d
     nsc = spec.kind is SystemKind.NSC
-    hshape = u.shape[1:]
-    v, th = u[1 : 1 + d], u[1 + d]
+    bounds = np.cumsum([2 + 2 * d if nsc else 2 + d, d, d, d * d, d, 1])
+    phys = _inverse_rfftn(_source_spectra(u, spec, grid, bounds), grid, workers)
 
-    nu = spec.nu
-    # normalized Lame operator applied to v
-    if nu > 0:
-        div_v = sum(ikw[j] * v[j] for j in range(d))
-        av = (spec.visc_mu * (lapw * v) + (spec.visc_lam + spec.visc_mu) * (ikw * div_v)) / nu
-    else:
-        av = np.zeros_like(v)
-    spectra = [
-        u if nsc else u[: 2 + d],
-        ikw * u[0],
-        ikw * th,
-        (ikw[None, :] * v[:, None]).reshape(d * d, *hshape),  # [i*d + j]: d v_i / dx_j
-        av,
-    ]
-    if nsc:
-        q = u[2 + d :]
-        spectra += [
-            sum(ikw[j] * q[j] for j in range(d))[None],
-            (ikw[None, :] * q[:, None]).reshape(d * d, *hshape),
-        ]
-    else:
-        spectra.append((lapw * th)[None])
-    phys = irfftn(
-        np.concatenate(spectra), s=grid.shape, axes=tuple(range(-d, 0)), norm="forward", workers=workers
-    )
-
-    pieces = np.split(phys, np.cumsum([len(x) for x in spectra])[:-1])
-    fields_p, grad_a, grad_th, grad_v, av_p = pieces[:5]
-    a_p = _check_density(fields_p[0])
-    v_p, th_p = fields_p[1 : 1 + d], fields_p[1 + d]
+    fields, grad_a, grad_th, grad_v, av, extra, grad_q = np.split(phys, bounds)
+    a_p = _check_density(fields[0])
+    v_p, th_p = fields[1 : 1 + d], fields[1 + d]
     grad_v = grad_v.reshape(d, d, *grid.shape)
     one_plus = 1.0 + a_p
     jfun = a_p / one_plus
-    div_v = sum(grad_v[i][i] for i in range(d))
+    div_v = np.zeros(grid.shape)
+    for i in range(d):
+        div_v += grad_v[i][i]
+    tmp, acc = np.empty(grid.shape), np.empty(grid.shape)
+    prods = np.empty((2 * d + 1 + (d if nsc else 0), *grid.shape))
 
     # F = -div(a v): the products a v_i here, the divergence after dealiasing
-    prods = [a_p * v_p[i] for i in range(d)]
+    np.multiply(a_p, v_p, out=prods[:d])
 
     # G = -(v.grad)v - J(a) A v + J(a) grad a - theta grad(a)/(1+a)
-    for i in range(d):
-        adv = sum(v_p[j] * grad_v[i][j] for j in range(d))
-        prods.append(-adv - jfun * av_p[i] + jfun * grad_a[i] - th_p * grad_a[i] / one_plus)
+    for i, row in enumerate(prods[d : 2 * d]):
+        np.negative(_sum_products(row, tmp, zip(v_p, grad_v[i])), out=row)
+        row -= np.multiply(jfun, av[i], out=tmp)
+        row += np.multiply(jfun, grad_a[i], out=tmp)
+        row -= np.true_divide(np.multiply(th_p, grad_a[i], out=tmp), one_plus, out=tmp)
 
-    # viscous heating N(grad v, grad v) = (2 mu |Dv|^2 + lam (div v)^2)/nu
-    dv2 = sum(
-        (0.5 * (grad_v[i][j] + grad_v[j][i])) ** 2 for i in range(d) for j in range(d)
-    )
-    nheat = (2.0 * spec.visc_mu * dv2 + spec.visc_lam * div_v**2) / nu if nu > 0 else 0.0
-
-    adv_th = sum(v_p[j] * grad_th[j] for j in range(d))
-    if nsc:
-        flux_term = spec.beta * jfun * pieces[5][0]  # div q
-    else:
-        flux_term = -(spec.beta * spec.kappa / spec.alpha) * jfun * pieces[5][0]  # Lap theta
-    prods.append(-adv_th + flux_term + nheat / one_plus - spec.gamma * th_p * div_v)
-
-    if nsc:
-        q_p = fields_p[2 + d :]
-        grad_q = pieces[6].reshape(d, d, *grid.shape)
+    # H = -v.grad theta + flux + N(grad v, grad v)/(1+a) - gamma theta div v, with
+    # flux = beta J(a) div q (NSC) or -(beta kappa/alpha) J(a) Lap theta (NSF) and
+    # the viscous heating N = (2 mu |Dv|^2 + lam (div v)^2)/nu, 0 if nu = 0
+    row = prods[2 * d]
+    np.negative(_sum_products(row, tmp, zip(v_p, grad_th)), out=row)
+    np.multiply(spec.beta if nsc else -(spec.beta * spec.kappa / spec.alpha), jfun, out=tmp)
+    row += np.multiply(tmp, extra[0], out=tmp)
+    acc.fill(0.0)
+    if spec.nu > 0:
         for i in range(d):
-            adv_q = sum(v_p[j] * grad_q[i][j] for j in range(d))
-            stretch = sum(q_p[j] * grad_v[i][j] for j in range(d))
-            prods.append(-adv_q + stretch - q_p[i] * div_v)
+            for j in range(d):
+                np.add(grad_v[i][j], grad_v[j][i], out=tmp)
+                acc += np.square(np.multiply(0.5, tmp, out=tmp), out=tmp)  # |Dv|^2
+        np.multiply(2.0 * spec.visc_mu, acc, out=acc)
+        acc += np.multiply(spec.visc_lam, np.square(div_v, out=tmp), out=tmp)
+        np.true_divide(acc, spec.nu, out=acc)
+    row += np.true_divide(acc, one_plus, out=acc)
+    row -= np.multiply(np.multiply(spec.gamma, th_p, out=tmp), div_v, out=tmp)
 
-    prods = np.stack(prods)
+    if nsc:
+        # I = -(v.grad)q + (q.grad)v - q div v
+        q_p = fields[2 + d :]
+        grad_q = grad_q.reshape(d, d, *grid.shape)
+        for i, row in enumerate(prods[2 * d + 1 :]):
+            np.negative(_sum_products(row, tmp, zip(v_p, grad_q[i])), out=row)
+            row += _sum_products(acc, tmp, zip(q_p, grad_v[i]))
+            row -= np.multiply(q_p[i], div_v, out=tmp)
+
     if not np.all(np.isfinite(prods)):
         raise NumericalBlowupError("non-finite nonlinear source")
     out = rfftn(prods, axes=tuple(range(-d, 0)), norm="forward", workers=workers)
@@ -498,10 +549,12 @@ def source_terms(state: State, spec: ModelSpec):
     heat capacity).
 
     The fields are real, so only the rfft half lattice of the state is read.
-    All products are formed pointwise in physical space, between one batched
-    inverse real FFT of every field and derivative they need and one batched
-    forward real FFT of the products, and dealiased by the 2/3 rule; the
-    full lattice is rebuilt by conjugate mirroring.  The closure functions
+    All products are formed pointwise in physical space, in place, between
+    the inverse transform of one stack of every field and derivative they
+    need (an in-place complex pass over the leading grid axes, then an
+    inverse real FFT along the last axis) and one batched forward real FFT
+    of the products, and dealiased by the 2/3 rule; the full lattice is
+    rebuilt by conjugate mirroring.  The closure functions
     this produces: J(a) = a/(1+a) on the viscous and flux-divergence
     couplings, -J(a) on grad a, log(1+a) under theta grad(.), and a plain
     theta div v with the temperature-coupling weight.

@@ -126,6 +126,8 @@ def test_seed_must_be_integer(tmp_path):
         ({"study": {"bernstein": {"sp_min": -1.0}}}, "study.bernstein.sp_min"),
         ({"study": {"bernstein": {"sp_min": 3.0}}}, "study.bernstein.sp_min"),  # sp_max = 2
         ({"study": {"bernstein": {"s_min": 1.0, "s_max": -1.0}}}, "study.bernstein.s_min"),
+        ({"model": {"kind": "nsf"}, "study": {"lyapunov": {}}}, "study.lyapunov needs the relaxing system"),
+        ({"model": {"kind": "nsf"}, "study": {"bernstein": {}}}, "study.bernstein needs the relaxing system"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -445,7 +447,7 @@ def test_thread_count_does_not_change_output(tmp_path):
 
 def test_thread_count_reaches_the_source_transforms(tmp_path, monkeypatch):
     seen = []
-    for name in ("irfftn", "rfftn"):
+    for name in ("ifftn", "irfft", "rfftn"):
         real = getattr(scipy.fft, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -459,7 +461,7 @@ def test_thread_count_reaches_the_source_transforms(tmp_path, monkeypatch):
         {"model": {"kind": "nsc", "d": 2, "eps": 0.1}, "grid": {"n": 8}, "seed": 1, "study": {"evolve": {"T": 0.02, "dt": 0.01, "nonlinear": True}}},
     )
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]) == EXIT_OK
-    assert {name for name, _ in seen} == {"irfftn", "rfftn"}
+    assert {name for name, _ in seen} == {"ifftn", "irfft", "rfftn"}
     assert {workers for _, workers in seen} == {2}
 
     # outside the CLI the sources keep scipy's default

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -20,6 +21,7 @@ from nsclab.evolve import (
     sharp_low_profile,
     source_terms,
 )
+from nsclab.evolve import _inverse_rfftn, _nonlinear_sources
 from nsclab.model import ModelSpec, SystemKind, reduced_symbol, symbol
 from nsclab.spectral import (
     Grid,
@@ -337,6 +339,32 @@ def test_sources_match_per_field_reference(d, n, kind, inviscid, seed, a_max, lo
     got = flat(source_terms(st, spec))
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_split_inverse_transform_equals_irfftn(d, workers, rng):
+    grid = Grid(d=d, n={1: 64, 2: 32, 3: 32}[d])
+    shape = (5, *grid.shape[:-1], grid.n // 2 + 1)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = scipy.fft.irfftn(stack, s=grid.shape, axes=tuple(range(-d, 0)), norm="forward", workers=workers)
+    assert np.array_equal(_inverse_rfftn(stack.copy(), grid, workers), want)
+
+
+@pytest.mark.parametrize("kind", ["nsc", "nsf"])
+def test_nonlinear_sources_keep_input_and_share_no_buffer(kind, rng):
+    grid = Grid(d=3, n=8)
+    nsc = kind == "nsc"
+    spec = ModelSpec(kind=kind, d=3, eps=0.3 if nsc else 0.0)
+    half = lambda st: np.ascontiguousarray(st.u[: 5 + 3 * nsc, ..., : grid.n // 2 + 1])
+    u, other = half(rand_state(grid, rng)), half(rand_state(grid, rng, amp=5e-2))
+    u_before = u.copy()
+    first = _nonlinear_sources(u, spec, grid)
+    kept = first.copy()
+    assert np.array_equal(u, u_before)
+    _nonlinear_sources(other, spec, grid)
+    assert np.array_equal(first, kept)  # a later call wrote nothing into an earlier result
+    assert np.array_equal(_nonlinear_sources(u, spec, grid), kept)
 
 
 # ----------------------------------------------------------------- IMEX step
