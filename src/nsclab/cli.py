@@ -252,6 +252,8 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
     has one."""
     where, direction, mode, n = f"study.{name}", block.get("direction"), block.get("mode"), int(cfg["grid"]["n"])
     d = spec.d
+    if name in ("evolve", "initial-layer", "decay-fit", "lyapunov") and spec.kind not in (model.SystemKind.NSC, model.SystemKind.NSF):
+        raise ConfigError(f"{where} needs the full NSC/NSF system (model.kind: nsc or nsf), got {spec.kind.value}")
     if name in ("lyapunov", "bernstein") and spec.kind is model.SystemKind.NSF:
         raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): its regime thresholds come from model.eps > 0")
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):

@@ -7,30 +7,26 @@ that depends on |xi| only, transverse viscous scalars exp(-(mu/nu)|xi|^2 t)
 for the velocity and transverse damping scalars exp(-(alpha/eps^2) t) for
 the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
 of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
-exponential per eigenvalue; radii whose eigenbasis is ill-conditioned keep
-scipy.linalg.expm (scaling and squaring, Higham 2005).  The radial flow
-uses one kernel over its log-spaced quadrature nodes, and its one norm
-method, RadialFlow.band_norms, turns a sample into per-band L2 norms with
-one band sum; the torus builds one kernel per
-(spec, grid) at the distinct lattice |k|^2 and never forms a per-mode
-matrix: a step gathers the real block of each mode's radius, applies it to
-the longitudinal coordinates (a, i k.v, theta, i k.q) and scales the
-transverse parts of v and q by their scalars.  LinearPropagator (stepped by
-linear_trajectory) and the IMEX step share that apply.  The stiff heat-flux
-damping alpha/eps^2 lives inside the exponential, so nothing here restricts
-dt by eps; the explicit part of the IMEX step only sees the quadratic
-sources.
+exponential per eigenvalue; ill-conditioned radii keep scipy.linalg.expm
+(Higham 2005).  The radial flow uses one kernel over its log-spaced nodes,
+and RadialFlow.band_norms turns a sample into per-band L2 norms with one
+band sum.  The torus builds one kernel per (spec, grid) at the distinct
+lattice |k|^2; a step gathers the real block of each mode's radius and
+applies it to -i (a, i k.v, theta, i k.q), with -i on a and theta on the
+way in and i on their rows on the way out, then scales the transverse
+parts of v and q.  The gathered blocks belong to the LinearPropagator or
+IMEX step that built them: nothing per mode is cached beyond it.  The stiff
+damping alpha/eps^2 lives inside the exponential, so nothing here
+restricts dt by eps; the explicit part of the IMEX step only sees the
+quadratic sources.
 
 The fields are real, so the nonlinear part works on the rfft half lattice
-(last axis 0..n/2).  One source evaluation writes every field and
-derivative the products need into one half-lattice stack and takes it to
-physical space in two passes: a complex inverse FFT over the leading grid
-axes, in place, then an inverse real FFT along the last axis.  These are
-the passes of scipy's irfftn, bit for bit, without its temporary the size
-of the whole stack.  The products are formed in place in one array and go
-back in one batched forward real FFT, dealiased by the 2/3 rule.  The IMEX
-step applies the linear step on the half lattice and rebuilds the full
-lattice once per step by conjugate mirroring.
+(last axis 0..n/2): one source evaluation takes one stack of every field
+and derivative the products need to physical space (_inverse_rfftn), forms
+the products in place and brings them back in one batched forward real
+FFT, dealiased by the 2/3 rule.  The IMEX step applies the linear step on
+the half lattice and rebuilds the full lattice once per step by conjugate
+mirroring.
 
 scipy is not imported with this module: scipy.fft loads on the first source
 evaluation and scipy.linalg on the first expm, so a study that reaches
@@ -181,62 +177,70 @@ def _lattice_radii(grid: Grid):
 
 @functools.lru_cache(maxsize=16)
 def _torus_kernel(spec: ModelSpec, grid: Grid):
-    """Longitudinal kernel at the distinct lattice radii of a grid, with
-    the radii, mode-to-radius index and unit wavevectors of _lattice_radii."""
+    """Longitudinal kernel at the distinct lattice radii of a grid, and _lattice_radii(grid)."""
     _check_grid(spec, grid)
     r, radius, khat = _lattice_radii(grid)
     return PropagatorKernel(reduced_blocks(spec, r)), r, radius, khat
 
 
+@functools.lru_cache(maxsize=16)
+def _half_radii(grid: Grid):
+    """_lattice_radii's radius index and unit wavevectors on the rfft half lattice."""
+    _, radius, khat = _lattice_radii(grid)
+    sel = np.arange(radius.size).reshape(grid.shape)[..., : grid.n // 2 + 1].ravel()
+    return _freeze(radius[sel]), _freeze(khat[:, sel])
+
+
 def _mode_blocks(blocks: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Real per-radius blocks B (R, m, m) acting on l = (a, i k.v, theta,
-    i k.q) (k unit), as the per-mode blocks D^H B D (m, m, N) that act on
-    (a, k.v, theta, k.q), D = diag(1, i, 1[, i]).  Each entry is purely real
-    or purely imaginary, so the map at -k stays the exact conjugate."""
-    phase = np.array([1.0, 1j, 1.0, 1j])[: blocks.shape[-1]]
-    return np.ascontiguousarray((phase.conj()[:, None] * blocks * phase)[radius].transpose(1, 2, 0))
+    """Real per-radius blocks (R, m, m) gathered per mode as (m, m, N)."""
+    return np.take(blocks.transpose(1, 2, 0), radius, axis=-1)
 
 
 def _apply_modes(blocks: np.ndarray, tv: np.ndarray, tq: float, khat: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Apply a per-mode map in longitudinal-transverse form to stacked
     coefficients u of shape (nc, *shape), N modes in C order.
 
-    The longitudinal coordinates (a, k.v, theta[, k.q]) (k unit) go through
-    the blocks of _mode_blocks, and the transverse parts v - k (k.v) and
-    q - k (k.q) are scaled by tv (per mode) and tq.  Every state component
-    feeds exactly one longitudinal unknown, so this is the map
-    L^H B L + transverse projectors without forming it per mode.
+    The real blocks of _mode_blocks act on l = (a, i k.v, theta[, i k.q])
+    (k unit) through -i l = (-i a, k.v, -i theta[, k.q]): -i goes on a and
+    theta on the way in, as an exact swap of real and imaginary parts, and
+    i on their rows on the way out.  The transverse parts v - k (k.v) and
+    q - k (k.q) are scaled by tv (per mode) and tq.  This is L^H B L plus
+    transverse projectors; rows accumulate in scratch freed on return.
     """
     m, d = blocks.shape[0], khat.shape[0]
     flat = u.reshape(u.shape[0], -1)
+    out, tmp, acc = np.empty_like(flat), np.empty_like(flat[0]), np.empty_like(flat[0])
     vectors = [(1, tv)] + ([(2 + d, tq)] if m == 4 else [])  # first component, transverse factor
-    dots = [sum(khat[j] * flat[s + j] for j in range(d)) for s, _ in vectors]  # k.v[, k.q]
-    ell = [flat[0], dots[0], flat[1 + d]] + dots[1:]
-    new = blocks[:, 0] * ell[0]
-    for j in range(1, m):
-        new += blocks[:, j] * ell[j]
-    out = np.empty_like(flat)
-    out[0], out[1 + d] = new[0], new[2]
-    for (s, scale), dot, j in zip(vectors, dots, (1, 3)):
-        out[s : s + d] = scale * flat[s : s + d] + khat * (new[j] - scale * dot)
+    ell = np.empty((m, flat.shape[1]), dtype=complex)  # -i l
+    for j, c in ((0, 0), (2, 1 + d)):
+        ell[j].real, ell[j].imag = flat[c].imag, -flat[c].real
+    for (s, _), j in zip(vectors, (1, 3)):
+        _sum_products(ell[j], tmp, zip(khat, flat[s : s + d]))
+    for i, row in enumerate(blocks):
+        np.multiply(row[0], ell[0], out=acc)
+        for j in range(1, m):
+            acc += np.multiply(row[j], ell[j], out=tmp)
+        if i % 2 == 0:  # a, theta
+            np.multiply(1j, acc, out=out[0 if i == 0 else 1 + d])
+        else:  # scale * (x - k (k.x)) + k (new k.x), x = v or q
+            s, scale = vectors[i // 2]
+            acc -= np.multiply(scale, ell[i], out=tmp)
+            for x, k, y in zip(out[s : s + d], khat, flat[s : s + d]):
+                np.multiply(scale, y, out=x)
+                x += np.multiply(k, acc, out=tmp)
     return out.reshape(u.shape)
 
 
-# Four entries hold an IMEX step's exp(dt M) and exp(dt M / 2), or the three
-# segment steps a relaxation sweep reuses between its NSC runs; an entry
-# costs up to 16 complex numbers per mode.
-@functools.lru_cache(maxsize=4)
 def _torus_step(spec: ModelSpec, grid: Grid, t: float, half: bool):
-    """exp(t M(k)) in the form _apply_modes takes, on the full lattice or on
-    its rfft half (last axis 0..n/2): the longitudinal blocks
-    B = exp(t M_red(|k|)) through _mode_blocks, the transverse viscous
-    factor e^(-(mu/nu)|k|^2 t) per mode, the flux factor e^(-(alpha/eps^2) t)
-    and the unit wavevectors.  B is real and k -> -k flips k only, so the
-    map at -k is exactly the conjugate of the map at k."""
+    """exp(t M(k)) in the form _apply_modes takes, on the full lattice or its
+    rfft half (last axis 0..n/2): the real blocks B = exp(t M_red(|k|)) per
+    mode, phase-free (_apply_modes puts -i on a and theta in, i on their
+    rows out), the viscous factor e^(-(mu/nu)|k|^2 t) per mode, the flux
+    factor e^(-(alpha/eps^2) t) and k/|k|.  Built on every call and cached
+    nowhere: nothing per mode outlives the step or propagator holding it."""
     kernel, r, radius, khat = _torus_kernel(spec, grid)
     if half:
-        sel = np.arange(radius.size).reshape(grid.shape)[..., : grid.n // 2 + 1].ravel()
-        radius, khat = radius[sel], khat[:, sel]
+        radius, khat = _half_radii(grid)
     tv = np.exp(-spec.mu_over_nu * r**2 * t)[radius]
     tq = math.exp(-spec.damping_rate * t) if spec.kind is SystemKind.NSC else 0.0
     return _mode_blocks(kernel.matrices(t), radius), tv, tq, khat
@@ -248,12 +252,11 @@ def _check_kind(state: State, spec: ModelSpec) -> None:
 
 
 class LinearPropagator:
-    """exp(dt M) over all modes, for repeated uniform stepping."""
+    """exp(dt M) over all modes, for repeated uniform stepping.  It holds the
+    per-mode factors of _torus_step for as long as it lives."""
 
     def __init__(self, spec: ModelSpec, grid: Grid, dt: float):
-        self.spec = spec
-        self.grid = grid
-        self.dt = dt
+        self.spec, self.grid, self.dt = spec, grid, dt
         self.factors = _torus_step(spec, grid, dt, False)
 
     def step(self, state: State) -> State:
@@ -468,10 +471,8 @@ def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray
 
     Every field and derivative the products need (36 at d = 3 for NSC) is
     written into one stack (_source_spectra) and goes to physical space in
-    two passes (_inverse_rfftn): an in-place complex transform over the
-    leading grid axes, then an inverse real transform along the last axis.
-    The products are formed in place in one array, with a few scratch
-    arrays, and come back in one batched rfftn; norm="forward" keeps the
+    place (_inverse_rfftn).  The products are formed in place in one array
+    and come back in one batched rfftn; norm="forward" keeps the
     Fourier-series convention.  Each product keeps the operation order of
     its formula, so the bits do not depend on the buffers.
     """
@@ -548,16 +549,12 @@ def source_terms(state: State, spec: ModelSpec):
     system, for the ideal-gas closure (pressure factor pi(rho) = rho, unit
     heat capacity).
 
-    The fields are real, so only the rfft half lattice of the state is read.
-    All products are formed pointwise in physical space, in place, between
-    the inverse transform of one stack of every field and derivative they
-    need (an in-place complex pass over the leading grid axes, then an
-    inverse real FFT along the last axis) and one batched forward real FFT
-    of the products, and dealiased by the 2/3 rule; the full lattice is
-    rebuilt by conjugate mirroring.  The closure functions
-    this produces: J(a) = a/(1+a) on the viscous and flux-divergence
-    couplings, -J(a) on grad a, log(1+a) under theta grad(.), and a plain
-    theta div v with the temperature-coupling weight.
+    The fields are real, so only the rfft half lattice of the state is read
+    (_nonlinear_sources) and the full lattice is rebuilt by conjugate
+    mirroring.  The closure functions this produces: J(a) = a/(1+a) on the
+    viscous and flux-divergence couplings, -J(a) on grad a, log(1+a) under
+    theta grad(.), and a plain theta div v with the temperature-coupling
+    weight.
     """
     if spec.kind not in (SystemKind.NSC, SystemKind.NSF):
         raise ValueError("sources are defined for the full NSC/NSF systems")

@@ -128,6 +128,10 @@ def test_seed_must_be_integer(tmp_path):
         ({"study": {"bernstein": {"s_min": 1.0, "s_max": -1.0}}}, "study.bernstein.s_min"),
         ({"model": {"kind": "nsf"}, "study": {"lyapunov": {}}}, "study.lyapunov needs the relaxing system"),
         ({"model": {"kind": "nsf"}, "study": {"bernstein": {}}}, "study.bernstein needs the relaxing system"),
+        ({"model": {"kind": "toy-damped"}, "study": {"evolve": {}}}, "study.evolve needs the full NSC/NSF system"),
+        ({"model": {"kind": "toy-damped"}, "study": {"initial-layer": {}}}, "study.initial-layer needs the full NSC/NSF system"),
+        ({"model": {"kind": "toy-damped"}, "study": {"decay-fit": {}}}, "study.decay-fit needs the full NSC/NSF system"),
+        ({"model": {"kind": "toy-damped"}, "study": {"lyapunov": {}}}, "study.lyapunov needs the full NSC/NSF system"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

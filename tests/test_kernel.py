@@ -1,7 +1,9 @@
 """Property tests of the eigendecomposed propagator kernel and the reduced
 (longitudinal) generator it is built from."""
 
+import gc
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsclab.evolve import (
+    LinearPropagator,
     PropagatorKernel,
     RadialFlow,
     _apply_modes,
     _torus_step,
     expm,
+    imex_step,
     mode_matrices,
     sharp_low_profile,
 )
@@ -228,6 +232,47 @@ def test_torus_kernel_uses_distinct_radii():
     spec = ModelSpec(kind="nsc", d=3, eps=0.05)
     assert len(_torus_kernel(spec, Grid(d=3, n=16))[1]) == 116
     assert len(_torus_kernel(spec, Grid(d=3, n=32))[1]) == 464
+
+
+def _retained_bytes(run) -> int:
+    """Traced bytes still held once run() has returned and gc has run."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_case():
+    spec, grid = ModelSpec(kind="nsc", d=3, eps=0.05), Grid(d=3, n=16)
+    return spec, studies.random_state(grid, np.random.default_rng(0), 1e-2, 3.0)
+
+
+def test_propagators_keep_no_per_mode_memory():
+    # a step's per-mode blocks (16 floats per mode, 0.5 MiB here) live as
+    # long as its propagator and no longer
+    spec, state = _memory_case()
+    LinearPropagator(spec, state.grid, 1e-3).step(state)  # warms the per-grid tables
+
+    def run():
+        for dt in (2e-3, 3e-3, 4e-3, 5e-3, 6e-3):
+            LinearPropagator(spec, state.grid, dt).step(state)
+
+    assert _retained_bytes(run) <= 64 * 1024
+
+
+def test_imex_steps_keep_no_per_mode_memory():
+    spec, state = _memory_case()
+    imex_step(state, spec, 1e-4)  # warms the per-grid tables and the FFTs
+
+    def run():
+        for dt in (2e-4, 3e-4):
+            imex_step(state, spec, dt)
+
+    assert _retained_bytes(run) <= 64 * 1024
 
 
 # ------------------------------------------------------------ radial flow

@@ -254,7 +254,6 @@ def _hermitian_state(grid, rng):
 
 def _clear_kernel_caches():
     evolve._torus_kernel.cache_clear()
-    evolve._torus_step.cache_clear()
 
 
 @settings(max_examples=12, deadline=None)
@@ -457,6 +456,8 @@ def test_slow_projection_keeps_slow_content(rng):
 # the per-mode reference's 8x8 eigenvector matrix is singular (cond 3.5e16)
 # at |k| = sqrt(14) here, and its projection there is off by 22%
 @example(d=3, log_eps=-2.4976429486848915, inviscid=True, seed=329)
+# cond(V) = 1.0e7 at four modes: both sides are off by about 1e-10 there
+@example(d=3, log_eps=-1.6804094782150123, inviscid=True, seed=0)
 def test_slow_projection_matches_per_mode_reference(d, log_eps, inviscid, seed):
     grid = Grid(d=d, n={1: 32, 2: 16, 3: 8}[d])
     visc = {"visc_mu": 0.0, "visc_lam": 0.0} if inviscid else {}
@@ -473,10 +474,22 @@ def test_slow_projection_matches_per_mode_reference(d, log_eps, inviscid, seed):
     assume(np.all(np.abs(lam.real + cut) > 1e-8 * cut))
     # compare where the reference's eigenbasis is trustworthy, at k and -k
     # (re-hermitization mixes the two)
+    mirror = grid.mirror_indices()
     cond = np.linalg.cond(vecs).reshape(grid.shape)
-    ok = (cond < 1e8) & (cond[grid.mirror_indices()] < 1e8)
-    ref = slow_projection_reference(st, spec).u[:, ok]
-    assert np.abs(got[:, ok] - ref).max() <= 1e-12 * np.abs(ref).max()
+    cond = np.maximum(cond, cond[mirror])
+    ok, tight = cond < 1e8, cond <= 1e4
+    ref = slow_projection_reference(st, spec).u
+    err = np.abs(got - ref).max(axis=0)
+    assert err[tight].max(initial=0.0) <= 1e-12 * np.abs(ref[:, ok]).max()
+    # Both sides project through an eigendecomposition, V diag(s) V^-1 x.
+    # Each step is backward stable, with an error of at most n eps |.| for
+    # an n-term product (eps = 2^-52, n = nc the size of the per-mode
+    # matrix), and cond(V) amplifies it, so each side is off by at most
+    # n cond(V) eps |x| at a mode and the two differ by at most twice that.
+    x = np.linalg.norm(st.u, axis=0)
+    x = np.maximum(x, x[mirror])
+    loose = ok & ~tight
+    assert np.all(err[loose] <= 2 * spec.n_components * cond[loose] * 2.0**-52 * x[loose])
 
 
 def test_lyapunov_ode_compare_report():
