@@ -10,9 +10,11 @@ one label array (C order, zero mode unlabelled) and the radial flow labels
 its nodes the same way; every band sum is one `np.bincount` of a per-mode
 density.  Band norms are taken on coefficient stacks (nc, *shape), a row
 slice of `State.u` or a difference of two, rows combined pointwise; the
-functions that take fields or field tuples stack them once.  For p = 2 all
-band norms of a stack come from one pass over sum |c|^2 (Parseval), band
-inner products from one pass over Re(conj f g).  For p != 2 each band that
+functions that take fields or field tuples stack them once.  Every band
+quantity comes from a pass over all bands, and a caller that needs one band
+indexes it.  For p = 2 all band norms of a stack come from one pass over
+sum |c|^2 (Parseval), band inner products (in `diagnostics`) from one
+pass over Re(conj f g).  For p != 2 each band that
 some weight picks takes one complex inverse FFT of the stack: a real
 transform would assume Hermitian input, which a single complex exponential
 is not, and one batched transform over all bands holds every band's
@@ -47,10 +49,8 @@ __all__ = [
     "band_labels",
     "band_sums",
     "band_project",
-    "band_lp_norm",
     "regime_band_indices",
     "besov_seminorm",
-    "besov_seminorms",
     "bernstein_check",
     "BERNSTEIN_INEQUALITIES",
 ]
@@ -178,38 +178,10 @@ def _band_norms(grid: Grid, u: np.ndarray, p: float, keep=None) -> np.ndarray:
     return out
 
 
-def band_lp_norm(f, j: int, p: float = 2) -> float:
-    """Physical L^p norm of the band-j projection (f may be a tuple)."""
-    return _band_norm(*_as_stack(f), j, p)
-
-
-def _band_norm(grid: Grid, u: np.ndarray, j: int, p: float = 2) -> float:
-    """band_lp_norm of the rows of u (nc, *grid.shape); 0 off the grid's bands."""
-    bands = grid_band_range(grid)
-    if j not in bands:
-        return 0.0
-    return float(_band_norms(grid, u, p, np.equal(bands, j))[j - bands.start])
-
-
-def _band_inner(grid: Grid, fu: np.ndarray, gu: np.ndarray, j: int) -> float:
-    """Band-j part of the real L2 inner product sum_i int f_i g_i of the
-    rows of two (nc, *grid.shape) stacks (Parseval)."""
-    bands = grid_band_range(grid)
-    if j not in bands:
-        return 0.0
-    density = sum(np.real(np.conj(x) * y) for x, y in zip(fu, gu))
-    return float(grid.L**grid.d * band_sums(_grid_labels(grid), density, len(bands))[j - bands.start])
-
-
 def regime_band_indices(regime: str, th: Thresholds, bands) -> list:
     """Bands of `bands` that fall in `regime` under the disjoint convention,
     the split of the additivity identity low + med + high = all."""
     return _regime_bands(regime, th, bands, 0)
-
-
-def _overlap_band_indices(regime: str, th: Thresholds, bands) -> list:
-    """Band selection with the overlapping endpoint convention."""
-    return _regime_bands(regime, th, bands, 1)
 
 
 def _regime_bands(regime: str, th: Thresholds, bands, overlap: int) -> list:
@@ -247,17 +219,12 @@ def besov_seminorm(
     """Frequency-restricted homogeneous Besov semi-norm sum_j 2^(js) |f_j|_Lp.
 
     f may be a single field or a tuple of components (combined pointwise).
-    The band range is limited to the grid's populated annuli.
+    The band range is limited to the grid's populated annuli; at p != 2
+    only the bands the regime picks are transformed.
     """
-    return besov_seminorms(*_as_stack(f), (s,), p, regime, th, overlap)[0]
-
-
-def besov_seminorms(grid: Grid, u: np.ndarray, ss, p: float, regime: str, th: Thresholds, overlap: bool = False) -> list:
-    """besov_seminorm of the rows of u (nc, *grid.shape) at each s in ss,
-    from one pass over the band norms of the bands the regime picks."""
-    weights = [_regime_weights(grid_band_range(grid), regime, th, s, overlap) for s in ss]
-    norms = _band_norms(grid, u, p, weights[0] != 0)
-    return [float(norms @ w) for w in weights]
+    grid, u = _as_stack(f)
+    weights = _regime_weights(grid_band_range(grid), regime, th, s, overlap)
+    return float(_band_norms(grid, u, p, weights != 0) @ weights)
 
 
 @dataclass(frozen=True)
@@ -323,10 +290,10 @@ def bernstein_check(
         raise ValueError(f"field must occupy exactly one band, found {occupied}")
     (j,) = occupied
 
-    norm = band_lp_norm(f_band, j, p)
+    norm = float(_band_norms(*_as_stack(f_band), p, np.equal(bands, j))[j - bands.start])
     results = []
     for name, regime, factor, sign in BERNSTEIN_INEQUALITIES:
-        if j not in _overlap_band_indices(regime, th, [j]):
+        if j not in _regime_bands(regime, th, [j], 1):
             continue
         # f_band lies in band j alone: a semi-norm of it is 2^(j s) |f_j|_Lp
         lhs = 2.0 ** (j * s) * norm

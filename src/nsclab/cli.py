@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -254,15 +255,17 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
     d = spec.d
     if name in ("evolve", "initial-layer", "decay-fit", "lyapunov") and spec.kind not in (model.SystemKind.NSC, model.SystemKind.NSF):
         raise ConfigError(f"{where} needs the full NSC/NSF system (model.kind: nsc or nsf), got {spec.kind.value}")
-    if name in ("lyapunov", "bernstein") and spec.kind is model.SystemKind.NSF:
-        raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): its regime thresholds come from model.eps > 0")
+    if name in ("lyapunov", "bernstein", "initial-layer") and spec.kind is model.SystemKind.NSF:
+        raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): it reads model.eps > 0")
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
         raise ConfigError(f"{where}.mode must be {d} integers of magnitude below n/2 = {n / 2:g}, got {mode!r}")
-    for key in ("T", "count", "t_count", "scaling_factor"):  # a duration, two sample counts, a divisor
+    for key in ("T", "count", "t_count", "scaling_factor", "trials"):  # a duration, three sample counts, a divisor
         if key in block and not float(block[key]) > 0:
             raise ConfigError(f"{where}.{key} must be positive, got {block[key]!r}")
+    if name == "sk-check" and int(block["directions"]) < (0 if block["include_axes"] else 1):
+        raise ConfigError(f"{where}.directions must be non-negative, and positive without include_axes, got {block['directions']!r}")
     if float(block.get("dt", 0.0)) < 0:
         raise ConfigError(f"{where}.dt must be positive, or 0 for the default step, got {block['dt']!r}")
     if name in ("decay-fit", "lyapunov"):
@@ -316,6 +319,8 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
         if isinstance(val, bool) or not isinstance(val, int) or val < 0:
             raise ConfigError(f"{key} must be a non-negative integer, got {val!r}")
         cfg[key] = val
+    if not int(cfg["output"]["stride"]) > 0:
+        raise ConfigError(f"output.stride must be positive, got {cfg['output']['stride']!r}")
     if out is not None:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
@@ -327,6 +332,14 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
         build_grid(cfg, spec)
     if spec.kind is model.SystemKind.NSC and study in _THRESHOLD_STUDIES:
         build_thresholds(cfg, spec.eps)
+    elif study == "relax-sweep":  # one split per eps: relax_sweep skips an inverted one and fits the rest
+        kept = 0
+        for eps in {float(e) for e in cfg["study"][study]["eps_list"]}:
+            with contextlib.suppress(besov.ThresholdOrderError):
+                build_thresholds(cfg, eps)
+                kept += 1
+        if kept < 2:
+            raise ConfigError(f"thresholds {cfg['thresholds']} keep J0 <= Jeps at {kept} of study.relax-sweep.eps_list; the fit needs two")
     return cfg
 
 
@@ -436,7 +449,7 @@ def run_evolve(cfg, out_dir, rng):
     dt = float(p["dt"]) or evolve.default_dt(st, spec)
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
-    stride = max(1, int(cfg["output"]["stride"]))
+    stride = int(cfg["output"]["stride"])
 
     rows = []
     artifacts = []

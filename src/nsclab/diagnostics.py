@@ -7,7 +7,12 @@ from tables of their pieces.
 Band norms are taken on row slices of `State.u` and of the effective
 unknowns' stacks (`EffectiveState._Q`, `_w`), once per row group and
 snapshot; X reads scaled rows, all at p = 2.  The band functionals are
-linear: the high-band one carries no density weight.
+linear: the high-band one carries no density weight.  One evaluator,
+`_band_functional`, gives both regimes' norm parts, cross terms and
+dissipation on every band of a snapshot: two band passes at low frequency
+(the (a, v, theta) norms, v . grad a), three at high (theta, q,
+q . grad theta).  The dissipation is the regime's multiple of the norm
+part and takes no pass of its own.
 
 The low-band functional carries a band-weighted cross term
 eta * 2^(-j) * int v_j . grad a_j (a plain 1/2 coefficient would not stay
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import Thresholds, _band_inner, _band_norm, _band_norms, _regime_weights, grid_band_range, regime_band_indices
+from .besov import Thresholds, _band_norms, _grid_labels, _regime_weights, band_sums, grid_band_range, regime_band_indices
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps diagnostics.besov_seminorm)
 from .evolve import LinearPropagator
 from .model import ModelSpec, SystemKind
@@ -37,8 +42,6 @@ __all__ = [
     "effective_unknowns",
     "lyapunov_low",
     "lyapunov_high",
-    "lyapunov_value",
-    "dissipation_quantity",
     "band_diagnostics",
     "functional_X",
 ]
@@ -85,45 +88,51 @@ class LyapunovValue:
     parts: tuple  # (norm_part, cross_part)
 
 
+def _band_functional(state: State, regime: str, spec, eta: float) -> dict:
+    """{j: (E_j, cross_j, D_j)} on every band of grid_band_range: the norm
+    and cross parts of the regime's band functional L_j = E_j + cross_j and
+    its dissipation D_j in d/dt L_j + c D_j <= 0, a multiple of E_j
+    (2^(2j) E_j at low frequency, E_j / eps^2 at high), from one band pass
+    per norm and one for the cross term.  spec is read at high frequency
+    only."""
+    grid, u, d = state.grid, state.u, state.grid.d
+    bands = grid_band_range(grid)
+    inner = lambda f, g: grid.L**d * band_sums(_grid_labels(grid), sum(np.real(np.conj(x) * y) for x, y in zip(f, g)), len(bands))
+    if regime == "low":
+        if not 0 < eta <= 0.25:
+            raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
+        norms, cross = _band_norms(grid, u[: 2 + d], 2), inner(u[1 : 1 + d], _grad(grid, u[0]))
+        parts = [(float(n) ** 2, eta * 2.0 ** (-j) * float(c)) for j, n, c in zip(bands, norms, cross)]
+        return {j: (e, c, 2.0 ** (2 * j) * e) for j, (e, c) in zip(bands, parts)}
+    if regime == "high":
+        if not state.has_flux:
+            raise ValueError("high-band functional needs the heat-flux components")
+        theta, q = _band_norms(grid, u[1 + d : 2 + d], 2), _band_norms(grid, u[2 + d :], 2)
+        cross = inner(u[2 + d :], _grad(grid, u[1 + d]))
+        parts = [
+            (float(t) ** 2 + float(f) ** 2 * spec.eps**2, eta * 2.0 ** (-2 * j) * float(c)) for j, t, f, c in zip(bands, theta, q, cross)
+        ]
+        return {j: (e, c, e / spec.eps**2) for j, (e, c) in zip(bands, parts)}
+    raise ValueError(f"no band functional for regime {regime!r}")
+
+
+def _band_value(state: State, j: int, regime: str, spec, eta: float) -> LyapunovValue:
+    """Band j of _band_functional; 0 off the grid's bands."""
+    norm_part, cross, _ = _band_functional(state, regime, spec, eta).get(j, (0.0, 0.0, 0.0))
+    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross))
+
+
 def lyapunov_low(state: State, j: int, eta: float = 0.25) -> LyapunovValue:
     """Band energy |(a_j, v_j, theta_j)|^2 plus the band-weighted cross term
     eta 2^(-j) int v_j . grad a_j; within [1-2 eta, 1+2 eta] of the norm part."""
-    if not 0 < eta <= 0.25:
-        raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
-    grid, u = state.grid, state.u
-    norm_part = _band_norm(grid, u[: 2 + grid.d], j) ** 2
-    cross = eta * 2.0 ** (-j) * _band_inner(grid, u[1 : 1 + grid.d], _grad(grid, u[0]), j)
-    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross))
+    return _band_value(state, j, "low", None, eta)
 
 
 def lyapunov_high(state: State, j: int, eta: float, spec: ModelSpec) -> LyapunovValue:
     """High-band perturbed energy:
     |theta_j|^2 + |eps q_j|^2 + eta 2^(-2j) int q_j . grad theta_j,
     equivalent to |(theta_j, eps q_j)|^2."""
-    if not state.has_flux:
-        raise ValueError("high-band functional needs the heat-flux components")
-    eps, grid, u = spec.eps, state.grid, state.u
-    norm_part = _band_norm(grid, u[1 + grid.d : 2 + grid.d], j) ** 2 + _band_norm(grid, u[2 + grid.d :], j) ** 2 * eps**2
-    cross = eta * 2.0 ** (-2 * j) * _band_inner(grid, u[2 + grid.d :], _grad(grid, u[1 + grid.d]), j)
-    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross))
-
-
-def lyapunov_value(state: State, j: int, regime: str, spec: ModelSpec, eta: float) -> float:
-    if regime == "low":
-        return lyapunov_low(state, j, eta).value
-    if regime == "high":
-        return lyapunov_high(state, j, eta, spec).value
-    raise ValueError(f"no band functional for regime {regime!r}")
-
-
-def dissipation_quantity(state: State, j: int, regime: str, spec: ModelSpec) -> float:
-    """The regime's dissipation functional entering d/dt L_j + c D_j <= 0."""
-    grid, u, d = state.grid, state.u, state.grid.d
-    if regime == "low":
-        return 2.0 ** (2 * j) * _band_norm(grid, u[: 2 + d], j) ** 2
-    if regime == "high":
-        return (_band_norm(grid, u[1 + d : 2 + d], j) ** 2 + spec.eps**2 * _band_norm(grid, u[2 + d :], j) ** 2) / spec.eps**2
-    raise ValueError(f"unknown regime {regime!r}")
+    return _band_value(state, j, "high", spec, eta)
 
 
 def _regime_rate(spec: ModelSpec, j: int, regime: str) -> float:
@@ -138,8 +147,9 @@ def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
     differences d/dt L_j at the interior snapshots, which need a uniform
     stride resolving the regime's rate.  traj may be any iterable; it is
     read once."""
-    rows = [(s.time, lyapunov_value(s, j, regime, spec, eta), dissipation_quantity(s, j, regime, spec)) for s in traj]
-    times, lyap, diss = (np.array(c) for c in zip(*rows))
+    rows = [(s.time, *_band_functional(s, regime, spec, eta).get(j, (0.0, 0.0, 0.0))) for s in traj]
+    times, norm_part, cross, diss = (np.array(c) for c in zip(*rows))
+    lyap = norm_part + cross
     dts, rate = np.diff(times), _regime_rate(spec, j, regime)
     if not np.allclose(dts, dts[0], rtol=1e-8):
         raise ValueError("trajectory snapshots must be uniformly spaced")

@@ -37,7 +37,7 @@ from scipy.integrate import ode, solve_ivp
 from nsclab.evolve import _check_density, _torus_kernel, default_dt, imex_step, linear_trajectory, mode_matrices
 from nsclab.diagnostics import effective_unknowns
 from nsclab.model import ModelSpec, SystemKind
-from nsclab.besov import ThresholdOrderError, _overlap_band_indices, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
+from nsclab.besov import ThresholdOrderError, _regime_bands, besov_seminorm, grid_band_range, make_thresholds
 from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
 from nsclab.spectral import SpectralField, State, to_physical, to_spectral
 
@@ -333,8 +333,7 @@ def stack_lp_norm_reference(fields, j, p):
 def besov_seminorm_reference(f, s, p, regime, th, overlap=False):
     fields = list(f) if isinstance(f, (tuple, list)) else [f]
     bands = grid_band_range(fields[0].grid)
-    pick = _overlap_band_indices if overlap else regime_band_indices
-    js = pick(regime, th, bands)
+    js = _regime_bands(regime, th, bands, int(overlap))
     return float(sum(2.0 ** (j * s) * stack_lp_norm_reference(fields, j, p) for j in js))
 
 

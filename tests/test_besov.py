@@ -8,13 +8,13 @@ from hypothesis import strategies as hst
 from nsclab.besov import (
     REGIMES,
     ThresholdOrderError,
-    _overlap_band_indices,
-    band_lp_norm,
+    _band_norms,
+    _regime_bands,
+    _regime_weights,
     band_profile,
     band_project,
     bernstein_check,
     besov_seminorm,
-    besov_seminorms,
     floor_log2,
     grid_band_range,
     make_thresholds,
@@ -196,7 +196,7 @@ def test_band_profile_rows(rng):
     rows = list(prof.rows())
     assert rows and all(len(r) == 5 for r in rows)
     js = sorted({r[0] for r in rows})
-    assert js == [j for j in grid_band_range(g) if band_lp_norm(f, j, 2) > 0]
+    assert js == [j for j in grid_band_range(g) if band_project(f, j).l2_norm() > 0]
 
 
 # ------------------------------------------ band norms on stacks (hypothesis)
@@ -213,9 +213,9 @@ def test_band_profile_rows(rng):
     seed=hst.integers(0, 2**32 - 1),
 )
 def test_seminorms_on_stacks_equal_field_tuples(grid, has_flux, p, regime, overlap, rows, seed):
-    """besov_seminorms on a row slice of State.u, or on a difference of two,
-    equals besov_seminorm on the same rows as a field tuple, bit for bit,
-    and leaves the stack as it was."""
+    """The band norms of a row slice of State.u, or of a difference of two,
+    dotted with the regime weights, equal besov_seminorm on the same rows as
+    a field tuple, bit for bit, and leave the stack as it was."""
     rng = np.random.default_rng(seed)
     nc = 2 * grid.d + 2 if has_flux else grid.d + 2
     shape = (nc, *grid.shape)
@@ -223,16 +223,16 @@ def test_seminorms_on_stacks_equal_field_tuples(grid, has_flux, p, regime, overl
     lo = min(rows[0], nc - 1)
     hi = min(max(lo + 1, rows[1]), nc)
     th = make_thresholds(2, 1.0, 1 / 8)  # J0 = 1, Jeps = 3
-    pick = _overlap_band_indices if overlap else regime_band_indices
     ss = (-1.0, 0.5, 1.5)
+    weights = [_regime_weights(grid_band_range(grid), regime, th, s, overlap) for s in ss]
     for u, fields in (
         (st.u[lo:hi], st.fields()[lo:hi]),
         (st.u[lo:hi] - other.u[lo:hi], [SpectralField(grid, x.coeffs - y.coeffs) for x, y in zip(st.fields()[lo:hi], other.fields()[lo:hi])]),
     ):
         before = u.copy()
         with mock.patch.object(np.fft, "ifftn", wraps=np.fft.ifftn) as ifftn:
-            got = besov_seminorms(grid, u, ss, p, regime, th, overlap)
+            norms = _band_norms(grid, u, p, weights[0] != 0)
         # one transform per band the regime picks, none at p = 2
-        assert ifftn.call_count == (0 if p == 2 else len(pick(regime, th, grid_band_range(grid))))
-        assert got == [besov_seminorm(tuple(fields), s, p, regime, th, overlap) for s in ss]
+        assert ifftn.call_count == (0 if p == 2 else len(_regime_bands(regime, th, grid_band_range(grid), int(overlap))))
+        assert [float(norms @ w) for w in weights] == [besov_seminorm(tuple(fields), s, p, regime, th, overlap) for s in ss]
         assert np.array_equal(u, before)

@@ -132,6 +132,13 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"kind": "toy-damped"}, "study": {"initial-layer": {}}}, "study.initial-layer needs the full NSC/NSF system"),
         ({"model": {"kind": "toy-damped"}, "study": {"decay-fit": {}}}, "study.decay-fit needs the full NSC/NSF system"),
         ({"model": {"kind": "toy-damped"}, "study": {"lyapunov": {}}}, "study.lyapunov needs the full NSC/NSF system"),
+        ({"model": {"kind": "nsf"}, "study": {"initial-layer": {}}}, "study.initial-layer needs the relaxing system"),
+        ({"thresholds": {"K": 1}}, "K must be an integer >= 2"),
+        ({"thresholds": {"k": 3.0}}, "k must satisfy 0 < k <= 1"),
+        ({"thresholds": {"K": 1024}}, "keep J0 <= Jeps at 0 of study.relax-sweep.eps_list"),
+        ({"study": {"sk-check": {"directions": 0, "include_axes": False}}}, "study.sk-check.directions"),
+        ({"study": {"bernstein": {"trials": 0}}}, "study.bernstein.trials"),
+        ({"output": {"stride": -3}}, "output.stride"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -358,8 +365,8 @@ def test_band_diagnostics_evaluate_each_series_once(tmp_path, monkeypatch):
         },
     )
     calls = []
-    counted = diagnostics.lyapunov_value
-    monkeypatch.setattr(diagnostics, "lyapunov_value", lambda *a, **k: calls.append(1) or counted(*a, **k))
+    counted = diagnostics._band_functional
+    monkeypatch.setattr(diagnostics, "_band_functional", lambda *a: calls.append(1) or counted(*a))
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     rows = (out / "band_diagnostics.csv").read_text().splitlines()[1:]

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from nsclab.besov import _as_stack, _band_inner, _band_norm, band_project, besov_seminorm, make_thresholds
+from nsclab.besov import _band_norms, band_project, besov_seminorm, grid_band_range, make_thresholds
 from nsclab.diagnostics import (
+    _band_functional,
     _calibrate,
     _centered_series,
     _regime_rate,
     _x_table,
-    dissipation_quantity,
     effective_unknowns,
     functional_X,
     lyapunov_high,
@@ -28,12 +28,14 @@ from nsclab.spectral import (
     zero_state,
 )
 from nsclab.studies import _fit_line, random_state, sampled_linear_trajectory, slow_projection, well_prepared_flux
-from oracles import grad, grad_j
+from oracles import _inner_reference, grad, grad_j
 
 
 def band_inner(f, g, j: int) -> float:
-    """Band-j part of the real L2 inner product sum_i int f_i g_i (Parseval)."""
-    return _band_inner(*_as_stack(f), _as_stack(g)[1], j)
+    """Band-j part of the real L2 inner product sum_i int f_i g_i (Parseval)
+    of two fields or two tuples of fields."""
+    pairs = zip(*(x if isinstance(x, tuple) else (x,) for x in (f, g)), strict=True)
+    return sum(_inner_reference(band_project(x, j), y) for x, y in pairs)
 
 
 def curl_linf(fields) -> float:
@@ -75,7 +77,7 @@ def dissipation_residual(traj, j, regime, spec, th, eta=0.1, c=None):
 def damped_mode_rate(traj, j, spec):
     """Exponential decay rate of |Q_j| fitted on log-linear least squares."""
     times = np.array([s.time for s in traj])
-    vals = np.array([_band_norm(s.grid, effective_unknowns(s, spec)._Q, j) for s in traj])
+    vals = np.array([_band_norms(s.grid, effective_unknowns(s, spec)._Q, 2)[j - grid_band_range(s.grid).start] for s in traj])
     if np.any(vals <= 0):
         raise ValueError("damped-mode norm vanished; nothing to fit")
     slope, _, r2 = _fit_line(times, np.log(vals))
@@ -272,8 +274,8 @@ def test_dissipation_residual_calibrates_from_one_series(rng, monkeypatch):
     traj = linear_trajectory(slow_projection(band_state(grid, rng, j, amp=1e-3), spec), spec, dt, 12)
     c = calibrate_dissipation([traj], j, "low", spec, th)
     calls = []
-    counted = diagnostics.lyapunov_value
-    monkeypatch.setattr(diagnostics, "lyapunov_value", lambda *a, **k: calls.append(1) or counted(*a, **k))
+    counted = diagnostics._band_functional
+    monkeypatch.setattr(diagnostics, "_band_functional", lambda *a: calls.append(1) or counted(*a))
     times, res, violations = dissipation_residual(traj, j, "low", spec, th)
     assert len(calls) == len(traj)
     times_c, res_c, violations_c = dissipation_residual(traj, j, "low", spec, th, c=c)
@@ -369,6 +371,20 @@ def test_centered_series_reads_a_generator_once(rng, regime, j):
     want = _centered_series(traj, j, regime, spec, 0.1)
     got = _centered_series((s for s in traj), j, regime, spec, 0.1)
     assert all(np.array_equal(w, g) for w, g in zip(want, got, strict=True))
+
+
+@pytest.mark.parametrize("regime, j, passes", [("low", 1, 2), ("high", 3, 3)])
+def test_centered_series_takes_two_band_passes_low_and_three_high(rng, monkeypatch, regime, j, passes):
+    # a band pass is one bincount over the grid's labels: the norm parts and
+    # the cross term take one each, the dissipation none of its own
+    grid = Grid(d=2, n=16)
+    spec = ModelSpec(kind="nsc", d=2, eps=0.25)
+    traj = linear_trajectory(band_state(grid, rng, j, amp=1e-3), spec, 5e-3 / _regime_rate(spec, j, regime), 8)
+    calls = []
+    counted = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or counted(*a, **k))
+    _centered_series(traj, j, regime, spec, 0.1)
+    assert len(calls) == passes * len(traj)
 
 
 def test_damped_mode_rate_matches_eigenvalue(rng):
@@ -560,8 +576,8 @@ def test_functional_X_takes_one_band_pass_per_group(grid2d, rng, monkeypatch):
 def test_dissipation_quantity_regimes(grid2d, rng):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     st = band_state(grid2d, rng, 2, amp=1e-2)
-    low = dissipation_quantity(st, 2, "low", spec)
-    high = dissipation_quantity(st, 2, "high", spec)
+    low = _band_functional(st, "low", spec, 0.1)[2][2]
+    high = _band_functional(st, "high", spec, 0.25)[2][2]
     assert low > 0 and high > 0
     with pytest.raises(ValueError):
-        dissipation_quantity(st, 2, "sideways", spec)
+        _band_functional(st, "sideways", spec, 0.1)

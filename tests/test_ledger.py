@@ -13,14 +13,15 @@ from nsclab.besov import (
     ThresholdOrderError,
     _grid_labels,
     band_labels,
-    band_lp_norm,
+    _as_stack,
+    _band_norms,
     dyadic_range,
     band_profile,
     besov_seminorm,
     grid_band_range,
     make_thresholds,
 )
-from nsclab.diagnostics import dissipation_quantity, lyapunov_high, lyapunov_low
+from nsclab.diagnostics import _band_functional, lyapunov_high, lyapunov_low
 from nsclab.evolve import RadialDataProfile, RadialFlow, sharp_low_profile
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, State, random_field
@@ -132,8 +133,8 @@ def test_besov_matches_masked_reference(dn, L, seed, count, p, regime, overlap, 
     ref = besov_seminorm_reference(f, s, p, regime, th, overlap)
     assert close(besov_seminorm(f, s, p, regime, th, overlap), ref)
     bands = grid_band_range(grid)
-    for j in [bands.start - 1, *bands, bands.stop]:
-        assert close(band_lp_norm(f, j, p), stack_lp_norm_reference(fields, j, p))
+    for j, norm in zip(bands, _band_norms(*_as_stack(f), p), strict=True):
+        assert close(norm, stack_lp_norm_reference(fields, j, p))
     prof = band_profile({"f": f})
     for j in bands:
         got = prof.entries.get(j, {}).get("f", 0.0)
@@ -168,9 +169,24 @@ def test_band_functionals_match_projection_reference(dn, L, seed, eta, eps):
         value, parts = lyapunov_high_reference(state, j, eta, spec)
         assert close(hi.value, value, scale=parts[0])
         assert all(close(x, y, scale=parts[0]) for x, y in zip(hi.parts, parts))
-        for regime in ("low", "high"):
-            ref = dissipation_quantity_reference(state, j, regime, spec)
-            assert close(dissipation_quantity(state, j, regime, spec), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 32), (2, 16), (3, 8)]), box_lengths, seeds, st.floats(0.05, 0.25), st.floats(1e-3, 0.5))
+def test_band_dissipation_is_the_regime_multiple_of_the_norm_part(dn, L, seed, eta, eps):
+    """On every band of the grid, D_j is 2^(2j) E_j at low frequency and
+    E_j / eps^2 at high, and matches the dissipation of the band
+    projections."""
+    d, n = dn
+    grid = Grid(d=d, n=n, L=L)
+    spec = ModelSpec(kind="nsc", d=d, eps=eps)
+    state = _state(grid, seed, 1e-3)
+    for regime, factor in (("low", lambda j: 2.0 ** (2 * j)), ("high", lambda j: eps**-2)):
+        rows = _band_functional(state, regime, spec, eta)
+        assert list(rows) == list(grid_band_range(grid))
+        for j, (norm_part, _, diss) in rows.items():
+            assert close(diss, factor(j) * norm_part)
+            assert close(diss, dissipation_quantity_reference(state, j, regime, spec))
 
 
 # ------------------------------------------------------ radial flow vs masks
