@@ -228,10 +228,12 @@ def _merge(where: str, defaults: dict, override, extra=()) -> dict:
     return {**defaults, **override}
 
 
-def _judged(where: str, check, *args) -> None:
-    """check(*args), its ValueError (argument name first) a ConfigError."""
+def _judged(where: str, check, *args):
+    """check(*args); a ValueError (argument name first) but a ThresholdOrderError becomes a ConfigError."""
     try:
-        check(*args)
+        return check(*args)
+    except besov.ThresholdOrderError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{where}.{exc}") from None
 
@@ -362,7 +364,7 @@ def build_grid(cfg: dict, spec: model.ModelSpec) -> spectral.Grid:
 
 def build_thresholds(cfg: dict, eps: float) -> besov.Thresholds:
     t = cfg["thresholds"]
-    return besov.make_thresholds(int(t["K"]), float(t["k"]), eps)
+    return _judged("thresholds", besov.make_thresholds, int(t["K"]), float(t["k"]), eps)
 
 
 def _random_state(spec, grid, rng, amplitude, decay, flux_init):

@@ -126,9 +126,9 @@ class PropagatorKernel:
     """exp(t M) for a stack of real generators from one eigendecomposition.
 
     The generators do not depend on t, so M = V diag(lambda) V^-1 is
-    computed once and exp(t M) = V diag(e^(t lambda)) V^-1 at every t (the
-    eigenvector method of Moler & Van Loan 2003).  Generators with
-    cond(V) > _COND_MAX are kept aside and take expm at every t.
+    computed once and exp(t M) = sum_k e^(t lambda_k) v_k w_k^T (w_k row k of
+    V^-1; Moler & Van Loan 2003's eigenvector method) at every t.  Generators
+    with cond(V) > _COND_MAX are kept aside and take expm at every t.
     """
 
     def __init__(self, mats: np.ndarray):
@@ -137,17 +137,24 @@ class PropagatorKernel:
         self.fallback = np.flatnonzero(~(np.linalg.cond(vecs) <= _COND_MAX))
         lam[self.fallback] = 0.0
         vecs[self.fallback] = np.eye(self.mats.shape[-1])
-        self.lam = lam
+        self.lam = lam.astype(complex)  # eig returns real lam when every eigenvalue is real
         self.vecs = vecs
         self.vinv = np.linalg.inv(vecs)
 
+    @functools.cached_property
+    def projectors(self) -> np.ndarray:
+        """P_k = v_k w_k^T as rows 2k = Re P_k and 2k + 1 = -Im P_k, shape (N, 2m, m^2); built on first use, never by `apply`."""
+        p = np.einsum("nik,nkj->nkij", self.vecs, self.vinv).reshape(*self.lam.shape, -1)
+        return np.stack([p.real, -p.imag], axis=2).reshape(p.shape[0], -1, p.shape[-1])
+
     def matrices(self, t) -> np.ndarray:
-        """exp(t M) per generator, real, shape (N, m, m); for a 1-d array of
-        T times, shape (T, N, m, m)."""
-        t = np.asarray(t, dtype=float)[..., None, None]
-        out = ((self.vecs * np.exp(t * self.lam)[..., None, :]) @ self.vinv).real
+        """exp(t M) per generator, real, shape (N, m, m); for a 1-d array of T
+        times, shape (T, N, m, m): e^(t lambda) as (N, T, 2m) reals times the projectors."""
+        t = np.asarray(t, dtype=float)
+        out = np.exp(np.atleast_1d(t)[:, None] * self.lam[:, None, :]).view(float) @ self.projectors
+        out = np.moveaxis(out, 0, 1).reshape(*t.shape, *self.mats.shape)
         if self.fallback.size:
-            out[..., self.fallback, :, :] = expm(t[..., None] * self.mats[self.fallback]).real
+            out[..., self.fallback, :, :] = expm(t[..., None, None, None] * self.mats[self.fallback]).real
         return out
 
     def apply(self, t: float, u: np.ndarray) -> np.ndarray:

@@ -473,9 +473,12 @@ def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresho
     Fourier-law run reads the first three rows.  At each time the rows of
     B(t) S F - [B_NSF(t) 0] F carry the (a, k.v, theta) differences and the
     row (0, 0, -kappa w |k|, alpha) of B(t) S F the longitudinal damped
-    mode.  The transverse velocity is the same in both runs, so its
-    difference vanishes; the transverse damped mode is
-    alpha^2 e^(-2 alpha t/eps^2) sum |P q0|^2.
+    mode.  B(t) = sum_k e^(t lambda_k) P_k, so these rows are the 4 + 3
+    exponentials (real, imaginary) times rows of P_k S F and -P_k^NSF F,
+    formed once per eps: one (K, T, 14) @ (K, 14, 16) matmul per time chunk
+    and data kind; keys on an expm radius take `matrices`.  The transverse
+    velocity is the same in both runs, so its difference vanishes; the
+    transverse damped mode is alpha^2 e^(-2 alpha t/eps^2) sum |P q0|^2.
     """
     kernel, r, _, _ = _torus_kernel(spec, grid)
     kernel_nsf = _torus_kernel(spec.to_nsf(), grid)[0]
@@ -488,20 +491,27 @@ def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresho
         wp = f.copy()
         wp[:, 3] = (spec.kappa / spec.alpha) * rw[:, None] * f[:, 2]
         starts.append((wp, np.zeros_like(gram.perp_q)))
-    q_row = np.zeros((rad.size, 1, 4))
-    q_row[:, 0, 2], q_row[:, 0, 3] = -spec.kappa * rw, spec.alpha
+    rows = np.tile(np.eye(4), (rad.size, 1, 1))  # (a, k.v, theta, damped mode)
+    rows[:, 3, 2], rows[:, 3, 3] = -spec.kappa * rw, spec.alpha
+    nsf = -np.eye(4, 3) @ kernel_nsf.projectors[rad].reshape(-1, 3, 2, 3, 3) @ f[:, None, None, :3]
+    proj = rows[:, None, None] @ kernel.projectors[rad].reshape(-1, 4, 2, 4, 4)
+    coefs = [np.concatenate([proj @ data[:, None, None], nsf], axis=1).reshape(-1, 14, 16) for data, _ in starts]
+    lam = np.concatenate([kernel.lam[rad], kernel_nsf.lam[rad]], axis=1)
+    fb = np.flatnonzero(np.isin(rad, kernel.fallback) | np.isin(rad, kernel_nsf.fallback))
     sums = np.empty((len(starts), len(times), 4, gram.band.shape[0]))
     chunk = max(1, _GRAM_CHUNK // r.size)
     for lo in range(0, len(times), chunk):
         ts = times[lo : lo + chunk]
-        b = kernel.matrices(ts)[:, rad]
-        y = kernel_nsf.matrices(ts)[:, rad] @ f[:, :3]
-        decay = spec.alpha**2 * np.exp(-2.0 * spec.damping_rate * ts)[:, None, None]
-        for out, (data, perp) in zip(sums, starts):
-            x = b @ data
-            diff = np.sum((x[..., :3, :] - y) ** 2, axis=-1)
-            q_mode = np.sum((q_row @ x) ** 2, axis=-1) + decay * perp[:, None]
-            out[lo : lo + chunk] = np.swapaxes(np.concatenate([diff, q_mode], axis=-1), 1, 2) @ gram.band.T
+        e = np.exp(ts[:, None] * lam[:, None, :]).view(float)  # (K, T, 14)
+        if fb.size:
+            b, y = rows[fb] @ kernel.matrices(ts)[:, rad[fb]], np.eye(4, 3) @ kernel_nsf.matrices(ts)[:, rad[fb]] @ f[fb, :3]
+        for out, c, (data, perp) in zip(sums, coefs, starts):
+            x = (e @ c).reshape(rad.size, ts.size, 4, 4)
+            if fb.size:
+                x[fb] = np.swapaxes(b @ data[fb] - y, 0, 1)
+            sq = np.sum(x**2, axis=-1)  # (K, T, 4): |a|^2, |k.v|^2, |theta|^2 of the difference and |Q|^2
+            sq[..., 3] += spec.alpha**2 * np.exp(-2.0 * spec.damping_rate * ts) * perp[:, None]
+            out[lo : lo + chunk] = np.moveaxis(sq, 0, -1) @ gram.band.T
     table = _error_table(grid.d, 2.0)
     weights = _table_weights(table, grid_band_range(grid), th)
     parts = []

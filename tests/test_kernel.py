@@ -104,13 +104,18 @@ def test_kernel_apply_matches_matrices(rng):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(u).max()
 
 
-def test_defective_block_takes_fallback():
+def _defective_block():
     # a real 4x4 generator with a 2x2 Jordan block at -1, conjugated by a
-    # fixed well-conditioned basis, next to a diagonalizable stiff block
+    # fixed well-conditioned basis
     jordan = np.diag([-1.0, -1.0, -3.0, -1e4])
     jordan[0, 1] = 1.0
     s = np.array([[1.0, 0.2, 0.0, 0.1], [0.0, 1.0, 0.3, 0.0], [0.1, 0.0, 1.0, 0.2], [0.0, 0.1, 0.0, 1.0]])
-    defective = s @ jordan @ np.linalg.inv(s)
+    return s @ jordan @ np.linalg.inv(s)
+
+
+def test_defective_block_takes_fallback():
+    # the defective block next to a diagonalizable stiff block
+    defective = _defective_block()
     smooth = reduced_blocks(ModelSpec(kind="nsc", d=3, eps=1e-2), [1.0])[0]
     kernel = PropagatorKernel(np.stack([smooth, defective]))
     assert list(kernel.fallback) == [1]
@@ -121,6 +126,21 @@ def test_defective_block_takes_fallback():
         assert np.abs(mats[0] - scipy.linalg.expm(t * smooth)).max() <= 1e-12
         ref = np.einsum("nij,nj->ni", mats, u)
         assert np.abs(kernel.apply(t, u) - ref).max() <= 1e-12
+
+
+def test_kernel_matrices_on_a_time_array():
+    # matrices at T times is the stack of the scalar calls and agrees with
+    # apply, on a stack that holds a smooth, a stiff and a defective block
+    smooth, stiff = reduced_blocks(ModelSpec(kind="nsc", d=3, eps=1e-3), [1.0, 1e2])
+    kernel = PropagatorKernel(np.stack([smooth, stiff, _defective_block()]))
+    assert list(kernel.fallback) == [2]
+    ts = np.array([0.0, 0.5, 40.0])
+    u = np.array([[1.0, -2.0, 0.5, 0.25]] * 3, dtype=complex)
+    mats = kernel.matrices(ts)
+    assert mats.shape == (3, 3, 4, 4)
+    for t, m in zip(ts, mats):
+        assert np.abs(m - kernel.matrices(t)).max() <= 1e-13
+        assert np.abs(np.einsum("nij,nj->ni", m, u) - kernel.apply(t, u)).max() <= 1e-13 * np.abs(u).max()
 
 
 # ----------------------------------------------------------- reduced symbol
@@ -285,6 +305,26 @@ def test_radial_flow_matches_pade_path():
     for t in (0.0, 1.0, 100.0):
         ref = np.einsum("nij,nj->ni", expm(t * flow.kernel.mats), flow.u0)
         assert np.abs(flow.at(t) - ref).max() <= 1e-7 * np.abs(flow.u0).max()
+
+
+def test_radial_flow_builds_no_projectors():
+    # the radial flow only applies its kernel: a 4,096-node flow and ten
+    # samples peak at 3.85 (nodes, 4, 4) complex stacks of traced memory.
+    # The bound leaves 10%; the projectors alone, (nodes, 8, 16) reals,
+    # would add 4 stacks.
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512).at(1.0)  # warms numpy
+    tracemalloc.start()
+    try:
+        flow = RadialFlow(spec, sharp_low_profile(1.5, 3), nodes=4096)
+        for t in np.logspace(-2, 3, 10):
+            flow.at(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "projectors" not in vars(flow.kernel)
+    stack = 4096 * 16 * np.dtype(complex).itemsize
+    assert peak <= 1.1 * 3.85 * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
 def test_decay_fit_samples_one_flow(monkeypatch):

@@ -284,6 +284,28 @@ def test_gram_sweep_matches_stepped_oracle(dn, seed, well_prepared, all_expm):
     _assert_reports_close(rep, ref, 1e-10)
 
 
+def test_gram_sweep_fallback_keys_match_stepped_oracle(monkeypatch):
+    # keys on an expm radius take PropagatorKernel.matrices; every other key
+    # reads the projectors and never calls it
+    base = _hermitian_state(Grid(d=2, n=8), np.random.default_rng(11))
+    calls = []
+    matrices = evolve.PropagatorKernel.matrices
+    monkeypatch.setattr(evolve.PropagatorKernel, "matrices", lambda self, t: calls.append(1) or matrices(self, t))
+    _clear_kernel_caches()
+    try:
+        relax_sweep(base, 2, [1e-1, 3e-2], T=1.0)
+        assert calls == []
+        monkeypatch.setattr(evolve, "_COND_MAX", 0.0)
+        _clear_kernel_caches()
+        rep = relax_sweep(base, 2, [1e-1, 3e-2], T=1.0)
+        assert calls
+        assert evolve._torus_kernel(ModelSpec(kind="nsc", d=2, eps=3e-2), base.grid)[0].fallback.size > 0
+    finally:
+        _clear_kernel_caches()
+    monkeypatch.undo()
+    _assert_reports_close(rep, relax_sweep_reference(base, 2, [1e-1, 3e-2], T=1.0), 1e-9)
+
+
 def test_gram_sweep_small_eps_cancellation():
     # the relax3d sweep: well-prepared values are O(eps^2) differences of
     # O(1) states, the hardest case for rounding
