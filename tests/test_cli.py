@@ -133,13 +133,14 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"kind": "toy-damped"}, "study": {"decay-fit": {}}}, "study.decay-fit needs the full NSC/NSF system"),
         ({"model": {"kind": "toy-damped"}, "study": {"lyapunov": {}}}, "study.lyapunov needs the full NSC/NSF system"),
         ({"model": {"kind": "nsf"}, "study": {"initial-layer": {}}}, "study.initial-layer needs the relaxing system"),
-        ({"thresholds": {"K": 1}}, "thresholds.K must be an integer >= 2"),
-        ({"thresholds": {"k": 3.0}}, "thresholds.k must satisfy 0 < k <= 1"),
-        ({"thresholds": {"k": 0}}, "thresholds.k must satisfy 0 < k <= 1"),
+        ({"thresholds": {"K": 1}}, "K must be an integer >= 2"),
+        ({"thresholds": {"k": 3.0}}, "k must satisfy 0 < k <= 1"),
         ({"thresholds": {"K": 1024}}, "keep J0 <= Jeps at 0 of study.relax-sweep.eps_list"),
         ({"study": {"sk-check": {"directions": 0, "include_axes": False}}}, "study.sk-check.directions"),
         ({"study": {"bernstein": {"trials": 0}}}, "study.bernstein.trials"),
         ({"output": {"stride": -3}}, "output.stride"),
+        ({"thresholds": {"K": 0}}, "thresholds.K must be an integer >= 2"),
+        ({"thresholds": {"k": 0}}, "thresholds.k must satisfy 0 < k <= 1"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
