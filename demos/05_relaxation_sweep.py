@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, State, random_field
 from nsclab.studies import fit_loglog, relax_sweep
 
@@ -27,7 +28,7 @@ mk = lambda: random_field(grid, rng, 1e-2, 3.0)
 base = State(a=mk(), v=(mk(), mk()), theta=mk(), q=(mk(), mk()))
 
 eps_list = [1e-1, 3e-2, 1e-2, 3e-3]
-rep = relax_sweep(base, 2, eps_list, T=4.0)
+rep = relax_sweep(base, ModelSpec(kind="nsc", d=2), eps_list, T=4.0)
 
 print("eps        error functional   well-prepared")
 for eps, x, w in zip(rep.eps_values, rep.xtilde_values, rep.well_prepared_values):

@@ -259,6 +259,8 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
         raise ConfigError(f"{where} needs the full NSC/NSF system (model.kind: nsc or nsf), got {spec.kind.value}")
     if name in ("lyapunov", "bernstein", "initial-layer") and spec.kind is model.SystemKind.NSF:
         raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): it reads model.eps > 0")
+    if name == "relax-sweep" and not (spec.kind is model.SystemKind.NSC and spec.alpha > 0 and spec.kappa > 0):
+        raise ConfigError(f"{where} needs the relaxing system with a Fourier-law limit (model.kind: nsc, alpha and kappa > 0), got {spec.kind.value} with alpha = {spec.alpha}, kappa = {spec.kappa}")
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
@@ -500,8 +502,7 @@ def run_evolve(cfg, out_dir, rng):
         header = ["t", "j", "regime", "lyapunov", "dissipation", "residual"]
         write_csv(out_dir / "band_diagnostics.csv", header, diagnostics.band_diagnostics(st, spec, th))
         artifacts.append("band_diagnostics.csv")
-        samples = [np.linspace(0.0, T, min(nsteps, 100) + 1)]  # stride T / min(nsteps, 100)
-        x = diagnostics.functional_X(studies.sampled_linear_trajectory(st, spec, samples), spec, th)
+        x = diagnostics.functional_X(st, spec, th, np.linspace(0.0, T, min(nsteps, 100) + 1))
         write_json(
             out_dir / "x_report.json",
             {"x_low": x.x_low, "x_med": x.x_med, "x_high": x.x_high, "total": x.total, **x.constituents},
@@ -540,7 +541,7 @@ def run_relax_sweep(cfg, out_dir, rng):
     base = studies.random_state(grid, rng, float(p["amplitude"]), float(p["spectral_decay"]))
     rep = studies.relax_sweep(
         base,
-        spec.d,
+        spec,
         [float(e) for e in p["eps_list"]],
         T=float(p["T"]),
         p=float(p["p"]),

@@ -4,20 +4,19 @@ functionals with the dissipation series and calibration behind the
 the global solution functional X and the relaxation error of `studies`
 from tables of their pieces.
 
-Band norms are taken on row slices of `State.u` and of the effective
-unknowns' stacks (`EffectiveState._Q`, `_w`), once per row group and
-snapshot; X reads scaled rows, all at p = 2.  The band functionals are
-linear: the high-band one carries no density weight.  One evaluator,
-`_band_functional`, gives both regimes' norm parts, cross terms and
-dissipation on every band of a snapshot: two band passes at low frequency
-(the (a, v, theta) norms, v . grad a), three at high (theta, q,
-q . grad theta).  The dissipation is the regime's multiple of the norm
-part and takes no pass of its own.
-
-The low-band functional carries a band-weighted cross term
-eta * 2^(-j) * int v_j . grad a_j (a plain 1/2 coefficient would not stay
-equivalent to the squared norm on bands with 2^j >= 2), which keeps the
-equivalence bracket [1 - 2 eta, 1 + 2 eta] valid on every band.
+At one state, band norms are taken on row slices of `State.u` and of the
+damped mode's stack, once per row group: `_band_functional` takes two band
+passes at low frequency ((a, v, theta), v . grad a) and three at high
+(theta, q, q . grad theta).  Along the exact linear flow nothing is
+stepped: `_flow_squares` reads the same band quantities, and those of Q
+and w, at every sample time at once from the state's Gram factors, for
+band_diagnostics and X.  `_regime_parts` turns either into the norm part,
+cross term and dissipation of each band; the dissipation is the regime's
+multiple of the norm part.  The high-band functional carries no density
+weight.  The low-band cross term eta * 2^(-j) * int v_j . grad a_j (a
+plain 1/2 coefficient would not stay equivalent to the squared norm on
+bands with 2^j >= 2) keeps the bracket [1 - 2 eta, 1 + 2 eta] on every
+band.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ import numpy as np
 
 from .besov import Thresholds, _band_norms, _grid_labels, _regime_weights, band_sums, grid_band_range, regime_band_indices
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps diagnostics.besov_seminorm)
-from .evolve import LinearPropagator
+from .evolve import _flow_band_sums, _torus_measure
 from .model import ModelSpec, SystemKind
-from .spectral import State, _freeze, _grad, _row_views
+from .spectral import Grid, State, _freeze, _grad, _row_views
 
 __all__ = [
     "EffectiveState",
@@ -49,36 +48,22 @@ __all__ = [
 
 @dataclass
 class EffectiveState:
-    """Damped mode Q = alpha q + kappa grad theta and effective velocity
-    w = v + (-Lap)^-1 grad a (zero mode of w equals the zero mode of v).
-    Each is one (d, *shape) stack, `_Q` and `_w`, whose rows the d-tuples
-    `Q` and `w` view.  w is built from `base` on first access; most readers
-    need only Q."""
+    """Damped mode Q = alpha q + kappa grad theta, one (d, *shape) stack
+    `_Q` whose rows the d-tuple `Q` views."""
 
     _Q: np.ndarray
-    base: State
+    grid: Grid
 
     @property
     def Q(self) -> tuple:
-        return tuple(_row_views(self.base.grid, self._Q))
-
-    @functools.cached_property
-    def _w(self) -> np.ndarray:
-        grid, u = self.base.grid, self.base.u
-        k2 = sum(x**2 for x in grid.wavevectors())
-        inv = _grad(grid, u[0]) / np.where(k2 == 0.0, 1.0, k2)  # _grad is 0 on the Nyquist plane
-        return u[1 : 1 + grid.d] + np.where(k2 == 0.0, 0.0, inv)
-
-    @property
-    def w(self) -> tuple:
-        return tuple(_row_views(self.base.grid, self._w))
+        return tuple(_row_views(self.grid, self._Q))
 
 
 def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
     if not state.has_flux:
         raise ValueError("effective unknowns need the heat-flux components")
     d = state.grid.d
-    return EffectiveState(spec.alpha * state.u[2 + d :] + spec.kappa * _grad(state.grid, state.u[1 + d]), state)
+    return EffectiveState(spec.alpha * state.u[2 + d :] + spec.kappa * _grad(state.grid, state.u[1 + d]), state.grid)
 
 
 @dataclass(frozen=True)
@@ -88,32 +73,35 @@ class LyapunovValue:
     parts: tuple  # (norm_part, cross_part)
 
 
-def _band_functional(state: State, regime: str, spec, eta: float) -> dict:
-    """{j: (E_j, cross_j, D_j)} on every band of grid_band_range: the norm
-    and cross parts of the regime's band functional L_j = E_j + cross_j and
-    its dissipation D_j in d/dt L_j + c D_j <= 0, a multiple of E_j
-    (2^(2j) E_j at low frequency, E_j / eps^2 at high), from one band pass
-    per norm and one for the cross term.  spec is read at high frequency
-    only."""
-    grid, u, d = state.grid, state.u, state.grid.d
-    bands = grid_band_range(grid)
-    inner = lambda f, g: grid.L**d * band_sums(_grid_labels(grid), sum(np.real(np.conj(x) * y) for x, y in zip(f, g)), len(bands))
+def _regime_parts(regime: str, spec, eta: float, bands: range, energy, inner) -> tuple:
+    """E_j, cross_j and D_j of the regime's band functional L_j = E_j + cross_j
+    (D_j in d/dt L_j + c D_j <= 0) on `bands`, the last axis, from the band
+    energies E_j and inner products (v . grad a low, q . grad theta high)."""
+    j = np.asarray(bands)
     if regime == "low":
         if not 0 < eta <= 0.25:
             raise ValueError(f"eta must lie in (0, 1/4], got {eta}")
-        norms, cross = _band_norms(grid, u[: 2 + d], 2), inner(u[1 : 1 + d], _grad(grid, u[0]))
-        parts = [(float(n) ** 2, eta * 2.0 ** (-j) * float(c)) for j, n, c in zip(bands, norms, cross)]
-        return {j: (e, c, 2.0 ** (2 * j) * e) for j, (e, c) in zip(bands, parts)}
+        return energy, eta * 2.0 ** (-j) * inner, 2.0 ** (2 * j) * energy
+    if regime == "high":
+        return energy, eta * 2.0 ** (-2 * j) * inner, energy / spec.eps**2
+    raise ValueError(f"no band functional for regime {regime!r}")
+
+
+def _band_functional(state: State, regime: str, spec, eta: float) -> dict:
+    """{j: (E_j, cross_j, D_j)} at one state on every band of the grid:
+    E_j is |(a, v, theta)_j|^2 low and |theta_j|^2 + eps^2 |q_j|^2 high,
+    from one band pass per norm and one for the inner product."""
+    grid, u, d = state.grid, state.u, state.grid.d
+    bands = grid_band_range(grid)
+    inner = lambda f, g: grid.L**d * band_sums(_grid_labels(grid), sum(np.real(np.conj(x) * y) for x, y in zip(f, g)), len(bands))
     if regime == "high":
         if not state.has_flux:
             raise ValueError("high-band functional needs the heat-flux components")
-        theta, q = _band_norms(grid, u[1 + d : 2 + d], 2), _band_norms(grid, u[2 + d :], 2)
+        energy = _band_norms(grid, u[1 + d : 2 + d], 2) ** 2 + _band_norms(grid, u[2 + d :], 2) ** 2 * spec.eps**2
         cross = inner(u[2 + d :], _grad(grid, u[1 + d]))
-        parts = [
-            (float(t) ** 2 + float(f) ** 2 * spec.eps**2, eta * 2.0 ** (-2 * j) * float(c)) for j, t, f, c in zip(bands, theta, q, cross)
-        ]
-        return {j: (e, c, e / spec.eps**2) for j, (e, c) in zip(bands, parts)}
-    raise ValueError(f"no band functional for regime {regime!r}")
+    else:
+        energy, cross = _band_norms(grid, u[: 2 + d], 2) ** 2, inner(u[1 : 1 + d], _grad(grid, u[0]))
+    return dict(zip(bands, zip(*(x.tolist() for x in _regime_parts(regime, spec, eta, bands, energy, cross)))))
 
 
 def _band_value(state: State, j: int, regime: str, spec, eta: float) -> LyapunovValue:
@@ -142,24 +130,28 @@ def _regime_rate(spec: ModelSpec, j: int, regime: str) -> float:
     return spec.alpha / spec.eps**2
 
 
-def _centered_series(traj, j: int, regime: str, spec: ModelSpec, eta: float):
-    """Snapshot times, L_j and D_j at every snapshot, and the centred
-    differences d/dt L_j at the interior snapshots, which need a uniform
-    stride resolving the regime's rate.  traj may be any iterable; it is
-    read once."""
-    rows = [(s.time, *_band_functional(s, regime, spec, eta).get(j, (0.0, 0.0, 0.0))) for s in traj]
-    times, norm_part, cross, diss = (np.array(c) for c in zip(*rows))
-    lyap = norm_part + cross
-    dts, rate = np.diff(times), _regime_rate(spec, j, regime)
-    if not np.allclose(dts, dts[0], rtol=1e-8):
-        raise ValueError("trajectory snapshots must be uniformly spaced")
-    dt = float(dts[0])
-    if dt * rate > 1e-2:
-        raise ValueError(
-            f"snapshot stride {dt:.3g} too coarse for centered differencing: "
-            f"need dt <= {1e-2 / rate:.3g} in regime {regime!r} at band {j}"
-        )
-    return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)
+def _flow_squares(measure, spec: ModelSpec, times) -> dict:
+    """(T, nbands) squared band norms of a, v, theta, q, Q and w under the
+    linear flow of spec at `times` after the state of `measure`, and per
+    regime the band energies and inner products of _regime_parts: ten rows
+    of z = (a, i k.v, theta, i k.q) per key, Q and w being
+    (0, 0, -kappa w |k|, alpha) z and (-w / |k|, 1, 0, 0) z (w the
+    derivative weight) plus alpha P q and P v.  grad = i k w makes
+    v . grad a = -w |k| Re(z_0 conj z_1) = |p_-|^2 - |p_+|^2 with
+    p_+- = sqrt(w |k|) (z_0 +- z_1) / 2, and likewise q . grad theta."""
+    rw = measure.k * measure.weight
+    rows = np.zeros((rw.size, 10, 4))
+    rows[:, :4] = np.eye(4)
+    rows[:, 4, 2], rows[:, 4, 3] = -spec.kappa * rw, spec.alpha
+    rows[:, 5, 0], rows[:, 5, 1] = -measure.weight / measure.k, 1.0
+    rows[:, 6:] = np.sqrt(rw / 4.0)[:, None, None] * np.array([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]])  # p_-, p_+
+    perp = np.zeros((10, 2))  # weights of sum |P v|^2 and sum |P q|^2
+    perp[[1, 5], 0], perp[3, 1], perp[4, 1] = 1.0, 1.0, spec.alpha**2
+    s = _flow_band_sums(measure, [(spec, rows, measure.factor)], times, perp)[0]
+    out = dict(zip(("a", "v", "theta", "q", "Q", "w"), np.moveaxis(s[:, :6], 1, 0)))
+    out["low"] = out["a"] + out["v"] + out["theta"], s[:, 6] - s[:, 7]
+    out["high"] = out["theta"] + out["q"] * spec.eps**2, s[:, 8] - s[:, 9]
+    return out
 
 
 def _calibrate(dl: np.ndarray, dmid: np.ndarray) -> float:
@@ -173,17 +165,23 @@ def _calibrate(dl: np.ndarray, dmid: np.ndarray) -> float:
 
 def band_diagnostics(state0: State, spec: ModelSpec, th: Thresholds) -> list:
     """(t, j, regime, lyapunov, dissipation, residual) rows per in-regime
-    band: 40 steps of the linear flow from state0, strided to the band's
-    rate, and the residual d/dt L_j + c D_j at the series' own calibration
-    c (NaN at the two ends, which have no centred difference)."""
+    band: 40 strides of the exact linear flow from state0, each 5e-3 over
+    the band's rate, read from the state's Gram factors (_flow_squares; no
+    state is stepped), and the residual d/dt L_j + c D_j of the centred
+    differences at the series' own calibration c (NaN at the two ends,
+    which have no centred difference)."""
+    measure, bands = _torus_measure(state0), grid_band_range(state0.grid)
     rows = []
     for regime, eta in (("low", 0.1), ("high", 0.25)):
-        for j in regime_band_indices(regime, th, grid_band_range(state0.grid)):
-            prop = LinearPropagator(spec, state0.grid, 5e-3 / _regime_rate(spec, j, regime))
-            traj = itertools.accumulate(range(40), lambda s, _: prop.step(s), initial=state0)
-            times, vals, diss, dl = _centered_series(traj, j, regime, spec, eta)
+        for j in regime_band_indices(regime, th, bands):
+            dt = 5e-3 / _regime_rate(spec, j, regime)
+            times = np.fromiter(itertools.accumulate(itertools.repeat(dt, 40), initial=state0.time), float)
+            s = _flow_squares(measure, spec, times - state0.time)
+            norm_part, cross, diss = (x[:, j - bands.start] for x in _regime_parts(regime, spec, eta, bands, *s[regime]))
+            vals = norm_part + cross
             if not np.any(vals > 0):
                 continue
+            dl = (vals[2:] - vals[:-2]) / (2.0 * dt)
             res = np.concatenate([[np.nan], dl + _calibrate(dl, diss[1:-1]) * diss[1:-1], [np.nan]])
             rows += [[t, j, regime, lv, dv, r] for t, lv, dv, r in zip(times, vals, diss, res)]
     return rows
@@ -280,24 +278,18 @@ class XFunctional:
         return self.x_low + self.x_med + self.x_high
 
 
-def functional_X(traj, spec: ModelSpec, th: Thresholds) -> XFunctional:
-    """Accumulate the three-regime solution functional along a trajectory.
-
-    traj may be any iterable of snapshots at strictly increasing times,
-    reduced one snapshot at a time.  Supremum-in-time pieces are maxima;
-    L1/L2-in-time pieces use the trapezoid rule on the snapshot times.
-    """
+def functional_X(state0: State, spec: ModelSpec, th: Thresholds, times) -> XFunctional:
+    """The three-regime solution functional along the exact linear flow
+    from state0 at `times` after it (strictly increasing), from the squared
+    band norms of _flow_squares; no state is stepped.  Supremum-in-time
+    pieces are maxima, L1/L2-in-time pieces trapezoid sums on the times."""
     if spec.kind is not SystemKind.NSC:
         raise ValueError("the solution functional is defined for the relaxing system")
-    table = _x_table(spec.d, spec.eps)
-    groups = dict.fromkeys(group for _, group, *_ in table)
-    times, values = [], []
-    for state in traj:  # the rows (k, *shape) that the table names, some scaled by eps
-        u, d, eps, es = state.u, state.grid.d, spec.eps, effective_unknowns(state, spec)
-        rows = {"a": u[:1], "v": u[1 : 1 + d], "theta": u[1 + d : 2 + d], "q": u[2 + d :], "Q": es._Q, "w": es._w}
-        rows.update(eq=eps * rows["q"], e2theta=eps**2 * rows["theta"], e3q=eps**3 * rows["q"])
-        times.append(state.time)
-        values.append(_snapshot_values(table, state.grid, th, {g: ([r for c in g for r in rows[c]], 2) for g in groups}))
-    constituents = _time_reduce(table, times, zip(*values))
+    eps, table = spec.eps, _x_table(spec.d, spec.eps)
+    sq = _flow_squares(_torus_measure(state0), spec, times)
+    sq.update(eq=eps**2 * sq["q"], e2theta=eps**4 * sq["theta"], e3q=eps**6 * sq["q"])
+    norms = {group: np.sqrt(sum(sq[c] for c in group)) for _, group, *_ in table}
+    weights = _table_weights(table, grid_band_range(state0.grid), th)
+    constituents = _time_reduce(table, times, _evaluate(table, weights, norms))
     part = lambda r: sum(constituents[name] for name, _, regime, *_ in table if regime == r)
     return XFunctional(x_low=part("low"), x_med=part("med"), x_high=part("high"), constituents=constituents)

@@ -15,10 +15,12 @@ lattice |k|^2; a step gathers the real block of each mode's radius and
 applies it to -i (a, i k.v, theta, i k.q), with -i on a and theta on the
 way in and i on their rows on the way out, then scales the transverse
 parts of v and q.  The gathered blocks belong to the LinearPropagator or
-IMEX step that built them: nothing per mode is cached beyond it.  The stiff
-damping alpha/eps^2 lives inside the exponential, so nothing here
-restricts dt by eps; the explicit part of the IMEX step only sees the
-quadratic sources.
+IMEX step that built them: nothing per mode is cached beyond it.  Band
+sums of squared linear rows along the exact torus flow step nothing: they
+come from a state's per-radius Gram factors and the kernel's
+eigen-projectors (_torus_measure, _flow_band_sums).  The stiff damping
+alpha/eps^2 lives inside the exponential, so nothing here restricts dt by
+eps; the explicit part of the IMEX step only sees the quadratic sources.
 
 The fields are real, so the nonlinear part works on the rfft half lattice
 (last axis 0..n/2): one source evaluation takes one stack of every field
@@ -30,8 +32,7 @@ mirroring.
 
 scipy is not imported with this module: scipy.fft loads on the first source
 evaluation and scipy.linalg on the first expm, so a study that reaches
-neither, such as the linear Gram sweep or the radial flow, runs on numpy
-alone.
+neither, such as the Gram sweep or the radial flow, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .besov import band_labels, band_sums, dyadic_range
+from .besov import _grid_labels, band_labels, band_sums, dyadic_range, grid_band_range
 from .model import ModelSpec, SymbolMatrix, SystemKind, _generators, reduced_blocks
 from .model import reduced_symbol  # noqa: F401  (perfbench/tracer.py wraps evolve.reduced_symbol)
 from .spectral import Grid, State, _freeze, to_physical
@@ -281,6 +282,117 @@ def linear_trajectory(state0: State, spec: ModelSpec, dt: float, nsteps: int) ->
         cur = prop.step(cur)
         out.append(cur)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Band sums under the exact torus flow, from per-radius Gram factors.
+
+
+# Bytes of one time chunk's (K, T, .) blocks in _flow_band_sums; the work is
+# per element, so a larger chunk gains little time and raises the peak.
+_CHUNK_BYTES = 1 << 20
+
+
+@functools.lru_cache(maxsize=8)
+def _radius_keys(grid: Grid):
+    """Group the lattice by (radius, Nyquist plane): the key of each mode
+    (C order) and, per key, its radius index, its derivative weight (0 on
+    the Nyquist plane, where grad vanishes) and its band label, read from
+    the grid's own labels at one of its modes."""
+    radius = _lattice_radii(grid)[1]
+    nyquist = grid.nyquist_mask().ravel()
+    keys, first, key = np.unique(2 * radius + nyquist, return_index=True, return_inverse=True)
+    return tuple(_freeze(x) for x in (key, keys // 2, 1.0 - keys % 2, _grid_labels(grid).ravel()[first]))
+
+
+@dataclass(frozen=True)
+class _TorusMeasure:
+    """A state's data under the exact torus flow, per (radius, Nyquist) key."""
+
+    grid: Grid
+    radius: np.ndarray  # (K,) lattice radius index of each key
+    k: np.ndarray  # (K,) |k| of each key
+    weight: np.ndarray  # (K,) derivative weight
+    band: np.ndarray  # (nbands, K) band membership
+    factor: np.ndarray  # (K, 4, 4) F with F F^T = G
+    perp: np.ndarray  # (K, 2) sum |P v|^2 and sum |P q|^2
+
+
+def _torus_measure(state: State) -> _TorusMeasure:
+    """Gram factors of a relaxing-system state, one per (radius, Nyquist) key.
+
+    Under the exact linear flow z = (a, i k.v, theta, i k.q) (k unit) moves
+    by the real block of each mode's radius, so a band sum of |E z|^2 over
+    a key's modes, E real, is E G E^T with G = Re sum z z^H = F F^T (eigh).
+    Eigenvalues below 16 eps of the key's largest become 0: on rank-deficient
+    data (a well-prepared flux, one mode) their roots would put a 1e-8
+    relative floor under rows that vanish.  P v and P q, P = I - k k^T, only
+    decay and enter as sum |P v|^2, sum |P q|^2.  Keys off the grid's bands
+    (the zero mode) or without data are dropped.
+    """
+    if not state.has_flux:
+        raise ValueError("state carries no heat flux")
+    grid = state.grid
+    d = grid.d
+    key, radius, weight, label = _radius_keys(grid)
+    r, _, khat = _lattice_radii(grid)
+    u = state.u.reshape(2 * d + 2, -1)
+    kv, kq = (sum(khat[j] * u[s + j] for j in range(d)) for s in (1, 2 + d))
+    z = (u[0], 1j * kv, u[1 + d], 1j * kq)
+    nk = radius.size
+    gram = np.empty((nk, 4, 4))
+    for i in range(4):
+        for j in range(i, 4):
+            gram[:, i, j] = gram[:, j, i] = np.bincount(key, (z[i] * z[j].conj()).real, nk)
+    perp = np.stack([np.bincount(key, sum(np.abs(u[s + j] - khat[j] * x) ** 2 for j in range(d)), nk) for s, x in ((1, kv), (2 + d, kq))], axis=1)
+    nbands = len(grid_band_range(grid))
+    keep = (label >= 1) & (label <= nbands) & (np.any(gram != 0.0, axis=(1, 2)) | np.any(perp != 0.0, axis=1))
+    lam, vecs = np.linalg.eigh(gram[keep])
+    lam = np.where(lam > 16.0 * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
+    factor = vecs * np.sqrt(lam)[:, None, :]
+    band = (label[keep] == np.arange(1, nbands + 1)[:, None]).astype(float)
+    return _TorusMeasure(grid, radius[keep], r[radius[keep]], weight[keep], band, factor, perp[keep])
+
+
+def _flow_band_sums(measure: _TorusMeasure, terms, times, perp) -> np.ndarray:
+    """(n, T, R, nbands) squared band norms of the R rows of
+    sum_f C_f e^(t M_f) D_f over a measure's keys, for n runs, at `times`
+    after its state.  A term (spec, C, D) is spec's longitudinal flow, a
+    real row map C, (K, R, m) or (R, m), and data D, (K, m, rank) shared or
+    (n, K, m, rank) per run.  Each term contracts its eigen-projectors with
+    C and D once; a time chunk, sized by the bytes of its (K, T, .) blocks,
+    is then one real (K, T, sum 2m) @ (K, sum 2m, n R rank) matmul, and keys
+    on an expm radius take `matrices`.  perp, (R, 2) or (n, R, 2), weighs
+    in sum |P v|^2 and sum |P q|^2 under the first term's transverse flow.
+    """
+    grid, rad, nk = measure.grid, measure.radius, measure.radius.size
+    times = np.asarray(times, dtype=float)
+    flows, coefs = [], []
+    for spec, rows, data in terms:
+        kernel = _torus_kernel(spec, grid)[0]
+        m = kernel.mats.shape[-1]
+        rows, data = np.broadcast_to(rows, (nk, *np.shape(rows)[-2:])), data if np.ndim(data) == 4 else np.asarray(data)[None]
+        flows.append((kernel, rows, data))
+        coefs.append(np.moveaxis(rows[:, None, None] @ kernel.projectors[rad].reshape(nk, m, 2, m, m) @ data[:, :, None, None], 0, 3))
+    n, (nrows, rank) = max(c.shape[3] for c in coefs), coefs[0].shape[4:]  # each (K, m, 2, n, R, rank)
+    lam = np.concatenate([kernel.lam[rad] for kernel, _, _ in flows], axis=1)
+    coef = np.concatenate([np.broadcast_to(c, (*c.shape[:3], n, nrows, rank)) for c in coefs], axis=1).reshape(nk, 2 * lam.shape[1], n * nrows * rank)
+    del coefs
+    fb = np.flatnonzero(np.any([np.isin(rad, kernel.fallback) for kernel, _, _ in flows], axis=0))
+    spec, perp = terms[0][0], np.reshape(perp, (-1, nrows, 2))
+    rates = 2.0 * np.stack([spec.mu_over_nu * measure.k**2, np.full(nk, spec.damping_rate)], axis=1)
+    out = np.empty((len(times), n, nrows, measure.band.shape[0]))
+    chunk = max(1, _CHUNK_BYTES // (8 * max(nk, 1) * (lam.shape[1] * 2 + n * nrows * (rank + 1))))
+    for lo in range(0, len(times), chunk):
+        ts = times[lo : lo + chunk]
+        x = (np.exp(ts[:, None] * lam[:, None, :]).view(float) @ coef).reshape(nk, ts.size, n, nrows, rank)
+        if fb.size:
+            x[fb] = np.moveaxis(sum((rows[fb] @ kernel.matrices(ts)[:, rad[fb]])[:, None] @ data[:, fb] for kernel, rows, data in flows), 2, 0)
+        sq = np.einsum("...i,...i->...", x, x)  # (K, T, n, R)
+        energy = measure.perp[:, None, :] * np.exp(-ts[:, None] * rates[:, None, :])  # (K, T, 2)
+        sq += (energy.reshape(-1, 2) @ perp.reshape(-1, 2).T).reshape(nk, ts.size, len(perp), nrows)
+        out[lo : lo + chunk] = np.moveaxis(sq, 0, -1) @ measure.band.T
+    return grid.L**grid.d * np.moveaxis(out, 1, 0)
 
 
 # ---------------------------------------------------------------------------

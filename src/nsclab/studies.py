@@ -10,26 +10,23 @@ the terminal functional `lyapunov_l1` is `_lyapunov_table`, which the
 `diagnostics` engine evaluates on the flow's bands at each sample time.
 
 The linear p = 2 relaxation sweep steps no state: each piece of its error
-functional is a band sum over lattice radii of |C(t, |k|) z(k)|^2, C real, z
-the longitudinal data, evaluated from one 4x4 Gram factor of z per radius.
-Other sweeps stream sampled torus trajectories (generators, one state per
-sample time) in lockstep and keep only per-snapshot values; the stepped
-linear sweep is the oracle of the Gram one.  Both hand per-band norms of
-four groups of unknowns to the `diagnostics` engine, which evaluates the
-seven pieces of `_error_table` and reduces them in time; the stepped path
-reads row slices of the states' stacks.
+functional is a band sum of squared rows of the exact flow, read from the
+data's per-radius Gram factors (evolve._flow_band_sums).  Other sweeps
+stream sampled torus trajectories in lockstep and keep only per-snapshot
+values.  Both hand per-band norms of four groups of unknowns to the
+`diagnostics` engine, which evaluates the seven pieces of `_error_table`
+and reduces them in time.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .besov import Thresholds, ThresholdOrderError, _grid_labels, grid_band_range, make_thresholds
+from .besov import Thresholds, ThresholdOrderError, grid_band_range, make_thresholds
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps studies.besov_seminorm)
 from .diagnostics import _evaluate, _snapshot_values, _table_weights, _time_reduce, effective_unknowns
 from .evolve import (
@@ -37,15 +34,16 @@ from .evolve import (
     RadialDataProfile,
     RadialFlow,
     _apply_modes,
-    _lattice_radii,
+    _flow_band_sums,
     _mode_blocks,
     _torus_kernel,
+    _torus_measure,
     default_dt,
 )
 from . import evolve  # imex_step read at each call: perfbench/tracer.py wraps evolve.imex_step
 from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
-from .spectral import Grid, SpectralField, State, _freeze, _grad, random_field
+from .spectral import Grid, SpectralField, State, _grad, random_field
 
 __all__ = [
     "FitResult",
@@ -399,124 +397,29 @@ def _trajectory_error_parts(base: State, spec: ModelSpec, th: Thresholds, segs, 
     return _paired_error_parts([flow(st, spec) for st in starts], flow(nsf_state, spec.to_nsf()), spec, th, p)
 
 
-# ---------------------------------------------------------------------------
-# The p = 2 linear sweep from per-radius Gram matrices.
-
-
-# Radius-times per pass of the Gram sweep: its blocks take a few MB.
-_GRAM_CHUNK = 4096
-
-
-@functools.lru_cache(maxsize=8)
-def _radius_keys(grid: Grid):
-    """Group the lattice by (radius, Nyquist plane): the key of each mode
-    (C order) and, per key, its radius index, its derivative weight (0 on
-    the Nyquist plane, where grad vanishes) and its band label, read from
-    the grid's own labels at one of its modes."""
-    radius = _lattice_radii(grid)[1]
-    nyquist = grid.nyquist_mask().ravel()
-    keys, first, key = np.unique(2 * radius + nyquist, return_index=True, return_inverse=True)
-    return tuple(_freeze(x) for x in (key, keys // 2, 1.0 - keys % 2, _grid_labels(grid).ravel()[first]))
-
-
-@dataclass(frozen=True)
-class _SweepGram:
-    radius: np.ndarray  # (K,) lattice radius index of each key
-    weight: np.ndarray  # (K,) derivative weight
-    band: np.ndarray  # (nbands, K) band membership
-    factor: np.ndarray  # (K, 4, 4) F with F F^T = G
-    perp_q: np.ndarray  # (K,) sum |P q|^2 of the flux template
-
-
-def _sweep_gram(base: State) -> _SweepGram:
-    """Gram factors of the sweep data, one per (radius, Nyquist) key.
-
-    Under the exact linear flow the longitudinal coordinates
-    z = (a, i k.v, theta, i k.q) (k unit) of each mode move by the real
-    block of its radius, so a band sum of |E z|^2 over a key's modes, for a
-    real E, is the trace E G E^T with G = Re sum z z^H.  G = F F^T through
-    eigh, negative eigenvalues (rounding) clipped, so every such sum is a
-    sum of squares of E F.  The transverse flux P q, P = I - k k^T, only
-    decays, and enters through sum |P q|^2.  Keys off the grid's bands
-    (the zero mode) or without data are dropped.
-    """
-    if base.q is None:
-        raise ValueError("base state carries no flux template")
-    grid = base.grid
-    d = grid.d
-    key, radius, weight, label = _radius_keys(grid)
-    khat = _lattice_radii(grid)[2]
-    u = base.u.reshape(2 * d + 2, -1)
-    kv, kq = (sum(khat[j] * u[s + j] for j in range(d)) for s in (1, 2 + d))
-    z = (u[0], 1j * kv, u[1 + d], 1j * kq)
-    nk = radius.size
-    gram = np.empty((nk, 4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            gram[:, i, j] = gram[:, j, i] = np.bincount(key, (z[i] * z[j].conj()).real, nk)
-    perp = np.bincount(key, sum(np.abs(u[2 + d + j] - khat[j] * kq) ** 2 for j in range(d)), nk)
-    nbands = len(grid_band_range(grid))
-    keep = (label >= 1) & (label <= nbands) & (np.any(gram != 0.0, axis=(1, 2)) | (perp != 0.0))
-    lam, vecs = np.linalg.eigh(gram[keep])
-    factor = vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
-    band = (label[keep] == np.arange(1, nbands + 1)[:, None]).astype(float)
-    return _SweepGram(radius[keep], weight[keep], band, factor, perp[keep])
-
-
-def _gram_error_parts(gram: _SweepGram, grid: Grid, spec: ModelSpec, th: Thresholds, times, well_prepared: bool) -> list:
+def _gram_error_parts(measure, spec: ModelSpec, th: Thresholds, times, well_prepared: bool) -> list:
     """error_functional at p = 2 of the ill-prepared (and well-prepared)
-    run against the Fourier-law run, evaluated at `times` from the Gram
-    factors; no state is stepped.
-
-    Per key the ill-prepared data is S F, S = diag(1, 1, 1, 1/eps); the
-    well-prepared data has sigma0 = (kappa/alpha) w |k| theta0; the
-    Fourier-law run reads the first three rows.  At each time the rows of
-    B(t) S F - [B_NSF(t) 0] F carry the (a, k.v, theta) differences and the
-    row (0, 0, -kappa w |k|, alpha) of B(t) S F the longitudinal damped
-    mode.  B(t) = sum_k e^(t lambda_k) P_k, so these rows are the 4 + 3
-    exponentials (real, imaginary) times rows of P_k S F and -P_k^NSF F,
-    formed once per eps: one (K, T, 14) @ (K, 14, 16) matmul per time chunk
-    and data kind; keys on an expm radius take `matrices`.  The transverse
-    velocity is the same in both runs, so its difference vanishes; the
-    transverse damped mode is alpha^2 e^(-2 alpha t/eps^2) sum |P q0|^2.
-    """
-    kernel, r, _, _ = _torus_kernel(spec, grid)
-    kernel_nsf = _torus_kernel(spec.to_nsf(), grid)[0]
-    rad, f = gram.radius, gram.factor
-    rw = r[rad] * gram.weight
-    ill = f.copy()
-    ill[:, 3] /= spec.eps
-    starts = [(ill, gram.perp_q / spec.eps**2)]
-    if well_prepared:
-        wp = f.copy()
-        wp[:, 3] = (spec.kappa / spec.alpha) * rw[:, None] * f[:, 2]
-        starts.append((wp, np.zeros_like(gram.perp_q)))
-    rows = np.tile(np.eye(4), (rad.size, 1, 1))  # (a, k.v, theta, damped mode)
+    run against the Fourier-law run at `times`, from the Gram factors F of
+    the sweep data: per key the ill-prepared data is diag(1, 1, 1, 1/eps) F,
+    the well-prepared has sigma0 = (kappa/alpha) w |k| theta0, and both
+    share the Fourier-law term, the first three rows of F.  The rows of
+    B(t) D - [B_NSF(t) 0] F are the (a, k.v, theta) differences, and
+    (0, 0, -kappa w |k|, alpha) B(t) D plus alpha P q the damped mode (the
+    transverse velocity is the same in both runs)."""
+    f, rw = measure.factor, measure.k * measure.weight
+    data = np.repeat(f[None], 1 + well_prepared, axis=0)  # ill-prepared, then well-prepared
+    data[0, :, 3] /= spec.eps
+    data[1:, :, 3] = (spec.kappa / spec.alpha) * rw[:, None] * f[:, 2]
+    rows = np.tile(np.eye(4), (rw.size, 1, 1))  # (a, k.v, theta, damped mode)
     rows[:, 3, 2], rows[:, 3, 3] = -spec.kappa * rw, spec.alpha
-    nsf = -np.eye(4, 3) @ kernel_nsf.projectors[rad].reshape(-1, 3, 2, 3, 3) @ f[:, None, None, :3]
-    proj = rows[:, None, None] @ kernel.projectors[rad].reshape(-1, 4, 2, 4, 4)
-    coefs = [np.concatenate([proj @ data[:, None, None], nsf], axis=1).reshape(-1, 14, 16) for data, _ in starts]
-    lam = np.concatenate([kernel.lam[rad], kernel_nsf.lam[rad]], axis=1)
-    fb = np.flatnonzero(np.isin(rad, kernel.fallback) | np.isin(rad, kernel_nsf.fallback))
-    sums = np.empty((len(starts), len(times), 4, gram.band.shape[0]))
-    chunk = max(1, _GRAM_CHUNK // r.size)
-    for lo in range(0, len(times), chunk):
-        ts = times[lo : lo + chunk]
-        e = np.exp(ts[:, None] * lam[:, None, :]).view(float)  # (K, T, 14)
-        if fb.size:
-            b, y = rows[fb] @ kernel.matrices(ts)[:, rad[fb]], np.eye(4, 3) @ kernel_nsf.matrices(ts)[:, rad[fb]] @ f[fb, :3]
-        for out, c, (data, perp) in zip(sums, coefs, starts):
-            x = (e @ c).reshape(rad.size, ts.size, 4, 4)
-            if fb.size:
-                x[fb] = np.swapaxes(b @ data[fb] - y, 0, 1)
-            sq = np.sum(x**2, axis=-1)  # (K, T, 4): |a|^2, |k.v|^2, |theta|^2 of the difference and |Q|^2
-            sq[..., 3] += spec.alpha**2 * np.exp(-2.0 * spec.damping_rate * ts) * perp[:, None]
-            out[lo : lo + chunk] = np.moveaxis(sq, 0, -1) @ gram.band.T
-    table = _error_table(grid.d, 2.0)
-    weights = _table_weights(table, grid_band_range(grid), th)
+    perp = np.zeros((len(data), 4, 2))
+    perp[0, 3, 1] = (spec.alpha / spec.eps) ** 2
+    terms = [(spec, rows, data), (spec.to_nsf(), -np.eye(4, 3), f[:, :3])]
+    table = _error_table(measure.grid.d, 2.0)
+    weights = _table_weights(table, grid_band_range(measure.grid), th)
     parts = []
-    for s in sums:  # band sums (T, 4, nbands) of |a|^2, |k.v|^2, |theta|^2 of the difference and |Q|^2
-        a, v, theta, q = np.moveaxis(grid.L**grid.d * s, 1, 0)
+    for s in _flow_band_sums(measure, terms, times, perp):  # (T, 4, nbands): |a|^2, |k.v|^2, |theta|^2 of the difference and |Q|^2
+        a, v, theta, q = np.moveaxis(s, 1, 0)
         norms = {g: np.sqrt(x) for g, x in (("diff", a + v + theta), ("Q", q), ("a", a), ("vtheta", v + theta))}
         parts.append(_error_parts(table, times, _evaluate(table, weights, norms)))
     return parts
@@ -550,7 +453,7 @@ def _validate_sweep(d: int, n: int, eps_list, p: float, nonlinear: bool) -> None
 
 def relax_sweep(
     base: State,
-    d: int,
+    spec: ModelSpec,
     eps_list,
     T: float = 4.0,
     p: float = 2.0,
@@ -559,18 +462,14 @@ def relax_sweep(
     compare_well_prepared: bool = True,
     nonlinear: bool = False,
 ) -> RelaxReport:
-    """Relaxation sweep: for each eps evolve the relaxing system from
-    ill-prepared data (fixed eps*q0 template in base.q) and its Fourier-law
-    limit from the shared (a, v, theta) data; accumulate the error
-    functional and fit its slope against eps.
+    """Relaxation sweep: for each eps evolve the relaxing system of spec,
+    its eps replaced, from ill-prepared data (fixed eps*q0 template in
+    base.q) and its Fourier-law limit from the shared (a, v, theta) data;
+    accumulate the error functional and fit its slope against eps.
 
     Default runs are linear (exact per-mode propagation, no time
-    discretization error).  At p = 2 every piece of the functional is a
-    dyadic band sum of |C z(k)|^2, z(k) the longitudinal data and C a real
-    matrix of t and |k| only, so the linear p = 2 sweep evaluates it from
-    one 4x4 Gram factor per lattice radius (and Nyquist flag), built once
-    per sweep, and the propagator blocks at each sample time: no state is
-    stepped.  Other p step the Fourier-law, ill-prepared and well-prepared
+    discretization error); at p = 2 they step no state (_gram_error_parts).
+    Other p step the Fourier-law, ill-prepared and well-prepared
     trajectories in lockstep and reduce each snapshot to scalars as soon as
     it is made, so memory stays at a few states whatever the number of
     samples.
@@ -581,24 +480,22 @@ def relax_sweep(
     Threshold-invalid eps values are skipped and reported.
     """
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
-    _validate_sweep(d, base.grid.n, eps_list, p, nonlinear)
+    _validate_sweep(spec.d, base.grid.n, eps_list, p, nonlinear)
     xt, wp, rows, skipped = [], [], [], []
     used = []
-    gram = None
+    measure = _torus_measure(base) if p == 2 and not nonlinear else None
     for eps in eps_list:
-        spec = ModelSpec(kind=SystemKind.NSC, d=d, eps=eps)
+        spec = replace(spec, eps=eps)
         try:
             th = make_thresholds(K, k, eps)
         except ThresholdOrderError as exc:
             skipped.append({"eps": eps, "reason": str(exc)})
             continue
         segs = graded_times(eps, spec.alpha, T)
-        if not nonlinear and p == 2:
-            if gram is None:
-                gram = _sweep_gram(base)
+        if measure is not None:
             # graded_times' segments are contiguous: each starts where the last ends
             times = np.concatenate([segs[0], *(seg[1:] for seg in segs[1:])])
-            parts = _gram_error_parts(gram, base.grid, spec, th, times, compare_well_prepared)
+            parts = _gram_error_parts(measure, spec, th, times, compare_well_prepared)
         else:
             parts = _trajectory_error_parts(base, spec, th, segs, p, compare_well_prepared, nonlinear)
         xt.append(parts[0]["total"])
@@ -616,7 +513,7 @@ def relax_sweep(
         well_prepared_values=wp if compare_well_prepared else None,
         breakdown=rows,
         skipped=skipped,
-        label="experimental: nonlinear sweep outside the decay-theory hypotheses" if nonlinear and d < 3 else "",
+        label="experimental: nonlinear sweep outside the decay-theory hypotheses" if nonlinear and spec.d < 3 else "",
     )
 
 
@@ -717,9 +614,7 @@ class LayerScalingReport:
 
 def layer_scaling(spec: ModelSpec, ill_prepared_state: State, factor: float = 2.0) -> LayerScalingReport:
     """Layer rates at eps and eps/factor; the rate scales like 1/eps^2."""
-    import dataclasses
-
-    fine_spec = dataclasses.replace(spec, eps=spec.eps / factor)
+    fine_spec = replace(spec, eps=spec.eps / factor)
     rep1 = initial_layer(spec, ill_prepared_state)
     rep2 = initial_layer(fine_spec, ill_prepared_state)
     return LayerScalingReport(

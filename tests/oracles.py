@@ -18,7 +18,10 @@ scalars.  The relaxation sweep is the list-based one: whole trajectories
 are sampled into lists, one after another, and the error functional then
 takes every band sum once per value of s, where nsclab.studies streams the
 trajectories in lockstep and shares one band-norm pass between the values
-of s.
+of s.  The band-diagnostic series and the X functional read stepped
+states one snapshot at a time, with the effective velocity w built on the
+lattice, where nsclab.diagnostics reads every sample time at once from a
+state's per-radius Gram factors.
 
 Some references are helpers the package itself never calls:
 `spectral_distance` pairs two spectra as multisets through scipy's
@@ -28,6 +31,7 @@ closed form, `dealias_23` applies the 2/3-rule mask to one field, and
 one field or d-tuple, where the package differentiates whole stacks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,11 +39,12 @@ import scipy.optimize
 from scipy.integrate import ode, solve_ivp
 
 from nsclab.evolve import _check_density, _torus_kernel, default_dt, imex_step, linear_trajectory, mode_matrices
-from nsclab.diagnostics import effective_unknowns
-from nsclab.model import ModelSpec, SystemKind
-from nsclab.besov import ThresholdOrderError, _regime_bands, besov_seminorm, grid_band_range, make_thresholds
+from nsclab import diagnostics
+from nsclab.diagnostics import XFunctional, _calibrate, _regime_rate, _snapshot_values, _time_reduce, _x_table, effective_unknowns
+from nsclab.model import SystemKind
+from nsclab.besov import ThresholdOrderError, _regime_bands, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
 from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
-from nsclab.spectral import SpectralField, State, to_physical, to_spectral
+from nsclab.spectral import SpectralField, State, _grad, to_physical, to_spectral
 
 
 def grad_j(f, j):
@@ -568,7 +573,7 @@ def error_functional_reference(nsc_traj, nsf_traj, spec, th, p):
 
 def relax_sweep_reference(
     base,
-    d,
+    spec,
     eps_list,
     T=4.0,
     p=2.0,
@@ -580,6 +585,7 @@ def relax_sweep_reference(
     """The relaxation sweep with every trajectory held as a whole list: NSF
     first, then ill-prepared NSC, then well-prepared NSC (which re-reads the
     stored NSF list)."""
+    d = spec.d
     if nonlinear and (d > 2 or base.grid.n > 256):
         raise ValueError("nonlinear sweeps are limited to d <= 2 and n <= 256")
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
@@ -587,7 +593,7 @@ def relax_sweep_reference(
     used = []
     nsf_state = State(a=base.a.copy(), v=tuple(f.copy() for f in base.v), theta=base.theta.copy(), q=None)
     for eps in eps_list:
-        spec = ModelSpec(kind=SystemKind.NSC, d=d, eps=eps)
+        spec = dataclasses.replace(spec, eps=eps)
         try:
             th = make_thresholds(K, k, eps)
         except ThresholdOrderError as exc:
@@ -630,3 +636,71 @@ def relax_sweep_reference(
         skipped=skipped,
         label="experimental: nonlinear sweep outside the decay-theory hypotheses" if nonlinear and d < 3 else "",
     )
+
+
+# ---------------------------------------------------------------------------
+# Stepped band series and X functional.
+
+
+def effective_velocity(state):
+    """w = v + (-Lap)^-1 grad a as one (d, *shape) stack; the correction is
+    0 at the zero mode and on the Nyquist plane, where grad vanishes."""
+    grid, u = state.grid, state.u
+    k2 = sum(x**2 for x in grid.wavevectors())
+    inv = _grad(grid, u[0]) / np.where(k2 == 0.0, 1.0, k2)
+    return u[1 : 1 + grid.d] + np.where(k2 == 0.0, 0.0, inv)
+
+
+def centered_series(traj, j, regime, spec, eta):
+    """Snapshot times, L_j and D_j at every snapshot of a stepped
+    trajectory, and the centred differences d/dt L_j at the interior
+    snapshots, which need a uniform stride resolving the regime's rate.
+    traj may be any iterable; it is read once.  The band functional is
+    looked up on the module at each call, so a test may wrap it."""
+    rows = [(s.time, *diagnostics._band_functional(s, regime, spec, eta).get(j, (0.0, 0.0, 0.0))) for s in traj]
+    times, norm_part, cross, diss = (np.array(c) for c in zip(*rows))
+    lyap = norm_part + cross
+    dts, rate = np.diff(times), _regime_rate(spec, j, regime)
+    if not np.allclose(dts, dts[0], rtol=1e-8):
+        raise ValueError("trajectory snapshots must be uniformly spaced")
+    dt = float(dts[0])
+    if dt * rate > 1e-2:
+        raise ValueError(
+            f"snapshot stride {dt:.3g} too coarse for centered differencing: "
+            f"need dt <= {1e-2 / rate:.3g} in regime {regime!r} at band {j}"
+        )
+    return times, lyap, diss, (lyap[2:] - lyap[:-2]) / (2.0 * dt)
+
+
+def band_diagnostics_reference(state0, spec, th):
+    """The band_diagnostics rows from 40 LinearPropagator steps per band."""
+    rows = []
+    for regime, eta in (("low", 0.1), ("high", 0.25)):
+        for j in regime_band_indices(regime, th, grid_band_range(state0.grid)):
+            traj = linear_trajectory(state0, spec, 5e-3 / _regime_rate(spec, j, regime), 40)
+            times, vals, diss, dl = centered_series(traj, j, regime, spec, eta)
+            if not np.any(vals > 0):
+                continue
+            res = np.concatenate([[np.nan], dl + _calibrate(dl, diss[1:-1]) * diss[1:-1], [np.nan]])
+            rows += [[t, j, regime, lv, dv, r] for t, lv, dv, r in zip(times, vals, diss, res)]
+    return rows
+
+
+def functional_X_reference(traj, spec, th):
+    """The three-regime solution functional along a stepped trajectory,
+    reduced one snapshot at a time; traj may be any iterable of snapshots
+    at strictly increasing times."""
+    if spec.kind is not SystemKind.NSC:
+        raise ValueError("the solution functional is defined for the relaxing system")
+    table = _x_table(spec.d, spec.eps)
+    groups = dict.fromkeys(group for _, group, *_ in table)
+    times, values = [], []
+    for state in traj:  # the rows (k, *shape) that the table names, some scaled by eps
+        u, d, eps = state.u, state.grid.d, spec.eps
+        rows = {"a": u[:1], "v": u[1 : 1 + d], "theta": u[1 + d : 2 + d], "q": u[2 + d :], "Q": effective_unknowns(state, spec)._Q, "w": effective_velocity(state)}
+        rows.update(eq=eps * rows["q"], e2theta=eps**2 * rows["theta"], e3q=eps**3 * rows["q"])
+        times.append(state.time)
+        values.append(_snapshot_values(table, state.grid, th, {g: ([r for c in g for r in rows[c]], 2) for g in groups}))
+    constituents = _time_reduce(table, times, zip(*values))
+    part = lambda r: sum(constituents[name] for name, _, regime, *_ in table if regime == r)
+    return XFunctional(x_low=part("low"), x_med=part("med"), x_high=part("high"), constituents=constituents)

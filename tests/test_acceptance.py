@@ -247,7 +247,7 @@ def test_c07_relaxation_slope():
     grid = Grid(d=3, n=24)
     mk = lambda: random_field(grid, rng, 1e-2, 3.0)
     base = State(a=mk(), v=(mk(), mk(), mk()), theta=mk(), q=(mk(), mk(), mk()))
-    rep = relax_sweep(base, 3, [1e-1, 3e-2, 1e-2, 3e-3], T=4.0)
+    rep = relax_sweep(base, ModelSpec(kind="nsc", d=3), [1e-1, 3e-2, 1e-2, 3e-3], T=4.0)
     assert 0.85 <= rep.slope_fitted <= 1.15, f"slope {rep.slope_fitted}"
     assert rep.monotone
     assert all(w <= x for w, x in zip(rep.well_prepared_values, rep.xtilde_values))

@@ -141,6 +141,10 @@ def test_seed_must_be_integer(tmp_path):
         ({"output": {"stride": -3}}, "output.stride"),
         ({"thresholds": {"K": 0}}, "thresholds.K must be an integer >= 2"),
         ({"thresholds": {"k": 0}}, "thresholds.k must satisfy 0 < k <= 1"),
+        ({"model": {"kind": "nsf"}}, "study.relax-sweep needs the relaxing system"),
+        ({"model": {"kind": "toy-damped"}}, "study.relax-sweep needs the relaxing system"),
+        ({"model": {"alpha": 0.0}}, "study.relax-sweep needs the relaxing system"),
+        ({"model": {"kappa": 0.0}}, "study.relax-sweep needs the relaxing system"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -334,6 +338,21 @@ def test_relax_sweep_study(tmp_path):
     assert len(rows) == 3
 
 
+def test_relax_sweep_reads_the_model_block(tmp_path):
+    # a coefficient of the model block reaches the sweep: kappa changes the
+    # bytes of relax.csv; mu alone does not, since the longitudinal
+    # viscosity weight is 1 whenever nu > 0 and mu/nu stays 1/2 at
+    # visc_lam = 0
+    base = {"grid": {"n": 8}, "seed": 3, "study": {"relax-sweep": {"eps_list": [1e-1, 3e-2], "T": 1.0}}}
+    digests = {}
+    for name, coeffs in (("default", {}), ("kappa", {"kappa": 2.0}), ("mu", {"visc_mu": 0.1})):
+        cfg = write_cfg(tmp_path / f"{name}.yaml", {**base, "model": {"kind": "nsc", "d": 3, **coeffs}})
+        assert main(["relax-sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+        digests[name] = digest(tmp_path / name / "relax.csv")
+    assert digests["kappa"] != digests["default"]
+    assert digests["mu"] == digests["default"]
+
+
 def test_lyapunov_study(tmp_path):
     cfg = write_cfg(
         tmp_path / "c.yaml",
@@ -355,6 +374,7 @@ def test_lyapunov_study(tmp_path):
 
 def test_band_diagnostics_evaluate_each_series_once(tmp_path, monkeypatch):
     import nsclab.diagnostics as diagnostics
+    import nsclab.evolve as evolve
 
     cfg = write_cfg(
         tmp_path / "c.yaml",
@@ -366,13 +386,31 @@ def test_band_diagnostics_evaluate_each_series_once(tmp_path, monkeypatch):
             "study": {"evolve": {"T": 0.1, "dt": 0.01, "nonlinear": False}},
         },
     )
-    calls = []
-    counted = diagnostics._band_functional
-    monkeypatch.setattr(diagnostics, "_band_functional", lambda *a: calls.append(1) or counted(*a))
+    # the series and X are read from the state's Gram factors: one flow
+    # evaluation per series and one for X, and no propagator while they run
+    # (the study's own states are still stepped by one)
+    calls, built, running = [], [], []
+
+    def marked(fn):
+        def run(*args):
+            running.append(1)
+            try:
+                return fn(*args)
+            finally:
+                running.pop()
+
+        return run
+
+    for name in ("band_diagnostics", "functional_X"):
+        monkeypatch.setattr(diagnostics, name, marked(getattr(diagnostics, name)))
+    counted, init = diagnostics._flow_squares, evolve.LinearPropagator.__init__
+    monkeypatch.setattr(diagnostics, "_flow_squares", lambda *a: calls.append(1) or counted(*a))
+    monkeypatch.setattr(evolve.LinearPropagator, "__init__", lambda self, *a: built.append(bool(running)) or init(self, *a))
     out = tmp_path / "out"
     assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     rows = (out / "band_diagnostics.csv").read_text().splitlines()[1:]
-    assert rows and len(calls) == len(rows)
+    assert rows and len(calls) == len({tuple(row.split(",")[1:3]) for row in rows}) + 1
+    assert built and not any(built)
     # every interior row carries a residual, the two ends of each band do not
     assert sum(row.endswith(",nan") for row in rows) == 2 * len({row.split(",")[1] for row in rows})
 

@@ -9,26 +9,37 @@ from nsclab.besov import _band_norms, band_project, besov_seminorm, grid_band_ra
 from nsclab.diagnostics import (
     _band_functional,
     _calibrate,
-    _centered_series,
+    _flow_squares,
+    _regime_parts,
     _regime_rate,
     _x_table,
+    band_diagnostics,
     effective_unknowns,
     functional_X,
     lyapunov_high,
     lyapunov_low,
 )
-from nsclab.evolve import LinearPropagator, linear_trajectory, mode_matrices
+from nsclab.evolve import _torus_measure, linear_trajectory, mode_matrices
 from nsclab.model import ModelSpec, SystemKind, eigenvalues, symbol
 from nsclab.spectral import (
     Grid,
     SpectralField,
     State,
+    _row_views,
     random_field,
     zero_field,
     zero_state,
 )
 from nsclab.studies import _fit_line, random_state, sampled_linear_trajectory, slow_projection, well_prepared_flux
-from oracles import _inner_reference, grad, grad_j
+from oracles import (
+    _inner_reference,
+    band_diagnostics_reference,
+    centered_series,
+    effective_velocity,
+    functional_X_reference,
+    grad,
+    grad_j,
+)
 
 
 def band_inner(f, g, j: int) -> float:
@@ -55,7 +66,7 @@ def curl_linf(fields) -> float:
 
 def calibrate_dissipation(trajs, j, regime, spec, th, eta=0.1):
     """Largest c with d/dt L_j + c D_j <= 0 across the training trajectories."""
-    series = [_centered_series(traj, j, regime, spec, eta) for traj in trajs]
+    series = [centered_series(traj, j, regime, spec, eta) for traj in trajs]
     return _calibrate(np.concatenate([dl for *_, dl in series]), np.concatenate([diss[1:-1] for _, _, diss, _ in series]))
 
 
@@ -65,7 +76,7 @@ def dissipation_residual(traj, j, regime, spec, th, eta=0.1, c=None):
     c defaults to the trajectory's own calibration.  Returns (times, residual,
     violations) where violations counts residuals above discretization slack.
     """
-    times, _, diss, dl = _centered_series(traj, j, regime, spec, eta)
+    times, _, diss, dl = centered_series(traj, j, regime, spec, eta)
     dmid = diss[1:-1]
     if c is None:
         c = _calibrate(dl, dmid)
@@ -103,14 +114,14 @@ def test_effective_state_rows_view_one_stack(grid, seed):
     shape = (2 * grid.d + 2, *grid.shape)
     st = State.from_stacked(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 0.0, True)
     spec = ModelSpec(kind=SystemKind.NSC, d=grid.d, eps=0.1, kappa=0.7, alpha=1.3)
-    es = effective_unknowns(st, spec)
+    es, w_stack = effective_unknowns(st, spec), effective_velocity(st)
     xi, w = grid.wavevectors(), np.where(grid.nyquist_mask(), 0.0, 1.0)
     k2 = sum(x**2 for x in xi)
     for name, stack, expect in (
         ("Q", es._Q, [spec.alpha * q.coeffs + spec.kappa * (1j * x * w * st.theta.coeffs) for q, x in zip(st.q, xi)]),
-        ("w", es._w, [v.coeffs + np.where(k2 == 0.0, 0.0, w * (1j * x * w * st.a.coeffs) / np.where(k2 == 0.0, 1.0, k2)) for v, x in zip(st.v, xi)]),
+        ("w", w_stack, [v.coeffs + np.where(k2 == 0.0, 0.0, w * (1j * x * w * st.a.coeffs) / np.where(k2 == 0.0, 1.0, k2)) for v, x in zip(st.v, xi)]),
     ):
-        rows = getattr(es, name)
+        rows = es.Q if name == "Q" else tuple(_row_views(grid, stack))
         assert stack.shape == (grid.d, *grid.shape) and len(rows) == grid.d
         for f, row, ref in zip(rows, stack, expect):
             assert f.grid == grid and np.shares_memory(f.coeffs, stack) and np.array_equal(f.coeffs, row)
@@ -129,18 +140,17 @@ def test_effective_velocity_single_mode(grid2d, nsc2):
     st = zero_state(grid2d)
     st.a.coeffs[2, 1] = 1.0
     st = State(a=st.a.hermitized(), v=st.v, theta=st.theta, q=st.q)
-    es = effective_unknowns(st, nsc2)
+    w = effective_velocity(st)
     xv = grid2d.wavevectors()
     xi = np.array([xv[0][2, 1], xv[1][2, 1]])
     expect = 1j * xi / np.dot(xi, xi) * st.a.coeffs[2, 1]
-    got = np.array([es.w[0].coeffs[2, 1], es.w[1].coeffs[2, 1]])
+    got = np.array([w[0][2, 1], w[1][2, 1]])
     assert np.max(np.abs(got - expect)) < 1e-14
 
 
 def test_effective_velocity_is_gradient_correction(grid2d, rng, nsc2):
     st = band_state(grid2d, rng, 2)
-    es = effective_unknowns(st, nsc2)
-    diff = tuple(SpectralField(grid2d, w.coeffs - v.coeffs) for w, v in zip(es.w, st.v))
+    diff = tuple(SpectralField(grid2d, w - v.coeffs) for w, v in zip(effective_velocity(st), st.v))
     assert curl_linf(diff) <= 1e-12
 
 
@@ -353,7 +363,7 @@ def test_centered_difference_matches_exact_derivative(rng, regime, j, mode):
     gen = symbol(spec, np.array([w[mode] for w in grid.wavevectors()])).entries
     st = _single_mode_state(grid, mode, 1e-3 * (rng.standard_normal(6) + 1j * rng.standard_normal(6)))
     traj = linear_trajectory(st, spec, 5e-3 / _regime_rate(spec, j, regime), 6)
-    _, lyap, _, dl = _centered_series(traj, j, regime, spec, eta)
+    _, lyap, _, dl = centered_series(traj, j, regime, spec, eta)
     exact = [
         _exact_lyapunov_rate(s, _single_mode_state(grid, mode, gen @ s.u[(slice(None), *mode)]), j, regime, spec, eta)
         for s in traj[1:-1]
@@ -368,8 +378,8 @@ def test_centered_series_reads_a_generator_once(rng, regime, j):
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.25)
     traj = linear_trajectory(band_state(grid, rng, j, amp=1e-3), spec, 5e-3 / _regime_rate(spec, j, regime), 8)
-    want = _centered_series(traj, j, regime, spec, 0.1)
-    got = _centered_series((s for s in traj), j, regime, spec, 0.1)
+    want = centered_series(traj, j, regime, spec, 0.1)
+    got = centered_series((s for s in traj), j, regime, spec, 0.1)
     assert all(np.array_equal(w, g) for w, g in zip(want, got, strict=True))
 
 
@@ -383,7 +393,7 @@ def test_centered_series_takes_two_band_passes_low_and_three_high(rng, monkeypat
     calls = []
     counted = np.bincount
     monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or counted(*a, **k))
-    _centered_series(traj, j, regime, spec, 0.1)
+    centered_series(traj, j, regime, spec, 0.1)
     assert len(calls) == passes * len(traj)
 
 
@@ -408,8 +418,7 @@ def test_damped_mode_rate_matches_eigenvalue(rng):
 def test_functional_X_zero_trajectory(grid2d):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     th = make_thresholds(8, 1, spec.eps)
-    traj = [State.from_stacked(grid2d, zero_state(grid2d).u, 0.1 * i, True) for i in range(5)]
-    x = functional_X(traj, spec, th)
+    x = functional_X(zero_state(grid2d), spec, th, 0.1 * np.arange(5))
     assert x.total == 0.0
     assert all(v == 0.0 for v in x.constituents.values())
 
@@ -423,8 +432,7 @@ def test_functional_X_additivity(grid2d, rng):
         theta=random_field(grid2d, rng, 1e-3),
         q=(random_field(grid2d, rng, 1e-3), random_field(grid2d, rng, 1e-3)),
     )
-    traj = linear_trajectory(st, spec, 0.02, 20)
-    x = functional_X(traj, spec, th)
+    x = functional_X(st, spec, th, 0.02 * np.arange(21))
     assert x.total == pytest.approx(x.x_low + x.x_med + x.x_high, rel=1e-14)
     assert x.total > 0
 
@@ -438,10 +446,10 @@ def test_functional_X_nondecreasing_in_time(grid2d, rng):
         theta=random_field(grid2d, rng, 1e-3),
         q=(random_field(grid2d, rng, 1e-3), random_field(grid2d, rng, 1e-3)),
     )
-    traj = linear_trajectory(st, spec, 0.02, 30)
+    times = 0.02 * np.arange(31)
     prev = 0.0
     for upto in (10, 20, 30):
-        x = functional_X(traj[: upto + 1], spec, th)
+        x = functional_X(st, spec, th, times[: upto + 1])
         assert x.total >= prev - 1e-15
         prev = x.total
 
@@ -466,11 +474,11 @@ def test_functional_X_single_mode_integral_oracle():
 
     dt, nsteps = 0.02, 100
     T = dt * nsteps
-    traj = linear_trajectory(st, spec, dt, nsteps)
-    x = functional_X(traj, spec, th)
+    times = dt * np.arange(nsteps + 1)
+    x = functional_X(st, spec, th, times)
     rate = -lam0.real
     assert rate > 0
-    base = functional_X(traj[:1], spec, th).constituents  # instantaneous at t=0
+    base = functional_X(st, spec, th, times[:1]).constituents  # instantaneous at t=0
     for name in ("low_avtheta_L1", "low_q_L1"):
         f0 = {"low_avtheta_L1": "low_state_Linf"}.get(name)
         # closed form from the t=0 value of the matching integrand
@@ -502,8 +510,7 @@ def test_functional_X_uniform_in_eps(grid2d, rng):
             theta=base.theta.copy(),
             q=well_prepared_flux(base.theta, spec),
         )
-        traj = linear_trajectory(st, spec, 0.02, 100)
-        totals.append(functional_X(traj, spec, th).total)
+        totals.append(functional_X(st, spec, th, 0.02 * np.arange(101)).total)
     assert max(totals) / min(totals) < 2.0
 
 
@@ -512,9 +519,8 @@ def test_functional_X_requires_increasing_times(grid2d):
     th = make_thresholds(8, 1, spec.eps)
     st = zero_state(grid2d)
     for times in ((0.0, 0.1, 0.1), (0.0, 0.2, 0.1)):
-        bad = [State.from_stacked(grid2d, st.u, t, True) for t in times]
         with pytest.raises(ValueError, match="strictly increase"):
-            functional_X(bad, spec, th)
+            functional_X(st, spec, th, np.array(times))
 
 
 def _x_snapshot_reference(st, spec, th) -> dict:
@@ -523,7 +529,7 @@ def _x_snapshot_reference(st, spec, th) -> dict:
     eps, es = spec.eps, effective_unknowns(st, spec)
     scaled = lambda c, fields: tuple(SpectralField(f.grid, c * f.coeffs) for f in fields)
     fields = {
-        "a": (st.a,), "v": st.v, "theta": (st.theta,), "q": st.q, "Q": es.Q, "w": es.w,
+        "a": (st.a,), "v": st.v, "theta": (st.theta,), "q": st.q, "Q": es.Q, "w": tuple(_row_views(st.grid, effective_velocity(st))),
         "eq": scaled(eps, st.q), "e2theta": scaled(eps**2, (st.theta,)), "e3q": scaled(eps**3, st.q),
     }
     out = {}
@@ -548,7 +554,7 @@ def test_functional_X_at_non_uniform_times_is_the_trapezoid(grid2d, rng):
     times = np.array([s.time for s in traj])
     assert np.ptp(np.diff(times)) > 0.1
     snaps = [_x_snapshot_reference(s, spec, th) for s in traj]
-    x = functional_X(traj, spec, th)
+    x = functional_X(st, spec, th, times)
     for name, *_, kind in _x_table(spec.d, spec.eps):
         vals = np.array([snap[name] for snap in snaps])
         want = {"Linf": np.max(vals), "L1": np.trapezoid(vals, times), "L2": math.sqrt(np.trapezoid(vals**2, times))}[kind]
@@ -564,11 +570,11 @@ def test_functional_X_takes_one_band_pass_per_group(grid2d, rng, monkeypatch):
     spec = ModelSpec(kind="nsc", d=2, eps=1 / 16)
     th = make_thresholds(8, 1, spec.eps)
     traj = linear_trajectory(random_state(grid2d, rng), spec, 0.02, 4)
-    want = functional_X(traj, spec, th)
+    want = functional_X_reference(traj, spec, th)
     calls = []
     counted = diagnostics._band_norms
     monkeypatch.setattr(diagnostics, "_band_norms", lambda *a: calls.append(1) or counted(*a))
-    assert functional_X(traj, spec, th) == want
+    assert functional_X_reference(traj, spec, th) == want
     assert len({group for _, group, *_ in _x_table(spec.d, spec.eps)}) == 10
     assert len(calls) == 10 * len(traj)
 
@@ -581,3 +587,94 @@ def test_dissipation_quantity_regimes(grid2d, rng):
     assert low > 0 and high > 0
     with pytest.raises(ValueError):
         _band_functional(st, "sideways", spec, 0.1)
+
+
+# ------------------------------------------------------- the flow's Gram rows
+
+
+def _flux_state(grid, rng, flux, spec):
+    """A Hermitian NSC state with Nyquist-plane content and the given flux:
+    random, zero, well-prepared (Q = 0) or, with every other component,
+    supported on the Nyquist plane only."""
+    shape = (2 * grid.d + 2, *grid.shape)
+    u = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / (1.0 + grid.wavenumber_magnitude()) ** 2
+    if flux == "nyquist":
+        u = np.where(grid.nyquist_mask(), u, 0.0)
+    st = State.from_stacked(grid, u, 0.0, True).hermitized()
+    if flux == "zero":
+        st.u[2 + grid.d :] = 0.0
+    elif flux == "well-prepared":
+        st = State(a=st.a, v=st.v, theta=st.theta, q=well_prepared_flux(st.theta, spec))
+    return st
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dn=hst.sampled_from([(1, 16), (2, 8), (3, 8)]),
+    L=hst.sampled_from([2 * np.pi, np.pi]),
+    flux=hst.sampled_from(["random", "zero", "well-prepared", "nyquist"]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_flow_squares_at_zero_are_the_state_band_norms(dn, L, flux, seed):
+    # at t = 0 the Gram rows give L^d |row_j|^2 of a, v, theta, q, Q and w
+    # and the band functionals' parts, to rounding of the band's energy
+    d, n = dn
+    grid = Grid(d=d, n=n, L=L)
+    spec = ModelSpec(kind="nsc", d=d, eps=0.2, kappa=0.7, alpha=1.3)
+    st = _flux_state(grid, np.random.default_rng(seed), flux, spec)
+    bands, u = grid_band_range(grid), st.u
+    got = _flow_squares(_torus_measure(st), spec, [0.0])
+    rows = {"a": u[:1], "v": u[1 : 1 + d], "theta": u[1 + d : 2 + d], "q": u[2 + d :], "Q": effective_unknowns(st, spec)._Q, "w": effective_velocity(st)}
+    want = {name: _band_norms(grid, x, 2) ** 2 for name, x in rows.items()}
+    scale = sum(want.values())
+    for name, x in want.items():
+        assert np.all(np.abs(got[name][0] - x) <= 1e-12 * scale), name
+    for regime in ("low", "high"):
+        ref = np.array(list(_band_functional(st, regime, spec, 0.1).values())).T
+        parts = np.array(_regime_parts(regime, spec, 0.1, bands, *(x[0] for x in got[regime])))
+        assert np.all(np.abs(parts - ref) <= 1e-12 * np.abs(ref[[0, 0, 2]])), regime  # E_j bounds the cross part
+
+
+def _oracle_state(d, seed):
+    grid = Grid(d=d, n={1: 32, 2: 16, 3: 8}[d])
+    return random_state(grid, np.random.default_rng(seed))
+
+
+@settings(max_examples=6, deadline=None)
+@given(d=hst.sampled_from([1, 2, 3]), seed=hst.integers(0, 2**32 - 1))
+def test_band_diagnostics_match_stepped_oracle(d, seed):
+    # the Gram series equal 40 LinearPropagator steps per band: the same t
+    # bits, lyapunov and dissipation to 1e-12 relative
+    spec = ModelSpec(kind="nsc", d=d, eps=0.25)
+    th = make_thresholds(2, 1.0, spec.eps)  # low bands j <= 1, high j >= 2
+    st = _oracle_state(d, seed)
+    rows, ref = band_diagnostics(st, spec, th), band_diagnostics_reference(st, spec, th)
+    assert {r[2] for r in ref} == {"low", "high"}
+    assert [r[:3] for r in rows] == [r[:3] for r in ref]
+    for col in (3, 4):
+        got, want = (np.array([r[col] for r in x]) for x in (rows, ref))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), col
+    # the centred difference cancels about four digits of L_j (measured
+    # worst 1.3e-10 of a band's largest |residual|)
+    for key in {tuple(r[1:3]) for r in ref}:
+        got, want = (np.array([r[5] for r in x if tuple(r[1:3]) == key]) for x in (rows, ref))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-8 * np.nanmax(np.abs(want)), key
+
+
+@settings(max_examples=8, deadline=None)
+@given(d=hst.sampled_from([1, 2, 3]), seed=hst.integers(0, 2**32 - 1), well_prepared=hst.booleans())
+def test_functional_X_matches_stepped_oracle(d, seed, well_prepared):
+    # every piece of X from the Gram rows equals the stepped snapshots' at
+    # the same times to 1e-12 relative, the damped mode of well-prepared
+    # data (Q(0) = 0, a rank-deficient Gram matrix) among them
+    spec = ModelSpec(kind="nsc", d=d, eps=0.1)
+    th = make_thresholds(2, 1.0, spec.eps)
+    st = _oracle_state(d, seed)
+    if well_prepared:
+        st = State(a=st.a, v=st.v, theta=st.theta, q=well_prepared_flux(st.theta, spec))
+    traj = linear_trajectory(st, spec, 0.01, 50)
+    x, ref = functional_X(st, spec, th, np.array([s.time for s in traj])), functional_X_reference(traj, spec, th)
+    assert x.total > 0
+    for name, want in ref.constituents.items():
+        assert x.constituents[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
