@@ -123,17 +123,6 @@ def mode_matrices(spec: ModelSpec, grid: Grid) -> np.ndarray:
 _COND_MAX = 1e6
 
 
-def _rayleigh_quotients(mats: np.ndarray, vecs: np.ndarray, vinv: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """w_k^T M v_k / w_k^T v_k per generator in long double, `chunk`
-    generators at a time so that the extended copies stay small."""
-    ext = lambda x: x.astype(np.result_type(x, np.longdouble))
-    lam = np.empty(vecs.shape[:-1], dtype=complex)
-    for lo in range(0, len(mats), chunk):
-        w, m, v = (ext(x[lo : lo + chunk]) for x in (vinv, mats, vecs))
-        lam[lo : lo + chunk] = np.einsum("nki,nij,njk->nk", w, m, v) / np.einsum("nki,nik->nk", w, v)
-    return lam
-
-
 class PropagatorKernel:
     """exp(t M) for a stack of real generators from one eigendecomposition.
 
@@ -141,25 +130,17 @@ class PropagatorKernel:
     computed once and exp(t M) = sum_k e^(t lambda_k) v_k w_k^T (w_k row k of
     V^-1; Moler & Van Loan 2003's eigenvector method) at every t.  Generators
     with cond(V) > _COND_MAX are kept aside and take expm at every t.
-
-    eig's eigenvalues carry an absolute error of order u |M|, which e^(t
-    lambda) turns into t u |M| e^(t lambda) on a slow mode (1e-12 at eps =
-    0.1, |k| = 100, t = 1); the two-sided Rayleigh quotients
-    w_k^T M v_k / w_k^T v_k, taken in extended precision, are exact to
-    second order in the eigenvector errors and replace them.
     """
 
     def __init__(self, mats: np.ndarray):
         self.mats = np.asarray(mats, dtype=float)
         lam, vecs = np.linalg.eig(self.mats)
         self.fallback = np.flatnonzero(~(np.linalg.cond(vecs) <= _COND_MAX))
+        lam[self.fallback] = 0.0
         vecs[self.fallback] = np.eye(self.mats.shape[-1])
+        self.lam = lam.astype(complex)  # eig returns real lam when every eigenvalue is real
         self.vecs = vecs
         self.vinv = np.linalg.inv(vecs)
-        if np.finfo(np.longdouble).eps < np.finfo(float).eps:  # else eig's lam stands
-            lam = _rayleigh_quotients(self.mats, self.vecs, self.vinv)
-        self.lam = lam.astype(complex)  # eig returns real lam when every eigenvalue is real
-        self.lam[self.fallback] = 0.0
 
     @functools.cached_property
     def projectors(self) -> np.ndarray:
