@@ -259,8 +259,6 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
         raise ConfigError(f"{where} needs the full NSC/NSF system (model.kind: nsc or nsf), got {spec.kind.value}")
     if name in ("lyapunov", "bernstein", "initial-layer") and spec.kind is model.SystemKind.NSF:
         raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): it reads model.eps > 0")
-    if name == "relax-sweep" and not (spec.kind is model.SystemKind.NSC and spec.alpha > 0 and spec.kappa > 0):
-        raise ConfigError(f"{where} needs the relaxing system with a Fourier-law limit (model.kind: nsc, alpha and kappa > 0), got {spec.kind.value} with alpha = {spec.alpha}, kappa = {spec.kappa}")
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
@@ -278,7 +276,7 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
         times = _log_times(where, block)
     if name == "relax-sweep":
         eps = [float(e) for e in block["eps_list"]]
-        _judged(where, studies._validate_sweep, d, n, eps, float(block["p"]), block["nonlinear"])
+        _judged(where, studies._validate_sweep, spec, n, eps, float(block["p"]), block["nonlinear"])
     elif name == "decay-fit":
         _judged(where, studies._validate_decay_ranges, d, float(block["p"]), float(block["sigma"]), float(block["sigma1"]), int(block["t_count"]))
     elif name == "lyapunov":

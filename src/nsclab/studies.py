@@ -440,15 +440,17 @@ class RelaxReport:
         return all(b <= a * (1 + 1e-12) for a, b in zip(self.xtilde_values, self.xtilde_values[1:]))
 
 
-def _validate_sweep(d: int, n: int, eps_list, p: float, nonlinear: bool) -> None:
+def _validate_sweep(spec: ModelSpec, n: int, eps_list, p: float, nonlinear: bool) -> None:
     """Raise ValueError, naming the argument first, for a sweep that
-    relax_sweep refuses on a d-dimensional grid of n points per axis."""
+    relax_sweep refuses for the model of spec on a grid of n points per axis."""
+    if not (spec.kind is SystemKind.NSC and spec.alpha > 0 and spec.kappa > 0):  # to_nsf and graded_times need them
+        raise ValueError(f"spec must be the relaxing system with a Fourier-law limit (model.kind: nsc, alpha and kappa > 0), got {spec.kind.value} with alpha = {spec.alpha}, kappa = {spec.kappa}")
     if not 2.0 <= p <= 4.0:
         raise ValueError(f"p must lie in [2, 4], got {p}")
     if len(set(eps_list)) < 2 or not all(e > 0 for e in eps_list):
         raise ValueError(f"eps_list must hold at least two distinct positive values, got {eps_list}")
-    if nonlinear and (d > 2 or n > 256):
-        raise ValueError(f"nonlinear sweeps run only at d <= 2 and n <= 256, got d = {d}, n = {n}")
+    if nonlinear and (spec.d > 2 or n > 256):
+        raise ValueError(f"nonlinear sweeps run only at d <= 2 and n <= 256, got d = {spec.d}, n = {n}")
 
 
 def relax_sweep(
@@ -480,7 +482,7 @@ def relax_sweep(
     Threshold-invalid eps values are skipped and reported.
     """
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
-    _validate_sweep(spec.d, base.grid.n, eps_list, p, nonlinear)
+    _validate_sweep(spec, base.grid.n, eps_list, p, nonlinear)
     xt, wp, rows, skipped = [], [], [], []
     used = []
     measure = _torus_measure(base) if p == 2 and not nonlinear else None

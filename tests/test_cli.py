@@ -141,10 +141,10 @@ def test_seed_must_be_integer(tmp_path):
         ({"output": {"stride": -3}}, "output.stride"),
         ({"thresholds": {"K": 0}}, "thresholds.K must be an integer >= 2"),
         ({"thresholds": {"k": 0}}, "thresholds.k must satisfy 0 < k <= 1"),
-        ({"model": {"kind": "nsf"}}, "study.relax-sweep needs the relaxing system"),
-        ({"model": {"kind": "toy-damped"}}, "study.relax-sweep needs the relaxing system"),
-        ({"model": {"alpha": 0.0}}, "study.relax-sweep needs the relaxing system"),
-        ({"model": {"kappa": 0.0}}, "study.relax-sweep needs the relaxing system"),
+        ({"model": {"kind": "nsf"}}, "study.relax-sweep.spec must be the relaxing system"),
+        ({"model": {"kind": "toy-damped"}}, "study.relax-sweep.spec must be the relaxing system"),
+        ({"model": {"alpha": 0.0}}, "study.relax-sweep.spec must be the relaxing system"),
+        ({"model": {"kappa": 0.0}}, "study.relax-sweep.spec must be the relaxing system"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

@@ -429,6 +429,17 @@ def test_relax_sweep_refuses_p_outside_2_4(rng, p):
         relax_sweep(base, relaxing(2), [1e-1, 3e-2], T=0.5, p=p)
 
 
+
+@pytest.mark.parametrize("coeffs", [{"kind": "nsf"}, {"kind": "toy-damped"}, {"kind": "nsc", "alpha": 0.0}, {"kind": "nsc", "kappa": 0.0}])
+def test_relax_sweep_refuses_a_model_without_a_fourier_law_limit(rng, coeffs):
+    # the sweep compares the relaxing system with its Fourier-law limit:
+    # to_nsf needs kind nsc and kappa > 0, graded_times needs alpha > 0
+    grid = Grid(d=2, n=8)
+    mk = lambda: random_field(grid, rng, 1e-2, 3.0)
+    base = State(a=mk(), v=(mk(), mk()), theta=mk(), q=(mk(), mk()))
+    with pytest.raises(ValueError, match="spec must be the relaxing system with a Fourier-law limit"):
+        relax_sweep(base, ModelSpec(d=2, **coeffs), [1e-1, 3e-2], T=0.5)
+
 def test_initial_layer_single_mode(rng):
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.1)
