@@ -272,6 +272,8 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
         raise ConfigError(f"{where}.dt must be positive, or 0 for the default step, got {block['dt']!r}")
     if name in ("decay-fit", "lyapunov"):
         _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
+        key, r_max = ("radial", cfg["radial"]["r_max"]) if name == "decay-fit" else (where, block["r_max"])
+        _judged(key, evolve._check_r_max, float(r_max))
     if name in ("spectrum", "decay-fit", "lyapunov"):
         times = _log_times(where, block)
     if name == "relax-sweep":
@@ -378,10 +380,12 @@ def _random_state(spec, grid, rng, amplitude, decay, flux_init):
 
 
 # ---------------------------------------------------------------------------
-# Study runners.  Each returns a list of artifact filenames.
+# Study runners.  Each returns a list of artifact filenames.  A runner that
+# draws builds its generator from the config seed itself, so a study that
+# draws nothing never imports numpy.random.
 
 
-def run_spectrum(cfg, out_dir, rng):
+def run_spectrum(cfg, out_dir):
     spec = build_model(cfg)
     p = cfg["study"]["spectrum"]
     rs = _log_times("study.spectrum", p)
@@ -416,8 +420,9 @@ def run_spectrum(cfg, out_dir, rng):
     return ["spectrum.csv", "spectrum.dat", "report.json"]
 
 
-def run_sk_check(cfg, out_dir, rng):
+def run_sk_check(cfg, out_dir):
     spec = build_model(cfg)
+    rng = np.random.default_rng(int(cfg["seed"]))
     p = cfg["study"]["sk-check"]
     dirs = []
     if p["include_axes"]:
@@ -441,8 +446,9 @@ def run_sk_check(cfg, out_dir, rng):
     return ["sk_check.csv", "report.json"]
 
 
-def run_evolve(cfg, out_dir, rng):
+def run_evolve(cfg, out_dir):
     spec = build_model(cfg)
+    rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps) if spec.kind is model.SystemKind.NSC else None
     p = cfg["study"]["evolve"]
@@ -509,7 +515,7 @@ def run_evolve(cfg, out_dir, rng):
     return artifacts
 
 
-def run_decay_fit(cfg, out_dir, rng):
+def run_decay_fit(cfg, out_dir):
     spec = build_model(cfg)
     p = cfg["study"]["decay-fit"]
     r = cfg["radial"]
@@ -532,8 +538,9 @@ def run_decay_fit(cfg, out_dir, rng):
     return ["decay.csv", "decay.dat", "report.json"]
 
 
-def run_relax_sweep(cfg, out_dir, rng):
+def run_relax_sweep(cfg, out_dir):
     spec = build_model(cfg)
+    rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg, spec)
     p = cfg["study"]["relax-sweep"]
     base = studies.random_state(grid, rng, float(p["amplitude"]), float(p["spectral_decay"]))
@@ -556,7 +563,7 @@ def run_relax_sweep(cfg, out_dir, rng):
     return ["relax.csv", "relax.dat", "report.json"]
 
 
-def run_initial_layer(cfg, out_dir, rng):
+def run_initial_layer(cfg, out_dir):
     spec = build_model(cfg)
     grid = build_grid(cfg, spec)
     p = cfg["study"]["initial-layer"]
@@ -584,7 +591,7 @@ def run_initial_layer(cfg, out_dir, rng):
     return ["report.json", "layer.csv", "layer.dat"]
 
 
-def run_lyapunov(cfg, out_dir, rng):
+def run_lyapunov(cfg, out_dir):
     spec = build_model(cfg)
     p = cfg["study"]["lyapunov"]
     r = cfg["radial"]
@@ -610,8 +617,9 @@ def run_lyapunov(cfg, out_dir, rng):
     return ["lyapunov.csv", "lyapunov.dat", "report.json"]
 
 
-def run_bernstein(cfg, out_dir, rng):
+def run_bernstein(cfg, out_dir):
     spec = build_model(cfg)
+    rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps)
     p = cfg["study"]["bernstein"]
@@ -661,12 +669,11 @@ def run(config: dict) -> int:
     out_dir = Path(config["output"]["directory"])
     threads = int(config["threads"]) or (os.cpu_count() or 1)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(int(config["seed"]))
     # pocketfft splits a batched transform into independent 1-D ones, so the
     # worker count changes no output bit
     token = evolve._FFT_WORKERS.set(threads)
     try:
-        artifacts = _RUNNERS[study](config, out_dir, rng)
+        artifacts = _RUNNERS[study](config, out_dir)
     except ValueError as exc:  # ConfigError and ThresholdOrderError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -8,13 +8,14 @@ for the velocity and transverse damping scalars exp(-(alpha/eps^2) t) for
 the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
 of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
 exponential per eigenvalue; ill-conditioned radii keep scipy.linalg.expm
-(Higham 2005).  The radial flow uses one kernel over its log-spaced nodes,
-and RadialFlow.band_norms turns a sample into per-band L2 norms with one
-band sum.  The torus builds one kernel per (spec, grid) at the distinct
-lattice |k|^2; a step gathers the real block of each mode's radius and
-applies it to -i (a, i k.v, theta, i k.q), with -i on a and theta on the
-way in and i on their rows on the way out, then scales the transverse
-parts of v and q.  The gathered blocks belong to the LinearPropagator or
+(Higham 2005).  The radial flow uses one kernel over the log-spaced nodes
+that carry data (the rest stay exact zeros), and RadialFlow.band_norms
+turns a sample into per-band L2 norms with one band sum.  The torus
+builds one kernel per (spec, grid) at the distinct lattice |k|^2; a step
+gathers the real block of each mode's radius and applies it to
+-i (a, i k.v, theta, i k.q), with -i on a and theta on the way in and i
+on their rows on the way out, then scales the transverse parts of v and
+q.  The gathered blocks belong to the LinearPropagator or
 IMEX step that built them: nothing per mode is cached beyond it.  Band
 sums of squared linear rows along the exact torus flow step nothing: they
 come from a state's per-radius Gram factors and the kernel's
@@ -435,12 +436,20 @@ def _check_nodes(nodes: int) -> None:
         raise ValueError(f"nodes must be at least 512, got {nodes}")
 
 
+def _check_r_max(r_max: float) -> None:
+    if not _R_MIN < r_max < math.inf:
+        raise ValueError(f"r_max must be finite and above the lowest radial node {_R_MIN:g}, got {r_max!r}")
+
+
 class RadialFlow:
     """Longitudinal linear flow on a log-radial quadrature grid.
 
     Evaluates u(t, r) = exp(t M_red(r)) u0(r) on nodes log-spaced from
-    1e-4 to r_max, and turns a sample into the L2 norms of Lambda^sigma of
-    named components on every dyadic band: one band sum of the components'
+    1e-4 to r_max (r_max must lie above 1e-4), with one kernel over the
+    support, the nodes where the data profile is nonzero: the flow keeps
+    every other node at exact zero.  It turns a sample into the L2 norms
+    of Lambda^sigma of named components on every dyadic band: one band
+    sum of the components'
     |.|^2 r^(2 sigma) against a per-node Plancherel weight built once
     (sphere area x r^d x log-trapezoid weight / (2 pi)^d).  The nodes are
     labelled with their dyadic band once (besov.band_labels, the torus
@@ -450,6 +459,7 @@ class RadialFlow:
 
     def __init__(self, spec: ModelSpec, profile: RadialDataProfile, r_max: float = 1e4, nodes: int = 4096):
         _check_nodes(nodes)
+        _check_r_max(r_max)
         self.spec = spec
         self.d = spec.d
         self.r = np.logspace(math.log10(_R_MIN), math.log10(r_max), nodes)
@@ -458,12 +468,17 @@ class RadialFlow:
         self.weight = _SPHERE_AREA[self.d] * self.r**self.d * trapezoid / (2.0 * np.pi) ** self.d
         self.bands = dyadic_range(self.r[0], self.r[-1])
         self.labels = band_labels(self.r, self.bands)
-        self.kernel = PropagatorKernel(reduced_blocks(spec, self.r))
-        self.u0 = np.asarray(profile.amplitude(self.r), dtype=complex)[:, : self.kernel.mats.shape[-1]]
+        u0 = np.asarray(profile.amplitude(self.r), dtype=complex)
+        self.support = np.flatnonzero(u0.any(axis=1))
+        self.kernel = PropagatorKernel(reduced_blocks(spec, self.r[self.support]))
+        self.u0 = u0[:, : self.kernel.mats.shape[-1]]
 
     def at(self, t: float) -> np.ndarray:
-        """Reduced coefficients at time t, shape (nodes, ncomp)."""
-        return self.kernel.apply(t, self.u0)
+        """Reduced coefficients at time t, shape (nodes, ncomp): the kernel's
+        flow on the support, exact zeros on the nodes where the data vanish."""
+        out = np.zeros_like(self.u0)
+        out[self.support] = self.kernel.apply(t, self.u0[self.support])
+        return out
 
     def band_norms(self, u: np.ndarray, comps, sigma: float = 0.0) -> np.ndarray:
         """L2 norms of Lambda^sigma of the named components of u on every

@@ -145,6 +145,8 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"kind": "toy-damped"}}, "study.relax-sweep.spec must be the relaxing system"),
         ({"model": {"alpha": 0.0}}, "study.relax-sweep.spec must be the relaxing system"),
         ({"model": {"kappa": 0.0}}, "study.relax-sweep.spec must be the relaxing system"),
+        *(({"radial": {"r_max": r_max}, "study": {"decay-fit": {}}}, "radial.r_max must be finite and above the lowest radial node") for r_max in (1e-5, 0, -1)),
+        *(({"study": {"lyapunov": {"r_max": r_max}}}, "study.lyapunov.r_max must be finite and above the lowest radial node") for r_max in (1e-5, 0, -1)),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -183,10 +185,11 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg["seed"] == 1234 and "decay-fit" in cfg["study"]
 
 
-def _scipy_loaded_after(code: str) -> list:
-    """The scipy modules a fresh interpreter holds once code has run; only
-    the nonlinear sources load scipy.fft and only expm loads scipy.linalg."""
-    probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+def _loaded_after(code: str, prefix: str) -> list:
+    """The modules named prefix... that a fresh interpreter holds once code
+    has run; only the nonlinear sources load scipy.fft, only expm loads
+    scipy.linalg and only a study that draws loads numpy.random."""
+    probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
@@ -194,8 +197,16 @@ def _scipy_loaded_after(code: str) -> list:
     return proc.stdout.splitlines()[-1].split()
 
 
+def _main_calls(tmp_path, runs: dict) -> str:
+    calls = ["from nsclab.cli import main"]
+    for study, payload in runs.items():
+        cfg = write_cfg(tmp_path / f"{study}.yaml", payload)
+        calls.append(f"assert main({[study, '--config', str(cfg), '--out', str(tmp_path / study)]!r}) == 0")
+    return "\n".join(calls)
+
+
 def test_cli_import_skips_scipy_optimize():
-    loaded = set(_scipy_loaded_after("import nsclab.cli"))
+    loaded = set(_loaded_after("import nsclab.cli", "scipy"))
     assert "scipy.optimize" not in loaded
     assert not loaded & {"scipy.fft", "scipy.linalg", "scipy.special"}
 
@@ -206,12 +217,19 @@ def test_linear_and_radial_studies_skip_scipy_fft(tmp_path):
         "decay-fit": {"model": {"d": 3, "eps": 0.01}, "radial": {"nodes": 512}, "study": {"decay-fit": {"t_count": 20}}},
         "lyapunov": {"model": {"d": 3, "eps": 0.01}, "radial": {"nodes": 512}, "study": {"lyapunov": {"t_count": 20}}},
     }
-    calls = []
-    for study, payload in runs.items():
-        cfg = write_cfg(tmp_path / f"{study}.yaml", payload)
-        calls.append(f"assert main({[study, '--config', str(cfg), '--out', str(tmp_path / study)]!r}) == 0")
-    loaded = _scipy_loaded_after("from nsclab.cli import main\n" + "\n".join(calls))
-    assert "scipy.fft" not in loaded
+    assert "scipy.fft" not in _loaded_after(_main_calls(tmp_path, runs), "scipy")
+
+
+def test_studies_that_draw_nothing_skip_numpy_random(tmp_path):
+    runs = {
+        "decay-fit": {"radial": {"nodes": 512}, "study": {"decay-fit": {"t_count": 20}}},
+        "lyapunov": {"radial": {"nodes": 512}},
+        "spectrum": {},
+        "initial-layer": {},
+    }
+    assert "numpy.random" not in _loaded_after(_main_calls(tmp_path, runs), "numpy.random")
+    # the probe sees a study that draws
+    assert "numpy.random" in _loaded_after(_main_calls(tmp_path, {"sk-check": {}}), "numpy.random")
 
 
 def test_spectrum_shape_contract(tmp_path):

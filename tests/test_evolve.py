@@ -252,6 +252,13 @@ def test_radial_minimum_nodes():
         RadialFlow(spec, sharp_low_profile(1.5, 3), nodes=256)
 
 
+@pytest.mark.parametrize("r_max", [1e-4, 1e-5, 0.0, -1.0, math.inf, math.nan])
+def test_radial_cut_off_lies_above_the_lowest_node(r_max):
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    with pytest.raises(ValueError, match="r_max"):
+        RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=r_max, nodes=512)
+
+
 # -------------------------------------------------------------------- sources
 
 

@@ -303,15 +303,16 @@ def test_radial_flow_matches_pade_path():
     flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512)
     assert flow.kernel.fallback.size == 0
     for t in (0.0, 1.0, 100.0):
-        ref = np.einsum("nij,nj->ni", expm(t * flow.kernel.mats), flow.u0)
+        ref = np.einsum("nij,nj->ni", expm(t * reduced_blocks(spec, flow.r)), flow.u0)
         assert np.abs(flow.at(t) - ref).max() <= 1e-7 * np.abs(flow.u0).max()
 
 
 def test_radial_flow_builds_no_projectors():
     # the radial flow only applies its kernel: a 4,096-node flow and ten
-    # samples peak at 3.85 (nodes, 4, 4) complex stacks of traced memory.
-    # The bound leaves 10%; the projectors alone, (nodes, 8, 16) reals,
-    # would add 4 stacks.
+    # samples peak at 2.49 (nodes, 4, 4) complex stacks of traced memory,
+    # with the kernel on the 2,048 nodes that carry data.  The bound is
+    # 10% above the 3.85 stacks of a kernel on every node; the projectors
+    # alone, (2,048, 8, 16) reals, would add 2 stacks.
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512).at(1.0)  # warms numpy
     tracemalloc.start()

@@ -22,8 +22,8 @@ from nsclab.besov import (
     make_thresholds,
 )
 from nsclab.diagnostics import _band_functional, lyapunov_high, lyapunov_low
-from nsclab.evolve import RadialDataProfile, RadialFlow, sharp_low_profile
-from nsclab.model import ModelSpec
+from nsclab.evolve import PropagatorKernel, RadialDataProfile, RadialFlow, sharp_low_profile
+from nsclab.model import ModelSpec, reduced_blocks
 from nsclab.spectral import Grid, State, random_field
 from nsclab.studies import decay_fit, lyapunov_l1
 from oracles import (
@@ -228,6 +228,41 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
             assert close(norms[i], ref, scale=abs(ref) if ref * ref >= np.finfo(float).tiny else top)
     th = make_thresholds(2, 1.0, spec.eps)
     assert close(lyapunov_l1(flow, th, p, t), lyapunov_l1_reference(flow, th, p, t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from(["nsc", "nsf"]),
+    st.floats(-3.0, -1.0),
+    st.floats(-3.0, 2.0),
+    st.floats(-5.0, 3.0),
+    seeds,
+)
+def test_radial_flow_kernel_lives_on_the_data_support(d, kind, log_eps, log_r_max, log_cut, seed):
+    """The flow's kernel has one row per node that carries data, and every
+    sample is bit for bit the kernel over all nodes, exact zeros off the
+    support; the cut radius runs from below the lowest node (no support)
+    past r_max (every node)."""
+    rng = np.random.default_rng(seed)
+    spec = ModelSpec(kind=kind, d=d, eps=10.0**log_eps)
+    flow = RadialFlow(spec, _cut_profile(d, rng.uniform(-1.0, 1.0, 4), 10.0**log_cut), r_max=10.0**log_r_max, nodes=512)
+    carries = flow.u0.any(axis=1)
+    assert flow.kernel.mats.shape[0] == np.count_nonzero(carries)
+    full = PropagatorKernel(reduced_blocks(spec, flow.r))
+    for t in (0.0, *10.0 ** rng.uniform(-2.0, 3.0, 3)):
+        u = flow.at(t)
+        assert np.array_equal(u, full.apply(t, flow.u0))
+        assert not u[~carries].any()
+
+
+def test_radial_flow_of_zero_data_is_zero():
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    flow = RadialFlow(spec, _cut_profile(3, np.zeros(4), 30.0), r_max=64.0, nodes=512)
+    assert flow.kernel.mats.shape[0] == 0
+    u = flow.at(10.0)
+    assert u.shape == (512, 4) and not u.any()
+    assert not flow.band_norms(u, ("a", "v", "theta", "q")).any()
 
 
 def test_radial_band_norms_partition_l2():
