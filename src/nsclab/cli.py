@@ -86,8 +86,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -273,7 +271,7 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
     if name in ("decay-fit", "lyapunov"):
         _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
         key, r_max = ("radial", cfg["radial"]["r_max"]) if name == "decay-fit" else (where, block["r_max"])
-        _judged(key, evolve._check_r_max, float(r_max))
+        _judged(key, studies._check_reach, evolve.sharp_low_profile(float(block["sigma1"]), d), float(r_max))
     if name in ("spectrum", "decay-fit", "lyapunov"):
         times = _log_times(where, block)
     if name == "relax-sweep":

@@ -68,7 +68,6 @@ def effective_unknowns(state: State, spec: ModelSpec) -> EffectiveState:
 
 @dataclass(frozen=True)
 class LyapunovValue:
-    j: int
     value: float
     parts: tuple  # (norm_part, cross_part)
 
@@ -107,7 +106,7 @@ def _band_functional(state: State, regime: str, spec, eta: float) -> dict:
 def _band_value(state: State, j: int, regime: str, spec, eta: float) -> LyapunovValue:
     """Band j of _band_functional; 0 off the grid's bands."""
     norm_part, cross, _ = _band_functional(state, regime, spec, eta).get(j, (0.0, 0.0, 0.0))
-    return LyapunovValue(j=j, value=norm_part + cross, parts=(norm_part, cross))
+    return LyapunovValue(value=norm_part + cross, parts=(norm_part, cross))
 
 
 def lyapunov_low(state: State, j: int, eta: float = 0.25) -> LyapunovValue:

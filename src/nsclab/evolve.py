@@ -457,7 +457,7 @@ class RadialFlow:
     whole-space norm.
     """
 
-    def __init__(self, spec: ModelSpec, profile: RadialDataProfile, r_max: float = 1e4, nodes: int = 4096):
+    def __init__(self, spec: ModelSpec, profile: RadialDataProfile, r_max: float, nodes: int):
         _check_nodes(nodes)
         _check_r_max(r_max)
         self.spec = spec

@@ -151,16 +151,6 @@ class ModelSpec:
         """Pure damping rate alpha/eps^2 of the heat-flux equation."""
         return self.alpha / self.eps**2
 
-    def component_labels(self) -> list:
-        d = self.d
-        if self.kind is SystemKind.NSC:
-            return ["a"] + [f"v{i+1}" for i in range(d)] + ["theta"] + [f"q{i+1}" for i in range(d)]
-        if self.kind is SystemKind.NSF:
-            return ["a"] + [f"v{i+1}" for i in range(d)] + ["theta"]
-        if self.kind is SystemKind.TOY_DIFFUSIVE:
-            return ["a", "u_long"]
-        return ["theta", "q_long"]
-
     def to_nsf(self) -> "ModelSpec":
         """The formal relaxation limit: same coefficients, Fourier heat law."""
         return replace(self, kind=SystemKind.NSF, eps=0.0)
@@ -170,15 +160,7 @@ class ModelSpec:
 class SymbolMatrix:
     """Per-wavevector generator: dU/dt = entries @ U."""
 
-    xi: tuple
-    n: int
     entries: np.ndarray
-    system_kind: SystemKind
-    component_labels: tuple
-
-    @property
-    def r(self) -> float:
-        return float(np.sqrt(sum(x**2 for x in self.xi)))
 
 
 @dataclass(frozen=True)
@@ -277,8 +259,7 @@ def symbol(spec: ModelSpec, xi) -> SymbolMatrix:
     xi = _as_xi(spec, xi)
     if not np.all(np.isfinite(xi)):
         raise ValueError("wavevector must be finite")
-    m = _generators(spec, xi[None, :])[0]
-    return SymbolMatrix(tuple(map(float, xi)), m.shape[0], m, spec.kind, tuple(spec.component_labels()))
+    return SymbolMatrix(_generators(spec, xi[None, :])[0])
 
 
 def reduced_blocks(spec: ModelSpec, r) -> np.ndarray:
@@ -322,12 +303,9 @@ def reduced_symbol(spec: ModelSpec, r: float) -> SymbolMatrix:
     """
     if r < 0 or not np.isfinite(r):
         raise ValueError(f"radial wavenumber must be finite and >= 0, got {r}")
-    kind = spec.kind
-    if kind in _TOYS:
+    if spec.kind in _TOYS:
         return symbol(spec, r)
-    m = reduced_blocks(spec, [r])[0].astype(complex)
-    labels = ("a", "omega", "theta", "sigma")[: m.shape[0]]
-    return SymbolMatrix((r,), m.shape[0], m, kind, labels)
+    return SymbolMatrix(reduced_blocks(spec, [r])[0].astype(complex))
 
 
 def _sort_eigs(vals: np.ndarray) -> np.ndarray:

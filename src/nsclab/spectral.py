@@ -139,9 +139,6 @@ class SpectralField:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite Fourier coefficients")
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
     @property
     def mean(self) -> complex:
         return complex(self.coeffs[(0,) * self.grid.d])
@@ -299,13 +296,10 @@ class State:
         """Every component projected onto the Hermitian-symmetric subspace."""
         return State.from_stacked(self.grid, _hermitize(self.grid, self.u), self.time, self.has_flux)
 
-    def copy(self) -> "State":
-        return State.from_stacked(self.grid, self.u.copy(), self.time, self.has_flux)
 
-
-def zero_state(grid: Grid, with_flux: bool = True) -> State:
-    nc = 2 * grid.d + 2 if with_flux else grid.d + 2
-    return State.from_stacked(grid, np.zeros((nc, *grid.shape), dtype=np.complex128), 0.0, with_flux)
+def zero_state(grid: Grid) -> State:
+    """The zero state of the relaxing system, heat flux included."""
+    return State.from_stacked(grid, np.zeros((2 * grid.d + 2, *grid.shape), dtype=np.complex128), 0.0, True)
 
 
 # Flat binary snapshot container.
@@ -350,7 +344,8 @@ def save_state(path, state: State) -> None:
             fh.write(np.ascontiguousarray(row, dtype="<c8").tobytes())
 
 
-def load_state(path, has_flux: bool = True) -> State:
-    """Read a snapshot; its component count must match has_flux."""
+def load_state(path) -> State:
+    """Read a snapshot: 2d + 2 components carry the heat flux, d + 2 do not,
+    and any other count is refused."""
     grid, arr, time = _load_stack(path)
-    return State.from_stacked(grid, arr, time, has_flux)
+    return State.from_stacked(grid, arr, time, len(arr) == 2 * grid.d + 2)

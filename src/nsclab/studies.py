@@ -138,6 +138,14 @@ def _validate_decay_ranges(d: int, p: float, sigma: float, sigma1: float, t_coun
     return ""
 
 
+def _check_reach(prof: RadialDataProfile, r_max: float) -> None:
+    """The radial nodes must end above the data's support: a flow cut at an
+    r_max where the profile is nonzero drops the data past it."""
+    evolve._check_r_max(r_max)
+    if np.any(prof.amplitude(np.array([r_max]))):
+        raise ValueError(f"r_max must lie above the data's support, where the profile vanishes, got {r_max!r}")
+
+
 @dataclass(frozen=True)
 class DecayReport:
     density_velocity: FitResult
@@ -170,6 +178,7 @@ def decay_fit(
         raise ValueError(f"spec dimension {spec.d} != requested {d}")
     with_tq = sigma <= d / p - 2.0 or spec.kind is SystemKind.NSC
     eps = spec.eps
+    _check_reach(prof, r_max)
     flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
     lift = 2.0 ** (np.array(flow.bands) * (sigma + (d / 2.0 - d / p)))
 
@@ -700,6 +709,7 @@ def lyapunov_ode_compare(
         raise ValueError("data profile was built for a different sigma1")
     t_grid = np.asarray(np.logspace(0, 3, 40) if t_grid is None else t_grid, dtype=float)
     tail = _tail_samples(t_grid)
+    _check_reach(prof, r_max)
     flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
     l1 = np.array([lyapunov_l1(flow, th, p, float(t)) for t in t_grid])
     monotone = bool(np.all(np.diff(l1) <= 0.0))

@@ -28,7 +28,9 @@ Some references are helpers the package itself never calls:
 assignment solver, `solenoidal_eigenvalues` writes the transverse modes in
 closed form, `dealias_23` applies the 2/3-rule mask to one field, and
 `grad_j`, `grad`, `div` and `laplacian` apply one Fourier multiplier to
-one field or d-tuple, where the package differentiates whole stacks.
+one field or d-tuple, where the package differentiates whole stacks, and
+`nsf_zero_state` is the Fourier-law zero state, where the package builds
+only the relaxing system's.
 """
 
 import dataclasses
@@ -68,6 +70,11 @@ def laplacian(f):
     grid = f.grid
     k2 = sum(x**2 for x in grid.wavevectors())
     return SpectralField(grid, -k2 * np.where(grid.nyquist_mask(), 0.0, 1.0) * f.coeffs)
+
+
+def nsf_zero_state(grid):
+    """The zero state of a Fourier-law system: d + 2 components, no heat flux."""
+    return State.from_stacked(grid, np.zeros((grid.d + 2, *grid.shape), dtype=complex), 0.0, False)
 
 
 def ode_propagate(mat, u0, t, rtol=1e-11, atol=1e-14):
@@ -591,7 +598,7 @@ def relax_sweep_reference(
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
     xt, wp, rows, skipped = [], [], [], []
     used = []
-    nsf_state = State(a=base.a.copy(), v=tuple(f.copy() for f in base.v), theta=base.theta.copy(), q=None)
+    nsf_state = State(a=base.a, v=base.v, theta=base.theta, q=None)
     for eps in eps_list:
         spec = dataclasses.replace(spec, eps=eps)
         try:
@@ -614,9 +621,9 @@ def relax_sweep_reference(
         used.append(eps)
         if compare_well_prepared:
             st_wp = State(
-                a=base.a.copy(),
-                v=tuple(f.copy() for f in base.v),
-                theta=base.theta.copy(),
+                a=base.a,
+                v=base.v,
+                theta=base.theta,
                 q=well_prepared_flux(base.theta, spec),
             )
             if nonlinear:

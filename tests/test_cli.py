@@ -147,6 +147,8 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"kappa": 0.0}}, "study.relax-sweep.spec must be the relaxing system"),
         *(({"radial": {"r_max": r_max}, "study": {"decay-fit": {}}}, "radial.r_max must be finite and above the lowest radial node") for r_max in (1e-5, 0, -1)),
         *(({"study": {"lyapunov": {"r_max": r_max}}}, "study.lyapunov.r_max must be finite and above the lowest radial node") for r_max in (1e-5, 0, -1)),
+        *(({"radial": {"r_max": r_max}, "study": {"decay-fit": {}}}, "radial.r_max must lie above the data's support") for r_max in (2e-4, 0.5, 1.0)),
+        *(({"study": {"lyapunov": {"r_max": r_max}}}, "study.lyapunov.r_max must lie above the data's support") for r_max in (2e-4, 0.5, 1.0)),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
@@ -302,6 +304,20 @@ def test_evolve_study_snapshots(tmp_path):
     assert st.grid.n == 32
     sidecar = json.loads((out / "run.json").read_text())
     assert sidecar["nonlinear"] is True
+
+
+def test_nsf_evolve_snapshots_read_back(tmp_path):
+    cfg = write_cfg(
+        tmp_path / "c.yaml",
+        {"model": {"kind": "nsf", "d": 2}, "grid": {"n": 16}, "study": {"evolve": {"T": 0.05, "snapshots": True}}},
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    snaps = sorted(out.glob("snapshot_*.fld"))
+    assert snaps
+    for path in snaps:
+        st = load_state(path)
+        assert not st.has_flux and st.u.shape == (4, 16, 16)
 
 
 def test_decay_fit_study(tmp_path):

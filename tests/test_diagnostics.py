@@ -39,6 +39,7 @@ from oracles import (
     functional_X_reference,
     grad,
     grad_j,
+    nsf_zero_state,
 )
 
 
@@ -155,7 +156,7 @@ def test_effective_velocity_is_gradient_correction(grid2d, rng, nsc2):
 
 
 def test_effective_needs_flux(grid2d, nsc2):
-    st = zero_state(grid2d, with_flux=False)
+    st = nsf_zero_state(grid2d)
     with pytest.raises(ValueError):
         effective_unknowns(st, nsc2)
 
@@ -505,9 +506,9 @@ def test_functional_X_uniform_in_eps(grid2d, rng):
         spec = ModelSpec(kind="nsc", d=2, eps=eps)
         th = make_thresholds(8, 1, eps)
         st = State(
-            a=base.a.copy(),
-            v=tuple(f.copy() for f in base.v),
-            theta=base.theta.copy(),
+            a=base.a,
+            v=base.v,
+            theta=base.theta,
             q=well_prepared_flux(base.theta, spec),
         )
         totals.append(functional_X(st, spec, th, 0.02 * np.arange(101)).total)

@@ -32,6 +32,7 @@ from nsclab.studies import (
 )
 from oracles import (
     error_functional_reference,
+    nsf_zero_state,
     relax_sweep_reference,
     sampled_linear_trajectory_reference,
     slow_projection_reference,
@@ -145,7 +146,7 @@ def test_error_functional_requires_paired_times(rng):
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.05)
     th = make_thresholds(8, 1, spec.eps)
-    st, nsf = zero_state(grid), zero_state(grid, with_flux=False)
+    st, nsf = zero_state(grid), nsf_zero_state(grid)
     nsc_at = lambda ts: (State.from_stacked(grid, st.u, t, True) for t in ts)
     nsf_at = lambda ts: (State.from_stacked(grid, nsf.u, t, False) for t in ts)
     for a, b in (((0.0, 0.1), (0.0, 0.2)), ((0.0, 0.1, 0.2), (0.0, 0.1)), ((0.0, 0.1), (0.0, 0.1, 0.2))):
@@ -160,7 +161,7 @@ def test_error_functional_requires_increasing_times():
     grid = Grid(d=2, n=16)
     spec = ModelSpec(kind="nsc", d=2, eps=0.05)
     th = make_thresholds(8, 1, spec.eps)
-    st, nsf = zero_state(grid), zero_state(grid, with_flux=False)
+    st, nsf = zero_state(grid), nsf_zero_state(grid)
     times = (0.0, 0.2, 0.1)
     nsc_traj = [State.from_stacked(grid, st.u, t, True) for t in times]
     nsf_traj = [State.from_stacked(grid, nsf.u, t, False) for t in times]
@@ -576,3 +577,14 @@ def test_lyapunov_ode_compare_checks_profile_sigma1():
     th = make_thresholds(8, 1, spec.eps)
     with pytest.raises(ValueError, match="different sigma1"):
         lyapunov_ode_compare(spec, sharp_low_profile(1.5, 3), th, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("r_max", [2e-4, 0.5, 1.0])
+def test_radial_studies_refuse_nodes_that_end_inside_the_data(r_max):
+    # the profile is nonzero up to r = 1: a flow cut below that drops data
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    prof = sharp_low_profile(1.5, 3)
+    with pytest.raises(ValueError, match="r_max must lie above the data's support"):
+        decay_fit(spec, prof, 3, 2, 0.0, 1.5, r_max=r_max, nodes=512)
+    with pytest.raises(ValueError, match="r_max must lie above the data's support"):
+        lyapunov_ode_compare(spec, prof, make_thresholds(8, 1, spec.eps), 2.0, 1.5, r_max=r_max, nodes=512)
