@@ -288,6 +288,7 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
             raise ConfigError(f"{where}.s_min must not exceed s_max, got {block['s_min']!r} and {block['s_max']!r}")
     elif name == "initial-layer":
         _judged(where, studies._validate_layer, float(block["efolds"]), int(block["samples"]))
+        _judged(where, studies._q_l2, _layer_state(spec, cfg, block), spec)
 
 
 def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
@@ -375,6 +376,15 @@ def _random_state(spec, grid, rng, amplitude, decay, flux_init):
         elif flux_init == "well-prepared":
             st = spectral.State(a=st.a, v=st.v, theta=st.theta, q=studies.well_prepared_flux(st.theta, spec))
     return st
+
+
+def _layer_state(spec, cfg, p):
+    """The datum of an initial-layer block p: theta and eps q_1 at one mode, e_1 by default."""
+    st = spectral.zero_state(build_grid(cfg, spec))
+    mode = tuple(p["mode"] or [1] + [0] * (spec.d - 1))
+    st.theta.coeffs[mode] = float(p["amplitude"])
+    st.q[0].coeffs[mode] = float(p["flux_amplitude"]) / spec.eps
+    return st.hermitized()
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +573,8 @@ def run_relax_sweep(cfg, out_dir):
 
 def run_initial_layer(cfg, out_dir):
     spec = build_model(cfg)
-    grid = build_grid(cfg, spec)
     p = cfg["study"]["initial-layer"]
-    st = spectral.zero_state(grid)
-    mode = tuple(p["mode"] or [1] + [0] * (grid.d - 1))
-    st.theta.coeffs[mode] = float(p["amplitude"])
-    st.q[0].coeffs[mode] = float(p["flux_amplitude"]) / spec.eps
-    st = st.hermitized()
+    st = _layer_state(spec, cfg, p)
     factor, efolds, samples = float(p["scaling_factor"]), float(p["efolds"]), int(p["samples"])
     rep = studies.initial_layer(spec, st, n_efolds=efolds, samples=samples)
     fine_spec = dataclasses.replace(spec, eps=spec.eps / factor)

@@ -133,16 +133,16 @@ def _flow_squares(measure, spec: ModelSpec, times) -> dict:
     """(T, nbands) squared band norms of a, v, theta, q, Q and w under the
     linear flow of spec at `times` after the state of `measure`, and per
     regime the band energies and inner products of _regime_parts: ten rows
-    of z = (a, i k.v, theta, i k.q) per key, Q and w being
-    (0, 0, -kappa w |k|, alpha) z and (-w / |k|, 1, 0, 0) z (w the
-    derivative weight) plus alpha P q and P v.  grad = i k w makes
+    of z = (a, i k.v, theta, i k.q) per key, Q and w being (0, 0, -kappa w
+    |k|, alpha) z and (-w / |k|, 1, 0, 0) z (w the derivative weight, w / |k|
+    = 0 at k = 0) plus alpha P q and P v.  grad = i k w makes
     v . grad a = -w |k| Re(z_0 conj z_1) = |p_-|^2 - |p_+|^2 with
     p_+- = sqrt(w |k|) (z_0 +- z_1) / 2, and likewise q . grad theta."""
     rw = measure.k * measure.weight
     rows = np.zeros((rw.size, 10, 4))
     rows[:, :4] = np.eye(4)
     rows[:, 4, 2], rows[:, 4, 3] = -spec.kappa * rw, spec.alpha
-    rows[:, 5, 0], rows[:, 5, 1] = -measure.weight / measure.k, 1.0
+    rows[:, 5, 0], rows[:, 5, 1] = np.divide(-measure.weight, measure.k, out=np.zeros(rw.size), where=measure.k > 0), 1.0
     rows[:, 6:] = np.sqrt(rw / 4.0)[:, None, None] * np.array([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]])  # p_-, p_+
     perp = np.zeros((10, 2))  # weights of sum |P v|^2 and sum |P q|^2
     perp[[1, 5], 0], perp[3, 1], perp[4, 1] = 1.0, 1.0, spec.alpha**2

@@ -15,11 +15,11 @@ builds one kernel per (spec, grid) at the distinct lattice |k|^2; a step
 gathers the real block of each mode's radius and applies it to
 -i (a, i k.v, theta, i k.q), with -i on a and theta on the way in and i
 on their rows on the way out, then scales the transverse parts of v and
-q.  The gathered blocks belong to the LinearPropagator or
-IMEX step that built them: nothing per mode is cached beyond it.  Band
-sums of squared linear rows along the exact torus flow step nothing: they
-come from a state's per-radius Gram factors and the kernel's
-eigen-projectors (_torus_measure, _flow_band_sums).  The stiff damping
+q.  The gathered blocks belong to the LinearPropagator or IMEX step that
+built them: nothing per mode is cached beyond it.  Band sums of squared
+linear rows along the exact torus flow step nothing: they come from a
+state's per-radius Gram factors, the zero mode a key in no band, and the
+kernel's eigen-projectors (_torus_measure, _flow_band_sums).  The damping
 alpha/eps^2 lives inside the exponential, so nothing here restricts dt by
 eps; the explicit part of the IMEX step only sees the quadratic sources.
 
@@ -314,7 +314,7 @@ class _TorusMeasure:
     radius: np.ndarray  # (K,) lattice radius index of each key
     k: np.ndarray  # (K,) |k| of each key
     weight: np.ndarray  # (K,) derivative weight
-    band: np.ndarray  # (nbands, K) band membership
+    band: np.ndarray  # (nbands, K) band membership, none for the zero mode
     factor: np.ndarray  # (K, 4, 4) F with F F^T = G
     perp: np.ndarray  # (K, 2) sum |P v|^2 and sum |P q|^2
 
@@ -328,8 +328,8 @@ def _torus_measure(state: State) -> _TorusMeasure:
     Eigenvalues below 16 eps of the key's largest become 0: on rank-deficient
     data (a well-prepared flux, one mode) their roots would put a 1e-8
     relative floor under rows that vanish.  P v and P q, P = I - k k^T, only
-    decay and enter as sum |P v|^2, sum |P q|^2.  Keys off the grid's bands
-    (the zero mode) or without data are dropped.
+    decay and enter as sum |P v|^2, sum |P q|^2.  The zero mode is a key in no
+    band, diag(0, 0, 0, -alpha/eps^2) its block; keys without data are dropped.
     """
     if not state.has_flux:
         raise ValueError("state carries no heat flux")
@@ -346,12 +346,11 @@ def _torus_measure(state: State) -> _TorusMeasure:
         for j in range(i, 4):
             gram[:, i, j] = gram[:, j, i] = np.bincount(key, (z[i] * z[j].conj()).real, nk)
     perp = np.stack([np.bincount(key, sum(np.abs(u[s + j] - khat[j] * x) ** 2 for j in range(d)), nk) for s, x in ((1, kv), (2 + d, kq))], axis=1)
-    nbands = len(grid_band_range(grid))
-    keep = (label >= 1) & (label <= nbands) & (np.any(gram != 0.0, axis=(1, 2)) | np.any(perp != 0.0, axis=1))
+    keep = np.any(gram != 0.0, axis=(1, 2)) | np.any(perp != 0.0, axis=1)
     lam, vecs = np.linalg.eigh(gram[keep])
     lam = np.where(lam > 16.0 * np.finfo(float).eps * lam[:, -1:], lam, 0.0)
     factor = vecs * np.sqrt(lam)[:, None, :]
-    band = (label[keep] == np.arange(1, nbands + 1)[:, None]).astype(float)
+    band = (label[keep] == np.arange(1, len(grid_band_range(grid)) + 1)[:, None]).astype(float)
     return _TorusMeasure(grid, radius[keep], r[radius[keep]], weight[keep], band, factor, perp[keep])
 
 

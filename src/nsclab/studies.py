@@ -3,17 +3,18 @@ epsilon-sweeps, initial-layer measurements, and the Lyapunov-ODE comparison.
 
 Decay and Lyapunov-ODE studies run on the whole-space radial semigroup
 (no grid, no time discretization error); relaxation sweeps and layer fits
-run the exact per-mode linear flow on the torus.  Fits report r^2.  Both
+run the exact linear flow on the torus.  Fits report r^2.  Both
 radial studies read the per-band norms of `RadialFlow.band_norms`: a decay
 fit sums them (squares at p = 2, the band-weighted proxy at p > 2), and
 the terminal functional `lyapunov_l1` is `_lyapunov_table`, which the
 `diagnostics` engine evaluates on the flow's bands at each sample time.
 
-The linear p = 2 relaxation sweep steps no state: each piece of its error
-functional is a band sum of squared rows of the exact flow, read from the
-data's per-radius Gram factors (evolve._flow_band_sums).  Other sweeps
-stream sampled torus trajectories in lockstep and keep only per-snapshot
-values.  Both hand per-band norms of four groups of unknowns to the
+The layer fit and the linear p = 2 relaxation sweep step no state: the
+layer's |Q(t)|^2 over every key, zero mode included, and each piece of the
+sweep's error functional are sums of squared rows of the exact flow, read
+from the data's per-radius Gram factors (evolve._flow_band_sums).  Other
+sweeps stream sampled torus trajectories in lockstep and keep only
+per-snapshot values.  Both sweeps hand per-band norms of four groups to the
 `diagnostics` engine, which evaluates the seven pieces of `_error_table`
 and reduces them in time.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from .besov import Thresholds, ThresholdOrderError, grid_band_range, make_thresholds
 from .besov import besov_seminorm  # noqa: F401  (perfbench/tracer.py wraps studies.besov_seminorm)
-from .diagnostics import _evaluate, _snapshot_values, _table_weights, _time_reduce, effective_unknowns
+from .diagnostics import _evaluate, _flow_squares, _snapshot_values, _table_weights, _time_reduce, effective_unknowns
 from .evolve import (
     LinearPropagator,
     RadialDataProfile,
@@ -550,8 +551,11 @@ class LayerReport:
 
 
 def _q_l2(state: State, spec: ModelSpec) -> float:
-    es = effective_unknowns(state, spec)
-    return math.sqrt(sum(f.l2_norm() ** 2 for f in es.Q))
+    """|Q|_L2 of layer data on the lattice, where exactly well-prepared data read 0 and are refused."""
+    q0 = math.sqrt(sum(f.l2_norm() ** 2 for f in effective_unknowns(state, spec).Q))
+    if q0 == 0.0:
+        raise ValueError("ill_prepared_state is exactly well-prepared: no layer to fit")
+    return q0
 
 
 def _dominant_mode_fast_rate(state: State, spec: ModelSpec) -> float:
@@ -579,19 +583,16 @@ def initial_layer(
     samples: int = 60,
 ) -> LayerReport:
     """Fit the exponential collapse rate of |Q(t)|_L2 over the layer window
-    [0, n_efolds * eps^2/alpha] and compare to the fast-eigenvalue oracle of
-    the dominant mode.  Raises LayerResolutionError when the fit is not
-    clean (r^2 < 0.99)."""
+    [0, n_efolds * eps^2/alpha], read from the data's Gram factors over
+    every key, the mean's included (_flow_squares; no state is stepped),
+    and compare to the fast-eigenvalue oracle of the dominant mode.  Raises
+    LayerResolutionError when the fit is not clean (r^2 < 0.99)."""
     _validate_layer(n_efolds, samples)
     q0 = _q_l2(ill_prepared_state, spec)
-    if q0 == 0.0:
-        raise ValueError("state is exactly well-prepared: no layer to fit")
-    rate0 = spec.alpha / spec.eps**2
-    window = n_efolds / rate0
-    dt = window / samples
-    start = ill_prepared_state.time
-    traj = sampled_linear_trajectory(ill_prepared_state, spec, [start + dt * np.arange(samples + 1)])
-    times, vals = (np.array(c) for c in zip(*((s.time, _q_l2(s, spec)) for s in traj)))
+    window = n_efolds / (spec.alpha / spec.eps**2)
+    times = np.fromiter(itertools.accumulate(itertools.repeat(window / samples, samples), initial=ill_prepared_state.time), float)
+    measure = _torus_measure(ill_prepared_state)  # one all-keys band row sums every key, the zero mode's too
+    vals = np.sqrt(_flow_squares(replace(measure, band=np.ones((1, measure.radius.size))), spec, times - times[0])["Q"][:, 0])
     slope, _, r2 = _fit_line(times, np.log(vals))
     if r2 < 0.99:
         raise LayerResolutionError(

@@ -18,10 +18,11 @@ scalars.  The relaxation sweep is the list-based one: whole trajectories
 are sampled into lists, one after another, and the error functional then
 takes every band sum once per value of s, where nsclab.studies streams the
 trajectories in lockstep and shares one band-norm pass between the values
-of s.  The band-diagnostic series and the X functional read stepped
-states one snapshot at a time, with the effective velocity w built on the
-lattice, where nsclab.diagnostics reads every sample time at once from a
-state's per-radius Gram factors.
+of s.  The band-diagnostic series, the X functional and the initial
+layer's |Q(t)| series read stepped states one snapshot at a time, with the
+effective velocity w built on the lattice, where nsclab.diagnostics and
+nsclab.studies read every sample time at once from a state's per-radius
+Gram factors.
 
 Some references are helpers the package itself never calls:
 `spectral_distance` pairs two spectra as multisets through scipy's
@@ -646,7 +647,7 @@ def relax_sweep_reference(
 
 
 # ---------------------------------------------------------------------------
-# Stepped band series and X functional.
+# Stepped band series, X functional and initial-layer series.
 
 
 def effective_velocity(state):
@@ -711,3 +712,13 @@ def functional_X_reference(traj, spec, th):
     constituents = _time_reduce(table, times, zip(*values))
     part = lambda r: sum(constituents[name] for name, _, regime, *_ in table if regime == r)
     return XFunctional(x_low=part("low"), x_med=part("med"), x_high=part("high"), constituents=constituents)
+
+
+def initial_layer_series_reference(state0, spec, n_efolds=5.0, samples=60):
+    """initial_layer's sample times and |Q|_L2 series from `samples` uniform
+    LinearPropagator steps over its window, the damped mode of each state
+    normed on the lattice."""
+    dt = n_efolds / (spec.alpha / spec.eps**2) / samples
+    traj = linear_trajectory(state0, spec, dt, samples)
+    q_norm = lambda s: math.sqrt(sum(f.l2_norm() ** 2 for f in effective_unknowns(s, spec).Q))
+    return np.array([s.time for s in traj]), np.array([q_norm(s) for s in traj])

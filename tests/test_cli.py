@@ -149,6 +149,8 @@ def test_seed_must_be_integer(tmp_path):
         *(({"study": {"lyapunov": {"r_max": r_max}}}, "study.lyapunov.r_max must be finite and above the lowest radial node") for r_max in (1e-5, 0, -1)),
         *(({"radial": {"r_max": r_max}, "study": {"decay-fit": {}}}, "radial.r_max must lie above the data's support") for r_max in (2e-4, 0.5, 1.0)),
         *(({"study": {"lyapunov": {"r_max": r_max}}}, "study.lyapunov.r_max must lie above the data's support") for r_max in (2e-4, 0.5, 1.0)),
+        # layer data without a damped mode: a mean temperature alone, or nothing
+        *(({"model": {"d": 2}, "grid": {"n": 16}, "study": {"initial-layer": layer}}, "study.initial-layer.ill_prepared_state is exactly well-prepared") for layer in ({"flux_amplitude": 0.0, "mode": [0, 0]}, {"flux_amplitude": 0.0, "amplitude": 0.0})),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from nsclab import evolve
 from nsclab.besov import _band_norms, band_project, besov_seminorm, grid_band_range, make_thresholds
 from nsclab.diagnostics import (
     _band_functional,
@@ -634,6 +635,43 @@ def test_flow_squares_at_zero_are_the_state_band_norms(dn, L, flux, seed):
         ref = np.array(list(_band_functional(st, regime, spec, 0.1).values())).T
         parts = np.array(_regime_parts(regime, spec, 0.1, bands, *(x[0] for x in got[regime])))
         assert np.all(np.abs(parts - ref) <= 1e-12 * np.abs(ref[[0, 0, 2]])), regime  # E_j bounds the cross part
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dn=hst.sampled_from([(1, 16), (2, 8), (3, 8)]),
+    flux=hst.sampled_from(["random", "zero", "well-prepared", "nyquist"]),
+    seed=hst.integers(0, 2**32 - 1),
+)
+def test_zero_mode_is_a_key_in_no_band(dn, flux, seed):
+    # zero-mean data keep the keys they had when the measure dropped the
+    # zero mode: those off k = 0 that carry data.  A mean adds one key at
+    # k = 0 and leaves every band column of the flow finite and the same to
+    # rounding, w's row at k = 0 included
+    d, n = dn
+    grid = Grid(d=d, n=n)
+    spec = ModelSpec(kind="nsc", d=d, eps=0.2, kappa=0.7, alpha=1.3)
+    rng = np.random.default_rng(seed)
+    zero = (slice(None),) + (0,) * d
+    st = _flux_state(grid, rng, flux, spec)
+    st.u[zero] = 0.0
+    with_mean = State.from_stacked(grid, st.u.copy(), 0.0, True)
+    with_mean.u[zero] = rng.standard_normal(2 * d + 2)
+    key = evolve._radius_keys(grid)[0]
+    carried = np.any(st.u.reshape(2 * d + 2, -1) != 0.0, axis=0)
+    m0, m1 = _torus_measure(st), _torus_measure(with_mean)
+    assert m0.radius.size == np.unique(key[carried]).size and np.all(m0.k > 0)
+    assert m1.radius.size == m0.radius.size + 1 and np.array_equal(m1.k > 0, np.arange(m1.k.size) > 0)
+    assert not np.any(m1.band[:, 0])
+    times = [0.0, 0.01, 0.1, 1.0]
+    got, want = _flow_squares(m1, spec, times), _flow_squares(m0, spec, times)
+    for name in ("a", "v", "theta", "q", "Q", "w"):
+        assert np.all(np.isfinite(got[name])), name
+        assert np.all(np.abs(got[name] - want[name]) <= 1e-13 * want[name]), name
+    for regime in ("low", "high"):  # the energy bounds the inner product
+        (e1, i1), (e0, i0) = got[regime], want[regime]
+        assert np.all(np.isfinite(e1)) and np.all(np.isfinite(i1)), regime
+        assert np.all(np.abs(e1 - e0) <= 1e-13 * e0) and np.all(np.abs(i1 - i0) <= 1e-13 * e0), regime
 
 
 def _oracle_state(d, seed):

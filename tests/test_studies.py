@@ -32,6 +32,7 @@ from nsclab.studies import (
 )
 from oracles import (
     error_functional_reference,
+    initial_layer_series_reference,
     nsf_zero_state,
     relax_sweep_reference,
     sampled_linear_trajectory_reference,
@@ -452,6 +453,41 @@ def test_initial_layer_single_mode(rng):
     assert rep.r_squared > 0.999
     assert rep.relative_error < 0.02
     assert rep.max_q_norm == pytest.approx(rep.initial_q_norm)  # pure collapse
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    d=hst.sampled_from([1, 2, 3]),
+    eps=hst.sampled_from([0.05, 0.02]),
+    means=hst.booleans(),
+    seed=hst.integers(0, 2**32 - 1),
+    data=hst.data(),
+)
+@example(d=3, eps=0.05, means=False, seed=0, data=None)  # the mean flux alone, on every run
+def test_initial_layer_matches_stepped_oracle(d, eps, means, seed, data):
+    # the series from the Gram factors over every key equals the stepped
+    # lattice's at any mode, the zero mode and nonzero means in every
+    # component included: the same t bits, |Q| to 1e-12 relative, and no
+    # propagator built
+    grid = Grid(d=d, n=8)  # eps |k| <= 0.26: the fit stays clean (r^2 >= 0.99)
+    mode = (0,) * d if data is None else tuple(data.draw(hst.lists(hst.integers(-3, 3), min_size=d, max_size=d)))
+    spec = ModelSpec(kind="nsc", d=d, eps=eps)
+    st = zero_state(grid)
+    st.theta.coeffs[mode] = 1e-3
+    st.q[0].coeffs[mode] = 1e-2 / eps
+    if means:
+        st.u[(slice(None),) + (0,) * d] += 1e-3 * np.random.default_rng(seed).standard_normal(2 * d + 2)
+    st = st.hermitized()
+    times, q_norms = initial_layer_series_reference(st, spec)
+
+    def built(*args):
+        raise AssertionError("initial_layer built a LinearPropagator")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve.LinearPropagator, "__init__", built)
+        rep = initial_layer(spec, st)
+    assert np.array_equal(rep.times, times)
+    assert np.all(np.abs(np.array(rep.q_norms) - q_norms) <= 1e-12 * q_norms)
 
 
 def test_initial_layer_rejects_well_prepared(rng):
