@@ -8,12 +8,14 @@ for the velocity and transverse damping scalars exp(-(alpha/eps^2) t) for
 the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
 of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
 exponential per eigenvalue; ill-conditioned radii keep scipy.linalg.expm
-(Higham 2005).  The radial flow uses one kernel over the log-spaced nodes
-that carry data (the rest stay exact zeros), and RadialFlow.band_norms
-turns a sample into per-band L2 norms with one band sum.  The torus
-builds one kernel per (spec, grid) at the distinct lattice |k|^2; a step
-gathers the real block of each mode's radius and applies it to
--i (a, i k.v, theta, i k.q), with -i on a and theta on the way in and i
+(Higham 2005), and only radii whose det V cannot bound cond(V) pay for an
+SVD.  The radial flow uses one kernel over the log-spaced nodes that carry
+data (the rest stay exact zeros) and takes the data's coefficients V^-1 u0
+once, so a sample costs e^(t lambda) and one product with V;
+RadialFlow.band_norms turns a sample into per-band L2 norms with one band
+sum.  The torus builds one kernel per (spec, grid) at the distinct lattice
+|k|^2; a step gathers the real block of each mode's radius and applies it
+to -i (a, i k.v, theta, i k.q), with -i on a and theta on the way in and i
 on their rows on the way out, then scales the transverse parts of v and
 q.  The gathered blocks belong to the LinearPropagator or IMEX step that
 built them: nothing per mode is cached beyond it.  Band sums of squared
@@ -130,22 +132,30 @@ class PropagatorKernel:
     The generators do not depend on t, so M = V diag(lambda) V^-1 is
     computed once and exp(t M) = sum_k e^(t lambda_k) v_k w_k^T (w_k row k of
     V^-1; Moler & Van Loan 2003's eigenvector method) at every t.  Generators
-    with cond(V) > _COND_MAX are kept aside and take expm at every t.
+    with cond2(V) > _COND_MAX are kept aside and take expm at every t.  V has
+    unit columns, so cond2(V) <= m^(m/2) / |det V|: only the blocks whose
+    determinant leaves that bound above _COND_MAX have cond2(V) computed (an
+    SVD), and the fallback set is the SVD rule's.  exp(t M) u is
+    expand(t, coefficients(u), u): data flowed to many times is projected
+    once, and each time then costs e^(t lambda), one product with V and one
+    expm per fallback generator.
     """
 
     def __init__(self, mats: np.ndarray):
         self.mats = np.asarray(mats, dtype=float)
         lam, vecs = np.linalg.eig(self.mats)
-        self.fallback = np.flatnonzero(~(np.linalg.cond(vecs) <= _COND_MAX))
+        m = self.mats.shape[-1]
+        near = np.flatnonzero(~(np.abs(np.linalg.det(vecs)) * _COND_MAX >= m ** (m / 2)))
+        self.fallback = near[~(np.linalg.cond(vecs[near]) <= _COND_MAX)] if near.size else near
         lam[self.fallback] = 0.0
-        vecs[self.fallback] = np.eye(self.mats.shape[-1])
+        vecs[self.fallback] = np.eye(m)
         self.lam = lam.astype(complex)  # eig returns real lam when every eigenvalue is real
         self.vecs = vecs
         self.vinv = np.linalg.inv(vecs)
 
     @functools.cached_property
     def projectors(self) -> np.ndarray:
-        """P_k = v_k w_k^T as rows 2k = Re P_k and 2k + 1 = -Im P_k, shape (N, 2m, m^2); built on first use, never by `apply`."""
+        """P_k = v_k w_k^T as rows 2k = Re P_k and 2k + 1 = -Im P_k, shape (N, 2m, m^2); built on first use, never by `expand`."""
         p = np.einsum("nik,nkj->nkij", self.vecs, self.vinv).reshape(*self.lam.shape, -1)
         return np.stack([p.real, -p.imag], axis=2).reshape(p.shape[0], -1, p.shape[-1])
 
@@ -159,9 +169,13 @@ class PropagatorKernel:
             out[..., self.fallback, :, :] = expm(t[..., None, None, None] * self.mats[self.fallback]).real
         return out
 
-    def apply(self, t: float, u: np.ndarray) -> np.ndarray:
-        """exp(t M) u per generator, for u of shape (N, m): V (e^(t lambda) V^-1 u)."""
-        coeffs = np.einsum("nij,nj->ni", self.vinv, u)
+    def coefficients(self, u: np.ndarray) -> np.ndarray:
+        """V^-1 u per generator, for u of shape (N, m)."""
+        return np.einsum("nij,nj->ni", self.vinv, u)
+
+    def expand(self, t: float, coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """exp(t M) u per generator from coeffs = coefficients(u):
+        V (e^(t lambda) coeffs), and expm applied to u on the fallback."""
         out = np.einsum("nij,nj->ni", self.vecs, np.exp(t * self.lam) * coeffs)
         if self.fallback.size:
             fb = self.fallback
@@ -445,12 +459,15 @@ class RadialFlow:
 
     Evaluates u(t, r) = exp(t M_red(r)) u0(r) on nodes log-spaced from
     1e-4 to r_max (r_max must lie above 1e-4), with one kernel over the
-    support, the nodes where the data profile is nonzero: the flow keeps
-    every other node at exact zero.  It turns a sample into the L2 norms
-    of Lambda^sigma of named components on every dyadic band: one band
-    sum of the components'
-    |.|^2 r^(2 sigma) against a per-node Plancherel weight built once
-    (sphere area x r^d x log-trapezoid weight / (2 pi)^d).  The nodes are
+    support, the nodes where the reduced unknowns of the data (the first
+    m profile columns) are nonzero: the flow keeps every other node at
+    exact zero.  The support's coefficients V^-1 u0 are taken once, so a
+    sample costs e^(t lambda), one product with V and one expm per
+    fallback node.  It
+    turns a sample into the L2 norms of Lambda^sigma of named components
+    on every dyadic band: one band sum of the components' |.|^2 r^(2 sigma)
+    against a per-node Plancherel weight built once (sphere area x r^d x
+    log-trapezoid weight / (2 pi)^d).  The nodes are
     labelled with their dyadic band once (besov.band_labels, the torus
     rule) and the bands cover every node, so the band norms also sum to the
     whole-space norm.
@@ -468,15 +485,17 @@ class RadialFlow:
         self.bands = dyadic_range(self.r[0], self.r[-1])
         self.labels = band_labels(self.r, self.bands)
         u0 = np.asarray(profile.amplitude(self.r), dtype=complex)
-        self.support = np.flatnonzero(u0.any(axis=1))
+        self.u0 = u0[:, : 4 if spec.kind is SystemKind.NSC else 3]  # the unknowns of model.reduced_blocks
+        self.support = np.flatnonzero(self.u0.any(axis=1))
         self.kernel = PropagatorKernel(reduced_blocks(spec, self.r[self.support]))
-        self.u0 = u0[:, : self.kernel.mats.shape[-1]]
+        self._data = self.u0[self.support]
+        self._coeffs = self.kernel.coefficients(self._data)
 
     def at(self, t: float) -> np.ndarray:
         """Reduced coefficients at time t, shape (nodes, ncomp): the kernel's
         flow on the support, exact zeros on the nodes where the data vanish."""
         out = np.zeros_like(self.u0)
-        out[self.support] = self.kernel.apply(t, self.u0[self.support])
+        out[self.support] = self.kernel.expand(t, self._coeffs, self._data)
         return out
 
     def band_norms(self, u: np.ndarray, comps, sigma: float = 0.0) -> np.ndarray:

@@ -110,6 +110,12 @@ def ode_propagate_explicit(mat, u0, t, rtol=1e-10):
     return y[:n] + 1j * y[n:]
 
 
+def kernel_apply(kernel, t, u):
+    """exp(t M) u per generator of a PropagatorKernel, for fresh data u of
+    shape (N, m): the data's coefficients, then their flow to t."""
+    return kernel.expand(t, kernel.coefficients(u), u)
+
+
 def spectral_distance(eigs_a, eigs_b) -> float:
     """Max |a_i - b_j| under the optimal one-to-one eigenvalue pairing.
 

@@ -48,7 +48,7 @@ from nsclab.studies import (
     well_prepared_flux,
 )
 
-from oracles import ode_propagate
+from oracles import kernel_apply, ode_propagate
 
 
 def report(n, text):
@@ -67,8 +67,9 @@ def test_c01_propagator_vs_ode_oracle():
         m = reduced_symbol(spec, r)
         u0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         mine = propagate_mode(m, u0, t)
-        # the production path: the eigendecomposed kernel the studies use
-        kernel = PropagatorKernel(reduced_blocks(spec, [r])).apply(t, u0[None, :])[0]
+        # the production path: the eigendecomposed kernel the studies use,
+        # the data's coefficients taken once and flowed to t
+        kernel = kernel_apply(PropagatorKernel(reduced_blocks(spec, [r])), t, u0[None, :])[0]
         ref = ode_propagate(m.entries, u0, t)
         denom = max(float(np.linalg.norm(ref)), 1e-300)
         worst = max(worst, float(np.linalg.norm(mine - ref)) / denom)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsclab.evolve import (
@@ -31,8 +31,8 @@ from nsclab.model import (
     symbol,
 )
 from nsclab.spectral import Grid
-from nsclab import studies
-from oracles import apply_batched, solenoidal_eigenvalues, spectral_distance, torus_propagator
+from nsclab import evolve, studies
+from oracles import apply_batched, kernel_apply, solenoidal_eigenvalues, spectral_distance, torus_propagator
 
 log_eps = st.floats(-3.0, -1.0)
 log_r = st.floats(-2.0, 2.0)
@@ -83,7 +83,7 @@ def test_kernel_pinned_multiprecision_case():
     u0 = np.array([1.0, 0.5, -0.3, 0.2])
     m = reduced_blocks(spec, [r])
     ref = mp_expm(m[0], t, dps=60) @ u0
-    got = PropagatorKernel(m).apply(t, u0[None, :])[0]
+    got = kernel_apply(PropagatorKernel(m), t, u0[None, :])[0]
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(u0)
 
 
@@ -100,7 +100,7 @@ def test_kernel_apply_matches_matrices(rng):
     u = rng.standard_normal((64, 4)) + 1j * rng.standard_normal((64, 4))
     for t in (0.0, 0.3, 40.0):
         ref = np.einsum("nij,nj->ni", kernel.matrices(t), u)
-        got = kernel.apply(t, u)
+        got = kernel_apply(kernel, t, u)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(u).max()
 
 
@@ -125,12 +125,55 @@ def test_defective_block_takes_fallback():
         assert np.abs(mats[1] - scipy.linalg.expm(t * defective)).max() <= 1e-12
         assert np.abs(mats[0] - scipy.linalg.expm(t * smooth)).max() <= 1e-12
         ref = np.einsum("nij,nj->ni", mats, u)
-        assert np.abs(kernel.apply(t, u) - ref).max() <= 1e-12
+        assert np.abs(kernel_apply(kernel, t, u) - ref).max() <= 1e-12
+
+
+def _near_defective_block(m, log_gap, seed):
+    """A real m x m generator with eigenvalues -1 and -1 - 10^log_gap (a
+    Jordan block at -1 when log_gap is None) next to stiff ones, conjugated
+    by a random basis near the identity."""
+    gap = 0.0 if log_gap is None else 10.0**log_gap
+    block = np.diag([-1.0, -1.0 - gap, -3.0, -1e4][:m])
+    block[0, 1] = 1.0
+    s = np.eye(m) + np.random.default_rng(seed).uniform(-0.3, 0.3, (m, m))
+    return s @ block @ np.linalg.inv(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds,
+    st.lists(
+        st.tuples(st.booleans(), log_eps, st.floats(-4.0, 3.0), st.one_of(st.none(), st.floats(-16.0, -1.0)), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example("nsc", [(False, -2.0, 0.0, None, 0), (True, -3.0, 2.5, None, 1), (False, -2.0, 0.0, -9.0, 2)])
+@example("nsf", [(False, -2.0, 0.0, None, 3), (True, -1.0, -3.0, None, 4)])
+def test_fallback_set_is_the_svd_rule(kind, draws):
+    """The determinant bound cond2(V) <= m^(m/2) / |det V| only spares blocks
+    the SVD rule keeps: the fallback set is the rule's at the default limit
+    and at limits of 10 and 3, where the SVD judges (nearly) every block."""
+    m = 4 if kind == "nsc" else 3
+    mats = np.stack(
+        [
+            reduced_blocks(make_spec(kind, 3, 10**le), [10**lr])[0] if stiff else _near_defective_block(m, log_gap, seed)
+            for stiff, le, lr, log_gap, seed in draws
+        ]
+    )
+    vecs = np.linalg.eig(mats)[1]
+    cond, det = np.linalg.cond(vecs), np.abs(np.linalg.det(vecs))
+    assert np.all(cond[det > 0] * det[det > 0] <= m ** (m / 2) * (1.0 + 1e-12))
+    for cond_max in (evolve._COND_MAX, 10.0, 3.0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolve, "_COND_MAX", cond_max)
+            kernel = PropagatorKernel(mats)
+        assert np.array_equal(kernel.fallback, np.flatnonzero(~(cond <= cond_max)))
 
 
 def test_kernel_matrices_on_a_time_array():
     # matrices at T times is the stack of the scalar calls and agrees with
-    # apply, on a stack that holds a smooth, a stiff and a defective block
+    # kernel_apply, on a stack that holds a smooth, a stiff and a defective block
     smooth, stiff = reduced_blocks(ModelSpec(kind="nsc", d=3, eps=1e-3), [1.0, 1e2])
     kernel = PropagatorKernel(np.stack([smooth, stiff, _defective_block()]))
     assert list(kernel.fallback) == [2]
@@ -140,7 +183,7 @@ def test_kernel_matrices_on_a_time_array():
     assert mats.shape == (3, 3, 4, 4)
     for t, m in zip(ts, mats):
         assert np.abs(m - kernel.matrices(t)).max() <= 1e-13
-        assert np.abs(np.einsum("nij,nj->ni", m, u) - kernel.apply(t, u)).max() <= 1e-13 * np.abs(u).max()
+        assert np.abs(np.einsum("nij,nj->ni", m, u) - kernel_apply(kernel, t, u)).max() <= 1e-13 * np.abs(u).max()
 
 
 # ----------------------------------------------------------- reduced symbol
@@ -326,6 +369,39 @@ def test_radial_flow_builds_no_projectors():
     assert "projectors" not in vars(flow.kernel)
     stack = 4096 * 16 * np.dtype(complex).itemsize
     assert peak <= 1.1 * 3.85 * stack, f"traced peak {peak / stack:.2f} stacks"
+
+
+def test_radial_flow_projects_its_data_once(monkeypatch):
+    """Building a well-conditioned kernel takes no SVD, and a sample of the
+    radial flow makes one product with V and none with V^-1: the support's
+    coefficients V^-1 u0 are taken once, at construction."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the kernel build took an SVD")
+
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", refused)
+        mp.setattr(np.linalg, "cond", refused)
+        flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512)
+        assert PropagatorKernel(reduced_blocks(spec, np.logspace(-2, 2, 64))).fallback.size == 0
+    assert flow.kernel.fallback.size == 0
+    times = np.logspace(-2, 3, 10)
+    einsum, operands = np.einsum, []
+
+    def spy(subscripts, *ops, **kwargs):
+        operands.append(ops)
+        return einsum(subscripts, *ops, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "einsum", spy)
+        samples = [flow.at(t) for t in times]
+    assert len(operands) == len(times) and all(ops[0] is flow.kernel.vecs for ops in operands)
+    assert not any(op is flow.kernel.vinv for ops in operands for op in ops)
+    for t, u in zip(times, samples, strict=True):
+        ref = np.zeros_like(flow.u0)
+        ref[flow.support] = kernel_apply(flow.kernel, t, flow.u0[flow.support])
+        assert np.array_equal(u, ref)
 
 
 def test_decay_fit_samples_one_flow(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from nsclab import evolve
 from nsclab.besov import (
     REGIMES,
     ThresholdOrderError,
@@ -27,6 +28,7 @@ from nsclab.model import ModelSpec, reduced_blocks
 from nsclab.spectral import Grid, State, random_field
 from nsclab.studies import decay_fit, lyapunov_l1
 from oracles import (
+    kernel_apply,
     band_mask_reference,
     besov_seminorm_reference,
     dissipation_quantity_reference,
@@ -238,21 +240,27 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
     st.floats(-3.0, 2.0),
     st.floats(-5.0, 3.0),
     seeds,
+    st.sampled_from([evolve._COND_MAX, 10.0, 1.5]),
 )
-def test_radial_flow_kernel_lives_on_the_data_support(d, kind, log_eps, log_r_max, log_cut, seed):
+@example(3, "nsc", -2.0, 1.0, 0.0, 1, 1.5)
+@example(3, "nsf", -2.0, 2.0, 1.0, 2, 1.5)
+def test_radial_flow_kernel_lives_on_the_data_support(d, kind, log_eps, log_r_max, log_cut, seed, cond_max):
     """The flow's kernel has one row per node that carries data, and every
     sample is bit for bit the kernel over all nodes, exact zeros off the
     support; the cut radius runs from below the lowest node (no support)
-    past r_max (every node)."""
+    past r_max (every node).  The lowered condition limits put nodes on the
+    expm fallback (44 of 409 on the first example, 83 of 426 on the second)."""
     rng = np.random.default_rng(seed)
     spec = ModelSpec(kind=kind, d=d, eps=10.0**log_eps)
-    flow = RadialFlow(spec, _cut_profile(d, rng.uniform(-1.0, 1.0, 4), 10.0**log_cut), r_max=10.0**log_r_max, nodes=512)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve, "_COND_MAX", cond_max)
+        flow = RadialFlow(spec, _cut_profile(d, rng.uniform(-1.0, 1.0, 4), 10.0**log_cut), r_max=10.0**log_r_max, nodes=512)
+        full = PropagatorKernel(reduced_blocks(spec, flow.r))
     carries = flow.u0.any(axis=1)
     assert flow.kernel.mats.shape[0] == np.count_nonzero(carries)
-    full = PropagatorKernel(reduced_blocks(spec, flow.r))
     for t in (0.0, *10.0 ** rng.uniform(-2.0, 3.0, 3)):
         u = flow.at(t)
-        assert np.array_equal(u, full.apply(t, flow.u0))
+        assert np.array_equal(u, kernel_apply(full, t, flow.u0))
         assert not u[~carries].any()
 
 
@@ -263,6 +271,17 @@ def test_radial_flow_of_zero_data_is_zero():
     u = flow.at(10.0)
     assert u.shape == (512, 4) and not u.any()
     assert not flow.band_norms(u, ("a", "v", "theta", "q")).any()
+
+
+def test_radial_flow_support_reads_the_kept_columns():
+    """A Fourier-law flow keeps (a, omega, theta): a profile that is nonzero
+    only in sigma carries no data, so its kernel has no rows."""
+    spec = ModelSpec(kind="nsf", d=3)
+    flow = RadialFlow(spec, _cut_profile(3, [0.0, 0.0, 0.0, 1.0], 30.0), r_max=64.0, nodes=512)
+    assert flow.support.size == 0 and flow.kernel.mats.shape == (0, 3, 3)
+    assert flow.at(10.0).shape == (512, 3) and not flow.at(10.0).any()
+    mixed = RadialFlow(spec, _cut_profile(3, [0.0, 0.0, 1.0, 1.0], 30.0), r_max=64.0, nodes=512)
+    assert np.array_equal(mixed.support, np.flatnonzero(mixed.r <= 30.0))
 
 
 def test_radial_band_norms_partition_l2():
