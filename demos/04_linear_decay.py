@@ -28,7 +28,7 @@ series = {}
 for eps in (1e-2, 1e-3):
     spec = ModelSpec(kind="nsc", d=d, eps=eps)
     for sigma in (0.0, 1.0):
-        rep = decay_fit(spec, prof, d, p, sigma, sigma1, t_grid=ts)
+        rep = decay_fit(spec, prof, p, sigma, t_grid=ts)
         fit = rep.density_velocity
         theory = theory_decay_exponent(d, p, sigma, sigma1)
         print(

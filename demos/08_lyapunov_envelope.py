@@ -24,7 +24,7 @@ OUT.mkdir(exist_ok=True)
 d, sigma1 = 3, 1.5
 spec = ModelSpec(kind="nsc", d=d, eps=1e-2)
 th = make_thresholds(8, 1, spec.eps)
-rep = lyapunov_ode_compare(spec, sharp_low_profile(sigma1, d), th, 2.0, sigma1)
+rep = lyapunov_ode_compare(spec, sharp_low_profile(sigma1, d), th)
 
 print(f"monotone along the flow: {rep.monotone}")
 print(f"fitted ODE constant c0 = {rep.c0_fitted:.4f}")

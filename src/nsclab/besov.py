@@ -24,7 +24,8 @@ dotted with a regime weight vector, 2^(js) on the bands the regime picks.
 Regimes are split by a pair of dyadic indices (J0, Jeps).  Internally the
 regimes are disjoint (low: j <= J0, medium: J0 < j < Jeps, high: j >= Jeps);
 the overlapping convention that repeats the endpoint bands in adjacent
-regimes is available with overlap=True.
+regimes, which the `diagnostics` tables read, is _regime_weights(...,
+overlap=True).
 """
 
 from __future__ import annotations
@@ -208,22 +209,16 @@ def _regime_weights(bands: range, regime: str, th: Thresholds, s: float, overlap
     return np.array([2.0 ** (j * s) if j in picked else 0.0 for j in bands])
 
 
-def besov_seminorm(
-    f,
-    s: float,
-    p: float,
-    regime: str,
-    th: Thresholds,
-    overlap: bool = False,
-) -> float:
-    """Frequency-restricted homogeneous Besov semi-norm sum_j 2^(js) |f_j|_Lp.
+def besov_seminorm(f, s: float, p: float, regime: str, th: Thresholds) -> float:
+    """Frequency-restricted homogeneous Besov semi-norm sum_j 2^(js) |f_j|_Lp
+    over the bands of the disjoint split.
 
     f may be a single field or a tuple of components (combined pointwise).
     The band range is limited to the grid's populated annuli; at p != 2
     only the bands the regime picks are transformed.
     """
     grid, u = _as_stack(f)
-    weights = _regime_weights(grid_band_range(grid), regime, th, s, overlap)
+    weights = _regime_weights(grid_band_range(grid), regime, th, s)
     return float(_band_norms(grid, u, p, weights != 0) @ weights)
 
 

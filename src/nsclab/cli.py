@@ -166,7 +166,7 @@ _STUDY_DEFAULTS = {
         "nonlinear": False,
     },
     "initial-layer": {"amplitude": 1e-3, "flux_amplitude": 1e-2, "mode": None, "efolds": 5.0, "samples": 60, "scaling_factor": 2.0},
-    "lyapunov": {"p": 2.0, "sigma1": 1.5, "t_min": 1.0, "t_max": 1000.0, "t_count": 40, "r_max": 64.0},
+    "lyapunov": {"sigma1": 1.5, "t_min": 1.0, "t_max": 1000.0, "t_count": 40, "r_max": 64.0},
     "bernstein": {"trials": 100, "s_min": -1.5, "s_max": 1.5, "sp_min": 0.1, "sp_max": 2.0, "c_bern": 4.0},
 }
 
@@ -277,10 +277,13 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
     if name == "relax-sweep":
         eps = [float(e) for e in block["eps_list"]]
         _judged(where, studies._validate_sweep, spec, n, eps, float(block["p"]), block["nonlinear"])
+        if not float(block["amplitude"]):
+            raise ConfigError(f"{where}.amplitude must be nonzero: zero data leave the error 0 at every eps and no slope to fit")
     elif name == "decay-fit":
         _judged(where, studies._validate_decay_ranges, d, float(block["p"]), float(block["sigma"]), float(block["sigma1"]), int(block["t_count"]))
     elif name == "lyapunov":
         _judged(where, studies._tail_samples, times)
+        _judged(where, studies._ode_exponent, d, float(block["sigma1"]))
     elif name == "bernstein":
         if not 0 < float(block["sp_min"]) <= float(block["sp_max"]):
             raise ConfigError(f"{where}.sp_min and sp_max must satisfy 0 < sp_min <= sp_max, got {block['sp_min']!r} and {block['sp_max']!r}")
@@ -388,13 +391,13 @@ def _layer_state(spec, cfg, p):
 
 
 # ---------------------------------------------------------------------------
-# Study runners.  Each returns a list of artifact filenames.  A runner that
-# draws builds its generator from the config seed itself, so a study that
-# draws nothing never imports numpy.random.
+# Study runners.  Each takes the config, the model spec `run` builds from it
+# once and the output directory, and returns a list of artifact filenames.
+# A runner that draws builds its generator from the config seed itself, so a
+# study that draws nothing never imports numpy.random.
 
 
-def run_spectrum(cfg, out_dir):
-    spec = build_model(cfg)
+def run_spectrum(cfg, spec, out_dir):
     p = cfg["study"]["spectrum"]
     rs = _log_times("study.spectrum", p)
     direction = p["direction"]
@@ -428,8 +431,7 @@ def run_spectrum(cfg, out_dir):
     return ["spectrum.csv", "spectrum.dat", "report.json"]
 
 
-def run_sk_check(cfg, out_dir):
-    spec = build_model(cfg)
+def run_sk_check(cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
     p = cfg["study"]["sk-check"]
     dirs = []
@@ -454,8 +456,7 @@ def run_sk_check(cfg, out_dir):
     return ["sk_check.csv", "report.json"]
 
 
-def run_evolve(cfg, out_dir):
-    spec = build_model(cfg)
+def run_evolve(cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps) if spec.kind is model.SystemKind.NSC else None
@@ -523,17 +524,12 @@ def run_evolve(cfg, out_dir):
     return artifacts
 
 
-def run_decay_fit(cfg, out_dir):
-    spec = build_model(cfg)
+def run_decay_fit(cfg, spec, out_dir):
     p = cfg["study"]["decay-fit"]
     r = cfg["radial"]
-    sigma1 = float(p["sigma1"])
-    prof = evolve.sharp_low_profile(sigma1, spec.d)
+    prof = evolve.sharp_low_profile(float(p["sigma1"]), spec.d)
     ts = _log_times("study.decay-fit", p)
-    rep = studies.decay_fit(
-        spec, prof, spec.d, float(p["p"]), float(p["sigma"]), sigma1,
-        t_grid=ts, r_max=float(r["r_max"]), nodes=int(r["nodes"]),
-    )
+    rep = studies.decay_fit(spec, prof, float(p["p"]), float(p["sigma"]), t_grid=ts, r_max=float(r["r_max"]), nodes=int(r["nodes"]))
     cols = [rep.times, rep.norms_av] + ([rep.norms_tq] if rep.norms_tq is not None else [])
     header, rows = ["t", "norm_av", "norm_thetaflux"][: len(cols)], list(zip(*cols))
     write_csv(out_dir / "decay.csv", header, rows)
@@ -546,8 +542,7 @@ def run_decay_fit(cfg, out_dir):
     return ["decay.csv", "decay.dat", "report.json"]
 
 
-def run_relax_sweep(cfg, out_dir):
-    spec = build_model(cfg)
+def run_relax_sweep(cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg, spec)
     p = cfg["study"]["relax-sweep"]
@@ -571,8 +566,7 @@ def run_relax_sweep(cfg, out_dir):
     return ["relax.csv", "relax.dat", "report.json"]
 
 
-def run_initial_layer(cfg, out_dir):
-    spec = build_model(cfg)
+def run_initial_layer(cfg, spec, out_dir):
     p = cfg["study"]["initial-layer"]
     st = _layer_state(spec, cfg, p)
     factor, efolds, samples = float(p["scaling_factor"]), float(p["efolds"]), int(p["samples"])
@@ -594,18 +588,13 @@ def run_initial_layer(cfg, out_dir):
     return ["report.json", "layer.csv", "layer.dat"]
 
 
-def run_lyapunov(cfg, out_dir):
-    spec = build_model(cfg)
+def run_lyapunov(cfg, spec, out_dir):
     p = cfg["study"]["lyapunov"]
     r = cfg["radial"]
     th = build_thresholds(cfg, spec.eps)
-    sigma1 = float(p["sigma1"])
-    prof = evolve.sharp_low_profile(sigma1, spec.d)
+    prof = evolve.sharp_low_profile(float(p["sigma1"]), spec.d)
     ts = _log_times("study.lyapunov", p)
-    rep = studies.lyapunov_ode_compare(
-        spec, prof, th, float(p["p"]), sigma1,
-        t_grid=ts, r_max=float(p["r_max"]), nodes=int(r["nodes"]),
-    )
+    rep = studies.lyapunov_ode_compare(spec, prof, th, t_grid=ts, r_max=float(p["r_max"]), nodes=int(r["nodes"]))
     rows = list(zip(rep.times, rep.l1_values, rep.envelope))
     write_csv(out_dir / "lyapunov.csv", ["t", "l1", "envelope"], rows)
     write_dat(out_dir / "lyapunov.dat", ["t", "l1", "envelope"], rows)
@@ -620,8 +609,7 @@ def run_lyapunov(cfg, out_dir):
     return ["lyapunov.csv", "lyapunov.dat", "report.json"]
 
 
-def run_bernstein(cfg, out_dir):
-    spec = build_model(cfg)
+def run_bernstein(cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
     grid = build_grid(cfg, spec)
     th = build_thresholds(cfg, spec.eps)
@@ -676,7 +664,7 @@ def run(config: dict) -> int:
     # worker count changes no output bit
     token = evolve._FFT_WORKERS.set(threads)
     try:
-        artifacts = _RUNNERS[study](config, out_dir)
+        artifacts = _RUNNERS[study](config, build_model(config), out_dir)
     except ValueError as exc:  # ConfigError and ThresholdOrderError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -419,8 +419,8 @@ class RadialDataProfile:
 
     amplitude(r) returns the initial reduced coefficients, one row per
     radial node, columns (a, omega, theta, sigma) for the relaxing system
-    or (a, omega, theta) for the Fourier-law limit.  sigma1 records the
-    low-frequency regularity index the data is built for.
+    or (a, omega, theta) for the Fourier-law limit.  The radial studies
+    read sigma1, the low-frequency index the data is built for, from here.
     """
 
     amplitude: object
@@ -433,7 +433,7 @@ def sharp_low_profile(sigma1: float, d: int) -> RadialDataProfile:
 
     def amplitude(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        base = np.where(r <= 1.0, r ** (sigma1 - d / 2.0), 0.0)
+        base = np.where(r <= 1.0, np.minimum(r, 1.0) ** (sigma1 - d / 2.0), 0.0)  # no power of r > 1 to overflow
         return base[:, None] * np.ones(4)[None, :]
 
     return RadialDataProfile(amplitude=amplitude, sigma1=sigma1)
@@ -467,7 +467,7 @@ class RadialFlow:
     turns a sample into the L2 norms of Lambda^sigma of named components
     on every dyadic band: one band sum of the components' |.|^2 r^(2 sigma)
     against a per-node Plancherel weight built once (sphere area x r^d x
-    log-trapezoid weight / (2 pi)^d).  The nodes are
+    log-trapezoid weight / (2 pi)^d, d = spec.d).  The nodes are
     labelled with their dyadic band once (besov.band_labels, the torus
     rule) and the bands cover every node, so the band norms also sum to the
     whole-space norm.
@@ -477,11 +477,10 @@ class RadialFlow:
         _check_nodes(nodes)
         _check_r_max(r_max)
         self.spec = spec
-        self.d = spec.d
         self.r = np.logspace(math.log10(_R_MIN), math.log10(r_max), nodes)
         half = 0.5 * np.diff(np.log(self.r))
         trapezoid = np.pad(half, (0, 1)) + np.pad(half, (1, 0))  # in log r: r^(d-1) dr = r^d d(log r)
-        self.weight = _SPHERE_AREA[self.d] * self.r**self.d * trapezoid / (2.0 * np.pi) ** self.d
+        self.weight = _SPHERE_AREA[spec.d] * self.r**spec.d * trapezoid / (2.0 * np.pi) ** spec.d
         self.bands = dyadic_range(self.r[0], self.r[-1])
         self.labels = band_labels(self.r, self.bands)
         u0 = np.asarray(profile.amplitude(self.r), dtype=complex)

@@ -45,7 +45,7 @@ from nsclab.evolve import _check_density, _torus_kernel, default_dt, imex_step, 
 from nsclab import diagnostics
 from nsclab.diagnostics import XFunctional, _calibrate, _regime_rate, _snapshot_values, _time_reduce, _x_table, effective_unknowns
 from nsclab.model import SystemKind
-from nsclab.besov import ThresholdOrderError, _regime_bands, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
+from nsclab.besov import ThresholdOrderError, _as_stack, _band_norms, _regime_bands, _regime_weights, besov_seminorm, grid_band_range, make_thresholds, regime_band_indices
 from nsclab.studies import RelaxReport, fit_loglog, graded_times, scaled_flux_state, well_prepared_flux
 from nsclab.spectral import SpectralField, State, _grad, to_physical, to_spectral
 
@@ -349,6 +349,17 @@ def stack_lp_norm_reference(fields, j, p):
     return float((np.sum(mags**p) * cell) ** (1.0 / p))
 
 
+def split_seminorm(f, s, p, regime, th, overlap):
+    """besov_seminorm under the disjoint split; under the overlapping one,
+    which the program's tables read, the same arithmetic: the band norms of
+    the stacked fields dotted with _regime_weights(..., overlap=True)."""
+    if not overlap:
+        return besov_seminorm(f, s, p, regime, th)
+    grid, u = _as_stack(f)
+    weights = _regime_weights(grid_band_range(grid), regime, th, s, True)
+    return float(_band_norms(grid, u, p, weights != 0) @ weights)
+
+
 def besov_seminorm_reference(f, s, p, regime, th, overlap=False):
     fields = list(f) if isinstance(f, (tuple, list)) else [f]
     bands = grid_band_range(fields[0].grid)
@@ -371,7 +382,7 @@ def radial_band_l2_norm_reference(flow, u, comps, j, sigma=0.0):
     """|Lambda^sigma comps|_L2 over the nodes with 2^j <= r < 2^(j+1), or
     over every node when j is None: the trapezoid rule in log r of
     |S^(d-1)| r^(2 sigma + d) |comps|^2 / (2 pi)^d."""
-    d, r = flow.d, flow.r
+    d, r = flow.spec.d, flow.r
     x = np.log(r)
     weights = np.zeros_like(x)
     weights[:-1] += 0.5 * np.diff(x)
@@ -383,7 +394,7 @@ def radial_band_l2_norm_reference(flow, u, comps, j, sigma=0.0):
 
 
 def radial_besov_proxy_reference(flow, u, comps, s, p):
-    shift = flow.d / 2.0 - flow.d / p
+    shift = flow.spec.d / 2.0 - flow.spec.d / p
     return sum(
         2.0 ** (j * (s + shift)) * radial_band_l2_norm_reference(flow, u, comps, j)
         for j in flow.bands
@@ -564,12 +575,12 @@ def error_functional_reference(nsc_traj, nsf_traj, spec, th, p):
         diff = [SpectralField(grid, x.coeffs - y.coeffs) for x, y in pairs]
         ta, tv, tth = diff[0], tuple(diff[1 : 1 + d]), diff[1 + d]
         q_mode = effective_unknowns(sn, spec).Q
-        lo_inf.append(besov_seminorm((ta, *tv, tth), d / 2 - 2, 2, "low", th, overlap=True))
-        lo_one.append(besov_seminorm((ta, *tv, tth), d / 2, 2, "low", th, overlap=True))
+        lo_inf.append(split_seminorm((ta, *tv, tth), d / 2 - 2, 2, "low", th, True))
+        lo_one.append(split_seminorm((ta, *tv, tth), d / 2, 2, "low", th, True))
         q_one.append(besov_seminorm(q_mode, d / p - 1, p, "all", th))
-        ha.append(besov_seminorm((ta,), d / p - 1, p, "medhigh", th, overlap=True))
-        hvt_inf.append(besov_seminorm((*tv, tth), d / p - 2, p, "medhigh", th, overlap=True))
-        hvt_one.append(besov_seminorm((*tv, tth), d / p, p, "medhigh", th, overlap=True))
+        ha.append(split_seminorm((ta,), d / p - 1, p, "medhigh", th, True))
+        hvt_inf.append(split_seminorm((*tv, tth), d / p - 2, p, "medhigh", th, True))
+        hvt_one.append(split_seminorm((*tv, tth), d / p, p, "medhigh", th, True))
 
     tz = lambda v: float(np.trapezoid(np.asarray(v), times))
     parts = {

@@ -220,7 +220,7 @@ def test_c06_decay_exponents():
     fits = {}
     for sigma, theory in ((0.0, -0.75), (1.0, -1.25)):
         spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
-        rep = decay_fit(spec, prof, 3, 2, sigma, 1.5, t_grid=ts)
+        rep = decay_fit(spec, prof, 2, sigma, t_grid=ts)
         fit = rep.density_velocity
         assert fit.exponent_theory == pytest.approx(theory)
         assert fit.r_squared >= 0.99
@@ -230,7 +230,7 @@ def test_c06_decay_exponents():
     exps = []
     for eps in (1e-2, 1e-3):
         spec = ModelSpec(kind="nsc", d=3, eps=eps)
-        rep = decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=ts)
+        rep = decay_fit(spec, prof, 2, 0.0, t_grid=ts)
         exps.append(rep.density_velocity.exponent_fitted)
     assert abs(exps[0] - exps[1]) / abs(exps[1]) <= 0.02
     elapsed = time.perf_counter() - t0
@@ -432,7 +432,7 @@ def test_c10_lyapunov_ode():
     t0 = time.perf_counter()
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     th = make_thresholds(8, 1, spec.eps)
-    rep = lyapunov_ode_compare(spec, sharp_low_profile(1.5, 3), th, 2.0, 1.5)
+    rep = lyapunov_ode_compare(spec, sharp_low_profile(1.5, 3), th)
     assert rep.monotone, "terminal functional increased somewhere"
     assert rep.max_envelope_violation <= 1e-12
     rel = abs(rep.tail_slope - rep.tail_slope_theory) / abs(rep.tail_slope_theory)

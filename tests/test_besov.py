@@ -21,6 +21,7 @@ from nsclab.besov import (
     regime_band_indices,
 )
 from nsclab.spectral import Grid, SpectralField, State, _grad, random_field, to_physical, zero_field
+from oracles import split_seminorm
 
 
 def test_threshold_examples():
@@ -214,8 +215,9 @@ def test_band_profile_rows(rng):
 )
 def test_seminorms_on_stacks_equal_field_tuples(grid, has_flux, p, regime, overlap, rows, seed):
     """The band norms of a row slice of State.u, or of a difference of two,
-    dotted with the regime weights, equal besov_seminorm on the same rows as
-    a field tuple, bit for bit, and leave the stack as it was."""
+    dotted with the regime weights, equal besov_seminorm (split_seminorm
+    under the overlapping split) on the same rows as a field tuple, bit for
+    bit, and leave the stack as it was."""
     rng = np.random.default_rng(seed)
     nc = 2 * grid.d + 2 if has_flux else grid.d + 2
     shape = (nc, *grid.shape)
@@ -234,5 +236,5 @@ def test_seminorms_on_stacks_equal_field_tuples(grid, has_flux, p, regime, overl
             norms = _band_norms(grid, u, p, weights[0] != 0)
         # one transform per band the regime picks, none at p = 2
         assert ifftn.call_count == (0 if p == 2 else len(_regime_bands(regime, th, grid_band_range(grid), int(overlap))))
-        assert [float(norms @ w) for w in weights] == [besov_seminorm(tuple(fields), s, p, regime, th, overlap) for s in ss]
+        assert [float(norms @ w) for w in weights] == [split_seminorm(tuple(fields), s, p, regime, th, overlap) for s in ss]
         assert np.array_equal(u, before)

@@ -151,6 +151,11 @@ def test_seed_must_be_integer(tmp_path):
         *(({"study": {"lyapunov": {"r_max": r_max}}}, "study.lyapunov.r_max must lie above the data's support") for r_max in (2e-4, 0.5, 1.0)),
         # layer data without a damped mode: a mean temperature alone, or nothing
         *(({"model": {"d": 2}, "grid": {"n": 16}, "study": {"initial-layer": layer}}, "study.initial-layer.ill_prepared_state is exactly well-prepared") for layer in ({"flux_amplitude": 0.0, "mode": [0, 0]}, {"flux_amplitude": 0.0, "amplitude": 0.0})),
+        # the Lyapunov ODE exponent m = 2/(d/2 - 1 + sigma1) must be positive
+        *(({"study": {"lyapunov": {"sigma1": sigma1}}}, "study.lyapunov.sigma1 = ") for sigma1 in (-5.0, -0.5)),
+        ({"model": {"d": 1}, "study": {"lyapunov": {"sigma1": 0.5}}}, "study.lyapunov.sigma1 = 0.5 must exceed 1 - d/2"),
+        ({"study": {"lyapunov": {"p": 2.0}}}, "unknown config key study.lyapunov.p"),  # the L2 proxy has no p
+        ({"study": {"relax-sweep": {"amplitude": 0.0}}}, "study.relax-sweep.amplitude must be nonzero"),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from nsclab import evolve
-from nsclab.besov import _band_norms, band_project, besov_seminorm, grid_band_range, make_thresholds
+from nsclab.besov import _band_norms, band_project, grid_band_range, make_thresholds
 from nsclab.diagnostics import (
     _band_functional,
     _calibrate,
@@ -41,6 +41,7 @@ from oracles import (
     grad,
     grad_j,
     nsf_zero_state,
+    split_seminorm,
 )
 
 
@@ -484,12 +485,10 @@ def test_functional_X_single_mode_integral_oracle():
     for name in ("low_avtheta_L1", "low_q_L1"):
         f0 = {"low_avtheta_L1": "low_state_Linf"}.get(name)
         # closed form from the t=0 value of the matching integrand
-        from nsclab.besov import besov_seminorm
-
         if name == "low_avtheta_L1":
-            v_of_0 = besov_seminorm((st.a, *st.v, st.theta), spec.d / 2 + 1, 2, "low", th, overlap=True)
+            v_of_0 = split_seminorm((st.a, *st.v, st.theta), spec.d / 2 + 1, 2, "low", th, True)
         else:
-            v_of_0 = besov_seminorm(st.q, spec.d / 2, 2, "low", th, overlap=True)
+            v_of_0 = split_seminorm(st.q, spec.d / 2, 2, "low", th, True)
         exact = v_of_0 * (1.0 - math.exp(-rate * T)) / rate
         assert x.constituents[name] == pytest.approx(exact, rel=5e-3)
 
@@ -526,7 +525,7 @@ def test_functional_X_requires_increasing_times(grid2d):
 
 
 def _x_snapshot_reference(st, spec, th) -> dict:
-    """Each piece of X at one snapshot, one besov_seminorm call per value of
+    """Each piece of X at one snapshot, one split_seminorm call per value of
     s on the fields its table entry names."""
     eps, es = spec.eps, effective_unknowns(st, spec)
     scaled = lambda c, fields: tuple(SpectralField(f.grid, c * f.coeffs) for f in fields)
@@ -537,7 +536,7 @@ def _x_snapshot_reference(st, spec, th) -> dict:
     out = {}
     for name, group, regime, ss, weight, _ in _x_table(spec.d, eps):
         f = tuple(x for c in group for x in fields[c])
-        out[name] = weight * max(besov_seminorm(f, s, 2, regime, th, overlap=True) for s in (ss if isinstance(ss, tuple) else (ss,)))
+        out[name] = weight * max(split_seminorm(f, s, 2, regime, th, True) for s in (ss if isinstance(ss, tuple) else (ss,)))
     return out
 
 

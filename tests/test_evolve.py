@@ -234,8 +234,8 @@ def test_radial_quadrature_node_doubling():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
     times = np.logspace(1.0, 2.0, 20)  # decay_fit's fewest samples, ending at t = 100
-    a = decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=times, r_max=10.0, nodes=2048).norms_av
-    b = decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=times, r_max=10.0, nodes=4096).norms_av
+    a = decay_fit(spec, prof, 2, 0.0, t_grid=times, r_max=10.0, nodes=2048).norms_av
+    b = decay_fit(spec, prof, 2, 0.0, t_grid=times, r_max=10.0, nodes=4096).norms_av
     assert abs(a[-1] - b[-1]) / b[-1] < 1e-3
 
 

@@ -419,6 +419,6 @@ def test_decay_fit_samples_one_flow(monkeypatch):
     monkeypatch.setattr(RadialFlow, "__init__", counting_init)
     monkeypatch.setattr(RadialFlow, "at", counting_at)
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
-    rep = studies.decay_fit(spec, sharp_low_profile(1.5, 3), 3, 2, 0.0, 1.5, nodes=512)
+    rep = studies.decay_fit(spec, sharp_low_profile(1.5, 3), 2, 0.0, nodes=512)
     assert counts == {"builds": 1, "samples": len(rep.times)}
     assert rep.norms_tq is not None and math.isfinite(rep.temperature_flux.exponent_fitted)

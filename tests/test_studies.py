@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,33 +70,31 @@ def test_decay_fit_range_validation():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
     with pytest.raises(ValueError, match="sigma1"):
-        decay_fit(spec, sharp_low_profile(2.0, 3), 3, 2, 0.0, 2.0)
+        decay_fit(spec, sharp_low_profile(2.0, 3), 2, 0.0)
     with pytest.raises(ValueError, match="sigma ="):
-        decay_fit(spec, prof, 3, 2, -2.0, 1.5)
-    with pytest.raises(ValueError, match="different sigma1"):
-        decay_fit(spec, prof, 3, 2, 0.0, 1.0)
+        decay_fit(spec, prof, 2, -2.0)
 
 
 def test_decay_fit_sample_floor():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
     with pytest.raises(ValueError, match="20 samples"):
-        decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=np.logspace(1, 2, 8))
+        decay_fit(spec, prof, 2, 0.0, t_grid=np.logspace(1, 2, 8))
 
 
 def test_decay_fit_range_note_outside_window():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
-    rep = decay_fit(spec, prof, 3, 2, 1.0, 1.5, t_grid=np.logspace(1, 2.5, 20), nodes=1024)
+    rep = decay_fit(spec, prof, 2, 1.0, t_grid=np.logspace(1, 2.5, 20), nodes=1024)
     assert "exceeds the stated window" in rep.density_velocity.range_note
-    rep0 = decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=np.logspace(1, 2.5, 20), nodes=1024)
+    rep0 = decay_fit(spec, prof, 2, 0.0, t_grid=np.logspace(1, 2.5, 20), nodes=1024)
     assert rep0.density_velocity.range_note == ""
 
 
 def test_decay_fit_smoke_accuracy():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
-    rep = decay_fit(spec, prof, 3, 2, 0.0, 1.5, t_grid=np.logspace(1, 3, 20), nodes=2048)
+    rep = decay_fit(spec, prof, 2, 0.0, t_grid=np.logspace(1, 3, 20), nodes=2048)
     fit = rep.density_velocity
     assert fit.r_squared >= 0.98
     assert fit.relative_error < 0.05
@@ -592,11 +591,41 @@ def test_slow_projection_matches_per_mode_reference(d, log_eps, inviscid, seed):
     assert np.all(err[loose] <= 2 * spec.n_components * cond[loose] * 2.0**-52 * x[loose])
 
 
+@pytest.mark.parametrize("d, n, eps, cond_max", [(1, 32, 0.05, 100.0), (2, 16, 0.05, 100.0), (3, 8, 0.05, 10.0), (3, 8, 0.05, 1.5)])
+def test_slow_projection_reads_the_kernel_eigenbasis(monkeypatch, d, n, eps, cond_max):
+    # slow_projection reuses the torus kernel's V and V^-1; the radii on the
+    # kernel's expm fallback (V = I there) take their own eig, and the
+    # projectors equal a fresh eig of every block bit for bit.  The first two
+    # cases put only blocks with real eigenvalues on the fallback, where eig
+    # of the fallback alone returns real V and the whole stack complex V.
+    grid, spec = Grid(d=d, n=n), ModelSpec(kind="nsc", d=d, eps=eps)
+    st = _hermitian_state(grid, np.random.default_rng(3))
+    blocks, eig_sizes = [], []
+    mode_blocks, eig = studies._mode_blocks, np.linalg.eig
+    monkeypatch.setattr(studies, "_mode_blocks", lambda b, radius: blocks.append(b) or mode_blocks(b, radius))
+    monkeypatch.setattr(evolve, "_COND_MAX", cond_max)
+    _clear_kernel_caches()
+    try:
+        kernel = evolve._torus_kernel(spec, grid)[0]
+        assert 0 < kernel.fallback.size < len(kernel.lam)
+        monkeypatch.setattr(np.linalg, "eig", lambda a: eig_sizes.append(len(a)) or eig(a))
+        got = slow_projection(st, spec).u
+        monkeypatch.setattr(np.linalg, "eig", eig)
+    finally:
+        _clear_kernel_caches()
+    assert eig_sizes == [kernel.fallback.size]
+    lam, vecs = np.linalg.eig(kernel.mats)
+    cut = 0.4 * spec.alpha / spec.eps**2
+    assert np.array_equal(blocks[0], ((vecs * (lam.real >= -cut)[:, None, :]) @ np.linalg.inv(vecs)).real)
+    ref = slow_projection_reference(st, spec).u
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_lyapunov_ode_compare_report():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     th = make_thresholds(8, 1, spec.eps)
     rep = lyapunov_ode_compare(
-        spec, sharp_low_profile(1.5, 3), th, 2.0, 1.5,
+        spec, sharp_low_profile(1.5, 3), th,
         t_grid=np.logspace(0, 3, 25), nodes=1024,
     )
     assert rep.monotone
@@ -606,13 +635,29 @@ def test_lyapunov_ode_compare_report():
     assert rep.c0_fitted > 0
 
 
-def test_lyapunov_ode_compare_checks_profile_sigma1():
-    # the ODE exponent m comes from sigma1, so a profile built for another
-    # sigma1 would fit the wrong envelope
+@pytest.mark.parametrize("d, sigma1", [(3, -5.0), (3, -0.5), (1, 0.5), (2, -1.0)])
+def test_lyapunov_ode_compare_refuses_sigma1_at_or_below_the_edge(d, sigma1):
+    # at sigma1 <= 1 - d/2 the ODE exponent m = 2/(d/2 - 1 + sigma1) is not
+    # positive; the study refused nothing there and fitted a rising envelope
+    spec = ModelSpec(kind="nsc", d=d, eps=1e-2)
+    with pytest.raises(ValueError, match=r"^sigma1 = .* must exceed 1 - d/2"):
+        lyapunov_ode_compare(spec, sharp_low_profile(sigma1, d), make_thresholds(8, 1, spec.eps), nodes=512)
+
+
+def test_lyapunov_ode_compare_reports_quadrature_underflow():
+    # data at sigma1 = 1000 decay below the smallest float by t = 1000: the
+    # study raises instead of fitting the log of 0, and warns of nothing
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
-    th = make_thresholds(8, 1, spec.eps)
-    with pytest.raises(ValueError, match="different sigma1"):
-        lyapunov_ode_compare(spec, sharp_low_profile(1.5, 3), th, 2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(FloatingPointError, match="underflow/overflow at t = 1000"):
+            lyapunov_ode_compare(spec, sharp_low_profile(1000.0, 3), make_thresholds(8, 1, spec.eps), nodes=512)
+
+
+def test_relax_sweep_refuses_zero_base():
+    # zero data make the error 0 at every eps, and its log-log slope NaN
+    with pytest.raises(ValueError, match="^base data are identically zero"):
+        relax_sweep(zero_state(Grid(d=2, n=8)), relaxing(2), [0.1, 0.05], T=0.5)
 
 
 @pytest.mark.parametrize("r_max", [2e-4, 0.5, 1.0])
@@ -621,6 +666,6 @@ def test_radial_studies_refuse_nodes_that_end_inside_the_data(r_max):
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
     with pytest.raises(ValueError, match="r_max must lie above the data's support"):
-        decay_fit(spec, prof, 3, 2, 0.0, 1.5, r_max=r_max, nodes=512)
+        decay_fit(spec, prof, 2, 0.0, r_max=r_max, nodes=512)
     with pytest.raises(ValueError, match="r_max must lie above the data's support"):
-        lyapunov_ode_compare(spec, prof, make_thresholds(8, 1, spec.eps), 2.0, 1.5, r_max=r_max, nodes=512)
+        lyapunov_ode_compare(spec, prof, make_thresholds(8, 1, spec.eps), r_max=r_max, nodes=512)
