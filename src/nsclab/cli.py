@@ -660,8 +660,8 @@ def run(config: dict) -> int:
     out_dir = Path(config["output"]["directory"])
     threads = int(config["threads"]) or (os.cpu_count() or 1)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # pocketfft splits a batched transform into independent 1-D ones, so the
-    # worker count changes no output bit
+    # the nonlinear sources split each transform's rows over the threads;
+    # every 1-D transform is independent of its batch, so no output bit moves
     token = evolve._FFT_WORKERS.set(threads)
     try:
         artifacts = _RUNNERS[study](config, build_model(config), out_dir)
@@ -691,7 +691,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="FFT worker threads, 0 for one per CPU; outputs do not depend on it",
+        help="threads of the nonlinear sources' transforms, 0 for one per CPU; outputs do not depend on it",
     )
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)

@@ -29,13 +29,13 @@ The fields are real, so the nonlinear part works on the rfft half lattice
 (last axis 0..n/2): one source evaluation takes one stack of every field
 and derivative the products need to physical space (_inverse_rfftn), forms
 the products in place and brings them back in one batched forward real
-FFT, dealiased by the 2/3 rule.  The IMEX step applies the linear step on
-the half lattice and rebuilds the full lattice once per step by conjugate
-mirroring.
+FFT (_forward_rfftn), dealiased by the 2/3 rule.  Both transforms are
+numpy.fft passes in scipy.fft's pass order, so their bits are scipy's.  The
+IMEX step applies the linear step on the half lattice and rebuilds the full
+lattice once per step by conjugate mirroring.
 
-scipy is not imported with this module: scipy.fft loads on the first source
-evaluation and scipy.linalg on the first expm, so a study that reaches
-neither, such as the Gram sweep or the radial flow, runs on numpy alone.
+scipy is not imported with this module: scipy.linalg loads on the first
+expm, so a study that never reaches it runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -84,9 +84,11 @@ class NumericalBlowupError(RuntimeError):
     """Non-finite values appeared during time stepping."""
 
 
-# FFT workers of the nonlinear sources; None keeps scipy's default, including
-# a scipy.fft.set_workers around the call.  cli.run sets it from --threads.
-_FFT_WORKERS = contextvars.ContextVar("fft_workers", default=None)
+# Threads of the nonlinear sources' transforms; cli.run sets it from --threads.
+# Each stack's rows are cut into min(threads, rows) contiguous ranges
+# (_by_rows), and every 1-D transform is independent of its batch, so the
+# count changes no bit.
+_FFT_WORKERS = contextvars.ContextVar("fft_workers", default=1)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -420,11 +422,14 @@ class RadialDataProfile:
     amplitude(r) returns the initial reduced coefficients, one row per
     radial node, columns (a, omega, theta, sigma) for the relaxing system
     or (a, omega, theta) for the Fourier-law limit.  The radial studies
-    read sigma1, the low-frequency index the data is built for, from here.
+    read sigma1, the low-frequency index the data is built for, from here;
+    d is the dimension the amplitude is built for, which RadialFlow holds
+    to its model's.
     """
 
     amplitude: object
     sigma1: float
+    d: int
 
 
 def sharp_low_profile(sigma1: float, d: int) -> RadialDataProfile:
@@ -436,7 +441,7 @@ def sharp_low_profile(sigma1: float, d: int) -> RadialDataProfile:
         base = np.where(r <= 1.0, np.minimum(r, 1.0) ** (sigma1 - d / 2.0), 0.0)  # no power of r > 1 to overflow
         return base[:, None] * np.ones(4)[None, :]
 
-    return RadialDataProfile(amplitude=amplitude, sigma1=sigma1)
+    return RadialDataProfile(amplitude=amplitude, sigma1=sigma1, d=d)
 
 
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -470,10 +475,13 @@ class RadialFlow:
     log-trapezoid weight / (2 pi)^d, d = spec.d).  The nodes are
     labelled with their dyadic band once (besov.band_labels, the torus
     rule) and the bands cover every node, so the band norms also sum to the
-    whole-space norm.
+    whole-space norm.  The profile must be built for spec.d; data that are
+    zero on every node give a flow with an empty support.
     """
 
     def __init__(self, spec: ModelSpec, profile: RadialDataProfile, r_max: float, nodes: int):
+        if profile.d != spec.d:
+            raise ValueError(f"data profile built for d = {profile.d} does not match the model's d = {spec.d}")
         _check_nodes(nodes)
         _check_r_max(r_max)
         self.spec = spec
@@ -603,17 +611,63 @@ def _source_spectra(u: np.ndarray, spec: ModelSpec, grid: Grid, bounds: np.ndarr
     return stack
 
 
-def _inverse_rfftn(stack: np.ndarray, grid: Grid, workers) -> np.ndarray:
-    """scipy.fft.irfftn of a half-lattice stack over its last d axes
-    (norm="forward"), bit for bit, overwriting the stack: the complex pass
-    over the leading grid axes runs in place, then the real pass along the
-    last axis.  irfftn runs the same two passes, but into a temporary the
-    size of the whole stack."""
-    from scipy.fft import ifftn, irfft  # loaded on the first evaluation
+def _row_ranges(rows: int, workers: int) -> list:
+    """min(workers, rows) contiguous (lo, hi) ranges that cover rows."""
+    k = min(workers, rows)
+    cuts = [rows * i // k for i in range(k + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
-    if grid.d > 1:
-        stack = ifftn(stack, axes=tuple(range(-grid.d, -1)), norm="forward", overwrite_x=True, workers=workers)
-    return irfft(stack, n=grid.n, axis=-1, norm="forward", workers=workers)
+
+def _by_rows(transform, rows: int, workers: int) -> None:
+    """transform(lo, hi) over _row_ranges, on a thread pool when there are
+    two or more (numpy's pocketfft releases the GIL); the pool's module
+    loads only then."""
+    ranges = _row_ranges(rows, workers)
+    if len(ranges) == 1:
+        transform(*ranges[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(ranges)) as pool:
+        for done in [pool.submit(transform, lo, hi) for lo, hi in ranges]:
+            done.result()
+
+
+def _inverse_rfftn(stack: np.ndarray, grid: Grid, workers: int) -> np.ndarray:
+    """scipy.fft.irfftn of a half-lattice stack over its last d axes
+    (norm="forward"), bit for bit, overwriting the stack: complex passes
+    over axes -d .. -2 in place, in that order (numpy.fft.irfftn runs them
+    in reverse, which moves bits), then the real pass along the last axis
+    into a new real array."""
+    phys = np.empty((*stack.shape[:-1], grid.n))
+
+    def transform(lo, hi):
+        rows = stack[lo:hi]
+        for axis in range(-grid.d, -1):
+            np.fft.ifft(rows, axis=axis, norm="forward", out=rows)
+        np.fft.irfft(rows, n=grid.n, axis=-1, norm="forward", out=phys[lo:hi])
+
+    _by_rows(transform, len(stack), workers)
+    return phys
+
+
+def _forward_rfftn(prods: np.ndarray, grid: Grid, workers: int) -> np.ndarray:
+    """scipy.fft.rfftn of a real stack over its last d axes (norm="forward"),
+    bit for bit: the real pass along the last axis scaled by 1/n^d, as
+    scipy scales it (per-pass 1/n moves bits unless n is a power of two),
+    then complex passes over axes -d .. -2 in place, in that order."""
+    half = np.empty((*prods.shape[:-1], grid.n // 2 + 1), dtype=complex)
+    scale = 1.0 / grid.n**grid.d
+
+    def transform(lo, hi):
+        rows = half[lo:hi]
+        np.fft.rfft(prods[lo:hi], axis=-1, out=rows)
+        np.multiply(rows.view(float), scale, out=rows.view(float))
+        for axis in range(-grid.d, -1):
+            np.fft.fft(rows, axis=axis, out=rows)
+
+    _by_rows(transform, len(prods), workers)
+    return half
 
 
 def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray:
@@ -623,12 +677,10 @@ def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray
     Every field and derivative the products need (36 at d = 3 for NSC) is
     written into one stack (_source_spectra) and goes to physical space in
     place (_inverse_rfftn).  The products are formed in place in one array
-    and come back in one batched rfftn; norm="forward" keeps the
-    Fourier-series convention.  Each product keeps the operation order of
-    its formula, so the bits do not depend on the buffers.
+    and come back in one batched rfftn (_forward_rfftn); norm="forward"
+    keeps the Fourier-series convention.  Each product keeps the operation
+    order of its formula, so the bits do not depend on the buffers.
     """
-    from scipy.fft import rfftn  # loaded on the first evaluation
-
     workers = _FFT_WORKERS.get()
     ikw, _, drop, _ = _half_lattice(grid)
     d = grid.d
@@ -688,7 +740,7 @@ def _nonlinear_sources(u: np.ndarray, spec: ModelSpec, grid: Grid) -> np.ndarray
 
     if not np.all(np.isfinite(prods)):
         raise NumericalBlowupError("non-finite nonlinear source")
-    out = rfftn(prods, axes=tuple(range(-d, 0)), norm="forward", workers=workers)
+    out = _forward_rfftn(prods, grid, workers)
     out[:, drop] = 0.0
     # F = -div of the dealiased a v, stored over the last a v_i slot
     out[d - 1] = -sum(ikw[i] * out[i] for i in range(d))

@@ -147,6 +147,12 @@ def _check_reach(prof: RadialDataProfile, r_max: float) -> None:
         raise ValueError(f"r_max must lie above the data's support, where the profile vanishes, got {r_max!r}")
 
 
+def _check_data(flow: RadialFlow) -> None:
+    """Data zero on every radial node stay zero: there is nothing to fit."""
+    if not flow.support.size:
+        raise ValueError("data profile is zero on every radial node: its norms are 0 at every t and have no decay to fit")
+
+
 @dataclass(frozen=True)
 class DecayReport:
     density_velocity: FitResult
@@ -168,7 +174,8 @@ def decay_fit(
     """Fit the large-time algebraic decay of |Lambda^sigma (a, v)|_Lp and,
     where its window admits sigma, of |Lambda^sigma (theta, eps q)|_Lp.
     The dimension is spec.d and the low-frequency index sigma1 the one the
-    data profile was built for."""
+    data profile was built for; data zero on every radial node raise
+    ValueError."""
     d, sigma1 = spec.d, prof.sigma1
     t_grid = np.asarray(np.logspace(1, 3, 25) if t_grid is None else t_grid, dtype=float)
     note = _validate_decay_ranges(d, p, sigma, sigma1, len(t_grid))
@@ -177,6 +184,7 @@ def decay_fit(
     eps = spec.eps
     _check_reach(prof, r_max)
     flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
+    _check_data(flow)
     lift = 2.0 ** (np.array(flow.bands) * (sigma + (d / 2.0 - d / p)))
 
     def norm(u, comps):
@@ -718,7 +726,8 @@ def lyapunov_ode_compare(
     m = 2/(d/2 - 1 + sigma1), d = spec.d and sigma1 the profile's (it must
     exceed 1 - d/2); the ODE envelope implies a large-time power
     t^(-1/m) = t^(-(d/2 - 1 + sigma1)/2), whose slope is fitted on t >= 50.
-    A functional not finite and positive on nonzero data raises FloatingPointError.
+    Data zero on every radial node raise ValueError; a functional not
+    finite and positive raises FloatingPointError.
     """
     d, sigma1 = spec.d, prof.sigma1
     m_exp = _ode_exponent(d, sigma1)
@@ -726,9 +735,10 @@ def lyapunov_ode_compare(
     tail = _tail_samples(t_grid)
     _check_reach(prof, r_max)
     flow = RadialFlow(spec, prof, r_max=r_max, nodes=nodes)
+    _check_data(flow)
     l1 = np.array([lyapunov_l1(flow, th, float(t)) for t in t_grid])
     bad = np.flatnonzero(~(np.isfinite(l1) & (l1 > 0.0)))
-    if bad.size and flow.support.size:
+    if bad.size:
         raise FloatingPointError(f"radial quadrature underflow/overflow at t = {t_grid[bad[0]]}: functional = {l1[bad[0]]}")
     monotone = bool(np.all(np.diff(l1) <= 0.0))
 

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 import yaml
 
+from nsclab import evolve
 from nsclab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
 from nsclab.evolve import imex_step
 from nsclab.model import ModelSpec
@@ -196,8 +196,9 @@ def test_readme_config_example_loads(tmp_path):
 
 def _loaded_after(code: str, prefix: str) -> list:
     """The modules named prefix... that a fresh interpreter holds once code
-    has run; only the nonlinear sources load scipy.fft, only expm loads
-    scipy.linalg and only a study that draws loads numpy.random."""
+    has run; nothing loads scipy.fft, only expm loads scipy.linalg, only a
+    split source transform loads concurrent.futures and only a study that
+    draws loads numpy.random."""
     probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -218,6 +219,7 @@ def test_cli_import_skips_scipy_optimize():
     loaded = set(_loaded_after("import nsclab.cli", "scipy"))
     assert "scipy.optimize" not in loaded
     assert not loaded & {"scipy.fft", "scipy.linalg", "scipy.special"}
+    assert "concurrent.futures" not in _loaded_after("import nsclab.cli", "concurrent")
 
 
 def test_linear_and_radial_studies_skip_scipy_fft(tmp_path):
@@ -227,6 +229,12 @@ def test_linear_and_radial_studies_skip_scipy_fft(tmp_path):
         "lyapunov": {"model": {"d": 3, "eps": 0.01}, "radial": {"nodes": 512}, "study": {"lyapunov": {"t_count": 20}}},
     }
     assert "scipy.fft" not in _loaded_after(_main_calls(tmp_path, runs), "scipy")
+
+
+def test_nonlinear_evolve_skips_scipy_fft_and_special(tmp_path):
+    # the sources' transforms are numpy.fft; scipy.fft pulled in scipy.special
+    runs = {"evolve": {"model": {"d": 3}, "grid": {"n": 8}, "study": {"evolve": {"T": 0.02, "dt": 0.01, "nonlinear": True}}}}
+    assert not set(_loaded_after(_main_calls(tmp_path, runs), "scipy")) & {"scipy.fft", "scipy.special"}
 
 
 def test_studies_that_draw_nothing_skip_numpy_random(tmp_path):
@@ -539,28 +547,28 @@ def test_thread_count_does_not_change_output(tmp_path):
 
 def test_thread_count_reaches_the_source_transforms(tmp_path, monkeypatch):
     seen = []
-    for name in ("ifftn", "irfft", "rfftn"):
-        real = getattr(scipy.fft, name)
+    real = evolve._row_ranges
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            seen.append((_name, kwargs.get("workers")))
-            return _real(*args, **kwargs)
+    def spy(rows, workers):
+        ranges = real(rows, workers)
+        seen.append((rows, len(ranges)))
+        return ranges
 
-        monkeypatch.setattr(scipy.fft, name, spy)
-
+    monkeypatch.setattr(evolve, "_row_ranges", spy)
     cfg = write_cfg(
         tmp_path / "e.yaml",
         {"model": {"kind": "nsc", "d": 2, "eps": 0.1}, "grid": {"n": 8}, "seed": 1, "study": {"evolve": {"T": 0.02, "dt": 0.01, "nonlinear": True}}},
     )
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]) == EXIT_OK
-    assert {name for name, _ in seen} == {"ifftn", "irfft", "rfftn"}
-    assert {workers for _, workers in seen} == {2}
+    # the 21 fields and derivatives of d = 2 NSC go out, its 7 products come back
+    assert {rows for rows, _ in seen} == {21, 7}
+    assert {ranges for _, ranges in seen} == {2}
 
-    # outside the CLI the sources keep scipy's default
+    # outside the CLI the sources run in one range
     seen.clear()
     spec = ModelSpec(kind="nsc", d=2, eps=0.1)
     imex_step(random_state(Grid(n=8, d=2), np.random.default_rng(1)), spec, 0.01)
-    assert seen and {workers for _, workers in seen} == {None}
+    assert seen and {ranges for _, ranges in seen} == {1}
 
 
 def test_defaults_without_config_file():

@@ -21,7 +21,7 @@ from nsclab.evolve import (
     sharp_low_profile,
     source_terms,
 )
-from nsclab.evolve import _inverse_rfftn, _nonlinear_sources
+from nsclab.evolve import _forward_rfftn, _inverse_rfftn, _nonlinear_sources
 from nsclab.model import ModelSpec, reduced_symbol, symbol
 from nsclab.spectral import (
     Grid,
@@ -348,14 +348,21 @@ def test_sources_match_per_field_reference(d, n, kind, inviscid, seed, a_max, lo
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_split_inverse_transform_equals_irfftn(d, workers, rng):
-    grid = Grid(d=d, n={1: 64, 2: 32, 3: 32}[d])
+    """Both source transforms, split into min(workers, 5) row ranges (3 is
+    uneven, 8 more than the rows), are scipy.fft's bit for bit; n = 48 at
+    d = 2 is no power of two, so its 1/n^d scale is not exact."""
+    grid = Grid(d=d, n={1: 64, 2: 48, 3: 32}[d])
+    axes = tuple(range(-d, 0))
     shape = (5, *grid.shape[:-1], grid.n // 2 + 1)
     stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = scipy.fft.irfftn(stack, s=grid.shape, axes=tuple(range(-d, 0)), norm="forward", workers=workers)
+    want = scipy.fft.irfftn(stack, s=grid.shape, axes=axes, norm="forward", workers=workers)
     assert np.array_equal(_inverse_rfftn(stack.copy(), grid, workers), want)
+    prods = rng.standard_normal((5, *grid.shape))
+    want = scipy.fft.rfftn(prods, axes=axes, norm="forward", workers=workers)
+    assert np.array_equal(_forward_rfftn(prods, grid, workers), want)
 
 
 @pytest.mark.parametrize("kind", ["nsc", "nsf"])

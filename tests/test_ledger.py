@@ -198,7 +198,7 @@ def _cut_profile(d, mix, r_cut):
     """Data |xi|^(1.5 - d/2) on |xi| <= r_cut, zero above, with the
     components weighted by mix."""
     amplitude = lambda r: np.where(r <= r_cut, r ** (1.5 - d / 2.0), 0.0)[:, None] * np.asarray(mix, dtype=complex)[None, :]
-    return RadialDataProfile(amplitude=amplitude, sigma1=1.5)
+    return RadialDataProfile(amplitude=amplitude, sigma1=1.5, d=d)
 
 
 @settings(max_examples=25, deadline=None)

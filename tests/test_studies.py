@@ -75,6 +75,31 @@ def test_decay_fit_range_validation():
         decay_fit(spec, prof, 2, -2.0)
 
 
+def test_radial_studies_refuse_a_profile_built_for_another_dimension():
+    # the d = 2 amplitude |xi|^(sigma1 - 1) under a d = 3 model fitted -1.011
+    # against the theory's -0.75, and nothing was refused
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    prof = sharp_low_profile(1.5, 2)
+    match = r"^data profile built for d = 2 does not match the model's d = 3"
+    with pytest.raises(ValueError, match=match):
+        decay_fit(spec, prof, 2.0, 0.0, nodes=512)
+    with pytest.raises(ValueError, match=match):
+        lyapunov_ode_compare(spec, prof, make_thresholds(8, 1, spec.eps), nodes=512)
+
+
+def _zero_profile(d):
+    return evolve.RadialDataProfile(amplitude=lambda r: np.zeros((len(r), 4)), sigma1=1.5, d=d)
+
+
+def test_decay_fit_refuses_zero_data():
+    # zero data stay zero: the fit took log 0 (a RuntimeWarning) and fitted nothing
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^data profile is zero on every radial node"):
+            decay_fit(spec, _zero_profile(3), 2.0, 0.0, nodes=512)
+
+
 def test_decay_fit_sample_floor():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     prof = sharp_low_profile(1.5, 3)
@@ -652,6 +677,13 @@ def test_lyapunov_ode_compare_reports_quadrature_underflow():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(FloatingPointError, match="underflow/overflow at t = 1000"):
             lyapunov_ode_compare(spec, sharp_low_profile(1000.0, 3), make_thresholds(8, 1, spec.eps), nodes=512)
+
+
+def test_lyapunov_ode_compare_refuses_zero_data():
+    # the c0 fit failed in numpy's "zero-size array to reduction operation minimum"
+    spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
+    with pytest.raises(ValueError, match="^data profile is zero on every radial node"):
+        lyapunov_ode_compare(spec, _zero_profile(3), make_thresholds(8, 1, spec.eps), nodes=512)
 
 
 def test_relax_sweep_refuses_zero_base():
