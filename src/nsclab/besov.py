@@ -276,6 +276,10 @@ def bernstein_check(
     whose regime contains that band, returns a dict with the two sides,
     their ratio and a violation flag (ratio > c_bern).  The +1 direction
     trades regularity down (rhs at s + s'), -1 trades it up (rhs at s - s').
+
+    Known defect: the band norm is on both sides and cancels, so the ratio
+    is 1 / (factor(th, s') 2^(sign j s')) for any field (to 1e-15 over 50
+    random band fields, d = 2, n = 64): it tests threshold arithmetic only.
     """
     if not s_prime > 0:
         raise ValueError(f"s_prime must be positive, got {s_prime}")

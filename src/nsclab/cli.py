@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -30,17 +29,6 @@ import numpy as np
 import yaml
 
 from . import besov, diagnostics, evolve, model, spectral, studies
-
-STUDIES = (
-    "spectrum",
-    "sk-check",
-    "evolve",
-    "decay-fit",
-    "relax-sweep",
-    "initial-layer",
-    "lyapunov",
-    "bernstein",
-)
 
 EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL = 0, 2, 3
 
@@ -143,6 +131,7 @@ _DEFAULTS = {
     "threads": 0,
 }
 
+# one entry per study: its name is the subcommand, its dict the schema of its block
 _STUDY_DEFAULTS = {
     "spectrum": {"r_min": 1e-3, "r_max": 1e3, "count": 200, "direction": None, "reduced": False},
     "sk-check": {"directions": 20, "include_axes": True},
@@ -227,13 +216,15 @@ def _merge(where: str, defaults: dict, override, extra=()) -> dict:
 
 
 def _judged(where: str, check, *args):
-    """check(*args); a ValueError (argument name first) but a ThresholdOrderError becomes a ConfigError."""
+    """check(*args); a ValueError (argument name first) but a ThresholdOrderError
+    becomes a ConfigError naming where.<argument>, or thresholds.<argument> for K and k."""
     try:
         return check(*args)
     except besov.ThresholdOrderError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{where}.{exc}") from None
+        arg = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{'thresholds' if arg in ('K', 'k') else where}.{exc}") from None
 
 
 def _log_times(where: str, block: dict) -> np.ndarray:
@@ -276,7 +267,8 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
         times = _log_times(where, block)
     if name == "relax-sweep":
         eps = [float(e) for e in block["eps_list"]]
-        _judged(where, studies._validate_sweep, spec, n, eps, float(block["p"]), block["nonlinear"])
+        K, k = int(cfg["thresholds"]["K"]), float(cfg["thresholds"]["k"])
+        _judged(where, studies._validate_sweep, spec, n, eps, float(block["p"]), block["nonlinear"], K, k)
         if not float(block["amplitude"]):
             raise ConfigError(f"{where}.amplitude must be nonzero: zero data leave the error 0 at every eps and no slope to fit")
     elif name == "decay-fit":
@@ -309,17 +301,21 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
             raw = yaml.safe_load(fh) or {}
     _check_keys("", raw, (*_DEFAULTS, "study"))
     study_block = {} if raw.get("study") is None else raw["study"]
-    _check_keys("study", study_block, STUDIES)
-    blocks = {name: _merge(f"study.{name}", _STUDY_DEFAULTS[name], block) for name, block in study_block.items()}
+    _check_keys("study", study_block, _STUDY_DEFAULTS)
+    if study_block and list(study_block) != [study]:
+        raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
+    block = _merge(f"study.{study}", _STUDY_DEFAULTS[study], study_block.get(study))
     cfg = {
         name: _merge(name, defaults, raw.get(name), extra=("phys",) if name == "model" else ())
         for name, defaults in _DEFAULTS.items()
         if isinstance(defaults, dict)
     }
-    cfg["study"] = {study: blocks.get(study, dict(_STUDY_DEFAULTS[study]))}
+    cfg["study"] = {study: block}
     phys = cfg["model"].get("phys")
-    if phys:  # judged against the PhysParams defaults, every one a float
+    if phys:  # judged against the PhysParams defaults, every one a float; it sets every coefficient
         _merge("model.phys", {f.name: f.default for f in dataclasses.fields(model.PhysParams)}, phys)
+        if given := [f"model.{key}" for key in raw["model"] if key not in ("kind", "d", "phys")]:
+            raise ConfigError(f"{', '.join(given)} cannot be given next to model.phys, which sets the normalized coefficients")
     for key, override in (("seed", seed), ("threads", threads)):
         val = raw.get(key, _DEFAULTS[key]) if override is None else override
         if isinstance(val, bool) or not isinstance(val, int) or val < 0:
@@ -330,28 +326,17 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     if out is not None:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
-    for name, block in {**blocks, **cfg["study"]}.items():
-        _check_study(name, block, spec, cfg)
-    if study_block and list(study_block) != [study]:
-        raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
+    _check_study(study, block, spec, cfg)
     if study in _GRID_STUDIES:
         build_grid(cfg, spec)
     if spec.kind is model.SystemKind.NSC and study in _THRESHOLD_STUDIES:
         build_thresholds(cfg, spec.eps)
-    elif study == "relax-sweep":  # one split per eps: relax_sweep skips an inverted one and fits the rest
-        kept = 0
-        for eps in {float(e) for e in cfg["study"][study]["eps_list"]}:
-            with contextlib.suppress(besov.ThresholdOrderError):
-                build_thresholds(cfg, eps)
-                kept += 1
-        if kept < 2:
-            raise ConfigError(f"thresholds {cfg['thresholds']} keep J0 <= Jeps at {kept} of study.relax-sweep.eps_list; the fit needs two")
     return cfg
 
 
 def build_model(cfg: dict) -> model.ModelSpec:
     m = cfg["model"]
-    if "phys" in m and m["phys"]:
+    if m.get("phys"):
         params = model.PhysParams(**{k: float(v) for k, v in m["phys"].items()})
         return model.build_spec(params, m["kind"], int(m["d"]))
     coeffs = {k: float(v) for k, v in m.items() if k not in ("kind", "d", "phys")}
@@ -685,7 +670,7 @@ def run(config: dict) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nsclab", description=__doc__)
-    parser.add_argument("study", choices=STUDIES)
+    parser.add_argument("study", choices=_STUDY_DEFAULTS)
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)

@@ -228,10 +228,11 @@ class State:
     none of them copies, and a write through
     ``st.theta.coeffs`` lands in the state.  The whole stack is checked
     finite once, on entry: the keyword constructor copies its fields into a
-    new stack, ``from_stacked`` wraps the array it is given.
+    new stack at t = 0, ``from_stacked`` wraps the array it is given at the
+    time it is given.
     """
 
-    def __init__(self, a: SpectralField, v, theta: SpectralField, q=None, time: float = 0.0):
+    def __init__(self, a: SpectralField, v, theta: SpectralField, q=None):
         grid, v = a.grid, tuple(v)
         comps = [a, *v, theta]
         if q is not None:
@@ -241,7 +242,7 @@ class State:
             raise ValueError("velocity/heat-flux tuples must have d components")
         if any(f.grid != grid for f in comps):
             raise ValueError("all components must live on the same grid")
-        self._wrap(grid, np.stack([f.coeffs for f in comps]), time, q is not None)
+        self._wrap(grid, np.stack([f.coeffs for f in comps]), 0.0, q is not None)
 
     @classmethod
     def from_stacked(cls, grid: Grid, arr: np.ndarray, time: float, has_flux: bool) -> "State":

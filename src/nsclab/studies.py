@@ -21,6 +21,7 @@ and reduces them in time.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -459,9 +460,10 @@ class RelaxReport:
         return all(b <= a * (1 + 1e-12) for a, b in zip(self.xtilde_values, self.xtilde_values[1:]))
 
 
-def _validate_sweep(spec: ModelSpec, n: int, eps_list, p: float, nonlinear: bool) -> None:
+def _validate_sweep(spec: ModelSpec, n: int, eps_list, p: float, nonlinear: bool, K: int, k: float) -> None:
     """Raise ValueError, naming the argument first, for a sweep that
-    relax_sweep refuses for the model of spec on a grid of n points per axis."""
+    relax_sweep refuses for the model of spec on a grid of n points per axis:
+    its slope fit needs two eps whose thresholds (K, k, eps) keep J0 <= Jeps."""
     if not (spec.kind is SystemKind.NSC and spec.alpha > 0 and spec.kappa > 0):  # to_nsf and graded_times need them
         raise ValueError(f"spec must be the relaxing system with a Fourier-law limit (model.kind: nsc, alpha and kappa > 0), got {spec.kind.value} with alpha = {spec.alpha}, kappa = {spec.kappa}")
     if not 2.0 <= p <= 4.0:
@@ -470,6 +472,13 @@ def _validate_sweep(spec: ModelSpec, n: int, eps_list, p: float, nonlinear: bool
         raise ValueError(f"eps_list must hold at least two distinct positive values, got {eps_list}")
     if nonlinear and (spec.d > 2 or n > 256):
         raise ValueError(f"nonlinear sweeps run only at d <= 2 and n <= 256, got d = {spec.d}, n = {n}")
+    kept = 0
+    for eps in set(eps_list):
+        with contextlib.suppress(ThresholdOrderError):
+            make_thresholds(K, k, eps)
+            kept += 1
+    if kept < 2:
+        raise ValueError(f"eps_list must hold two eps whose thresholds keep J0 <= Jeps at K = {K}, k = {k}; {kept} of {sorted(set(eps_list))} do")
 
 
 def relax_sweep(
@@ -498,14 +507,14 @@ def relax_sweep(
     nonlinear=True integrates both systems with the IMEX stepper instead,
     in the lockstep loop; this is restricted to d <= 2 and n <= 256 and the
     report is labeled experimental (outside the decay-theory hypotheses).
-    Threshold-invalid eps values are skipped and reported.
+    Threshold-invalid eps values are skipped and reported; a sweep with
+    fewer than two valid ones is refused before any eps is evaluated.
     """
     eps_list = sorted(set(float(e) for e in eps_list), reverse=True)
-    _validate_sweep(spec, base.grid.n, eps_list, p, nonlinear)
+    _validate_sweep(spec, base.grid.n, eps_list, p, nonlinear, K, k)
     if not base.u.any():
         raise ValueError("base data are identically zero: the error is 0 at every eps and has no slope")
-    xt, wp, rows, skipped = [], [], [], []
-    used = []
+    xt, wp, rows, skipped, used = [], [], [], [], []
     measure = _torus_measure(base) if p == 2 and not nonlinear else None
     for eps in eps_list:
         spec = replace(spec, eps=eps)
@@ -526,8 +535,6 @@ def relax_sweep(
         used.append(eps)
         if compare_well_prepared:
             wp.append(parts[1]["total"])
-    if len(used) < 2:
-        raise ValueError("need at least two threshold-valid eps values to fit a slope")
     slope, _, _ = fit_loglog(used, xt)
     return RelaxReport(
         eps_values=used,

@@ -513,14 +513,7 @@ def slow_projection_reference(state, spec):
     coef = np.linalg.solve(vecs, u[..., None])[..., 0]
     coef[lam.real < -0.4 * spec.alpha / spec.eps**2] = 0.0
     arr = (vecs @ coef[..., None])[..., 0].T.reshape(-1, *state.grid.shape)
-    st = State.from_stacked(state.grid, arr, state.time, state.has_flux)
-    return State(
-        a=st.a.hermitized(),
-        v=tuple(f.hermitized() for f in st.v),
-        theta=st.theta.hermitized(),
-        q=tuple(f.hermitized() for f in st.q) if st.q is not None else None,
-        time=st.time,
-    )
+    return State.from_stacked(state.grid, arr, state.time, state.has_flux).hermitized()
 
 
 # ---------------------------------------------------------------------------

@@ -407,14 +407,8 @@ def _manufactured_solution_error() -> float:
         )
 
     def exact_state(tv):
-        fa, fv, ft, fq = (np.asarray(f(xs, tv), dtype=float) + 0.0 * xs for f in exact_fns)
-        return State(
-            a=to_spectral(grid, fa),
-            v=(to_spectral(grid, fv),),
-            theta=to_spectral(grid, ft),
-            q=(to_spectral(grid, fq),),
-            time=tv,
-        )
+        fields = (to_spectral(grid, np.asarray(f(xs, tv), dtype=float) + 0.0 * xs) for f in exact_fns)
+        return State.from_stacked(grid, np.stack([f.coeffs for f in fields]), tv, True)
 
     cur = exact_state(0.0)
     nsteps = 2500

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from nsclab import evolve
-from nsclab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
+from nsclab.cli import _STUDY_DEFAULTS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
 from nsclab.evolve import imex_step
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, load_state
@@ -135,7 +135,7 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"kind": "nsf"}, "study": {"initial-layer": {}}}, "study.initial-layer needs the relaxing system"),
         ({"thresholds": {"K": 1}}, "K must be an integer >= 2"),
         ({"thresholds": {"k": 3.0}}, "k must satisfy 0 < k <= 1"),
-        ({"thresholds": {"K": 1024}}, "keep J0 <= Jeps at 0 of study.relax-sweep.eps_list"),
+        ({"thresholds": {"K": 1024}}, "relax-sweep.eps_list must hold two"),
         ({"study": {"sk-check": {"directions": 0, "include_axes": False}}}, "study.sk-check.directions"),
         ({"study": {"bernstein": {"trials": 0}}}, "study.bernstein.trials"),
         ({"output": {"stride": -3}}, "output.stride"),
@@ -156,13 +156,26 @@ def test_seed_must_be_integer(tmp_path):
         ({"model": {"d": 1}, "study": {"lyapunov": {"sigma1": 0.5}}}, "study.lyapunov.sigma1 = 0.5 must exceed 1 - d/2"),
         ({"study": {"lyapunov": {"p": 2.0}}}, "unknown config key study.lyapunov.p"),  # the L2 proxy has no p
         ({"study": {"relax-sweep": {"amplitude": 0.0}}}, "study.relax-sweep.amplitude must be nonzero"),
+        # phys sets every normalized coefficient: one given next to it would be echoed but not used
+        *(({"model": {key: 0.5, "phys": {"mu": 0.3}}}, f"model.{key} cannot be given next to model.phys") for key in ("alpha", "beta", "gamma", "kappa", "eps", "visc_mu", "visc_lam")),
+        ({"model": {"kind": "nsc", "d": 2, "eps": 0.001, "alpha": 5.0, "phys": {"mu": 0.3}}}, "model.alpha, model.eps cannot be given next to model.phys"),  # keys in file order
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
+    # each row runs under the study its block names, or relax-sweep without one (or with a misspelt one)
+    study = next((name for name in payload.get("study", {}) if name in _STUDY_DEFAULTS), "relax-sweep")
     cfg = write_cfg(tmp_path / "c.yaml", payload)
     out = tmp_path / "out"
-    assert main(["relax-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert main([study, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_another_studys_block_is_refused_before_it_is_judged(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.yaml", {"study": {"bernstein": {"trials": 0}}})
+    out = tmp_path / "out"
+    assert main(["relax-sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "validation error: config study blocks ['bernstein'] do not match subcommand 'relax-sweep' alone" in capsys.readouterr().err
     assert not out.exists()
 
 

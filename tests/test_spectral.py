@@ -158,13 +158,7 @@ def test_lp_norm_single_mode():
 
 
 def test_state_round_trip_container(tmp_path, rng, grid2d):
-    st = State(
-        a=random_field(grid2d, rng),
-        v=(random_field(grid2d, rng), random_field(grid2d, rng)),
-        theta=random_field(grid2d, rng),
-        q=(random_field(grid2d, rng), random_field(grid2d, rng)),
-        time=1.75,
-    )
+    st = State.from_stacked(grid2d, np.stack([random_field(grid2d, rng).coeffs for _ in range(6)]), 1.75, True)
     path = tmp_path / "state.fld"
     save_state(path, st)
     back = load_state(path)
@@ -188,7 +182,7 @@ def test_load_fields_checks_byte_counts(tmp_path, rng, cut, message):
     grid = Grid(d=1, n=64)
     path = tmp_path / "fields.fld"
     fields = [random_field(grid, rng) for _ in range(4)]
-    save_state(path, State(a=fields[0], v=fields[1:2], theta=fields[2], q=fields[3:], time=0.5))
+    save_state(path, State.from_stacked(grid, np.stack([f.coeffs for f in fields]), 0.5, True))
     fields, time = load_fields(path)
     assert len(fields) == 4 and time == 0.5
     path.write_bytes(cut(path.read_bytes()))
@@ -281,8 +275,8 @@ def test_state_keyword_constructor_copies_into_one_stack(grid, has_flux, seed):
     arr = _random_stack(grid, has_flux, seed)
     fields = [SpectralField(grid, c) for c in arr]
     d = grid.d
-    st = State(a=fields[0], v=fields[1 : 1 + d], theta=fields[1 + d], q=fields[2 + d :] if has_flux else None, time=0.5)
-    assert st.has_flux == has_flux and np.array_equal(st.u, arr)
+    st = State(a=fields[0], v=fields[1 : 1 + d], theta=fields[1 + d], q=fields[2 + d :] if has_flux else None)
+    assert st.has_flux == has_flux and st.time == 0.0 and np.array_equal(st.u, arr)
     assert not any(np.shares_memory(st.u, f.coeffs) for f in fields)
 
 

@@ -442,8 +442,20 @@ def test_relax_sweep_skips_invalid_eps(rng):
     rep = relax_sweep(base, relaxing(2), [0.5, 3e-2, 1e-2], T=0.5, compare_well_prepared=False)
     assert [s["eps"] for s in rep.skipped] == [0.5]
     assert rep.eps_values == [3e-2, 1e-2]
-    with pytest.raises(ValueError, match="two threshold-valid"):
+    with pytest.raises(ValueError, match="^eps_list must hold two eps whose thresholds keep J0 <= Jeps"):
         relax_sweep(base, relaxing(2), [0.5, 0.3], T=0.5)
+
+
+def test_relax_sweep_refuses_one_valid_eps_before_evaluating(rng, monkeypatch):
+    # K = 8 splits at J0 = 3: eps = 1 inverts the split (Jeps = 0), eps = 0.1 keeps it (Jeps = 4)
+    grid = Grid(d=2, n=8)
+    mk = lambda: random_field(grid, rng, 1e-2, 3.0)
+    base = State(a=mk(), v=(mk(), mk()), theta=mk(), q=(mk(), mk()))
+    measured = []
+    monkeypatch.setattr(studies, "_torus_measure", measured.append)
+    with pytest.raises(ValueError, match=r"^eps_list must hold two eps .* at K = 8, k = 1.0; 1 of \[0.1, 1.0\] do$"):
+        relax_sweep(base, relaxing(2), [1.0, 0.1], T=0.5)
+    assert measured == []
 
 
 @pytest.mark.parametrize("p", [5.0, 1.0, -1.0])
