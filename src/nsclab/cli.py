@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
+import importlib
 import json
 import math
 import os
@@ -89,8 +89,24 @@ def write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _sha256():
+    """A SHA-256 hasher that loads no OpenSSL: OpenSSL's only when the process
+    already holds it (numpy.random loads it, so every study that draws has it),
+    else CPython's built-in one (_sha2 from 3.12, _sha256 before), hashlib
+    last.  Every one gives the same digest."""
+    if sys.modules.get("_hashlib") is None:
+        for name in ("_sha2", "_sha256"):
+            try:
+                return importlib.import_module(name).sha256()
+            except ImportError:
+                pass
+    import hashlib
+
+    return hashlib.sha256()
+
+
 def sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
+    h = _sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             h.update(block)
@@ -639,11 +655,19 @@ _RUNNERS = {
 }
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask), or the host's
+    count where the platform has no mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(config: dict) -> int:
     """Execute the study named in the config; returns the process exit code."""
     study = next(iter(config["study"]))
     out_dir = Path(config["output"]["directory"])
-    threads = int(config["threads"]) or (os.cpu_count() or 1)
+    threads = int(config["threads"]) or _usable_cpus()
     out_dir.mkdir(parents=True, exist_ok=True)
     # the nonlinear sources split each transform's rows over the threads;
     # every 1-D transform is independent of its batch, so no output bit moves
@@ -676,7 +700,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="threads of the nonlinear sources' transforms, 0 for one per CPU; outputs do not depend on it",
+        help="threads of the nonlinear sources' transforms, 0 for one per usable CPU; outputs do not depend on it",
     )
     parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args(argv)

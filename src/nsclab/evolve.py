@@ -9,19 +9,20 @@ the heat flux.  PropagatorKernel decomposes the longitudinal blocks at a set
 of radii once, M = V diag(lambda) V^-1, so exp(tM) at any t costs one
 exponential per eigenvalue; ill-conditioned radii keep scipy.linalg.expm
 (Higham 2005), and only radii whose det V cannot bound cond(V) pay for an
-SVD.  The radial flow uses one kernel over the log-spaced nodes that carry
-data (the rest stay exact zeros) and takes the data's coefficients V^-1 u0
-once, so a sample costs e^(t lambda) and one product with V;
-RadialFlow.band_norms turns a sample into per-band L2 norms with one band
-sum.  The torus builds one kernel per (spec, grid) at the distinct lattice
-|k|^2; a step gathers the real block of each mode's radius and applies it
-to -i (a, i k.v, theta, i k.q), with -i on a and theta on the way in and i
-on their rows on the way out, then scales the transverse parts of v and
-q.  The gathered blocks belong to the LinearPropagator or IMEX step that
-built them: nothing per mode is cached beyond it.  Band sums of squared
-linear rows along the exact torus flow step nothing: they come from a
-state's per-radius Gram factors, the zero mode a key in no band, and the
-kernel's eigen-projectors (_torus_measure, _flow_band_sums).  The damping
+SVD.  The radial flow builds one kernel over the log-spaced nodes that
+carry data (the rest stay exact zeros), takes the data's coefficients
+V^-1 u0 once and keeps only lambda, V and the expm fallback's blocks, so a
+sample costs e^(t lambda) and one product with V; RadialFlow.band_norms
+turns a sample into per-band L2 norms with one band sum.  The torus builds
+one kernel per (spec, grid) at the distinct lattice |k|^2; a step gathers
+the real block of each mode's radius and applies it to -i (a, i k.v,
+theta, i k.q), with -i on a and theta on the way in and i on their rows on
+the way out, then scales the transverse parts of v and q.  The gathered
+blocks belong to the LinearPropagator or IMEX step that built them:
+nothing per mode is cached beyond it.  Band sums of squared linear rows
+along the exact torus flow step nothing: they come from a state's
+per-radius Gram factors, the zero mode a key in no band, and the kernel's
+eigen-projectors (_torus_measure, _flow_band_sums).  The damping
 alpha/eps^2 lives inside the exponential, so nothing here restricts dt by
 eps; the explicit part of the IMEX step only sees the quadratic sources.
 
@@ -137,10 +138,9 @@ class PropagatorKernel:
     with cond2(V) > _COND_MAX are kept aside and take expm at every t.  V has
     unit columns, so cond2(V) <= m^(m/2) / |det V|: only the blocks whose
     determinant leaves that bound above _COND_MAX have cond2(V) computed (an
-    SVD), and the fallback set is the SVD rule's.  exp(t M) u is
-    expand(t, coefficients(u), u): data flowed to many times is projected
-    once, and each time then costs e^(t lambda), one product with V and one
-    expm per fallback generator.
+    SVD), and the fallback set is the SVD rule's.  The torus reads exp(t M)
+    (matrices), the eigen-projectors and V^-1 (studies.slow_projection);
+    RadialFlow keeps lambda, V and its data's V^-1 u0 and lets the kernel go.
     """
 
     def __init__(self, mats: np.ndarray):
@@ -157,7 +157,7 @@ class PropagatorKernel:
 
     @functools.cached_property
     def projectors(self) -> np.ndarray:
-        """P_k = v_k w_k^T as rows 2k = Re P_k and 2k + 1 = -Im P_k, shape (N, 2m, m^2); built on first use, never by `expand`."""
+        """P_k = v_k w_k^T as rows 2k = Re P_k and 2k + 1 = -Im P_k, shape (N, 2m, m^2); built on first use, never by RadialFlow."""
         p = np.einsum("nik,nkj->nkij", self.vecs, self.vinv).reshape(*self.lam.shape, -1)
         return np.stack([p.real, -p.imag], axis=2).reshape(p.shape[0], -1, p.shape[-1])
 
@@ -169,19 +169,6 @@ class PropagatorKernel:
         out = np.moveaxis(out, 0, 1).reshape(*t.shape, *self.mats.shape)
         if self.fallback.size:
             out[..., self.fallback, :, :] = expm(t[..., None, None, None] * self.mats[self.fallback]).real
-        return out
-
-    def coefficients(self, u: np.ndarray) -> np.ndarray:
-        """V^-1 u per generator, for u of shape (N, m)."""
-        return np.einsum("nij,nj->ni", self.vinv, u)
-
-    def expand(self, t: float, coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """exp(t M) u per generator from coeffs = coefficients(u):
-        V (e^(t lambda) coeffs), and expm applied to u on the fallback."""
-        out = np.einsum("nij,nj->ni", self.vecs, np.exp(t * self.lam) * coeffs)
-        if self.fallback.size:
-            fb = self.fallback
-            out[fb] = np.einsum("nij,nj->ni", expm(t * self.mats[fb]), u[fb])
         return out
 
 
@@ -466,9 +453,11 @@ class RadialFlow:
     1e-4 to r_max (r_max must lie above 1e-4), with one kernel over the
     support, the nodes where the reduced unknowns of the data (the first
     m profile columns) are nonzero: the flow keeps every other node at
-    exact zero.  The support's coefficients V^-1 u0 are taken once, so a
-    sample costs e^(t lambda), one product with V and one expm per
-    fallback node.  It
+    exact zero.  The support's coefficients V^-1 u0 are taken once; the
+    flow then holds lambda and V of the support (lam, vecs) and the blocks
+    and data of its expm fallback nodes (fallback, indices into the
+    support), not V^-1 nor any other node's block.  A sample costs
+    e^(t lambda), one product with V and one expm per fallback node.  It
     turns a sample into the L2 norms of Lambda^sigma of named components
     on every dyadic band: one band sum of the components' |.|^2 r^(2 sigma)
     against a per-node Plancherel weight built once (sphere area x r^d x
@@ -494,15 +483,21 @@ class RadialFlow:
         u0 = np.asarray(profile.amplitude(self.r), dtype=complex)
         self.u0 = u0[:, : 4 if spec.kind is SystemKind.NSC else 3]  # the unknowns of model.reduced_blocks
         self.support = np.flatnonzero(self.u0.any(axis=1))
-        self.kernel = PropagatorKernel(reduced_blocks(spec, self.r[self.support]))
-        self._data = self.u0[self.support]
-        self._coeffs = self.kernel.coefficients(self._data)
+        kernel = PropagatorKernel(reduced_blocks(spec, self.r[self.support]))
+        data = self.u0[self.support]
+        self._coeffs = np.einsum("nij,nj->ni", kernel.vinv, data)
+        self.lam, self.vecs, self.fallback = kernel.lam, kernel.vecs, kernel.fallback
+        self._fallback_mats, self._fallback_data = kernel.mats[self.fallback], data[self.fallback]
 
     def at(self, t: float) -> np.ndarray:
-        """Reduced coefficients at time t, shape (nodes, ncomp): the kernel's
-        flow on the support, exact zeros on the nodes where the data vanish."""
+        """Reduced coefficients at time t, shape (nodes, ncomp): V (e^(t lambda)
+        V^-1 u0) on the support, expm applied to u0 on its fallback nodes,
+        exact zeros on the nodes where the data vanish."""
+        flow = np.einsum("nij,nj->ni", self.vecs, np.exp(t * self.lam) * self._coeffs)
+        if self.fallback.size:
+            flow[self.fallback] = np.einsum("nij,nj->ni", expm(t * self._fallback_mats), self._fallback_data)
         out = np.zeros_like(self.u0)
-        out[self.support] = self.kernel.expand(t, self._coeffs, self._data)
+        out[self.support] = flow
         return out
 
     def band_norms(self, u: np.ndarray, comps, sigma: float = 0.0) -> np.ndarray:

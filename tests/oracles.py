@@ -31,7 +31,9 @@ closed form, `dealias_23` applies the 2/3-rule mask to one field, and
 `grad_j`, `grad`, `div` and `laplacian` apply one Fourier multiplier to
 one field or d-tuple, where the package differentiates whole stacks, and
 `nsf_zero_state` is the Fourier-law zero state, where the package builds
-only the relaxing system's.
+only the relaxing system's, and `kernel_apply` flows data through any
+PropagatorKernel, where the package's radial flow keeps only the factors
+its own data need.
 """
 
 import dataclasses
@@ -41,7 +43,7 @@ import numpy as np
 import scipy.optimize
 from scipy.integrate import ode, solve_ivp
 
-from nsclab.evolve import _check_density, _torus_kernel, default_dt, imex_step, linear_trajectory, mode_matrices
+from nsclab.evolve import _check_density, _torus_kernel, default_dt, expm, imex_step, linear_trajectory, mode_matrices
 from nsclab import diagnostics
 from nsclab.diagnostics import XFunctional, _calibrate, _regime_rate, _snapshot_values, _time_reduce, _x_table, effective_unknowns
 from nsclab.model import SystemKind
@@ -112,8 +114,13 @@ def ode_propagate_explicit(mat, u0, t, rtol=1e-10):
 
 def kernel_apply(kernel, t, u):
     """exp(t M) u per generator of a PropagatorKernel, for fresh data u of
-    shape (N, m): the data's coefficients, then their flow to t."""
-    return kernel.expand(t, kernel.coefficients(u), u)
+    shape (N, m): V (e^(t lambda) V^-1 u), and expm applied to u on the
+    fallback; RadialFlow.at's arithmetic, from a kernel that keeps V^-1."""
+    out = np.einsum("nij,nj->ni", kernel.vecs, np.exp(t * kernel.lam) * np.einsum("nij,nj->ni", kernel.vinv, u))
+    if kernel.fallback.size:
+        fb = kernel.fallback
+        out[fb] = np.einsum("nij,nj->ni", expm(t * kernel.mats[fb]), u[fb])
+    return out
 
 
 def spectral_distance(eigs_a, eigs_b) -> float:

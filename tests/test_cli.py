@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nsclab import evolve
+from nsclab import cli, evolve
 from nsclab.cli import _STUDY_DEFAULTS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
 from nsclab.evolve import imex_step
 from nsclab.model import ModelSpec
@@ -207,11 +208,12 @@ def test_readme_config_example_loads(tmp_path):
     assert cfg["seed"] == 1234 and "decay-fit" in cfg["study"]
 
 
-def _loaded_after(code: str, prefix: str) -> list:
-    """The modules named prefix... that a fresh interpreter holds once code
-    has run; nothing loads scipy.fft, only expm loads scipy.linalg, only a
-    split source transform loads concurrent.futures and only a study that
-    draws loads numpy.random."""
+def _loaded_after(code: str, prefix) -> list:
+    """The modules named prefix... (a string or a tuple of them) that a fresh
+    interpreter holds once code has run; nothing loads scipy.fft, only expm
+    loads scipy.linalg, only a split source transform loads
+    concurrent.futures and only a study that draws loads numpy.random, and
+    with it OpenSSL's _hashlib (numpy.random -> secrets -> hmac)."""
     probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -232,7 +234,7 @@ def test_cli_import_skips_scipy_optimize():
     loaded = set(_loaded_after("import nsclab.cli", "scipy"))
     assert "scipy.optimize" not in loaded
     assert not loaded & {"scipy.fft", "scipy.linalg", "scipy.special"}
-    assert "concurrent.futures" not in _loaded_after("import nsclab.cli", "concurrent")
+    assert not _loaded_after("import nsclab.cli", ("concurrent", "_hashlib"))
 
 
 def test_linear_and_radial_studies_skip_scipy_fft(tmp_path):
@@ -257,9 +259,39 @@ def test_studies_that_draw_nothing_skip_numpy_random(tmp_path):
         "spectrum": {},
         "initial-layer": {},
     }
-    assert "numpy.random" not in _loaded_after(_main_calls(tmp_path, runs), "numpy.random")
+    # nor OpenSSL: their manifests take CPython's built-in SHA-256
+    assert not _loaded_after(_main_calls(tmp_path, runs), ("numpy.random", "_hashlib"))
     # the probe sees a study that draws
-    assert "numpy.random" in _loaded_after(_main_calls(tmp_path, {"sk-check": {}}), "numpy.random")
+    assert {"numpy.random", "_hashlib"} <= set(_loaded_after(_main_calls(tmp_path, {"sk-check": {}}), ("numpy.random", "_hashlib")))
+
+
+@pytest.mark.parametrize(
+    "study, payload, hidden, hasher",
+    [
+        # a study that draws has loaded OpenSSL through numpy.random and digests with it
+        ("evolve", {"model": {"d": 2, "eps": 0.1}, "grid": {"n": 8}, "study": {"evolve": {"T": 0.02, "dt": 0.01, "snapshots": True}}}, (), ("_hashlib",)),
+        # as in a process that never loaded OpenSSL: CPython's built-in SHA-256
+        ("decay-fit", {"radial": {"nodes": 512}, "study": {"decay-fit": {"t_count": 20}}}, ("_hashlib",), ("_sha2", "_sha256")),
+        # no built-in SHA-256 either: hashlib's
+        ("decay-fit", {"radial": {"nodes": 512}, "study": {"decay-fit": {"t_count": 20}}}, ("_hashlib", "_sha2", "_sha256"), ("_hashlib",)),
+    ],
+)
+def test_manifest_holds_each_artifacts_sha256(tmp_path, monkeypatch, study, payload, hidden, hasher):
+    for name in hidden:
+        monkeypatch.setitem(sys.modules, name, None)
+    made = []
+    real = cli._sha256
+    monkeypatch.setattr(cli, "_sha256", lambda: made.append(real()) or made[-1])
+    out = tmp_path / "out"
+    assert main([study, "--config", str(write_cfg(tmp_path / "c.yaml", payload)), "--out", str(out), "--seed", "1"]) == EXIT_OK
+    artifacts = json.loads((out / "manifest.json").read_text())["artifacts"]
+    assert set(artifacts) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert {name: digest(out / name) for name in artifacts} == artifacts
+    assert len(made) == len(artifacts) and {type(h).__module__ for h in made} <= set(hasher)
+
+
+def test_every_study_has_a_schema_and_a_runner():
+    assert set(_STUDY_DEFAULTS) == set(cli._RUNNERS)
 
 
 def test_spectrum_shape_contract(tmp_path):
@@ -582,6 +614,30 @@ def test_thread_count_reaches_the_source_transforms(tmp_path, monkeypatch):
     spec = ModelSpec(kind="nsc", d=2, eps=0.1)
     imex_step(random_state(Grid(n=8, d=2), np.random.default_rng(1)), spec, 0.01)
     assert seen and {ranges for _, ranges in seen} == {1}
+
+
+def test_thread_count_zero_counts_the_usable_cpus(tmp_path, monkeypatch):
+    # one CPU of a 64-CPU host: one range per transform and no thread pool
+    seen = []
+    real = evolve._row_ranges
+
+    def spy(rows, workers):
+        seen.append(workers)
+        return real(rows, workers)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the source transforms started a thread pool")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(evolve, "_row_ranges", spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused)
+    cfg = write_cfg(
+        tmp_path / "e.yaml",
+        {"model": {"kind": "nsc", "d": 2, "eps": 0.1}, "grid": {"n": 8}, "study": {"evolve": {"T": 0.02, "dt": 0.01, "nonlinear": True}}},
+    )
+    assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "0"]) == EXIT_OK
+    assert seen and set(seen) == {1}
 
 
 def test_defaults_without_config_file():

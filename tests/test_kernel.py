@@ -4,6 +4,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -344,20 +345,25 @@ def test_imex_steps_keep_no_per_mode_memory():
 def test_radial_flow_matches_pade_path():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512)
-    assert flow.kernel.fallback.size == 0
+    assert flow.fallback.size == 0
     for t in (0.0, 1.0, 100.0):
         ref = np.einsum("nij,nj->ni", expm(t * reduced_blocks(spec, flow.r)), flow.u0)
         assert np.abs(flow.at(t) - ref).max() <= 1e-7 * np.abs(flow.u0).max()
 
 
-def test_radial_flow_builds_no_projectors():
+def test_radial_flow_builds_no_projectors(monkeypatch):
     # the radial flow only applies its kernel: a 4,096-node flow and ten
-    # samples peak at 2.49 (nodes, 4, 4) complex stacks of traced memory,
-    # with the kernel on the 2,048 nodes that carry data.  The bound is
+    # samples peak at 2.05 (nodes, 4, 4) complex stacks of traced memory,
+    # with the kernel on the 2,048 nodes that carry data (2.49 while the
+    # flow kept its whole kernel, V^-1 included).  The bound is
     # 10% above the 3.85 stacks of a kernel on every node; the projectors
     # alone, (2,048, 8, 16) reals, would add 2 stacks.
+    def refused(kernel):
+        raise AssertionError("the radial flow built its kernel's projectors")
+
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512).at(1.0)  # warms numpy
+    monkeypatch.setattr(PropagatorKernel, "projectors", property(refused))
     tracemalloc.start()
     try:
         flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=1e4, nodes=4096)
@@ -366,26 +372,35 @@ def test_radial_flow_builds_no_projectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "projectors" not in vars(flow.kernel)
     stack = 4096 * 16 * np.dtype(complex).itemsize
     assert peak <= 1.1 * 3.85 * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
 def test_radial_flow_projects_its_data_once(monkeypatch):
-    """Building a well-conditioned kernel takes no SVD, and a sample of the
-    radial flow makes one product with V and none with V^-1: the support's
-    coefficients V^-1 u0 are taken once, at construction."""
+    """Building a well-conditioned kernel takes no SVD; the support's
+    coefficients V^-1 u0 are taken once, at construction, after which the
+    flow holds neither V^-1 nor the support's blocks, and a sample makes one
+    product with V."""
 
     def refused(*args, **kwargs):
         raise AssertionError("the kernel build took an SVD")
+
+    built, init = [], PropagatorKernel.__init__
+
+    def keep(self, mats):
+        init(self, mats)
+        built.append((weakref.ref(self.vinv), weakref.ref(self.mats)))
 
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     with monkeypatch.context() as mp:
         mp.setattr(np.linalg, "svd", refused)
         mp.setattr(np.linalg, "cond", refused)
+        mp.setattr(PropagatorKernel, "__init__", keep)
         flow = RadialFlow(spec, sharp_low_profile(1.5, 3), r_max=64.0, nodes=512)
         assert PropagatorKernel(reduced_blocks(spec, np.logspace(-2, 2, 64))).fallback.size == 0
-    assert flow.kernel.fallback.size == 0
+    assert flow.fallback.size == 0
+    gc.collect()
+    assert len(built) == 2 and all(ref() is None for ref in built[0])
     times = np.logspace(-2, 3, 10)
     einsum, operands = np.einsum, []
 
@@ -396,11 +411,11 @@ def test_radial_flow_projects_its_data_once(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(np, "einsum", spy)
         samples = [flow.at(t) for t in times]
-    assert len(operands) == len(times) and all(ops[0] is flow.kernel.vecs for ops in operands)
-    assert not any(op is flow.kernel.vinv for ops in operands for op in ops)
+    assert len(operands) == len(times) and all(ops[0] is flow.vecs for ops in operands)
+    kernel = PropagatorKernel(reduced_blocks(spec, flow.r[flow.support]))
     for t, u in zip(times, samples, strict=True):
         ref = np.zeros_like(flow.u0)
-        ref[flow.support] = kernel_apply(flow.kernel, t, flow.u0[flow.support])
+        ref[flow.support] = kernel_apply(kernel, t, flow.u0[flow.support])
         assert np.array_equal(u, ref)
 
 

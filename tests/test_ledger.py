@@ -245,7 +245,7 @@ def test_radial_band_norms_match_masked_reference(d, log_eps, seed, log_t, s, p,
 @example(3, "nsc", -2.0, 1.0, 0.0, 1, 1.5)
 @example(3, "nsf", -2.0, 2.0, 1.0, 2, 1.5)
 def test_radial_flow_kernel_lives_on_the_data_support(d, kind, log_eps, log_r_max, log_cut, seed, cond_max):
-    """The flow's kernel has one row per node that carries data, and every
+    """The flow's factors have one row per node that carries data, and every
     sample is bit for bit the kernel over all nodes, exact zeros off the
     support; the cut radius runs from below the lowest node (no support)
     past r_max (every node).  The lowered condition limits put nodes on the
@@ -257,7 +257,7 @@ def test_radial_flow_kernel_lives_on_the_data_support(d, kind, log_eps, log_r_ma
         flow = RadialFlow(spec, _cut_profile(d, rng.uniform(-1.0, 1.0, 4), 10.0**log_cut), r_max=10.0**log_r_max, nodes=512)
         full = PropagatorKernel(reduced_blocks(spec, flow.r))
     carries = flow.u0.any(axis=1)
-    assert flow.kernel.mats.shape[0] == np.count_nonzero(carries)
+    assert flow.lam.shape[0] == flow.vecs.shape[0] == np.count_nonzero(carries)
     for t in (0.0, *10.0 ** rng.uniform(-2.0, 3.0, 3)):
         u = flow.at(t)
         assert np.array_equal(u, kernel_apply(full, t, flow.u0))
@@ -267,7 +267,7 @@ def test_radial_flow_kernel_lives_on_the_data_support(d, kind, log_eps, log_r_ma
 def test_radial_flow_of_zero_data_is_zero():
     spec = ModelSpec(kind="nsc", d=3, eps=1e-2)
     flow = RadialFlow(spec, _cut_profile(3, np.zeros(4), 30.0), r_max=64.0, nodes=512)
-    assert flow.kernel.mats.shape[0] == 0
+    assert flow.lam.shape[0] == 0
     u = flow.at(10.0)
     assert u.shape == (512, 4) and not u.any()
     assert not flow.band_norms(u, ("a", "v", "theta", "q")).any()
@@ -275,10 +275,10 @@ def test_radial_flow_of_zero_data_is_zero():
 
 def test_radial_flow_support_reads_the_kept_columns():
     """A Fourier-law flow keeps (a, omega, theta): a profile that is nonzero
-    only in sigma carries no data, so its kernel has no rows."""
+    only in sigma carries no data, so its factors have no rows."""
     spec = ModelSpec(kind="nsf", d=3)
     flow = RadialFlow(spec, _cut_profile(3, [0.0, 0.0, 0.0, 1.0], 30.0), r_max=64.0, nodes=512)
-    assert flow.support.size == 0 and flow.kernel.mats.shape == (0, 3, 3)
+    assert flow.support.size == 0 and flow.vecs.shape == (0, 3, 3)
     assert flow.at(10.0).shape == (512, 3) and not flow.at(10.0).any()
     mixed = RadialFlow(spec, _cut_profile(3, [0.0, 0.0, 1.0, 1.0], 30.0), r_max=64.0, nodes=512)
     assert np.array_equal(mixed.support, np.flatnonzero(mixed.r <= 30.0))
