@@ -480,16 +480,13 @@ def run_evolve(cfg, spec, out_dir):
             spectral.save_state(out_dir / name, s)
             artifacts.append(name)
 
-    if p["nonlinear"]:
-        advance = lambda s: evolve.imex_step(s, spec, dt)
-    else:
-        advance = evolve.LinearPropagator(spec, grid, dt).step
+    # a nonlinear run carries the half lattice between records
+    advance = (evolve.ImexStep if p["nonlinear"] else evolve.LinearPropagator)(spec, grid, dt).run
     record(st)
     cur = st
-    for step in range(1, nsteps + 1):
-        cur = advance(cur)
-        if step % stride == 0 or step == nsteps:
-            record(cur)
+    for step in range(0, nsteps, stride):  # records every stride steps and at the last
+        cur = advance(cur, min(stride, nsteps - step))
+        record(cur)
     header = ["t", "mean_a"] + [f"l2_{c}" for c in labels]
     write_csv(out_dir / "norms.csv", header, rows)
     sidecar = {

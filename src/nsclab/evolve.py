@@ -31,9 +31,9 @@ The fields are real, so the nonlinear part works on the rfft half lattice
 and derivative the products need to physical space (_inverse_rfftn), forms
 the products in place and brings them back in one batched forward real
 FFT (_forward_rfftn), dealiased by the 2/3 rule.  Both transforms are
-numpy.fft passes in scipy.fft's pass order, so their bits are scipy's.  The
-IMEX step applies the linear step on the half lattice and rebuilds the full
-lattice once per step by conjugate mirroring.
+numpy.fft passes in scipy.fft's pass order, so their bits are scipy's.  An
+ImexStep builds its linear factors once, steps on the half lattice and
+rebuilds the full lattice by conjugate mirroring once per record.
 
 scipy is not imported with this module: scipy.linalg loads on the first
 expm, so a study that never reaches it runs on numpy alone.
@@ -64,6 +64,7 @@ __all__ = [
     "sharp_low_profile",
     "RadialFlow",
     "source_terms",
+    "ImexStep",
     "imex_step",
     "default_dt",
     "DensityPositivityError",
@@ -275,6 +276,12 @@ class LinearPropagator:
         _check_kind(state, self.spec)
         new = _apply_modes(*self.factors, state.u)
         return State.from_stacked(self.grid, new, state.time + self.dt, state.has_flux)
+
+    def run(self, state: State, nsteps: int) -> State:
+        """The state nsteps steps on."""
+        for _ in range(nsteps):
+            state = self.step(state)
+        return state
 
 
 def linear_trajectory(state0: State, spec: ModelSpec, dt: float, nsteps: int) -> list:
@@ -765,40 +772,52 @@ def source_terms(state: State, spec: ModelSpec):
     return (src.a, src.v, src.theta) + ((src.q,) if nsc else ())
 
 
+class ImexStep:
+    """Integrating-factor midpoint steps U(t+dt) = e^(dt M) U + dt e^(dt M/2)
+    N(U_mid), U_mid by explicit Euler in that frame; second order in dt, real
+    fields only.  It holds _torus_step's half-lattice factors at dt and dt/2."""
+
+    def __init__(self, spec: ModelSpec, grid: Grid, dt: float):
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self.spec, self.grid, self.dt = spec, grid, dt
+        self.full, self.half = _torus_step(spec, grid, dt, True), _torus_step(spec, grid, dt / 2.0, True)
+
+    def run(self, state: State, nsteps: int, forcing=None) -> State:
+        """The state nsteps steps on (t + dt each), on the half lattice, mirrored
+        to the full lattice once; `forcing(t)` may add a stacked spectral source."""
+        _check_kind(state, self.spec)
+        if state.grid != self.grid:
+            raise ValueError(f"state on {state.grid}, step built for {self.grid}")
+        if not np.all(np.isfinite(state.u)):
+            raise NumericalBlowupError(f"non-finite coefficients entering step at t = {state.time}")
+        u, t = np.ascontiguousarray(state.u[..., : self.grid.n // 2 + 1]), state.time
+        for _ in range(nsteps):
+            u, t = self._advance(u, t, forcing), t + self.dt
+        return State.from_stacked(self.grid, _full_lattice(self.grid, u), t, state.has_flux)
+
+    def _advance(self, u0: np.ndarray, t: float, forcing) -> np.ndarray:
+        """Half-lattice u0 at time t one step on, each intermediate freed once used."""
+        dt = self.dt
+        u_mid = _apply_modes(*self.half, u0 + (dt / 2.0) * self._sources(u0, t, forcing))
+        if not np.all(np.isfinite(u_mid)):
+            raise NumericalBlowupError(f"non-finite midpoint coefficients in step at t = {t}")
+        n_mid = self._sources(u_mid, t + dt / 2.0, forcing)
+        del u_mid  # not held through the final products
+        u_next = _apply_modes(*self.full, u0) + dt * _apply_modes(*self.half, n_mid)
+        if not np.all(np.isfinite(u_next)):
+            raise NumericalBlowupError(f"non-finite coefficients after step at t = {t}")
+        return u_next
+
+    def _sources(self, u, t, forcing):
+        n = _nonlinear_sources(u, self.spec, self.grid)
+        return n if forcing is None else n + forcing(t)[..., : self.grid.n // 2 + 1]
+
+
 def imex_step(state: State, spec: ModelSpec, dt: float, forcing=None) -> State:
-    """One integrating-factor midpoint step of the nonlinear system.
-
-    U(t+dt) = e^(dt M) U + dt e^(dt M / 2) N(U_mid), with the midpoint
-    state predicted by an explicit Euler step in the integrating-factor
-    frame; second order in dt.  `forcing(t)` may supply an extra stacked
-    spectral source (manufactured solutions, external drive).
-
-    The step runs on the rfft half lattice, so the fields must be real
-    (Hermitian coefficients); the result is rebuilt by conjugate mirroring.
-    """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = state.grid
-    e_full, e_half = _torus_step(spec, grid, dt, True), _torus_step(spec, grid, dt / 2.0, True)
-    _check_kind(state, spec)
-
-    if not np.all(np.isfinite(state.u)):
-        raise NumericalBlowupError(f"non-finite coefficients entering step at t = {state.time}")
-    h = grid.n // 2 + 1
-    u0 = np.ascontiguousarray(state.u[..., :h])
-    n0 = _nonlinear_sources(u0, spec, grid)
-    if forcing is not None:
-        n0 = n0 + forcing(state.time)[..., :h]
-    u_mid = _apply_modes(*e_half, u0 + (dt / 2.0) * n0)
-    if not np.all(np.isfinite(u_mid)):
-        raise NumericalBlowupError(f"non-finite midpoint coefficients in step at t = {state.time}")
-    n_mid = _nonlinear_sources(u_mid, spec, grid)
-    if forcing is not None:
-        n_mid = n_mid + forcing(state.time + dt / 2.0)[..., :h]
-    u_next = _apply_modes(*e_full, u0) + dt * _apply_modes(*e_half, n_mid)
-    if not np.all(np.isfinite(u_next)):
-        raise NumericalBlowupError(f"non-finite coefficients after step at t = {state.time}")
-    return State.from_stacked(grid, _full_lattice(grid, u_next), state.time + dt, state.has_flux)
+    """One integrating-factor midpoint step of the nonlinear system, its
+    factors built for the call; a run of many steps builds one ImexStep."""
+    return ImexStep(spec, state.grid, dt).run(state, 1, forcing)
 
 
 def default_dt(state: State, spec: ModelSpec) -> float:

@@ -319,7 +319,8 @@ _MAGIC = b"SFLD"
 
 
 def _load_stack(path):
-    """Read back (grid, (ncomp, *grid.shape) coefficients, time)."""
+    """Read back (grid, (ncomp, *grid.shape) coefficients, time): byte counts
+    checked first, then one component row at a time into one complex64 row."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -329,11 +330,15 @@ def _load_stack(path):
             raise ValueError(f"not a field container: {path}")
         count = n**d
         found = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if found == 8 * ncomp * count:
+            grid = Grid(d=d, n=n, L=L)
+            arr, row = np.empty((ncomp, *grid.shape), dtype=np.complex128), np.empty(grid.shape, dtype="<c8")
+            for out in arr:
+                found -= row.nbytes - fh.readinto(row)  # a short read leaves found at the bytes read
+                out[...] = row  # complex64 to complex128 is exact
         if found != 8 * ncomp * count:
             raise ValueError(f"{path}: payload of {ncomp} fields needs {8 * ncomp * count} bytes, found {found}")
-        grid = Grid(d=d, n=n, L=L)
-        arr = np.frombuffer(fh.read(found), dtype="<c8").astype(np.complex128)
-    return grid, arr.reshape(ncomp, *grid.shape), time
+    return grid, arr, time
 
 
 def save_state(path, state: State) -> None:

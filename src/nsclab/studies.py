@@ -42,7 +42,7 @@ from .evolve import (
     _torus_measure,
     default_dt,
 )
-from . import evolve  # imex_step read at each call: perfbench/tracer.py wraps evolve.imex_step
+from . import evolve
 from .evolve import mode_matrices  # noqa: F401  (perfbench/tracer.py wraps studies.mode_matrices)
 from .model import ModelSpec, SystemKind, eigenvalues, symbol
 from .spectral import Grid, SpectralField, State, _grad, random_field
@@ -334,8 +334,8 @@ def sampled_linear_trajectory(state0: State, spec: ModelSpec, segments):
 
 def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_max: float):
     """Nonlinear flow sampled at the segment times: yields state0, then one
-    state per sample time, each snapshot interval covered by uniform IMEX
-    sub-steps no longer than dt_max."""
+    state per sample time, each snapshot interval covered by one ImexStep's
+    uniform sub-steps no longer than dt_max."""
 
     def advance(cur, seg, targets):
         for target in targets:
@@ -343,8 +343,7 @@ def sampled_nonlinear_trajectory(state0: State, spec: ModelSpec, segments, dt_ma
             if span <= 0:
                 continue
             nsub = max(1, int(math.ceil(span / dt_max)))
-            for _ in range(nsub):
-                cur = evolve.imex_step(cur, spec, span / nsub)
+            cur = evolve.ImexStep(spec, cur.grid, span / nsub).run(cur, nsub)
             yield cur
 
     return _walk_segments(state0, segments, advance)

@@ -560,6 +560,17 @@ def sampled_nonlinear_trajectory_reference(state0, spec, segments, dt_max):
     return out
 
 
+def evolve_records_reference(state0, spec, dt, nsteps, stride):
+    """The states a nonlinear evolve records: state0, then the imex_step state
+    after every stride-th step and after the last."""
+    out, cur = [state0], state0
+    for step in range(1, nsteps + 1):
+        cur = imex_step(cur, spec, dt)
+        if step % stride == 0 or step == nsteps:
+            out.append(cur)
+    return out
+
+
 def error_functional_reference(nsc_traj, nsf_traj, spec, th, p):
     """Relaxation error functional between paired trajectory lists, one
     besov_seminorm call per piece and per value of s."""

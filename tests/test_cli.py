@@ -14,8 +14,10 @@ from nsclab import cli, evolve
 from nsclab.cli import _STUDY_DEFAULTS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
 from nsclab.evolve import imex_step
 from nsclab.model import ModelSpec
-from nsclab.spectral import Grid, load_state
+from nsclab.spectral import Grid, load_state, save_state
 from nsclab.studies import random_state
+
+from oracles import evolve_records_reference
 
 
 def write_cfg(path, payload):
@@ -364,6 +366,28 @@ def test_evolve_study_snapshots(tmp_path):
     assert st.grid.n == 32
     sidecar = json.loads((out / "run.json").read_text())
     assert sidecar["nonlinear"] is True
+
+
+@pytest.mark.parametrize("model, n, flux", [({"kind": "nsc", "d": 3, "eps": 0.1}, 8, "random"), ({"kind": "nsf", "d": 2}, 16, "zero")])
+def test_nonlinear_evolve_records_the_imex_step_states(tmp_path, model, n, flux):
+    # stride 3 over 7 steps: records after steps 3 and 6 and, from the last
+    # step, after step 7; each equals the imex_step loop's state, so the
+    # CLI's half-lattice run between records moves no bit
+    ev = {"T": 0.07, "dt": 0.01, "nonlinear": True, "snapshots": True, "amplitude": 0.05, "flux_init": flux}
+    payload = {"model": model, "grid": {"n": n}, "seed": 3, "output": {"stride": 3}, "study": {"evolve": ev}}
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(write_cfg(tmp_path / "c.yaml", payload)), "--out", str(out)]) == EXIT_OK
+    cfg = load_config(tmp_path / "c.yaml", "evolve")
+    spec, p = cli.build_model(cfg), cfg["study"]["evolve"]
+    st = cli._random_state(spec, cli.build_grid(cfg, spec), np.random.default_rng(3), p["amplitude"], p["spectral_decay"], flux)
+    refs = evolve_records_reference(st, spec, p["T"] / 7, 7, 3)
+    rows = [[s.time, float(s.a.mean.real)] + [f.l2_norm() for f in s.fields()] for s in refs]
+    assert (out / "norms.csv").read_text().splitlines()[1:] == [",".join(cli.fmt(x) for x in row) for row in rows]
+    snaps = sorted(out.glob("snapshot_*.fld"))
+    assert len(snaps) == len(refs) == 4
+    for i, (path, ref) in enumerate(zip(snaps, refs)):
+        save_state(tmp_path / f"ref_{i}.fld", ref)
+        assert path.read_bytes() == (tmp_path / f"ref_{i}.fld").read_bytes()
 
 
 def test_nsf_evolve_snapshots_read_back(tmp_path):

@@ -7,8 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from nsclab.cli import _random_state
 from nsclab.evolve import (
     DensityPositivityError,
+    ImexStep,
     LinearPropagator,
     NumericalBlowupError,
     RadialFlow,
@@ -503,6 +505,34 @@ def test_imex_kind_state_mismatch(grid2d, nsc2):
         imex_step(nsf_zero_state(grid2d), nsc2, 1e-3)
     with pytest.raises(ValueError):
         imex_step(zero_state(grid2d), nsc2.to_nsf(), 1e-3)
+    with pytest.raises(ValueError, match="step built for"):  # same n, another L: other wavenumbers
+        ImexStep(nsc2, Grid(d=2, n=grid2d.n, L=2.0 * grid2d.L), 1e-3).run(zero_state(grid2d), 1)
+
+
+@pytest.mark.parametrize(
+    "kind, d, flux",
+    [("nsc", 1, "random"), ("nsc", 1, "well-prepared"), ("nsc", 2, "random"), ("nsc", 2, "well-prepared")]
+    + [("nsc", 3, "random"), ("nsc", 3, "well-prepared"), ("nsf", 3, "zero")],
+)
+def test_imex_step_object_matches_imex_step(kind, d, flux, rng):
+    # one step body, two entry points: ImexStep carries the half lattice from
+    # step to step, imex_step mirrors to the full lattice after each; their
+    # half-lattice coefficients and times agree bit for bit at every step
+    grid = Grid(d=d, n={1: 32, 2: 16, 3: 8}[d])
+    spec = ModelSpec(kind="nsc", d=d, eps=0.1)
+    spec = spec if kind == "nsc" else spec.to_nsf()
+    st = _random_state(spec, grid, rng, 0.05, 3.0, flux)
+    dt, h = 2e-3, grid.n // 2 + 1
+    step = ImexStep(spec, grid, dt)
+    u, t, cur = np.ascontiguousarray(st.u[..., :h]), st.time, st
+    for _ in range(12):
+        u, t, cur = step._advance(u, t, None), t + dt, imex_step(cur, spec, dt)
+        assert np.array_equal(u, cur.u[..., :h]) and t == cur.time
+    # whole runs of 5, 4 and 3 steps end on the same full-lattice state
+    chunked = st
+    for nsteps in (5, 4, 3):
+        chunked = step.run(chunked, nsteps)
+    assert np.array_equal(chunked.u, cur.u) and chunked.time == cur.time and chunked.has_flux == (kind == "nsc")
 
 
 def test_default_dt_scales(grid1d, rng):

@@ -1,8 +1,12 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from nsclab import spectral
 from nsclab.spectral import (
     _HEADER,
     Grid,
@@ -188,6 +192,36 @@ def test_load_fields_checks_byte_counts(tmp_path, rng, cut, message):
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
         load_fields(path)
+
+
+def test_load_state_holds_one_row_beyond_its_result(tmp_path, rng):
+    # the complex128 stack is filled row by row through one complex64 row,
+    # never from a copy of the whole payload
+    grid = Grid(d=3, n=32)
+    path = tmp_path / "nsc.fld"
+    save_state(path, State.from_stacked(grid, np.stack([random_field(grid, rng).coeffs for _ in range(8)]), 0.25, True))
+    load_state(path)
+    tracemalloc.start()
+    try:
+        back = load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.time == 0.25 and back.u.shape == (8, 32, 32, 32)
+    assert peak <= back.u.nbytes + 8 * grid.n**grid.d + 64 * 1024
+
+
+def test_load_state_short_read_is_a_byte_count_error(tmp_path, rng, monkeypatch):
+    # the file shrinks after its size was read: the third of four 512-byte
+    # rows comes back short and the fourth empty
+    grid = Grid(d=1, n=64)
+    path = tmp_path / "fields.fld"
+    save_state(path, State.from_stacked(grid, np.stack([random_field(grid, rng).coeffs for _ in range(4)]), 0.5, True))
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-700])
+    monkeypatch.setattr(spectral.os, "fstat", lambda fd, stat=os.fstat: os.stat_result((*stat(fd)[:6], size, *stat(fd)[7:10])))
+    with pytest.raises(ValueError, match="payload of 4 fields needs 2048 bytes, found 1348"):
+        load_state(path)
 
 
 def test_state_stacking(grid2d, rng):
