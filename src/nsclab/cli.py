@@ -147,38 +147,6 @@ _DEFAULTS = {
     "threads": 0,
 }
 
-# one entry per study: its name is the subcommand, its dict the schema of its block
-_STUDY_DEFAULTS = {
-    "spectrum": {"r_min": 1e-3, "r_max": 1e3, "count": 200, "direction": None, "reduced": False},
-    "sk-check": {"directions": 20, "include_axes": True},
-    "evolve": {
-        "T": 1.0,
-        "dt": 0.0,
-        "nonlinear": False,
-        "amplitude": 1e-2,
-        "spectral_decay": 3.0,
-        "flux_init": "zero",
-        "snapshots": False,
-    },
-    "decay-fit": {"p": 2.0, "sigma": 0.0, "sigma1": 1.5, "t_min": 10.0, "t_max": 1000.0, "t_count": 25},
-    "relax-sweep": {
-        "eps_list": [1e-1, 3e-2, 1e-2, 3e-3],
-        "T": 4.0,
-        "p": 2.0,
-        "amplitude": 1e-2,
-        "spectral_decay": 3.0,
-        "well_prepared": True,
-        "nonlinear": False,
-    },
-    "initial-layer": {"amplitude": 1e-3, "flux_amplitude": 1e-2, "mode": None, "efolds": 5.0, "samples": 60, "scaling_factor": 2.0},
-    "lyapunov": {"sigma1": 1.5, "t_min": 1.0, "t_max": 1000.0, "t_count": 40, "r_max": 64.0},
-    "bernstein": {"trials": 100, "s_min": -1.5, "s_max": 1.5, "sp_min": 0.1, "sp_max": 2.0, "c_bern": 4.0},
-}
-
-
-# studies whose preconditions reference the regime thresholds of model.eps
-_THRESHOLD_STUDIES = {"evolve", "lyapunov", "bernstein"}
-_GRID_STUDIES = {"evolve", "relax-sweep", "initial-layer", "bernstein"}
 _FLUX_INITS = ("zero", "random", "well-prepared")
 
 
@@ -253,17 +221,10 @@ def _log_times(where: str, block: dict) -> np.ndarray:
     return np.logspace(math.log10(float(block[lo])), math.log10(float(block[hi])), int(block[count]))
 
 
-def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> None:
-    """Raise ConfigError for a study the model of spec cannot run, or a
-    study value of the right kind that the study would still refuse on the
-    grid or the radial nodes of cfg, by the library's own check where it
-    has one."""
-    where, direction, mode, n = f"study.{name}", block.get("direction"), block.get("mode"), int(cfg["grid"]["n"])
-    d = spec.d
-    if name in ("evolve", "initial-layer", "decay-fit", "lyapunov") and spec.kind not in (model.SystemKind.NSC, model.SystemKind.NSF):
-        raise ConfigError(f"{where} needs the full NSC/NSF system (model.kind: nsc or nsf), got {spec.kind.value}")
-    if name in ("lyapunov", "bernstein", "initial-layer") and spec.kind is model.SystemKind.NSF:
-        raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): it reads model.eps > 0")
+def _check_fields(where: str, block: dict, cfg: dict, spec: model.ModelSpec) -> None:
+    """Raise ConfigError for a value every study holding its field refuses: a direction
+    or mode off the model's dimension or grid, a count or duration <= 0, a step < 0."""
+    direction, mode, n, d = block.get("direction"), block.get("mode"), int(cfg["grid"]["n"]), spec.d
     if direction is not None and (len(direction) != d or not any(float(x) for x in direction)):
         raise ConfigError(f"{where}.direction must be {d} numbers, not all zero, got {direction!r}")
     if mode is not None and (len(mode) != d or not all(type(m) is int and abs(m) < n / 2 for m in mode)):
@@ -271,35 +232,18 @@ def _check_study(name: str, block: dict, spec: model.ModelSpec, cfg: dict) -> No
     for key in ("T", "count", "t_count", "scaling_factor", "trials"):  # a duration, three sample counts, a divisor
         if key in block and not float(block[key]) > 0:
             raise ConfigError(f"{where}.{key} must be positive, got {block[key]!r}")
-    if name == "sk-check" and int(block["directions"]) < (0 if block["include_axes"] else 1):
-        raise ConfigError(f"{where}.directions must be non-negative, and positive without include_axes, got {block['directions']!r}")
     if float(block.get("dt", 0.0)) < 0:
         raise ConfigError(f"{where}.dt must be positive, or 0 for the default step, got {block['dt']!r}")
-    if name in ("decay-fit", "lyapunov"):
-        _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
-        key, r_max = ("radial", cfg["radial"]["r_max"]) if name == "decay-fit" else (where, block["r_max"])
-        _judged(key, studies._check_reach, evolve.sharp_low_profile(float(block["sigma1"]), d), float(r_max))
-    if name in ("spectrum", "decay-fit", "lyapunov"):
-        times = _log_times(where, block)
-    if name == "relax-sweep":
-        eps = [float(e) for e in block["eps_list"]]
-        K, k = int(cfg["thresholds"]["K"]), float(cfg["thresholds"]["k"])
-        _judged(where, studies._validate_sweep, spec, n, eps, float(block["p"]), block["nonlinear"], K, k)
-        if not float(block["amplitude"]):
-            raise ConfigError(f"{where}.amplitude must be nonzero: zero data leave the error 0 at every eps and no slope to fit")
-    elif name == "decay-fit":
-        _judged(where, studies._validate_decay_ranges, d, float(block["p"]), float(block["sigma"]), float(block["sigma1"]), int(block["t_count"]))
-    elif name == "lyapunov":
-        _judged(where, studies._tail_samples, times)
-        _judged(where, studies._ode_exponent, d, float(block["sigma1"]))
-    elif name == "bernstein":
-        if not 0 < float(block["sp_min"]) <= float(block["sp_max"]):
-            raise ConfigError(f"{where}.sp_min and sp_max must satisfy 0 < sp_min <= sp_max, got {block['sp_min']!r} and {block['sp_max']!r}")
-        if not float(block["s_min"]) <= float(block["s_max"]):
-            raise ConfigError(f"{where}.s_min must not exceed s_max, got {block['s_min']!r} and {block['s_max']!r}")
-    elif name == "initial-layer":
-        _judged(where, studies._validate_layer, float(block["efolds"]), int(block["samples"]))
-        _judged(where, studies._q_l2, _layer_state(spec, cfg, block), spec)
+
+
+def _needs_full_system(where: str, spec: model.ModelSpec) -> None:
+    if spec.kind not in (model.SystemKind.NSC, model.SystemKind.NSF):
+        raise ConfigError(f"{where} needs the full NSC/NSF system (model.kind: nsc or nsf), got {spec.kind.value}")
+
+
+def _needs_relaxation(where: str, spec: model.ModelSpec) -> None:
+    if spec.kind is model.SystemKind.NSF:
+        raise ConfigError(f"{where} needs the relaxing system (model.kind: nsc): it reads model.eps > 0")
 
 
 def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
@@ -317,10 +261,11 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
             raw = yaml.safe_load(fh) or {}
     _check_keys("", raw, (*_DEFAULTS, "study"))
     study_block = {} if raw.get("study") is None else raw["study"]
-    _check_keys("study", study_block, _STUDY_DEFAULTS)
+    _check_keys("study", study_block, _STUDIES)
     if study_block and list(study_block) != [study]:
         raise ConfigError(f"config study blocks {list(study_block)} do not match subcommand {study!r} alone")
-    block = _merge(f"study.{study}", _STUDY_DEFAULTS[study], study_block.get(study))
+    (check, _, schema), where = _STUDIES[study], f"study.{study}"
+    block = _merge(where, schema, study_block.get(study))
     cfg = {
         name: _merge(name, defaults, raw.get(name), extra=("phys",) if name == "model" else ())
         for name, defaults in _DEFAULTS.items()
@@ -332,6 +277,7 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
         _merge("model.phys", {f.name: f.default for f in dataclasses.fields(model.PhysParams)}, phys)
         if given := [f"model.{key}" for key in raw["model"] if key not in ("kind", "d", "phys")]:
             raise ConfigError(f"{', '.join(given)} cannot be given next to model.phys, which sets the normalized coefficients")
+        cfg["model"] = {key: cfg["model"][key] for key in ("kind", "d", "phys")}  # echo the model that runs
     for key, override in (("seed", seed), ("threads", threads)):
         val = raw.get(key, _DEFAULTS[key]) if override is None else override
         if isinstance(val, bool) or not isinstance(val, int) or val < 0:
@@ -342,11 +288,8 @@ def load_config(path, study: str, seed=None, out=None, threads=None) -> dict:
     if out is not None:
         cfg["output"]["directory"] = str(out)
     spec = build_model(cfg)
-    _check_study(study, block, spec, cfg)
-    if study in _GRID_STUDIES:
-        build_grid(cfg, spec)
-    if spec.kind is model.SystemKind.NSC and study in _THRESHOLD_STUDIES:
-        build_thresholds(cfg, spec.eps)
+    _check_fields(where, block, cfg, spec)
+    check(where, block, cfg, spec)
     return cfg
 
 
@@ -392,19 +335,20 @@ def _layer_state(spec, cfg, p):
 
 
 # ---------------------------------------------------------------------------
-# Study runners.  Each takes the config, the model spec `run` builds from it
-# once and the output directory, and returns a list of artifact filenames.
-# A runner that draws builds its generator from the config seed itself, so a
-# study that draws nothing never imports numpy.random.
+# Studies: a check and a runner each, taking where ("study.<name>"), the block p,
+# the config and the model spec.  A check refuses what its runner would and returns
+# what it builds (grid, thresholds, layer datum), which its runner takes from it.
+# A runner writes to out_dir and returns the artifact names.  One that draws
+# seeds its own generator, so a study that draws nothing never imports numpy.random.
 
 
-def run_spectrum(cfg, spec, out_dir):
-    p = cfg["study"]["spectrum"]
-    rs = _log_times("study.spectrum", p)
-    direction = p["direction"]
-    if direction is None:
-        direction = [1.0] + [0.0] * (spec.d - 1)
-    direction = np.asarray(direction, dtype=float)
+def _check_spectrum(where, p, cfg, spec):
+    _log_times(where, p)
+
+
+def run_spectrum(where, p, cfg, spec, out_dir):
+    rs = _log_times(where, p)
+    direction = np.asarray(p["direction"] or [1.0] + [0.0] * (spec.d - 1), dtype=float)
     direction = direction / np.linalg.norm(direction)
 
     def one(r):
@@ -432,9 +376,13 @@ def run_spectrum(cfg, spec, out_dir):
     return ["spectrum.csv", "spectrum.dat", "report.json"]
 
 
-def run_sk_check(cfg, spec, out_dir):
+def _check_sk_check(where, p, cfg, spec):
+    if int(p["directions"]) < (0 if p["include_axes"] else 1):
+        raise ConfigError(f"{where}.directions must be non-negative, and positive without include_axes, got {p['directions']!r}")
+
+
+def run_sk_check(where, p, cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
-    p = cfg["study"]["sk-check"]
     dirs = []
     if p["include_axes"]:
         dirs.extend(np.eye(spec.d))
@@ -457,11 +405,14 @@ def run_sk_check(cfg, spec, out_dir):
     return ["sk_check.csv", "report.json"]
 
 
-def run_evolve(cfg, spec, out_dir):
+def _check_evolve(where, p, cfg, spec):
+    _needs_full_system(where, spec)
+    return build_grid(cfg, spec), (build_thresholds(cfg, spec.eps) if spec.kind is model.SystemKind.NSC else None)
+
+
+def run_evolve(where, p, cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
-    grid = build_grid(cfg, spec)
-    th = build_thresholds(cfg, spec.eps) if spec.kind is model.SystemKind.NSC else None
-    p = cfg["study"]["evolve"]
+    grid, th = _check_evolve(where, p, cfg, spec)
     st = _random_state(spec, grid, rng, float(p["amplitude"]), float(p["spectral_decay"]), p["flux_init"])
     T = float(p["T"])
     dt = float(p["dt"]) or evolve.default_dt(st, spec)
@@ -522,11 +473,18 @@ def run_evolve(cfg, spec, out_dir):
     return artifacts
 
 
-def run_decay_fit(cfg, spec, out_dir):
-    p = cfg["study"]["decay-fit"]
+def _check_decay_fit(where, p, cfg, spec):
+    _needs_full_system(where, spec)
+    _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
+    _judged("radial", studies._check_reach, evolve.sharp_low_profile(float(p["sigma1"]), spec.d), float(cfg["radial"]["r_max"]))
+    _log_times(where, p)
+    _judged(where, studies._validate_decay_ranges, spec.d, float(p["p"]), float(p["sigma"]), float(p["sigma1"]), int(p["t_count"]))
+
+
+def run_decay_fit(where, p, cfg, spec, out_dir):
     r = cfg["radial"]
     prof = evolve.sharp_low_profile(float(p["sigma1"]), spec.d)
-    ts = _log_times("study.decay-fit", p)
+    ts = _log_times(where, p)
     rep = studies.decay_fit(spec, prof, float(p["p"]), float(p["sigma"]), t_grid=ts, r_max=float(r["r_max"]), nodes=int(r["nodes"]))
     cols = [rep.times, rep.norms_av] + ([rep.norms_tq] if rep.norms_tq is not None else [])
     header, rows = ["t", "norm_av", "norm_thetaflux"][: len(cols)], list(zip(*cols))
@@ -540,10 +498,18 @@ def run_decay_fit(cfg, spec, out_dir):
     return ["decay.csv", "decay.dat", "report.json"]
 
 
-def run_relax_sweep(cfg, spec, out_dir):
+def _check_relax_sweep(where, p, cfg, spec):
+    eps = [float(e) for e in p["eps_list"]]
+    K, k = int(cfg["thresholds"]["K"]), float(cfg["thresholds"]["k"])
+    _judged(where, studies._validate_sweep, spec, int(cfg["grid"]["n"]), eps, float(p["p"]), p["nonlinear"], K, k)
+    if not float(p["amplitude"]):
+        raise ConfigError(f"{where}.amplitude must be nonzero: zero data leave the error 0 at every eps and no slope to fit")
+    return build_grid(cfg, spec)
+
+
+def run_relax_sweep(where, p, cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
-    grid = build_grid(cfg, spec)
-    p = cfg["study"]["relax-sweep"]
+    grid = _check_relax_sweep(where, p, cfg, spec)
     base = studies.random_state(grid, rng, float(p["amplitude"]), float(p["spectral_decay"]))
     rep = studies.relax_sweep(
         base,
@@ -564,9 +530,17 @@ def run_relax_sweep(cfg, spec, out_dir):
     return ["relax.csv", "relax.dat", "report.json"]
 
 
-def run_initial_layer(cfg, spec, out_dir):
-    p = cfg["study"]["initial-layer"]
+def _check_initial_layer(where, p, cfg, spec):
+    _needs_full_system(where, spec)
+    _needs_relaxation(where, spec)
+    _judged(where, studies._validate_layer, float(p["efolds"]), int(p["samples"]))
     st = _layer_state(spec, cfg, p)
+    _judged(where, studies._q_l2, st, spec)
+    return st
+
+
+def run_initial_layer(where, p, cfg, spec, out_dir):
+    st = _check_initial_layer(where, p, cfg, spec)
     factor, efolds, samples = float(p["scaling_factor"]), float(p["efolds"]), int(p["samples"])
     rep = studies.initial_layer(spec, st, n_efolds=efolds, samples=samples)
     fine_spec = dataclasses.replace(spec, eps=spec.eps / factor)
@@ -586,12 +560,21 @@ def run_initial_layer(cfg, spec, out_dir):
     return ["report.json", "layer.csv", "layer.dat"]
 
 
-def run_lyapunov(cfg, spec, out_dir):
-    p = cfg["study"]["lyapunov"]
+def _check_lyapunov(where, p, cfg, spec):
+    _needs_full_system(where, spec)
+    _needs_relaxation(where, spec)
+    _judged("radial", evolve._check_nodes, int(cfg["radial"]["nodes"]))
+    _judged(where, studies._check_reach, evolve.sharp_low_profile(float(p["sigma1"]), spec.d), float(p["r_max"]))
+    _judged(where, studies._tail_samples, _log_times(where, p))
+    _judged(where, studies._ode_exponent, spec.d, float(p["sigma1"]))
+    return build_thresholds(cfg, spec.eps)
+
+
+def run_lyapunov(where, p, cfg, spec, out_dir):
     r = cfg["radial"]
-    th = build_thresholds(cfg, spec.eps)
+    th = _check_lyapunov(where, p, cfg, spec)
     prof = evolve.sharp_low_profile(float(p["sigma1"]), spec.d)
-    ts = _log_times("study.lyapunov", p)
+    ts = _log_times(where, p)
     rep = studies.lyapunov_ode_compare(spec, prof, th, t_grid=ts, r_max=float(p["r_max"]), nodes=int(r["nodes"]))
     rows = list(zip(rep.times, rep.l1_values, rep.envelope))
     write_csv(out_dir / "lyapunov.csv", ["t", "l1", "envelope"], rows)
@@ -607,11 +590,18 @@ def run_lyapunov(cfg, spec, out_dir):
     return ["lyapunov.csv", "lyapunov.dat", "report.json"]
 
 
-def run_bernstein(cfg, spec, out_dir):
+def _check_bernstein(where, p, cfg, spec):
+    _needs_relaxation(where, spec)
+    if not 0 < float(p["sp_min"]) <= float(p["sp_max"]):
+        raise ConfigError(f"{where}.sp_min and sp_max must satisfy 0 < sp_min <= sp_max, got {p['sp_min']!r} and {p['sp_max']!r}")
+    if not float(p["s_min"]) <= float(p["s_max"]):
+        raise ConfigError(f"{where}.s_min must not exceed s_max, got {p['s_min']!r} and {p['s_max']!r}")
+    return build_grid(cfg, spec), build_thresholds(cfg, spec.eps)
+
+
+def run_bernstein(where, p, cfg, spec, out_dir):
     rng = np.random.default_rng(int(cfg["seed"]))
-    grid = build_grid(cfg, spec)
-    th = build_thresholds(cfg, spec.eps)
-    p = cfg["study"]["bernstein"]
+    grid, th = _check_bernstein(where, p, cfg, spec)
     rows = []
     worst = {}
     bands = list(besov.grid_band_range(grid))
@@ -640,16 +630,25 @@ def run_bernstein(cfg, spec, out_dir):
     return ["bernstein.csv", "report.json"]
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "sk-check": run_sk_check,
-    "evolve": run_evolve,
-    "decay-fit": run_decay_fit,
-    "relax-sweep": run_relax_sweep,
-    "initial-layer": run_initial_layer,
-    "lyapunov": run_lyapunov,
-    "bernstein": run_bernstein,
+# one entry per study, keyed by its subcommand: its check, its runner and its block's defaults (the schema)
+_STUDIES = {
+    "spectrum": (_check_spectrum, run_spectrum, {"r_min": 1e-3, "r_max": 1e3, "count": 200, "direction": None, "reduced": False}),
+    "sk-check": (_check_sk_check, run_sk_check, {"directions": 20, "include_axes": True}),
+    "evolve": (_check_evolve, run_evolve, {
+        "T": 1.0, "dt": 0.0, "nonlinear": False, "amplitude": 1e-2, "spectral_decay": 3.0, "flux_init": "zero", "snapshots": False,
+    }),
+    "decay-fit": (_check_decay_fit, run_decay_fit, {"p": 2.0, "sigma": 0.0, "sigma1": 1.5, "t_min": 10.0, "t_max": 1000.0, "t_count": 25}),
+    "relax-sweep": (_check_relax_sweep, run_relax_sweep, {
+        "eps_list": [1e-1, 3e-2, 1e-2, 3e-3], "T": 4.0, "p": 2.0, "amplitude": 1e-2, "spectral_decay": 3.0,
+        "well_prepared": True, "nonlinear": False,
+    }),
+    "initial-layer": (_check_initial_layer, run_initial_layer, {
+        "amplitude": 1e-3, "flux_amplitude": 1e-2, "mode": None, "efolds": 5.0, "samples": 60, "scaling_factor": 2.0,
+    }),
+    "lyapunov": (_check_lyapunov, run_lyapunov, {"sigma1": 1.5, "t_min": 1.0, "t_max": 1000.0, "t_count": 40, "r_max": 64.0}),
+    "bernstein": (_check_bernstein, run_bernstein, {"trials": 100, "s_min": -1.5, "s_max": 1.5, "sp_min": 0.1, "sp_max": 2.0, "c_bern": 4.0}),
 }
+_RUNNERS = {name: runner for name, (_, runner, _) in _STUDIES.items()}  # `run` calls through it; the tracer wraps its items
 
 
 def _usable_cpus() -> int:
@@ -662,7 +661,7 @@ def _usable_cpus() -> int:
 
 def run(config: dict) -> int:
     """Execute the study named in the config; returns the process exit code."""
-    study = next(iter(config["study"]))
+    [(study, block)] = config["study"].items()
     out_dir = Path(config["output"]["directory"])
     threads = int(config["threads"]) or _usable_cpus()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -670,7 +669,7 @@ def run(config: dict) -> int:
     # every 1-D transform is independent of its batch, so no output bit moves
     token = evolve._FFT_WORKERS.set(threads)
     try:
-        artifacts = _RUNNERS[study](config, build_model(config), out_dir)
+        artifacts = _RUNNERS[study](f"study.{study}", block, config, build_model(config), out_dir)
     except ValueError as exc:  # ConfigError and ThresholdOrderError among them
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -691,7 +690,7 @@ def run(config: dict) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nsclab", description=__doc__)
-    parser.add_argument("study", choices=_STUDY_DEFAULTS)
+    parser.add_argument("study", choices=_STUDIES)
     parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=None)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from nsclab import cli, evolve
-from nsclab.cli import _STUDY_DEFAULTS, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
+from nsclab.cli import _STUDIES, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, load_config, main
 from nsclab.evolve import imex_step
 from nsclab.model import ModelSpec
 from nsclab.spectral import Grid, load_state, save_state
@@ -162,16 +162,20 @@ def test_seed_must_be_integer(tmp_path):
         # phys sets every normalized coefficient: one given next to it would be echoed but not used
         *(({"model": {key: 0.5, "phys": {"mu": 0.3}}}, f"model.{key} cannot be given next to model.phys") for key in ("alpha", "beta", "gamma", "kappa", "eps", "visc_mu", "visc_lam")),
         ({"model": {"kind": "nsc", "d": 2, "eps": 0.001, "alpha": 5.0, "phys": {"mu": 0.3}}}, "model.alpha, model.eps cannot be given next to model.phys"),  # keys in file order
+        # bernstein builds its thresholds for every model kind, the toys too
+        *(({"model": {"kind": kind, "d": 2}, "grid": {"n": 8}, "thresholds": {"K": 1}, "study": {"bernstein": {}}}, "thresholds.K must be an integer >= 2") for kind in ("toy-damped", "toy-diffusive")),
     ],
 )
 def test_bad_config_exits_2_before_output(tmp_path, capsys, payload, key):
-    # each row runs under the study its block names, or relax-sweep without one (or with a misspelt one)
-    study = next((name for name in payload.get("study", {}) if name in _STUDY_DEFAULTS), "relax-sweep")
+    # each row runs under the study its block names, or relax-sweep without one (or with a misspelt one);
+    # --dry-run refuses it the same way
+    study = next((name for name in payload.get("study", {}) if name in _STUDIES), "relax-sweep")
     cfg = write_cfg(tmp_path / "c.yaml", payload)
     out = tmp_path / "out"
-    assert main([study, "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
-    assert key in capsys.readouterr().err
-    assert not out.exists()
+    for dry_run in (["--dry-run"], []):
+        assert main([study, "--config", str(cfg), "--out", str(out), *dry_run]) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_another_studys_block_is_refused_before_it_is_judged(tmp_path, capsys):
@@ -201,6 +205,21 @@ def test_phys_block_builds_the_model(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "manifest.json").read_text())["config"]["model"]["phys"] == {"mu": 0.25, "eps": 0.05}
+
+
+def test_phys_config_echoes_only_the_model_that_runs(tmp_path, capsys):
+    # phys sets every normalized coefficient (here eps 0.1, alpha 0.6, visc_mu 0.3), so the
+    # echo holds no normalized defaults that did not run
+    model = {"kind": "nsc", "d": 2, "phys": {"mu": 0.3}}
+    cfg = write_cfg(tmp_path / "c.yaml", {"model": model, "grid": {"n": 8}, "study": {"evolve": {"T": 0.02, "dt": 0.01}}})
+    spec = cli.build_model(load_config(cfg, "evolve"))
+    assert (spec.eps, spec.alpha, spec.visc_mu) == (0.1, 0.6, 0.3)
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out), "--dry-run"]) == EXIT_OK
+    assert yaml.safe_load(capsys.readouterr().out)["model"] == model
+    assert main(["evolve", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["config"]["model"] == model
+    assert json.loads((out / "run.json").read_text())["model"] == model
 
 
 def test_readme_config_example_loads(tmp_path):
@@ -292,8 +311,14 @@ def test_manifest_holds_each_artifacts_sha256(tmp_path, monkeypatch, study, payl
     assert len(made) == len(artifacts) and {type(h).__module__ for h in made} <= set(hasher)
 
 
-def test_every_study_has_a_schema_and_a_runner():
-    assert set(_STUDY_DEFAULTS) == set(cli._RUNNERS)
+def test_study_registry_is_the_one_list_of_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    choices = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert choices == list(_STUDIES) == list(cli._RUNNERS)
+    for name, (check, runner, defaults) in _STUDIES.items():
+        assert cli._RUNNERS[name] is runner
+        assert isinstance(defaults, dict) and callable(check)
 
 
 def test_spectrum_shape_contract(tmp_path):
